@@ -133,11 +133,8 @@ exp::TrialResult packet_trial(const Scenario& sc,
     dataplane = std::make_unique<control::PacketDataplane>(h);
     controller = std::make_unique<control::Controller>(cc, *dataplane);
     controller->observe(bus);
-    driver = std::make_unique<control::ControlDriver>(h.events(), *controller,
+    driver = std::make_unique<control::ControlDriver>(h, *controller,
                                                       cc.cadence);
-    if (sim::ShardSet* shards = h.shards(); shards != nullptr) {
-      driver->set_more_work([shards] { return shards->busy(); });
-    }
     driver->start(h.events().now());
   }
 

@@ -56,7 +56,7 @@ exp::TrialResult run_config(topo::TopoKind kind, topo::NetworkType type,
   r.delivered_bytes =
       static_cast<double>(harness.factory().total_delivered_bytes());
   r.sim_seconds = units::to_seconds(harness.events().now());
-  r.events = harness.events().dispatched();
+  r.events = harness.dispatched();
   return r;
 }
 

@@ -53,7 +53,7 @@ exp::TrialResult run_rpcs(topo::NetworkType type, int hosts, int planes,
   r.delivered_bytes =
       static_cast<double>(harness.factory().total_delivered_bytes());
   r.sim_seconds = units::to_seconds(harness.events().now());
-  r.events = harness.events().dispatched();
+  r.events = harness.dispatched();
   r.metrics["drops"] = static_cast<double>(harness.network().total_drops());
   r.metrics["timeouts"] =
       static_cast<double>(harness.logger().total_timeouts());

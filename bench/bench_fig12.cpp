@@ -51,7 +51,7 @@ exp::TrialResult run_job(topo::NetworkType type, int hosts,
   r.delivered_bytes =
       static_cast<double>(harness.factory().total_delivered_bytes());
   r.sim_seconds = units::to_seconds(harness.events().now());
-  r.events = harness.events().dispatched();
+  r.events = harness.dispatched();
   return r;
 }
 

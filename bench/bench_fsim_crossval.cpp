@@ -124,7 +124,7 @@ exp::TrialResult cross_validate(topo::NetworkType type, int hosts,
     r.delivered_bytes +=
         static_cast<double>(harness.factory().total_delivered_bytes());
     r.sim_seconds += units::to_seconds(harness.events().now());
-    r.events += harness.events().dispatched();
+    r.events += harness.dispatched();
     r.runtime["packet_wall_s"] = wall.seconds();
   }
   return r;

@@ -19,10 +19,10 @@
 // --sim-threads 1/2/4/8, asserting the dispatched-event count is
 // identical across shard worker counts). The result is one JSON document,
 // committed as BENCH_micro_sim.json at the repo root; CI's micro-sim-perf
-// job re-runs it and fails on a >15% events/sec regression of the serial
-// row, and checks the mt rows still agree on events. Report-mode flags:
-// --hosts, --planes, --bytes, --repeat, --mt-hosts, --mt-planes,
-// --mt-bytes.
+// job re-runs it and fails on a >15% events/sec regression of the
+// packet_sim row, and checks the mt rows still agree on events.
+// Report-mode flags: --hosts, --planes, --bytes, --repeat, --mt-hosts,
+// --mt-planes, --mt-bytes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -169,7 +169,7 @@ struct SimRun {
 };
 
 SimRun run_permutation(int hosts, int planes, std::uint64_t bytes,
-                       int sim_threads = 0) {
+                       int sim_threads = 1) {
   topo::NetworkSpec spec;
   spec.topo = topo::TopoKind::kFatTree;
   spec.type = topo::NetworkType::kParallelHomogeneous;
@@ -187,16 +187,18 @@ SimRun run_permutation(int hosts, int planes, std::uint64_t bytes,
   harness.run();
   SimRun run;
   run.wall_s = seconds_since(t0);
-  run.events = harness.dispatched();  // == events().dispatched() when serial
+  run.events = harness.dispatched();
   run.delivered =
       static_cast<double>(harness.factory().total_delivered_bytes());
   run.routes = harness.network().routes().num_routes();
   run.route_dedup_hits = harness.network().routes().dedup_hits();
   run.route_arena_bytes = harness.network().routes().arena_bytes();
-  // Pool introspection goes through the harness-owned pool indirectly:
-  // approximate with the event-heap stats we can reach; the pool numbers
-  // come from the standalone forwarding section instead.
+  // The pool numbers come from the standalone forwarding section; here
+  // only the event heaps (control queue and every shard) are sampled.
   run.heap_regrowths = harness.events().regrowths();
+  for (std::size_t s = 0; s < harness.shards().size(); ++s) {
+    run.heap_regrowths += harness.shards().shard(s).events.regrowths();
+  }
   return run;
 }
 

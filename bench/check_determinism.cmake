@@ -1,122 +1,76 @@
 # ctest harness for the bench-report determinism contract: the same spec
 # and seed must produce a byte-identical timing-free JSON report at any
-# --threads value, for both engines, and with the shared route cache on or
-# off (PNET_ROUTE_CACHE=off forces pass-through recomputes — the cache must
-# be an optimization, never a behavior change). A second section checks the
-# sharded packet engine: reports must be byte-identical at every
-# --sim-threads value >= 1 (the shard layout is pinned to the plane count;
-# the worker count is only a pool size). Invoked by the
-# bench_report_determinism test with -DBENCH=<bench_fig9 path>
-# -DFAULT_BENCH=<bench_fault_recovery path> -DWORKDIR=<scratch dir>.
-set(args --hosts=16 --planes=2 --maxsize=1000000 --rounds=1 --trials=2
-         --json-timing=0)
+# --threads value, at any --sim-threads value (the shard layout is pinned
+# to the plane count; the worker count only sizes the pool), and with the
+# shared route cache on or off (PNET_ROUTE_CACHE=off forces pass-through
+# recomputes — the cache must be an optimization, never a behavior change).
+# Packet rows run two back-to-back rounds under --require-complete, so a
+# report that leaves flows unfinished fails here even when every row
+# reproduces it. Invoked by the bench_report_determinism test with
+# -DBENCH=<bench_fig9 path> -DFAULT_BENCH=<bench_fault_recovery path>
+# -DWORKDIR=<scratch dir>.
+set(args --hosts=16 --planes=2 --maxsize=1000000 --trials=2 --json-timing=0)
+set(packet_args ${args} --engine=packet --rounds=2 --require-complete)
+set(fsim_args ${args} --engine=fsim --rounds=1)
 
-foreach(engine packet fsim)
-  set(outputs "")
-  foreach(threads 1 4)
-    foreach(cache on off)
-      set(json ${WORKDIR}/fig9_${engine}_t${threads}_cache-${cache}.json)
-      execute_process(
-        COMMAND ${CMAKE_COMMAND} -E env PNET_ROUTE_CACHE=${cache}
-                ${BENCH} ${args} --engine=${engine} --threads=${threads}
-                --json=${json}
-        RESULT_VARIABLE rc OUTPUT_QUIET)
-      if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "${BENCH} --engine=${engine} "
-                            "--threads=${threads} (route cache ${cache}) "
-                            "exited ${rc}")
-      endif()
-      list(APPEND outputs ${json})
-    endforeach()
-  endforeach()
-  list(GET outputs 0 first)
-  foreach(other ${outputs})
-    if(other STREQUAL first)
-      continue()
+# Runs `bench` with `case_args` once per row and fails unless every JSON
+# report is byte-identical to the first row's. A row reads
+# "<threads>/<sim-threads>/<route cache on|off>"; a sim-threads of "-"
+# leaves that flag at its default.
+function(check_rows case_name bench case_args rows)
+  set(first "")
+  foreach(row ${rows})
+    string(REPLACE "/" ";" fields ${row})
+    list(GET fields 0 threads)
+    list(GET fields 1 sim_threads)
+    list(GET fields 2 cache)
+    set(flags --threads=${threads})
+    if(NOT sim_threads STREQUAL "-")
+      list(APPEND flags --sim-threads=${sim_threads})
     endif()
-    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                            ${first} ${other}
-                    RESULT_VARIABLE diff)
-    if(NOT diff EQUAL 0)
-      message(FATAL_ERROR "engine=${engine}: JSON report differs between "
-                          "${first} and ${other} — the determinism "
-                          "contract (threads x route-cache) is broken")
-    endif()
-  endforeach()
-endforeach()
-
-# Sharded-engine determinism: sharded rows compare only against each other,
-# never against --sim-threads=0 — same-instant cross-shard ties merge in
-# (shard, seq) order under the sharded engine, so legacy and sharded bytes
-# legitimately differ while every sharded worker count agrees exactly.
-function(check_sharded case_name case_bench)
-  set(case_args ${ARGN})
-  set(outputs "")
-  foreach(sim_threads 1 2 4)
-    set(json ${WORKDIR}/${case_name}_simt${sim_threads}.json)
+    set(json
+        ${WORKDIR}/${case_name}_t${threads}_s${sim_threads}_cache-${cache}.json)
     execute_process(
-      COMMAND ${case_bench} ${case_args} --sim-threads=${sim_threads}
-              --json=${json}
+      COMMAND ${CMAKE_COMMAND} -E env PNET_ROUTE_CACHE=${cache}
+              ${bench} ${case_args} ${flags} --json=${json}
       RESULT_VARIABLE rc OUTPUT_QUIET)
     if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "${case_bench} --sim-threads=${sim_threads} "
-                          "exited ${rc}")
+      list(JOIN flags " " shown)
+      message(FATAL_ERROR "${case_name}: ${bench} ${shown} (route cache "
+                          "${cache}) exited ${rc}")
     endif()
-    list(APPEND outputs ${json})
-  endforeach()
-  list(GET outputs 0 first)
-  foreach(other ${outputs})
-    if(other STREQUAL first)
+    if(first STREQUAL "")
+      set(first ${json})
       continue()
     endif()
     execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                            ${first} ${other}
+                            ${first} ${json}
                     RESULT_VARIABLE diff)
     if(NOT diff EQUAL 0)
       message(FATAL_ERROR "${case_name}: JSON report differs between "
-                          "${first} and ${other} — the sharded engine is "
-                          "not byte-identical across --sim-threads values")
+                          "${first} and ${json} — the determinism "
+                          "contract (threads x sim-threads x route cache) "
+                          "is broken")
     endif()
   endforeach()
 endfunction()
 
-check_sharded(fig9 ${BENCH} ${args} --engine=packet --threads=2)
-if(FAULT_BENCH)
-  check_sharded(fault_recovery ${FAULT_BENCH}
-                --hosts=16 --threads=2 --json-timing=0)
-endif()
+# Every sim-threads value (default, 2, 4) meets both runner thread counts
+# and both route-cache settings.
+set(packet_rows 1/-/on 4/-/off 1/2/off 4/2/on 1/4/on 4/4/off)
+check_rows(fig9_packet ${BENCH} "${packet_args}" "${packet_rows}")
+check_rows(fig9_fsim ${BENCH} "${fsim_args}" "1/-/on;1/-/off;4/-/on;4/-/off")
 
 # Controller-enabled determinism: the adaptive control plane's ticks are
 # simulation events (control-queue barriers / fluid event loop), so a
-# --controller=centralized run obeys the exact same contracts — reports
-# byte-identical across --threads for both engines, and across every
-# --sim-threads value >= 1 for the sharded packet engine.
-foreach(engine packet fsim)
-  set(outputs "")
-  foreach(threads 1 4)
-    set(json ${WORKDIR}/fig9_ctl_${engine}_t${threads}.json)
-    execute_process(
-      COMMAND ${BENCH} ${args} --controller=centralized --engine=${engine}
-              --threads=${threads} --json=${json}
-      RESULT_VARIABLE rc OUTPUT_QUIET)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "${BENCH} --controller=centralized "
-                          "--engine=${engine} --threads=${threads} "
-                          "exited ${rc}")
-    endif()
-    list(APPEND outputs ${json})
-  endforeach()
-  list(GET outputs 0 first)
-  list(GET outputs 1 second)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                          ${first} ${second}
-                  RESULT_VARIABLE diff)
-  if(NOT diff EQUAL 0)
-    message(FATAL_ERROR "engine=${engine}: controller-enabled JSON report "
-                        "differs between ${first} and ${second} — the "
-                        "control loop leaked thread-dependent state")
-  endif()
-endforeach()
+# --controller=centralized run obeys the exact same contract.
+check_rows(fig9_ctl_packet ${BENCH}
+           "${packet_args};--controller=centralized"
+           "1/-/on;4/-/on;1/2/on;4/4/on")
+check_rows(fig9_ctl_fsim ${BENCH} "${fsim_args};--controller=centralized"
+           "1/-/on;4/-/on")
 
-check_sharded(fig9_ctl ${BENCH} ${args} --controller=centralized
-              --engine=packet --threads=2)
+if(FAULT_BENCH)
+  check_rows(fault_recovery ${FAULT_BENCH} "--hosts=16;--json-timing=0"
+             "2/-/on;2/2/on;2/4/on")
+endif()

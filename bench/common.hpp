@@ -241,9 +241,9 @@ class Experiment {
     runner_.set_checkpoint(flags.get("checkpoint", ""));
     runner_.set_audit(flags.get_bool("audit", false) ||
                       util::Audit::env_enabled());
-    // Packet-engine shard workers: 0 (default) keeps the serial engine;
-    // >= 1 runs the plane-sharded engine, byte-identical across values.
-    runner_.set_sim_threads(flags.get_int("sim-threads", 0));
+    // Packet-engine shard workers: a pool size only (values <= 1 run the
+    // shards inline), so reports are byte-identical across values.
+    runner_.set_sim_threads(flags.get_int("sim-threads", 1));
     // Control plane: --controller=off leaves every cell byte-identical to
     // the seed; other modes merge into cells that did not set their own.
     runner_.set_controller(parse_controller(flags));

@@ -7,9 +7,9 @@
 // fsim::FluidSimulator (plane-attributed delivered bytes, routing mask,
 // FluidSimulator::repin_flows). The fluid engine calls Controller::tick
 // from FluidSimulator::set_control; the packet engine schedules a
-// ControlDriver on the EventQueue — control-queue events run at barrier
-// epochs under the sharded engine, which is what keeps controller-enabled
-// reports byte-identical at every --sim-threads value.
+// ControlDriver on the harness's control queue — control-queue events run
+// at barrier epochs, which is what keeps controller-enabled reports
+// byte-identical at every --sim-threads value.
 #pragma once
 
 #include <vector>
@@ -82,21 +82,18 @@ class FluidDataplane : public Dataplane {
   std::vector<bool> masked_;  // lazily sized; mirrors set_plane_usable
 };
 
-/// Drives Controller::tick off the packet simulator's event queue — the
+/// Drives Controller::tick off the packet simulator's control queue — the
 /// control-plane sibling of sim::TelemetryDriver. One self-rescheduling
 /// EventSource firing every cadence; it only re-arms while other
-/// simulation work is pending, so a drained run still terminates.
+/// simulation work is pending, on the control queue or on any shard, so a
+/// drained run still terminates.
 class ControlDriver : public sim::EventSource {
  public:
-  ControlDriver(sim::EventQueue& events, Controller& controller,
+  /// The harness must outlive the driver.
+  ControlDriver(core::SimHarness& harness, Controller& controller,
                 SimTime cadence)
-      : events_(events), controller_(controller), cadence_(cadence) {}
-
-  /// Sharded runs hook ShardSet::busy() here, exactly like the telemetry
-  /// driver: the control queue looks drained while work lives on shards.
-  void set_more_work(std::function<bool()> more_work) {
-    more_work_ = std::move(more_work);
-  }
+      : events_(harness.events()), shards_(harness.shards()),
+        controller_(controller), cadence_(cadence) {}
 
   /// Arms the controller's sampler at `at`; the first tick fires one
   /// cadence later.
@@ -112,17 +109,17 @@ class ControlDriver : public sim::EventSource {
     next_ += cadence_;
     // real_pending() excludes sibling drivers (telemetry sampling), so a
     // drained run terminates even with both loops armed.
-    if (events_.real_pending() > 0 || (more_work_ && more_work_())) {
+    if (events_.real_pending() > 0 || shards_.busy()) {
       events_.schedule_aux_at(next_, this);
     }
   }
 
  private:
   sim::EventQueue& events_;
+  const sim::ShardSet& shards_;
   Controller& controller_;
   SimTime cadence_;
   SimTime next_ = 0;
-  std::function<bool()> more_work_;
 };
 
 }  // namespace pnet::control

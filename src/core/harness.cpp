@@ -6,32 +6,28 @@ namespace pnet::core {
 
 SimHarness::SimHarness(const Options& options)
     : net_(topo::build_network(options.spec)),
-      shards_(options.sim_threads >= 1
-                  ? std::make_unique<sim::ShardSet>(net_.num_planes(),
-                                                    options.sim_threads)
-                  : nullptr),
-      network_(events_, pool_, net_, options.sim_config, shards_.get()),
-      factory_(events_, pool_, network_, logger_, shards_.get()),
+      shards_(net_.num_planes(), options.sim_threads),
+      network_(events_, net_, options.sim_config, shards_),
+      factory_(events_, network_, logger_),
       selector_(net_, options.policy, options.route_cache),
       starter_(selector_.make_starter(factory_)),
       telemetry_(options.telemetry) {
-  // Reserve the event heap up front (links dominate the steady-state
-  // pending set: one in-service completion per queue, one delivery wake-up
-  // per pipe) and arm regrowth tracking; FlowFactory grows the reservation
-  // as endpoints appear. audit_check() treats any regrowth as a violation.
-  events_.reserve(2 * network_.total_links() +
-                  static_cast<std::size_t>(net_.num_hosts()) + 64);
-  if (shards_ != nullptr) {
-    // Per-shard heaps get the same bound plus slack for arrival wakes
-    // (Arrivals can park a few superseded wakes per shard; see shard.hpp).
-    shards_->reserve_events(2 * network_.total_links() +
-                            static_cast<std::size_t>(net_.num_hosts()) +
-                            256);
-  }
+  // Reserve the event heaps up front and arm regrowth tracking; links
+  // dominate a shard's steady-state pending set (one in-service completion
+  // per queue, one delivery wake-up per pipe), plus slack for arrival wakes
+  // (Arrivals can park a few superseded wakes per shard; see shard.hpp).
+  // The control queue gets the same bound, far more than its drivers,
+  // fault injector, health monitor and workload apps keep pending.
+  // FlowFactory grows the shard reservations as endpoints appear.
+  // audit_check() treats any regrowth as a violation.
+  const std::size_t link_bound =
+      2 * network_.total_links() + static_cast<std::size_t>(net_.num_hosts());
+  events_.reserve(link_bound + 64);
+  shards_.reserve_events(link_bound + 256);
   if (telemetry_ != nullptr) wire_telemetry(options.sample_route_cache);
   if (options.cancel != nullptr) {
     events_.set_cancel(options.cancel);
-    if (shards_ != nullptr) shards_->set_cancel(options.cancel);
+    shards_.set_cancel(options.cancel);
   }
   audit_ = options.audit;
   if (audit_ == nullptr && util::Audit::env_enabled()) {
@@ -43,7 +39,7 @@ SimHarness::SimHarness(const Options& options)
   if (audit_ != nullptr) {
     events_.set_audit(audit_);
     network_.set_audit(audit_);
-    if (shards_ != nullptr) shards_->enable_audit();
+    shards_.enable_audit();
   }
 }
 
@@ -90,12 +86,7 @@ void SimHarness::wire_telemetry(bool sample_route_cache) {
                                           static_cast<double>(total);
                        });
   }
-  driver_ = std::make_unique<sim::TelemetryDriver>(events_, sampler);
-  if (shards_ != nullptr) {
-    // The driver rides the control queue, which drains while shard heaps
-    // still hold work — keep sampling as long as any shard is busy.
-    driver_->set_more_work([this] { return shards_->busy(); });
-  }
+  driver_ = std::make_unique<sim::TelemetryDriver>(events_, shards_, sampler);
   driver_->start(events_.now());
 }
 

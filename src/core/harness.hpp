@@ -48,12 +48,11 @@ class SimHarness {
     /// PNET_AUDIT=1 is set, the harness owns a private fail-fast auditor so
     /// direct users (unit tests, examples) get audited too.
     util::Audit* audit = nullptr;
-    /// 0 (default): the serial engine — one global event queue, exactly as
-    /// before. >= 1: the plane-sharded engine (DESIGN.md §5i) with one
-    /// shard per plane and min(sim_threads, planes) worker threads. Every
-    /// value >= 1 produces byte-identical results: the shard layout is
-    /// fixed by the topology, sim_threads only sizes the worker pool.
-    int sim_threads = 0;
+    /// Worker threads of the plane-sharded packet engine (DESIGN.md §5i),
+    /// clamped to [1, planes]; values <= 1 run every shard inline on the
+    /// caller's thread. The shard layout is fixed by the topology, so every
+    /// value produces byte-identical results.
+    int sim_threads = 1;
   };
 
   explicit SimHarness(const Options& options);
@@ -76,32 +75,18 @@ class SimHarness {
     return hosts;
   }
 
-  /// The shard set driving a sharded run; nullptr for the serial engine.
-  [[nodiscard]] sim::ShardSet* shards() { return shards_.get(); }
+  /// The shard set that carries every packet: one shard per plane.
+  [[nodiscard]] sim::ShardSet& shards() { return shards_; }
 
   /// Events dispatched across the control queue and every shard — the
-  /// run's throughput numerator (equals events().dispatched() when
-  /// serial).
+  /// run's throughput numerator.
   [[nodiscard]] std::uint64_t dispatched() const {
-    return events_.dispatched() +
-           (shards_ != nullptr ? shards_->dispatched() : 0);
+    return events_.dispatched() + shards_.dispatched();
   }
 
   /// Runs the event loop to completion (or to a deadline).
-  void run() {
-    if (shards_ != nullptr) {
-      shards_->run(events_);
-    } else {
-      events_.run();
-    }
-  }
-  void run_until(SimTime deadline) {
-    if (shards_ != nullptr) {
-      shards_->run_until(events_, deadline);
-    } else {
-      events_.run_until(deadline);
-    }
-  }
+  void run() { shards_.run(events_); }
+  void run_until(SimTime deadline) { shards_.run_until(events_, deadline); }
 
   /// Logs partial FlowRecords for flows still active — run_until stops the
   /// clock, it does not complete in-flight transfers, so without this the
@@ -125,13 +110,11 @@ class SimHarness {
   /// reservation made in the constructor. No-op without an auditor.
   void audit_check() {
     if (audit_ == nullptr) return;
-    if (shards_ != nullptr) {
-      // Violations collected on shard threads (event monotonicity, queue
-      // occupancy) merge into the main auditor first, then the boundary
-      // conservation + per-shard reservation sweep runs.
-      shards_->collect_audit(*audit_);
-      shards_->audit_check(*audit_);
-    }
+    // Violations collected on shard threads (event monotonicity, queue
+    // occupancy) merge into the main auditor first, then the boundary
+    // conservation + per-shard reservation sweep runs.
+    shards_.collect_audit(*audit_);
+    shards_.audit_check(*audit_);
     network_.audit_check(*audit_);
     audit_->note_check();
     if (events_.reserved() && events_.regrowths() > 0) {
@@ -146,14 +129,14 @@ class SimHarness {
   void wire_telemetry(bool sample_route_cache);
 
   topo::ParallelNetwork net_;
-  /// The control queue: flow starts, faults, health probes, telemetry. In
-  /// serial mode it is also the data plane's one event queue.
+  /// The control queue: faults, health probes, telemetry, controller
+  /// ticks and workload apps. Packets and transport endpoints live on the
+  /// shards.
   sim::EventQueue events_;
-  sim::PacketPool pool_;
   sim::FlowLogger logger_;
-  /// Present iff Options::sim_threads >= 1; must be constructed before
-  /// network_/factory_, which bind queues and endpoints to its shards.
-  std::unique_ptr<sim::ShardSet> shards_;
+  /// Must be constructed before network_/factory_, which bind queues and
+  /// endpoints to its shards.
+  sim::ShardSet shards_;
   sim::SimNetwork network_;
   sim::FlowFactory factory_;
   PathSelector selector_;

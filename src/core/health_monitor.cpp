@@ -2,11 +2,6 @@
 
 namespace pnet::core {
 
-void HealthMonitor::observe(sim::FaultInjector& injector) {
-  injector.add_listener(
-      [this](const sim::FaultEvent& event) { on_fault(event); });
-}
-
 void HealthMonitor::on_fault(const sim::FaultEvent& event) {
   pending_.emplace_back(event, events_.now() + config_.detect_delay);
   events_.schedule_in(config_.detect_delay, this);

@@ -3,10 +3,10 @@
 // dataplane(s)".
 //
 // HealthMonitor models the information path of that sentence. The
-// FaultInjector tells it the instant a fault hits the fabric; the monitor
-// waits out a configurable link-status propagation delay (carrier-loss
-// debounce + software notification on a real NIC) and only then lets the
-// host stack react:
+// control::LinkStateBus tells it the instant a fault hits the fabric; the
+// monitor waits out a configurable link-status propagation delay
+// (carrier-loss debounce + software notification on a real NIC) and only
+// then lets the host stack react:
 //   * every registered PathSelector marks the plane failed/recovered, so
 //     new flows avoid (or resume using) it;
 //   * the FlowFactory repaths live single-path flows off a failed plane,
@@ -57,11 +57,6 @@ class HealthMonitor : public sim::EventSource {
   }
   /// Registers the factory whose live flows react to plane transitions.
   void set_factory(sim::FlowFactory& factory) { factory_ = &factory; }
-  /// Wires this monitor as a listener of `injector`. Deprecated for new
-  /// code: subscribe through control::LinkStateBus instead, which fans one
-  /// fabric-event stream out to the monitor, route caches, and the
-  /// adaptive controller in a fixed order.
-  void observe(sim::FaultInjector& injector);
 
   /// Records host-side detections ("detect" instants, arg = plane) and
   /// route-cache invalidations ("cache_invalidate" instants) into `trace`.
@@ -69,6 +64,7 @@ class HealthMonitor : public sim::EventSource {
   void set_trace(telemetry::Trace* trace) { trace_ = trace; }
 
   /// Raw fabric-event intake; schedules the delayed host-side reaction.
+  /// Fed by control::LinkStateBus::subscribe_health_monitor.
   void on_fault(const sim::FaultEvent& event);
 
   void do_next_event() override;

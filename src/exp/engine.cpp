@@ -93,10 +93,9 @@ TrialResult PacketEngine::run_trial(const TrialContext& ctx) {
                             .sim_threads = ctx.sim_threads});
   // Control plane (DESIGN.md §5j). Any active mode arms transport repath
   // metadata; kCentralized additionally runs the global Controller off the
-  // control queue, where ticks land at barrier epochs under the sharded
-  // engine — that is what keeps controller-enabled reports byte-identical
-  // at every --sim-threads value. When the mode is kOff nothing below
-  // touches the harness, so those runs keep their seed bytes.
+  // control queue, where ticks land at barrier epochs — that is what keeps
+  // controller-enabled reports byte-identical at every --sim-threads
+  // value. When the mode is kOff nothing below touches the harness.
   std::unique_ptr<control::PacketDataplane> dataplane;
   std::unique_ptr<control::Controller> controller;
   std::unique_ptr<control::ControlDriver> control_driver;
@@ -108,10 +107,7 @@ TrialResult PacketEngine::run_trial(const TrialContext& ctx) {
     controller =
         std::make_unique<control::Controller>(spec.controller, *dataplane);
     control_driver = std::make_unique<control::ControlDriver>(
-        harness.events(), *controller, spec.controller.cadence);
-    if (sim::ShardSet* shards = harness.shards(); shards != nullptr) {
-      control_driver->set_more_work([shards] { return shards->busy(); });
-    }
+        harness, *controller, spec.controller.cadence);
     control_driver->start(harness.events().now());
   }
   Rng rng(ctx.seed);

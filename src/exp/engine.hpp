@@ -53,12 +53,11 @@ struct TrialContext {
   /// When true, built-in engines attach an invariant auditor and raise
   /// util::InvariantViolation at end of trial on any breach.
   bool audit = false;
-  /// Packet-engine shard workers (SimHarness::Options::sim_threads):
-  /// 0 = the serial engine, >= 1 = the plane-sharded engine with that many
-  /// worker threads (results are byte-identical across all values >= 1).
+  /// Packet-engine shard workers (SimHarness::Options::sim_threads); a
+  /// pool size only, so results are byte-identical across all values.
   /// Deliberately NOT part of ExperimentSpec: like the runner's thread
   /// count, it must not perturb spec hashes or canonical JSON.
-  int sim_threads = 0;
+  int sim_threads = 1;
 };
 
 using TrialFn = std::function<TrialResult(const TrialContext&)>;
@@ -73,7 +72,7 @@ struct EngineContext {
   util::CancelToken cancel{};
   bool audit = false;
   /// Forwarded into every TrialContext (see its sim_threads field).
-  int sim_threads = 0;
+  int sim_threads = 1;
 };
 
 /// Execution strategy for one experiment cell's trials.

@@ -177,7 +177,7 @@ class Report {
   /// worker count of the runner invocation(s), for the run-level runtime
   /// block. `sim_threads` lives here (not in any spec) so it can never
   /// perturb canonical (--json without runtime) report bytes.
-  void record_runtime(double elapsed_s, int threads, int sim_threads = 0) {
+  void record_runtime(double elapsed_s, int threads, int sim_threads = 1) {
     elapsed_s_ += elapsed_s;
     threads_ = threads;
     sim_threads_ = sim_threads;
@@ -202,7 +202,7 @@ class Report {
   std::vector<CellResult> cells_;
   double elapsed_s_ = 0.0;
   int threads_ = 0;
-  int sim_threads_ = 0;
+  int sim_threads_ = 1;
 };
 
 }  // namespace pnet::exp

@@ -1,5 +1,5 @@
-// Deterministic parallel experiment runner: the generalization of PR 2's
-// fsim::run_sweep to both engines and to whole experiment grids.
+// Deterministic parallel experiment runner: util::parallel_map over whole
+// experiment grids, for both engines.
 //
 // A bench queues cells (ExperimentSpec + optional custom trial function);
 // the runner resolves each cell's EngineKind to an exp::Engine, flattens
@@ -80,10 +80,9 @@ class Runner {
   void set_audit(bool audit) { audit_ = audit; }
   [[nodiscard]] bool audit() const { return audit_; }
 
-  /// Packet-engine shard workers per trial (see TrialContext::sim_threads):
-  /// 0 = serial engine, >= 1 = plane-sharded engine. Orthogonal to
-  /// `threads` (the trial fan-out); results are byte-identical across
-  /// every sim_threads value >= 1.
+  /// Packet-engine shard workers per trial (see TrialContext::sim_threads).
+  /// Orthogonal to `threads` (the trial fan-out); results are
+  /// byte-identical across every sim_threads value.
   void set_sim_threads(int sim_threads) { sim_threads_ = sim_threads; }
   [[nodiscard]] int sim_threads() const { return sim_threads_; }
 
@@ -125,7 +124,7 @@ class Runner {
   int retries_ = 0;
   std::string checkpoint_;
   bool audit_ = false;
-  int sim_threads_ = 0;
+  int sim_threads_ = 1;
   control::ControllerConfig controller_{};
 };
 

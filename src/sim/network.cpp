@@ -6,16 +6,11 @@
 
 namespace pnet::sim {
 
-SimNetwork::SimNetwork(EventQueue& events, PacketPool& pool,
-                       const topo::ParallelNetwork& net,
-                       const SimConfig& config, ShardSet* shards)
+SimNetwork::SimNetwork(EventQueue& events, const topo::ParallelNetwork& net,
+                       const SimConfig& config, ShardSet& shards)
     : events_(events), net_(net), config_(config), shards_(shards) {
   queues_.resize(static_cast<std::size_t>(net.num_planes()));
-  pipes_.resize(static_cast<std::size_t>(net.num_planes()));
-  if (shards_ != nullptr) {
-    boundaries_.resize(static_cast<std::size_t>(net.num_planes()));
-    owners_.resize(static_cast<std::size_t>(net.num_planes()));
-  }
+  stages_.resize(static_cast<std::size_t>(net.num_planes()));
   // Size the dense counter array up front: queues keep raw pointers into
   // it, so it must never reallocate after this.
   stats_offset_.reserve(static_cast<std::size_t>(net.num_planes()) + 1);
@@ -29,35 +24,19 @@ SimNetwork::SimNetwork(EventQueue& events, PacketPool& pool,
   for (int p = 0; p < net.num_planes(); ++p) {
     const topo::Graph& g = net.plane(p).graph;
     auto& qs = queues_[static_cast<std::size_t>(p)];
-    auto& ps = pipes_[static_cast<std::size_t>(p)];
+    auto& stages = stages_[static_cast<std::size_t>(p)];
     qs.reserve(static_cast<std::size_t>(g.num_links()));
-    ps.reserve(static_cast<std::size_t>(g.num_links()));
+    stages.reserve(static_cast<std::size_t>(g.num_links()));
     for (int l = 0; l < g.num_links(); ++l) {
       const topo::Link& link = g.link(LinkId{l});
       QueueStats* stats =
           &queue_stats_[stats_offset_[static_cast<std::size_t>(p)] +
                         static_cast<std::size_t>(l)];
-      // A link belongs to the shard of its source node: host-side links to
-      // the host's shard, switch-side links to the plane's. In serial mode
-      // everything binds to the single queue/pool pair.
-      EventQueue* link_events = &events;
-      PacketPool* link_pool = &pool;
-      std::size_t owner = 0;
-      std::size_t dst_owner = 0;
-      if (shards_ != nullptr) {
-        const std::size_t plane_shard = shards_->shard_of_plane(p);
-        owner = g.is_host(link.src)
-                    ? shards_->shard_of_host(g.node(link.src).host)
-                    : plane_shard;
-        dst_owner = g.is_host(link.dst)
-                        ? shards_->shard_of_host(g.node(link.dst).host)
-                        : plane_shard;
-        link_events = &shards_->shard(owner).events;
-        link_pool = &shards_->shard(owner).pool;
-        owners_[static_cast<std::size_t>(p)].push_back(
-            static_cast<std::uint32_t>(owner));
-      }
-      qs.push_back(std::make_unique<Queue>(*link_events, *link_pool,
+      // A link belongs to the shard of its source node.
+      const std::size_t owner = shard_of(p, link.src);
+      const std::size_t dst_owner = shard_of(p, link.dst);
+      Shard& shard = shards_.shard(owner);
+      qs.push_back(std::make_unique<Queue>(shard.events, shard.pool,
                                            link.rate_bps,
                                            config.queue_buffer_bytes,
                                            config.ecn_threshold_bytes,
@@ -69,24 +48,27 @@ SimNetwork::SimNetwork(EventQueue& events, PacketPool& pool,
       qs.back()->reseed_loss_rng(
           mix64((static_cast<std::uint64_t>(p) << 32) ^
                 static_cast<std::uint64_t>(static_cast<std::uint32_t>(l))));
-      if (shards_ != nullptr && owner != dst_owner) {
+      if (g.is_host(link.src) || g.is_host(link.dst)) {
+        shards_.note_host_link(link.latency);
+      }
+      if (owner != dst_owner) {
         // Crossing link: the propagation delay rides the handoff itself,
         // which is what gives the barrier its lookahead.
-        shards_->note_crossing(link.latency);
-        boundaries_[static_cast<std::size_t>(p)].push_back(
-            std::make_unique<BoundaryPipe>(shards_->shard(owner), dst_owner,
-                                           link.latency));
-        ps.push_back(nullptr);
+        stages.push_back(
+            std::make_unique<BoundaryPipe>(shard, dst_owner, link.latency));
       } else {
-        ps.push_back(std::make_unique<Pipe>(*link_events, link.latency));
-        if (shards_ != nullptr) {
-          boundaries_[static_cast<std::size_t>(p)].push_back(nullptr);
-        }
+        stages.push_back(std::make_unique<Pipe>(shard.events, link.latency));
       }
     }
     cable_failed_.emplace_back(static_cast<std::size_t>(g.num_links()), 0);
   }
   plane_failed_.assign(static_cast<std::size_t>(net.num_planes()), 0);
+}
+
+std::size_t SimNetwork::shard_of(int plane, NodeId node) const {
+  const topo::Graph& g = net_.plane(plane).graph;
+  return g.is_host(node) ? shards_.shard_of_host(g.node(node).host)
+                         : shards_.shard_of_plane(plane);
 }
 
 const Route* SimNetwork::make_route(const routing::Path& path,
@@ -95,10 +77,9 @@ const Route* SimNetwork::make_route(const routing::Path& path,
   route_scratch_.reserve(path.links.size() * 2 + 1);
   for (LinkId id : path.links) {
     route_scratch_.push_back(&queue(path.plane, id));
-    BoundaryPipe* crossing = boundary(path.plane, id);
-    route_scratch_.push_back(crossing != nullptr
-                                 ? static_cast<PacketSink*>(crossing)
-                                 : &pipe(path.plane, id));
+    route_scratch_.push_back(stages_[static_cast<std::size_t>(path.plane)]
+                                    [static_cast<std::size_t>(id.v)]
+                                        .get());
   }
   route_scratch_.push_back(&endpoint);
   return routes_.intern(route_scratch_, path.hops());
@@ -150,16 +131,17 @@ std::uint64_t SimNetwork::total_config_clamped() const {
 }
 
 void SimNetwork::set_audit(util::Audit* audit) {
-  for (std::size_t p = 0; p < queues_.size(); ++p) {
-    for (std::size_t l = 0; l < queues_[p].size(); ++l) {
-      // Sharded queues audit into their owner shard's collecting auditor
-      // (a worker thread must never touch the possibly fail-fast main
-      // one); violations merge at ShardSet::collect_audit.
-      util::Audit* a = audit;
-      if (shards_ != nullptr && audit != nullptr) {
-        a = &shards_->shard(owners_[p][l]).audit;
-      }
-      queues_[p][l]->set_audit(a);
+  for (int p = 0; p < net_.num_planes(); ++p) {
+    const topo::Graph& g = net_.plane(p).graph;
+    for (int l = 0; l < g.num_links(); ++l) {
+      // Queues audit into their owner shard's collecting auditor (a worker
+      // thread must never touch the possibly fail-fast main one);
+      // violations merge at ShardSet::collect_audit.
+      util::Audit* owner =
+          audit == nullptr
+              ? nullptr
+              : &shards_.shard(shard_of(p, g.link(LinkId{l}).src)).audit;
+      queue(p, LinkId{l}).set_audit(owner);
     }
   }
 }
@@ -290,11 +272,10 @@ void FlowFactory::reserve_events(int new_endpoints) {
       2 * network_.total_links() +
       static_cast<std::size_t>(network_.net().num_hosts()) +
       16 * endpoints_ + 64;
-  events_.request_capacity(bound);
-  // Sharded runs split the same pending set across shard heaps; the
-  // per-shard bound is kept at the global one (cheap, and endpoints are
-  // not balanced across shards in general).
-  if (shards_ != nullptr) shards_->request_capacity(bound);
+  // The shards split this pending set between their heaps; each keeps the
+  // global bound (cheap, and endpoints are not balanced across shards in
+  // general). Endpoints never schedule on the control queue.
+  shards_.request_capacity(bound);
 }
 
 TcpSrc& FlowFactory::tcp_flow(HostId src, HostId dst,
@@ -302,12 +283,12 @@ TcpSrc& FlowFactory::tcp_flow(HostId src, HostId dst,
                               SimTime start, FlowCallback on_complete) {
   reserve_events(1);
   const FlowId id = next_id();
-  sources_.push_back(std::make_unique<TcpSrc>(host_events(src),
-                                              host_pool(src), id,
+  sources_.push_back(std::make_unique<TcpSrc>(shards_.host_events(src),
+                                              shards_.host_pool(src), id,
                                               network_.config().tcp));
   TcpSrc& source = *sources_.back();
-  sinks_.push_back(std::make_unique<TcpSink>(host_events(dst),
-                                             host_pool(dst),
+  sinks_.push_back(std::make_unique<TcpSink>(shards_.host_events(dst),
+                                             shards_.host_pool(dst),
                                              network_.config().tcp));
   TcpSink& sink = *sinks_.back();
 
@@ -322,17 +303,17 @@ TcpSrc& FlowFactory::tcp_flow(HostId src, HostId dst,
         TcpFlowMeta{&source, &sink, src, dst, bytes, path.plane}));
     source.set_repath_callback(
         [this, meta = tcp_metas_.back().get()](TcpSrc&) -> const Route* {
-          if (shards_ != nullptr && shards_->in_worker_phase()) {
+          if (shards_.in_worker_phase()) {
             // RTO-driven repath on a shard thread: route building mutates
             // the route arena and telemetry, so park it until the barrier
             // and install the fresh route there. The source keeps its old
             // route (and its RTO backoff) for the fraction of an epoch in
             // between — deterministically, at every worker count.
-            shards_->defer(shards_->shard_of_host(meta->src),
-                           host_events(meta->src).now(), [this, meta] {
-                             if (meta->source->complete()) return;
-                             meta->source->apply_repath(repath(*meta));
-                           });
+            shards_.defer(shards_.shard_of_host(meta->src),
+                          shards_.host_events(meta->src).now(), [this, meta] {
+                            if (meta->source->complete()) return;
+                            meta->source->apply_repath(repath(*meta));
+                          });
             return nullptr;
           }
           return repath(*meta);
@@ -392,10 +373,6 @@ int FlowFactory::repin_flows(int from_plane, int max_flows,
     meta->sink->set_ack_route(rev);
     meta->plane = path.plane;
     meta->source->apply_repath(fwd);
-    // switch_route cleared the RTO deadline and rewound go-back-N; an
-    // idle source (everything sent, waiting on in-flight data) would
-    // otherwise never wake again once those old-route packets drain.
-    meta->source->kick();
     ++moved;
     if (telemetry_ != nullptr) {
       telemetry_->registry.counter("repins").inc();
@@ -460,8 +437,8 @@ MptcpConnection& FlowFactory::mptcp_flow(HostId src, HostId dst,
   reserve_events(static_cast<int>(paths.size()));
   const FlowId id = next_id();
   connections_.push_back(std::make_unique<MptcpConnection>(
-      host_events(src), host_pool(src), id, network_.config().tcp, bytes,
-      coupling));
+      shards_.host_events(src), shards_.host_pool(src), id,
+      network_.config().tcp, bytes, coupling));
   MptcpConnection& connection = *connections_.back();
 
   // MP_JOIN staggering: secondary subflows join one handshake later, the
@@ -475,8 +452,8 @@ MptcpConnection& FlowFactory::mptcp_flow(HostId src, HostId dst,
   bool first = true;
   for (const auto& path : paths) {
     MptcpSubflow& subflow = connection.add_subflow();
-    sinks_.push_back(std::make_unique<TcpSink>(host_events(dst),
-                                               host_pool(dst),
+    sinks_.push_back(std::make_unique<TcpSink>(shards_.host_events(dst),
+                                               shards_.host_pool(dst),
                                                network_.config().tcp));
     TcpSink& sink = *sinks_.back();
     const Route* fwd = network_.make_route(path, sink);
@@ -518,13 +495,13 @@ void FlowFactory::set_telemetry(telemetry::Telemetry* telemetry) {
 
 void FlowFactory::deliver_record(const FlowRecord& record,
                                  const FlowCallback& cb, HostId src_host) {
-  if (shards_ != nullptr && shards_->in_worker_phase()) {
+  if (shards_.in_worker_phase()) {
     // Completion fired on the sender's shard thread; the logger, telemetry
     // and the user callback are coordinator-only, so park the record until
     // the barrier. The drain's (end, shard, emit) stable order keeps the
     // logger's record sequence worker-count-independent.
-    shards_->defer(shards_->shard_of_host(src_host), record.end,
-                   [this, record, cb] { deliver_record_now(record, cb); });
+    shards_.defer(shards_.shard_of_host(src_host), record.end,
+                  [this, record, cb] { deliver_record_now(record, cb); });
     return;
   }
   deliver_record_now(record, cb);

@@ -39,36 +39,21 @@ struct SimConfig {
 
 class SimNetwork {
  public:
-  /// With `shards` null (the default), every queue and pipe binds to the
-  /// single `events`/`pool` pair — the serial engine, unchanged. With a
-  /// ShardSet, each link's queue binds to its owner shard (the link's
+  /// Each link's queue binds to its owner shard — the shard of the link's
   /// source node: host links to the host's shard, switch links to the
-  /// plane's), and pipes whose link crosses shards become BoundaryPipes.
-  SimNetwork(EventQueue& events, PacketPool& pool,
-             const topo::ParallelNetwork& net, const SimConfig& config,
-             ShardSet* shards = nullptr);
+  /// plane's — and a link whose ends sit on different shards propagates
+  /// through a BoundaryPipe instead of a Pipe. `events` is the control
+  /// queue; fault trace events are stamped with its clock.
+  SimNetwork(EventQueue& events, const topo::ParallelNetwork& net,
+             const SimConfig& config, ShardSet& shards);
 
   [[nodiscard]] const topo::ParallelNetwork& net() const { return net_; }
   [[nodiscard]] const SimConfig& config() const { return config_; }
+  [[nodiscard]] ShardSet& shards() { return shards_; }
 
   [[nodiscard]] Queue& queue(int plane, LinkId link) {
     return *queues_[static_cast<std::size_t>(plane)]
                    [static_cast<std::size_t>(link.v)];
-  }
-  /// The propagation stage of a same-shard (or serial-engine) link. In
-  /// sharded mode a crossing link has no Pipe — use boundary() there.
-  [[nodiscard]] Pipe& pipe(int plane, LinkId link) {
-    return *pipes_[static_cast<std::size_t>(plane)]
-                  [static_cast<std::size_t>(link.v)];
-  }
-
-  /// The handoff stage of a cross-shard link, or nullptr when `link` stays
-  /// within one shard (always nullptr in serial mode).
-  [[nodiscard]] BoundaryPipe* boundary(int plane, LinkId link) {
-    if (boundaries_.empty()) return nullptr;
-    return boundaries_[static_cast<std::size_t>(plane)]
-                      [static_cast<std::size_t>(link.v)]
-        .get();
   }
 
   /// Builds a forwarding chain along `path`, ending at `endpoint`, interned
@@ -153,18 +138,17 @@ class SimNetwork {
 
  private:
   void apply_link_state(int plane, LinkId link);
+  /// The shard that owns `node`'s side of plane `plane`.
+  [[nodiscard]] std::size_t shard_of(int plane, NodeId node) const;
 
   EventQueue& events_;  // fault trace events stamp with the current time
   const topo::ParallelNetwork& net_;
   SimConfig config_;
-  ShardSet* shards_ = nullptr;
+  ShardSet& shards_;
   std::vector<std::vector<std::unique_ptr<Queue>>> queues_;  // [plane][link]
-  std::vector<std::vector<std::unique_ptr<Pipe>>> pipes_;
-  /// Sharded mode only: the handoff stage of each crossing link (null for
-  /// same-shard links); empty in serial mode. Parallel to pipes_.
-  std::vector<std::vector<std::unique_ptr<BoundaryPipe>>> boundaries_;
-  /// Sharded mode only: owning shard of each queue, for audit routing.
-  std::vector<std::vector<std::uint32_t>> owners_;
+  /// The propagation stage of each link: a Pipe, or a BoundaryPipe when
+  /// the link crosses shards. Parallel to queues_.
+  std::vector<std::vector<std::unique_ptr<PacketSink>>> stages_;
   /// Dense per-queue counters in plane-major link order; sized once in the
   /// constructor (queues hold raw pointers into it) and never resized.
   std::vector<QueueStats> queue_stats_;
@@ -235,14 +219,14 @@ class FlowFactory {
   using RepathProvider = std::function<std::vector<routing::Path>(
       HostId src, HostId dst, int suspect_plane, std::uint64_t bytes)>;
 
-  /// With `shards` set, each transport endpoint binds to its host's shard
+  /// Each transport endpoint binds to its host's shard of the network
   /// (sources and MPTCP connections to the sender's, sinks to the
-  /// receiver's) and completion/repath callbacks that fire on worker
-  /// threads are parked via ShardSet::defer until the next barrier.
-  FlowFactory(EventQueue& events, PacketPool& pool, SimNetwork& network,
-              FlowLogger& logger, ShardSet* shards = nullptr)
-      : events_(events), pool_(pool), network_(network), logger_(logger),
-        shards_(shards) {}
+  /// receiver's); completion/repath callbacks that fire while the shards
+  /// run are parked via ShardSet::defer until the next barrier. `events`
+  /// is the control queue.
+  FlowFactory(EventQueue& events, SimNetwork& network, FlowLogger& logger)
+      : events_(events), network_(network), shards_(network.shards()),
+        logger_(logger) {}
 
   /// Enables transport-driven failover: every subsequent single-path TCP
   /// flow gets a repath callback that asks `provider` for fresh paths when
@@ -270,9 +254,9 @@ class FlowFactory {
   /// flows riding `from_plane` onto whatever path `pick` returns for them,
   /// in flow-creation order. Only flows created after
   /// set_repath_provider() are movable (repath metadata exists only then).
-  /// Must run on the coordinator thread — in sharded mode that means from
-  /// a control-queue event at a barrier epoch, exactly where the
-  /// controller tick runs. Returns how many flows moved.
+  /// Must run on the coordinator thread — from a control-queue event at a
+  /// barrier epoch, exactly where the controller tick runs. Returns how
+  /// many flows moved.
   int repin_flows(int from_plane, int max_flows, const RepinPick& pick);
   /// Plane of every live (incomplete, repath-tracked) single-path TCP
   /// flow, in creation order — test probe for repin-under-fault-storm.
@@ -333,7 +317,7 @@ class FlowFactory {
  private:
   FlowId next_id() { return FlowId{next_flow_id_++}; }
 
-  /// Grows the event heap's reservation ahead of demand as transport
+  /// Grows the shard event heaps' reservation ahead of demand as transport
   /// endpoints are created, so the steady state stays allocation-free
   /// (SimHarness::audit_check treats heap regrowth as a violation).
   void reserve_events(int new_endpoints);
@@ -353,15 +337,6 @@ class FlowFactory {
 
   void note_started(const LaunchInfo& info);
   void note_finished(const FlowRecord& r);
-
-  /// The event queue / packet pool a host's endpoints live on: the host's
-  /// shard when sharded, the factory's own pair otherwise.
-  [[nodiscard]] EventQueue& host_events(HostId host) {
-    return shards_ != nullptr ? shards_->host_events(host) : events_;
-  }
-  [[nodiscard]] PacketPool& host_pool(HostId host) {
-    return shards_ != nullptr ? shards_->host_pool(host) : pool_;
-  }
 
   /// Routes a completion record to the logger/telemetry/user callback —
   /// immediately on the coordinator, or parked at the next barrier when
@@ -385,10 +360,9 @@ class FlowFactory {
   const Route* repath(TcpFlowMeta& meta);
 
   EventQueue& events_;
-  PacketPool& pool_;
   SimNetwork& network_;
+  ShardSet& shards_;
   FlowLogger& logger_;
-  ShardSet* shards_ = nullptr;
   /// Transport endpoints created so far (TcpSrc + MPTCP subflows), the
   /// scaling term of reserve_events' pending-event bound.
   std::size_t endpoints_ = 0;

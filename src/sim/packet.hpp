@@ -24,7 +24,10 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -172,10 +175,15 @@ class PacketPool {
       return p;
     }
     if (bump_ == kSlabPackets) {
-      slabs_.push_back(std::make_unique<Packet[]>(kSlabPackets));
+      // Raw storage: a slot is constructed when first handed out, so a pool
+      // touches only the slots it has used — a shard that sees few packets
+      // does not pay for a whole slab.
+      Slab slab(static_cast<Packet*>(::operator new[](
+          kSlabPackets * sizeof(Packet), std::align_val_t{alignof(Packet)})));
+      slabs_.push_back(std::move(slab));
       bump_ = 0;
     }
-    Packet* p = &slabs_.back()[bump_];
+    Packet* p = new (&slabs_.back().get()[bump_]) Packet{};
     p->self_ = static_cast<std::uint32_t>((slabs_.size() - 1) * kSlabPackets +
                                           bump_);
     ++bump_;
@@ -205,7 +213,7 @@ class PacketPool {
   /// Resolves a handle produced by this pool (Packet::ref()).
   [[nodiscard]] Packet& get(PacketRef ref) {
     assert(ref.v < constructed_ || ref.v < slabs_.size() * kSlabPackets);
-    return slabs_[ref.v / kSlabPackets][ref.v % kSlabPackets];
+    return slabs_[ref.v / kSlabPackets].get()[ref.v % kSlabPackets];
   }
   [[nodiscard]] const Packet& get(PacketRef ref) const {
     return const_cast<PacketPool*>(this)->get(ref);
@@ -222,7 +230,16 @@ class PacketPool {
   }
 
  private:
-  std::vector<std::unique_ptr<Packet[]>> slabs_;
+  /// Frees a slab without running destructors (Packet has none to run).
+  struct SlabDelete {
+    void operator()(Packet* slab) const {
+      ::operator delete[](slab, std::align_val_t{alignof(Packet)});
+    }
+  };
+  using Slab = std::unique_ptr<Packet, SlabDelete>;
+  static_assert(std::is_trivially_destructible_v<Packet>);
+
+  std::vector<Slab> slabs_;
   std::size_t bump_ = kSlabPackets;  // next fresh slot in the newest slab
   std::size_t constructed_ = 0;
   Packet* free_head_ = nullptr;

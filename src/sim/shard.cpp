@@ -24,11 +24,11 @@ ShardSet::~ShardSet() {
   }
 }
 
-void ShardSet::note_crossing(SimTime latency) {
+void ShardSet::note_host_link(SimTime latency) {
   if (latency <= 0) {
     throw std::invalid_argument(
-        "sharded simulation requires positive latency on cross-shard "
-        "(host-adjacent) links; got " +
+        "sharded simulation requires positive latency on host-adjacent "
+        "links; got " +
         std::to_string(latency) + " ps");
   }
   lookahead_ = std::min(lookahead_, latency);
@@ -108,16 +108,20 @@ void ShardSet::run_loop(EventQueue& control, SimTime deadline) {
     const SimTime epoch_end =
         std::min({sat_add(t_next, lookahead_), t_ctl, sat_add(deadline, 1)});
     run_epoch(epoch_end);
-    // Advance idle shard clocks to the barrier (bounded by pending work,
-    // which run_before left only at >= epoch_end) before integration, so
-    // anything the deferred callbacks schedule "now" lands at the barrier
-    // time on every shard alike.
-    const SimTime clock = std::min(epoch_end, deadline);
-    for (auto& s : shards_) s->events.advance_to(clock);
+    // Bring every clock — the idle shards' and the control queue's — up to
+    // the latest event any shard dispatched before integration, so
+    // anything the deferred callbacks read or schedule "now" sees one
+    // common time: no earlier than any shard's progress (a message sent
+    // from it cannot land in a shard's past) and no later than the run's
+    // last event. No pending event precedes it (all are >= epoch_end).
+    SimTime reached = control.now();
+    for (const auto& s : shards_) reached = std::max(reached, s->events.now());
+    for (auto& s : shards_) s->events.advance_to(reached);
+    control.advance_to(reached);
     integrate();
   }
   // Leave every clock at the same stopping point run_until/run would:
-  // the deadline, or — at natural drain — the latest time reached.
+  // the deadline, or — at natural drain — the last event dispatched.
   SimTime stop = deadline;
   if (deadline == EventQueue::kNever) {
     stop = control.now();

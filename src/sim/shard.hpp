@@ -1,4 +1,5 @@
-// Plane-sharded simulation core (DESIGN.md §5i).
+// Plane-sharded simulation core (DESIGN.md §5i) — the packet engine:
+// core::SimHarness always runs its packets through one ShardSet.
 //
 // A P-Net's planes are disjoint by construction — packets never cross
 // planes in flight — so the plane boundary is a sharding boundary. Each
@@ -7,20 +8,21 @@
 // assigned host % num_shards. Shards advance in conservative-lookahead
 // epochs: all shards run events strictly before a common barrier time
 // E = min(earliest pending event + lookahead, next control event), where
-// lookahead is the minimum latency of any cross-shard (host-adjacent)
-// link. Cross-shard deliveries travel as by-value packet snapshots through
-// per-(src,dst) handoff mailboxes, drained at the barrier in fixed
-// (dst, src, FIFO) order, so the merged event stream is a deterministic
-// function of the topology alone — byte-identical for any worker count.
+// lookahead is the minimum latency of any host-adjacent link (the only
+// links that can cross shards). Cross-shard deliveries travel as by-value
+// packet snapshots through per-(src,dst) handoff mailboxes, drained at the
+// barrier in fixed (dst, src, FIFO) order, so the merged event stream is a
+// deterministic function of the topology alone — byte-identical for any
+// worker count.
 //
 // Threading model: one coordinator (the caller's thread) plus W-1 workers,
-// W = min(sim_threads, num_planes). Phases strictly alternate — during the
-// run phase each shard's state is touched only by the thread driving it;
-// during the coordinator phase (control events, mailbox integration,
-// deferred completions) the coordinator may touch everything while workers
-// spin on their epoch atomics. The acquire/release pair on epoch/done is
-// the only cross-thread synchronization; there are no locks on any packet
-// path.
+// W = min(sim_threads, num_planes); with W = 1 the coordinator runs every
+// shard inline. Phases strictly alternate — during the run phase each
+// shard's state is touched only by the thread driving it; during the
+// coordinator phase (control events, mailbox integration, deferred
+// completions) the coordinator may touch everything while workers spin on
+// their epoch atomics. The acquire/release pair on epoch/done is the only
+// cross-thread synchronization; there are no locks on any packet path.
 #pragma once
 
 #include <algorithm>
@@ -213,10 +215,13 @@ class ShardSet {
     return shard(shard_of_host(host)).pool;
   }
 
-  /// Registers a cross-shard link; the barrier lookahead is the minimum
-  /// over all crossings. Throws std::invalid_argument on latency <= 0 — a
-  /// zero-latency crossing would force zero-width epochs.
-  void note_crossing(SimTime latency);
+  /// Registers a host-adjacent link. These are the only links that can
+  /// cross shards, so the barrier lookahead — the minimum over them — is
+  /// conservative for every crossing, and it still bounds the epochs of a
+  /// one-plane fabric, which has no crossing at all. Throws
+  /// std::invalid_argument on latency <= 0 — a zero lookahead would force
+  /// zero-width epochs.
+  void note_host_link(SimTime latency);
   [[nodiscard]] SimTime lookahead() const { return lookahead_; }
 
   /// Reserve/grow every shard's event heap (mirrors EventQueue::reserve /

@@ -156,9 +156,15 @@ void TcpSrc::switch_route(const Route* route) {
 
 void TcpSrc::force_repath() {
   if (complete() || abandoned_ || !repath_cb_) return;
-  const Route* fresh = repath_cb_(*this);
-  if (fresh == nullptr) return;
-  switch_route(fresh);
+  apply_repath(repath_cb_(*this));
+}
+
+void TcpSrc::apply_repath(const Route* route) {
+  if (route == nullptr) return;
+  switch_route(route);
+  // switch_route cleared the RTO deadline and rewound go-back-N: with the
+  // old route's packets lost, a source that stayed silent here would never
+  // wake again.
   if (started_) send_available();
 }
 

@@ -140,11 +140,10 @@ class TcpSrc : public EventSource, public PacketSink {
   /// RTOs. No-op without a repath callback (or if it declines).
   void force_repath();
   /// Installs a replacement route built elsewhere — the coordinator-phase
-  /// half of a repath the callback deferred to a shard barrier (see
-  /// FlowFactory). No-op on nullptr, mirroring a declining callback.
-  void apply_repath(const Route* route) {
-    if (route != nullptr) switch_route(route);
-  }
+  /// half of a repath the callback deferred to a shard barrier, or a
+  /// control-plane repin (see FlowFactory) — and resumes sending on it, as
+  /// force_repath does. No-op on nullptr, mirroring a declining callback.
+  void apply_repath(const Route* route);
   [[nodiscard]] bool abandoned() const { return abandoned_; }
   /// Bytes granted to this sender but not yet acked.
   [[nodiscard]] std::uint64_t unacked_assigned_bytes() const {

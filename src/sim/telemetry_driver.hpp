@@ -1,30 +1,23 @@
-// Drives a telemetry::Sampler off the packet simulator's event queue: one
-// self-rescheduling EventSource that fires at every sample grid point. The
-// driver only re-arms itself while other simulation work is pending, so an
-// otherwise-drained EventQueue::run() still terminates — sampling rides the
-// simulation, it never extends it.
+// Drives a telemetry::Sampler off the packet simulator's control queue:
+// one self-rescheduling EventSource that fires at every sample grid point.
+// The driver only re-arms itself while other simulation work is pending —
+// on the control queue or on any shard — so an otherwise-drained run still
+// terminates: sampling rides the simulation, it never extends it.
 #pragma once
 
-#include <functional>
-#include <utility>
-
 #include "sim/event_queue.hpp"
+#include "sim/shard.hpp"
 #include "telemetry/sampler.hpp"
 
 namespace pnet::sim {
 
 class TelemetryDriver : public EventSource {
  public:
-  TelemetryDriver(EventQueue& events, telemetry::Sampler& sampler)
-      : events_(events), sampler_(sampler) {}
-
-  /// Extra "simulation still has work" predicate consulted alongside this
-  /// queue's own pending count. Sharded runs hook ShardSet::busy() here:
-  /// the driver rides the control queue, which looks drained whenever the
-  /// remaining work lives on shard heaps.
-  void set_more_work(std::function<bool()> more_work) {
-    more_work_ = std::move(more_work);
-  }
+  /// `events` is the control queue the driver rides; `shards` the engine
+  /// whose work keeps it sampling while that queue looks drained.
+  TelemetryDriver(EventQueue& events, const ShardSet& shards,
+                  telemetry::Sampler& sampler)
+      : events_(events), shards_(shards), sampler_(sampler) {}
 
   /// Starts sampling at `at` (the first sample lands one interval later).
   /// No-op when the sampler has no interval configured.
@@ -39,9 +32,7 @@ class TelemetryDriver : public EventSource {
     // The firing entry is already popped, so real_pending() counts
     // everything else except sibling drivers (e.g. the control loop):
     // re-arm only while real simulation work remains.
-    if (events_.real_pending() > 0 || (more_work_ && more_work_())) {
-      schedule_next();
-    }
+    if (events_.real_pending() > 0 || shards_.busy()) schedule_next();
   }
 
  private:
@@ -53,8 +44,8 @@ class TelemetryDriver : public EventSource {
   }
 
   EventQueue& events_;
+  const ShardSet& shards_;
   telemetry::Sampler& sampler_;
-  std::function<bool()> more_work_;
 };
 
 }  // namespace pnet::sim

@@ -144,8 +144,8 @@ void Flags::handle_usage(std::string_view usage) const {
         "  --threads=N       experiment-runner worker threads (0 = all "
         "cores)\n"
         "  --sim-threads=N   packet-engine shard worker threads per trial\n"
-        "                    (0 = serial engine; reports are byte-identical\n"
-        "                    across every value >= 1)\n"
+        "                    (default 1 = inline; reports are byte-identical\n"
+        "                    across every value)\n"
         "  --json=PATH       write the structured JSON report to PATH\n"
         "  --json-timing=0   omit wall-clock fields from the JSON, making\n"
         "                    reports bit-identical across thread counts\n"

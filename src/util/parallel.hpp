@@ -1,13 +1,11 @@
 // Deterministic fan-out of independent jobs over OS threads.
 //
-// This is the generalized form of the fsim sweep runner (PR 2): each job is
-// self-contained (its own topology, simulator and Rng, seeded
+// Each job is self-contained (its own topology, simulator and Rng, seeded
 // deterministically from the job index), workers pull jobs from a shared
 // atomic cursor, and results land in a preallocated sink indexed by job
 // order. The merged result vector is therefore bit-identical regardless of
 // thread count or scheduling — the property the exp::Runner determinism
-// tests lock in. fsim::run_sweep and exp::Runner are both thin layers over
-// this.
+// tests lock in. exp::Runner is a thin layer over this.
 #pragma once
 
 #include <atomic>

@@ -360,7 +360,7 @@ TEST(ControlLoop, EvacuatesDeadPlanesUnderFaultStorm) {
   control::PacketDataplane dataplane(h);
   control::Controller ctl(cc, dataplane);
   ctl.observe(bus);
-  control::ControlDriver driver(h.events(), ctl, cc.cadence);
+  control::ControlDriver driver(h, ctl, cc.cadence);
   driver.start(h.events().now());
 
   // A storm of overlapping plane flaps: 0 and 2 go down close together.
@@ -426,17 +426,12 @@ std::string run_report_json(const exp::ExperimentSpec& spec, int threads,
 TEST(ControllerDeterminism, PacketReportByteIdenticalAcrossWorkerCounts) {
   const auto spec = small_spec(exp::EngineKind::kPacket,
                                control::ControllerMode::kCentralized);
-  // The serial engine (sim_threads = 0) and the sharded engine are two
-  // implementations with their own event accounting; the byte-identity
-  // contract holds within each (and across every sim_threads >= 1).
-  const std::string serial = run_report_json(spec, 1, 0);
-  EXPECT_NE(serial.find("\"controller\""), std::string::npos);
-  EXPECT_NE(serial.find("\"ctl/ticks\""), std::string::npos);
-  EXPECT_EQ(serial, run_report_json(spec, 4, 0));  // runner threads
-  const std::string sharded = run_report_json(spec, 1, 1);
-  EXPECT_EQ(sharded, run_report_json(spec, 4, 1));  // runner threads
-  EXPECT_EQ(sharded, run_report_json(spec, 1, 4));  // shard workers
-  EXPECT_EQ(sharded, run_report_json(spec, 4, 4));  // both parallel
+  const std::string base = run_report_json(spec, 1, 1);
+  EXPECT_NE(base.find("\"controller\""), std::string::npos);
+  EXPECT_NE(base.find("\"ctl/ticks\""), std::string::npos);
+  EXPECT_EQ(base, run_report_json(spec, 4, 1));  // runner threads
+  EXPECT_EQ(base, run_report_json(spec, 1, 4));  // shard workers
+  EXPECT_EQ(base, run_report_json(spec, 4, 4));  // both parallel
 }
 
 TEST(ControllerDeterminism, FsimReportByteIdenticalAcrossThreads) {

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "analysis/recovery.hpp"
+#include "control/link_state_bus.hpp"
 #include "core/harness.hpp"
 #include "core/health_monitor.hpp"
 #include "sim/faults.hpp"
@@ -188,7 +189,9 @@ TEST(FaultInjector, EndToEndRunsAreDeterministic) {
     monitor.set_factory(h.factory());
     h.selector().enable_repath(h.factory());
     sim::FaultInjector injector(h.events(), h.network());
-    monitor.observe(injector);
+    control::LinkStateBus bus;
+    bus.subscribe_health_monitor(monitor);
+    bus.attach(injector);
     auto plan = sim::FaultPlan::random_link_flaps(
         h.net(), 3, 100 * units::kMicrosecond, 5 * units::kMillisecond,
         2 * units::kMillisecond, 500 * units::kMicrosecond, 99);
@@ -221,7 +224,9 @@ TEST(HealthMonitor, DetectionWaitsForPropagationDelay) {
                               {.detect_delay = 5 * units::kMillisecond});
   monitor.add_selector(h.selector());
   sim::FaultInjector injector(h.events(), h.network());
-  monitor.observe(injector);
+  control::LinkStateBus bus;
+  bus.subscribe_health_monitor(monitor);
+  bus.attach(injector);
   sim::FaultPlan plan;
   plan.fail_plane(units::kMillisecond, 1);
   injector.arm(plan);
@@ -244,7 +249,9 @@ TEST(HealthMonitor, RecoveryReenablesPlane) {
                               {.detect_delay = units::kMicrosecond});
   monitor.add_selector(h.selector());
   sim::FaultInjector injector(h.events(), h.network());
-  monitor.observe(injector);
+  control::LinkStateBus bus;
+  bus.subscribe_health_monitor(monitor);
+  bus.attach(injector);
   sim::FaultPlan plan;
   plan.flap_plane(units::kMillisecond, units::kMillisecond, 1);
   injector.arm(plan);
@@ -265,7 +272,9 @@ TEST(Failover, InFlightFlowsFinishViaRepath) {
   monitor.set_factory(h.factory());
   h.selector().enable_repath(h.factory());
   sim::FaultInjector injector(h.events(), h.network());
-  monitor.observe(injector);
+  control::LinkStateBus bus;
+  bus.subscribe_health_monitor(monitor);
+  bus.attach(injector);
   sim::FaultPlan plan;
   plan.fail_plane(50 * units::kMicrosecond, 1);  // and never recovers
   injector.arm(plan);
@@ -329,7 +338,9 @@ TEST(Failover, MptcpSubflowRevivesOnPlaneRecovery) {
   monitor.add_selector(h.selector());
   monitor.set_factory(h.factory());
   sim::FaultInjector injector(h.events(), h.network());
-  monitor.observe(injector);
+  control::LinkStateBus bus;
+  bus.subscribe_health_monitor(monitor);
+  bus.attach(injector);
   sim::FaultPlan plan;
   plan.flap_plane(units::kMillisecond, 4 * units::kMillisecond, 1);
   injector.arm(plan);
@@ -425,7 +436,9 @@ TEST(RecoveryStats, RecoveryTimeShrinksWithFasterDetection) {
     monitor.set_factory(h.factory());
     h.selector().enable_repath(h.factory());
     sim::FaultInjector injector(h.events(), h.network());
-    monitor.observe(injector);
+    control::LinkStateBus bus;
+    bus.subscribe_health_monitor(monitor);
+    bus.attach(injector);
     sim::FaultPlan plan;
     plan.flap_plane(10 * units::kMillisecond, 30 * units::kMillisecond, 1);
     injector.arm(plan);

@@ -12,12 +12,12 @@
 #include "core/harness.hpp"
 #include "fsim/fluid.hpp"
 #include "fsim/max_min.hpp"
-#include "fsim/sweep.hpp"
 #include "lp/link_index.hpp"
 #include "lp/mcf.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/plane_paths.hpp"
 #include "topo/parallel.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
@@ -390,19 +390,20 @@ TEST(FsimCrossPacket, SharedBottleneckFctTracksPacketSimParallel) {
 // ----------------------------------------------------------------- sweep
 
 TEST(Sweep, SeedsAreDeterministicAndDecorrelated) {
-  EXPECT_EQ(sweep_seed(1, 0), sweep_seed(1, 0));
-  EXPECT_NE(sweep_seed(1, 0), sweep_seed(1, 1));
-  EXPECT_NE(sweep_seed(1, 0), sweep_seed(2, 0));
+  EXPECT_EQ(util::job_seed(1, 0), util::job_seed(1, 0));
+  EXPECT_NE(util::job_seed(1, 0), util::job_seed(1, 1));
+  EXPECT_NE(util::job_seed(1, 0), util::job_seed(2, 0));
 }
 
 TEST(Sweep, ResultsIdenticalAcrossThreadCounts) {
   std::vector<std::uint64_t> jobs;
   for (std::uint64_t i = 0; i < 8; ++i) jobs.push_back(i);
   auto job_fn = [](const std::uint64_t& job) {
-    const auto net = topo::build_network(fat_tree_spec(
-        topo::NetworkType::kParallelHomogeneous, 16, 4, sweep_seed(9, job)));
+    const auto net = topo::build_network(
+        fat_tree_spec(topo::NetworkType::kParallelHomogeneous, 16, 4,
+                      util::job_seed(9, job)));
     FluidSimulator fluid(net, {});
-    Rng rng(sweep_seed(9, job));
+    Rng rng(util::job_seed(9, job));
     for (const auto& [src, dst] :
          workload::permutation_pairs(net.num_hosts(), rng)) {
       fluid.add_flow({src, dst, 1'000'000,
@@ -412,8 +413,8 @@ TEST(Sweep, ResultsIdenticalAcrossThreadCounts) {
     fluid.run();
     return fluid.fct_us();
   };
-  const auto serial = run_sweep(jobs, job_fn, 1);
-  const auto threaded = run_sweep(jobs, job_fn, 4);
+  const auto serial = util::parallel_map(jobs, job_fn, 1);
+  const auto threaded = util::parallel_map(jobs, job_fn, 4);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial[i].size(), threaded[i].size()) << "job " << i;

@@ -18,26 +18,27 @@ namespace {
 
 // ------------------------------------------------------- HostInterfaces
 
+/// The three host interfaces over a SimHarness's network and factory
+/// (the harness's own selector goes unused).
 struct InterfaceHarness {
   InterfaceHarness()
-      : net(topo::build_network([] {
-          topo::NetworkSpec spec;
-          spec.topo = topo::TopoKind::kFatTree;
-          spec.type = topo::NetworkType::kParallelHomogeneous;
-          spec.hosts = 16;
-          spec.parallelism = 2;
-          return spec;
-        }())),
-        network(events, pool, net, {}),
-        factory(events, pool, network, logger),
-        interfaces(net, factory, 4) {}
+      : harness({.spec =
+                     [] {
+                       topo::NetworkSpec spec;
+                       spec.topo = topo::TopoKind::kFatTree;
+                       spec.type = topo::NetworkType::kParallelHomogeneous;
+                       spec.hosts = 16;
+                       spec.parallelism = 2;
+                       return spec;
+                     }(),
+                 .policy = {}}),
+        interfaces(harness.net(), harness.factory(), 4) {}
 
-  sim::EventQueue events;
-  sim::PacketPool pool;
-  topo::ParallelNetwork net;
-  sim::FlowLogger logger;
-  sim::SimNetwork network;
-  sim::FlowFactory factory;
+  [[nodiscard]] const std::vector<sim::FlowRecord>& records() {
+    return harness.logger().records();
+  }
+
+  core::SimHarness harness;
   core::HostInterfaces interfaces;
 };
 
@@ -45,18 +46,18 @@ TEST(HostInterfaces, LowLatencyIsSinglePath) {
   InterfaceHarness h;
   h.interfaces.send(core::TrafficClass::kLowLatency, HostId{0}, HostId{15},
                     10'000, 0);
-  h.events.run();
-  ASSERT_EQ(h.logger.records().size(), 1u);
-  EXPECT_EQ(h.logger.records().front().subflows, 1);
+  h.harness.run();
+  ASSERT_EQ(h.records().size(), 1u);
+  EXPECT_EQ(h.records().front().subflows, 1);
 }
 
 TEST(HostInterfaces, HighThroughputIsMultipath) {
   InterfaceHarness h;
   h.interfaces.send(core::TrafficClass::kHighThroughput, HostId{0},
                     HostId{15}, 1'000'000, 0);
-  h.events.run();
-  ASSERT_EQ(h.logger.records().size(), 1u);
-  EXPECT_EQ(h.logger.records().front().subflows, 4);
+  h.harness.run();
+  ASSERT_EQ(h.records().size(), 1u);
+  EXPECT_EQ(h.records().front().subflows, 4);
 }
 
 TEST(HostInterfaces, DefaultDispatchesOnSize) {
@@ -65,10 +66,10 @@ TEST(HostInterfaces, DefaultDispatchesOnSize) {
                     1'000'000, 0);  // small: single path
   h.interfaces.send(core::TrafficClass::kDefault, HostId{1}, HostId{14},
                     200'000'000, 0);  // > 100 MB: multipath
-  h.events.run();
-  ASSERT_EQ(h.logger.records().size(), 2u);
+  h.harness.run();
+  ASSERT_EQ(h.records().size(), 2u);
   std::map<std::uint64_t, int> subflows_by_size;
-  for (const auto& r : h.logger.records()) {
+  for (const auto& r : h.records()) {
     subflows_by_size[r.bytes] = r.subflows;
   }
   EXPECT_EQ(subflows_by_size[1'000'000], 1);

@@ -1,21 +1,31 @@
 // Tests for the plane-sharded simulation core (DESIGN.md §5i): the
 // EventQueue horizon/run_before primitives the epoch loop is built on, the
-// ArrivalQueue / handoff merge order, and the headline contract — a
-// sharded harness produces byte-identical flow records and event counts at
-// every worker count, with and without fault injection, with boundary
-// packet conservation holding under audit.
+// ArrivalQueue / handoff merge order, the headline contract — a harness
+// produces byte-identical flow records and event counts at every worker
+// count, with and without fault injection, with boundary packet
+// conservation holding under audit — and agreement with a reference built
+// by hand from Queue, Pipe, TcpSrc and TcpSink on one EventQueue.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/harness.hpp"
+#include "routing/shortest.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/faults.hpp"
 #include "sim/packet.hpp"
+#include "sim/pipe.hpp"
+#include "sim/queue.hpp"
 #include "sim/shard.hpp"
+#include "sim/tcp.hpp"
 #include "util/audit.hpp"
+#include "util/rng.hpp"
+#include "workload/patterns.hpp"
 
 namespace pnet::sim {
 namespace {
@@ -149,9 +159,9 @@ TEST(ShardSetTest, RejectsZeroLatencyCrossing) {
   ShardSet shards(4, 2);
   EXPECT_EQ(shards.size(), 4u);
   EXPECT_EQ(shards.workers(), 2);
-  EXPECT_THROW(shards.note_crossing(0), std::invalid_argument);
-  shards.note_crossing(kMicrosecond);
-  shards.note_crossing(kMicrosecond / 2);
+  EXPECT_THROW(shards.note_host_link(0), std::invalid_argument);
+  shards.note_host_link(kMicrosecond);
+  shards.note_host_link(kMicrosecond / 2);
   EXPECT_EQ(shards.lookahead(), kMicrosecond / 2);
 }
 
@@ -237,32 +247,129 @@ TEST(ShardedEngine, IdenticalResultsUnderFaultInjection) {
   EXPECT_EQ(other.delivered_bytes, base.delivered_bytes);
 }
 
+// ------------------------------------------- hand-built reference
+
+/// The reference the sharded engine answers to: the same paths built by
+/// hand from Queue, Pipe, TcpSrc and TcpSink on one EventQueue, the way
+/// transport_details_test's Wire is — no shard, barrier or boundary
+/// handoff in the way. Links that several paths cross share one queue.
+class HandBuilt {
+ public:
+  explicit HandBuilt(const topo::ParallelNetwork& net) : net_(net) {}
+
+  /// A TCP flow over `path`, its ACKs riding the reverse links.
+  void flow(const routing::Path& path, std::uint64_t bytes, SimTime start) {
+    const TcpParams& params = config_.tcp;
+    const FlowId id{static_cast<int>(sources_.size())};
+    sources_.push_back(std::make_unique<TcpSrc>(events_, pool_, id, params));
+    sinks_.push_back(std::make_unique<TcpSink>(events_, pool_, params));
+    routing::Path reverse{path.plane, {}};
+    for (auto it = path.links.rbegin(); it != path.links.rend(); ++it) {
+      reverse.links.push_back(net_.plane(path.plane).graph.reverse(*it));
+    }
+    routes_.push_back(std::make_unique<OwnedRoute>());
+    routes_.back()->assign(chain(path, *sinks_.back()), path.hops());
+    const Route* data = routes_.back()->get();
+    routes_.push_back(std::make_unique<OwnedRoute>());
+    routes_.back()->assign(chain(reverse, *sources_.back()), path.hops());
+    sinks_.back()->set_ack_route(routes_.back()->get());
+    sources_.back()->set_flow_size(bytes);
+    sources_.back()->connect(data, start);
+  }
+
+  void run() { events_.run(); }
+  [[nodiscard]] const TcpSrc& source(std::size_t i) const {
+    return *sources_[i];
+  }
+
+ private:
+  std::vector<PacketSink*> chain(const routing::Path& path,
+                                 PacketSink& endpoint) {
+    std::vector<PacketSink*> sinks;
+    for (const LinkId id : path.links) {
+      auto& [queue, pipe] = links_[{path.plane, id.v}];
+      if (queue == nullptr) {
+        const topo::Link& link = net_.plane(path.plane).graph.link(id);
+        queue = std::make_unique<Queue>(events_, pool_, link.rate_bps,
+                                        config_.queue_buffer_bytes);
+        pipe = std::make_unique<Pipe>(events_, link.latency);
+      }
+      sinks.push_back(queue.get());
+      sinks.push_back(pipe.get());
+    }
+    sinks.push_back(&endpoint);
+    return sinks;
+  }
+
+  const topo::ParallelNetwork& net_;
+  const SimConfig config_{};
+  EventQueue events_;
+  PacketPool pool_;
+  std::map<std::pair<int, int>,
+           std::pair<std::unique_ptr<Queue>, std::unique_ptr<Pipe>>>
+      links_;
+  std::vector<std::unique_ptr<TcpSrc>> sources_;
+  std::vector<std::unique_ptr<TcpSink>> sinks_;
+  std::vector<std::unique_ptr<OwnedRoute>> routes_;
+};
+
+routing::Path host_path(const topo::ParallelNetwork& net, int plane,
+                        HostId src, HostId dst) {
+  auto path = routing::shortest_path(net.plane(plane).graph,
+                                     net.host_node(plane, src),
+                                     net.host_node(plane, dst));
+  EXPECT_TRUE(path.has_value());
+  path->plane = plane;
+  return *path;
+}
+
+struct TestFlow {
+  HostId src;
+  HostId dst;
+  int plane;
+  std::uint64_t bytes;
+};
+
+/// Runs `flows` (all starting at 0) to natural drain on a harness with
+/// `sim_threads` workers and on the hand-built reference, and requires the
+/// same completion time and delivered bytes for every flow.
+void expect_matches_hand_built(const topo::NetworkSpec& spec,
+                               const std::vector<TestFlow>& flows,
+                               int sim_threads) {
+  core::SimHarness harness({.spec = spec,
+                            .policy = {},
+                            .sim_threads = sim_threads});
+  HandBuilt reference(harness.net());
+  for (const TestFlow& f : flows) {
+    const routing::Path path = host_path(harness.net(), f.plane, f.src, f.dst);
+    harness.factory().tcp_flow(f.src, f.dst, path, f.bytes, 0);
+    reference.flow(path, f.bytes, 0);
+  }
+  harness.run();
+  reference.run();
+  const auto& records = harness.logger().records();
+  ASSERT_EQ(records.size(), flows.size());
+  for (const sim::FlowRecord& r : records) {
+    const auto i = static_cast<std::size_t>(r.id.v);
+    ASSERT_TRUE(reference.source(i).complete()) << "flow " << i;
+    EXPECT_EQ(r.end, reference.source(i).completion_time()) << "flow " << i;
+    EXPECT_EQ(r.delivered_bytes, reference.source(i).acked_bytes())
+        << "flow " << i;
+  }
+}
+
 TEST(ShardedEngine, RunsToNaturalDrainWithoutDeadline) {
   topo::NetworkSpec spec;
   spec.topo = topo::TopoKind::kFatTree;
   spec.type = topo::NetworkType::kParallelHomogeneous;
   spec.hosts = 16;
   spec.parallelism = 4;
-  core::PolicyConfig policy;
-  policy.policy = core::RoutingPolicy::kShortestPlane;
-  core::SimHarness serial({.spec = spec, .policy = policy});
-  core::SimHarness sharded(
-      {.spec = spec, .policy = policy, .sim_threads = 4});
-  for (core::SimHarness* h : {&serial, &sharded}) {
-    h->starter()(HostId{0}, HostId{15}, 1'000'000, 0, {});
-    h->starter()(HostId{3}, HostId{9}, 1'000'000, 0, {});
-    h->run();
-    EXPECT_EQ(h->logger().records().size(), 2u);
-  }
-  // Same physics: the sharded engine completes the same transfers at the
-  // same simulated times (legacy vs sharded event COUNTS differ — arrival
-  // wakes — but flow records must not).
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(serial.logger().records()[i].end,
-              sharded.logger().records()[i].end);
-    EXPECT_EQ(serial.logger().records()[i].delivered_bytes,
-              sharded.logger().records()[i].delivered_bytes);
-  }
+  // Both flows cross shards at each end: host 0 and 15 live on shards 0
+  // and 3, hosts 3 and 9 on shards 3 and 1.
+  expect_matches_hand_built(spec,
+                            {{HostId{0}, HostId{15}, 1, 1'000'000},
+                             {HostId{3}, HostId{9}, 2, 1'000'000}},
+                            /*sim_threads=*/4);
 }
 
 TEST(ShardedEngine, BoundaryConservationUnderAudit) {
@@ -286,36 +393,49 @@ TEST(ShardedEngine, BoundaryConservationUnderAudit) {
   harness.run();
   harness.finalize(harness.events().now());
 
-  ASSERT_NE(harness.shards(), nullptr);
   // Real cross-shard traffic happened, and every boundary packet that was
   // sent was integrated and delivered (mailboxes and arrival buffers are
   // empty after a drained run).
-  EXPECT_GT(harness.shards()->boundary_sent(), 0u);
-  EXPECT_EQ(harness.shards()->boundary_sent(),
-            harness.shards()->boundary_delivered());
+  EXPECT_GT(harness.shards().boundary_sent(), 0u);
+  EXPECT_EQ(harness.shards().boundary_sent(),
+            harness.shards().boundary_delivered());
   EXPECT_EQ(audit.violations().size(), 0u)
       << "first: " << audit.violations().front();
 }
 
 TEST(ShardedEngine, SinglePlaneTopologyStillWorks) {
   // Degenerate sharding: one plane, one shard — the epoch loop must not
-  // deadlock or disagree with the serial engine.
+  // deadlock or disagree with the hand-built reference.
   topo::NetworkSpec spec;
   spec.topo = topo::TopoKind::kFatTree;
   spec.hosts = 16;
-  core::PolicyConfig policy;
-  policy.policy = core::RoutingPolicy::kShortestPlane;
-  core::SimHarness serial({.spec = spec, .policy = policy});
-  core::SimHarness sharded(
-      {.spec = spec, .policy = policy, .sim_threads = 4});
-  for (core::SimHarness* h : {&serial, &sharded}) {
-    h->starter()(HostId{1}, HostId{14}, 500'000, 0, {});
-    h->run();
+  expect_matches_hand_built(spec, {{HostId{1}, HostId{14}, 0, 500'000}},
+                            /*sim_threads=*/4);
+}
+
+TEST(ShardedEngine, SinglePlaneBackToBackRoundsAllFinish) {
+  // Regression: one plane has no shard crossing, and an unbounded epoch
+  // ran every clock to kNever, so the second round started at infinity
+  // and never finished.
+  topo::NetworkSpec spec;
+  spec.topo = topo::TopoKind::kFatTree;
+  spec.hosts = 16;
+  core::SimHarness harness({.spec = spec, .policy = {}, .sim_threads = 1});
+  Rng rng(5);
+  int started = 0;
+  int finished = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& [src, dst] :
+         workload::permutation_pairs(harness.net().num_hosts(), rng)) {
+      ++started;
+      harness.starter()(src, dst, 200'000, harness.events().now(),
+                        [&finished](const FlowRecord&) { ++finished; });
+    }
+    harness.run();
   }
-  ASSERT_EQ(serial.logger().records().size(), 1u);
-  ASSERT_EQ(sharded.logger().records().size(), 1u);
-  EXPECT_EQ(serial.logger().records()[0].end,
-            sharded.logger().records()[0].end);
+  EXPECT_EQ(started, 2 * harness.net().num_hosts());
+  EXPECT_EQ(finished, started);
+  EXPECT_LT(harness.events().now(), units::kSecond);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "sim/packet.hpp"
 #include "sim/pipe.hpp"
 #include "sim/queue.hpp"
+#include "sim/shard.hpp"
 #include "topo/parallel.hpp"
 
 namespace pnet::sim {
@@ -205,13 +206,15 @@ TEST(PacketPoolTest, Recycles) {
 
 // ------------------------------------------------------------- TCP flows
 
+/// The network and flow factory on their shards (one per plane, run
+/// inline), without the routing layer of core::SimHarness.
 struct Harness {
   explicit Harness(topo::NetworkSpec spec,
                    std::uint64_t buffer_bytes = 100 * 1500)
-      : net(topo::build_network(spec)) {
+      : net(topo::build_network(spec)), shards(net.num_planes(), 1) {
     config.queue_buffer_bytes = buffer_bytes;
-    network = std::make_unique<SimNetwork>(events, pool, net, config);
-    factory = std::make_unique<FlowFactory>(events, pool, *network, logger);
+    network = std::make_unique<SimNetwork>(control, net, config, shards);
+    factory = std::make_unique<FlowFactory>(control, *network, logger);
   }
 
   routing::Path path(int src, int dst, int plane = 0) const {
@@ -223,9 +226,17 @@ struct Harness {
     return *p;
   }
 
-  EventQueue events;
-  PacketPool pool;
+  /// The event queue and packet pool of `host`'s shard, for endpoints
+  /// built by hand.
+  EventQueue& events(HostId host) { return shards.host_events(host); }
+  PacketPool& pool(HostId host) { return shards.host_pool(host); }
+
+  void run() { shards.run(control); }
+  void run_until(SimTime deadline) { shards.run_until(control, deadline); }
+
+  EventQueue control;
   topo::ParallelNetwork net;
+  ShardSet shards;
   SimConfig config;
   FlowLogger logger;
   std::unique_ptr<SimNetwork> network;
@@ -247,7 +258,7 @@ TEST(Tcp, SingleFlowReachesLinkRate) {
   Harness h(small_fat_tree());
   const std::uint64_t size = 10 * kMB;
   h.factory->tcp_flow(HostId{0}, HostId{15}, h.path(0, 15), size, 0);
-  h.events.run();
+  h.run();
   ASSERT_EQ(h.logger.records().size(), 1u);
   const auto& record = h.logger.records().front();
   const double fct_s = units::to_seconds(record.end - record.start);
@@ -267,16 +278,16 @@ TEST(Tcp, SingleFlowReachesLinkRate) {
 TEST(Tcp, CompletionDeliversAllBytesExactlyOnce) {
   Harness h(small_fat_tree());
   h.factory->tcp_flow(HostId{0}, HostId{2}, h.path(0, 2), 1'000'000, 0);
-  h.events.run();
+  h.run();
   ASSERT_EQ(h.logger.records().size(), 1u);
   EXPECT_EQ(h.logger.records().front().bytes, 1'000'000u);
-  EXPECT_EQ(h.pool.live(), 0u);  // no leaked packets after drain
+  EXPECT_EQ(h.pool(HostId{0}).live(), 0u);  // no leaked packets after drain
 }
 
 TEST(Tcp, SubMssFlowCompletes) {
   Harness h(small_fat_tree());
   h.factory->tcp_flow(HostId{0}, HostId{5}, h.path(0, 5), 300, 0);
-  h.events.run();
+  h.run();
   ASSERT_EQ(h.logger.records().size(), 1u);
   // One segment + ACK round trip; certainly under 50 us on this topology.
   EXPECT_LT(h.logger.fct_us().front(), 50.0);
@@ -293,7 +304,7 @@ TEST(Tcp, TwoFlowsShareBottleneckFairly) {
                                 0);
   auto& b = h.factory->tcp_flow(HostId{4}, HostId{15}, h.path(4, 15), huge,
                                 0);
-  h.events.run_until(60 * kMillisecond);
+  h.run_until(60 * kMillisecond);
   const double bytes_a = static_cast<double>(a.acked_bytes());
   const double bytes_b = static_cast<double>(b.acked_bytes());
   const double share = bytes_a / (bytes_a + bytes_b);
@@ -310,7 +321,7 @@ TEST(Tcp, RecoversFromTailDrops) {
   const std::uint64_t size = 5 * kMB;
   h.factory->tcp_flow(HostId{0}, HostId{15}, h.path(0, 15), size, 0);
   h.factory->tcp_flow(HostId{1}, HostId{15}, h.path(1, 15), size, 0);
-  h.events.run();
+  h.run();
   ASSERT_EQ(h.logger.records().size(), 2u);  // both complete despite drops
   EXPECT_GT(h.network->total_drops(), 0u);
   EXPECT_GT(h.logger.total_retransmits(), 0);
@@ -350,12 +361,14 @@ TEST(Tcp, RetransmissionTimeoutFiresAtTunedMinimum) {
   // Drop the entire initial window: no dupACKs are possible, so recovery
   // must come from the 10 ms minimum RTO the paper tunes (section 5.1.2).
   Harness h(small_fat_tree());
-  DropFirstN dropper(h.pool, 10);
+  DropFirstN dropper(h.pool(HostId{0}), 10);
 
   // Build a route manually with the dropper in front.
   auto path = h.path(0, 15);
-  sinks_holder_ = std::make_unique<TcpSink>(h.events, h.pool, h.config.tcp);
-  src_holder_ = std::make_unique<TcpSrc>(h.events, h.pool, FlowId{0},
+  sinks_holder_ = std::make_unique<TcpSink>(
+      h.events(HostId{15}), h.pool(HostId{15}), h.config.tcp);
+  src_holder_ = std::make_unique<TcpSrc>(h.events(HostId{0}),
+                                         h.pool(HostId{0}), FlowId{0},
                                          h.config.tcp);
   const Route* base = h.network->make_route(path, *sinks_holder_);
   const Route* rev =
@@ -369,7 +382,7 @@ TEST(Tcp, RetransmissionTimeoutFiresAtTunedMinimum) {
   owned_route_ = std::make_unique<OwnedRoute>();
   owned_route_->assign(prepend_sink(dropper, *base), base->hop_count);
   src_holder_->connect(owned_route_->get(), 0);
-  h.events.run();
+  h.run();
   ASSERT_GE(done, 10 * kMillisecond);  // had to wait for the RTO
   EXPECT_LT(done, 25 * kMillisecond);
   EXPECT_EQ(src_holder_->timeouts(), 1);
@@ -389,14 +402,14 @@ TEST(Mptcp, TwoDisjointPlanesDoubleThroughputUncoupled) {
                                       parallel.path(0, 15, 1)};
   parallel.factory->mptcp_flow(HostId{0}, HostId{15}, paths, size, 0, {},
                                Coupling::kUncoupled);
-  parallel.events.run();
+  parallel.run();
   ASSERT_EQ(parallel.logger.records().size(), 1u);
   const double fct_parallel = parallel.logger.fct_us().front();
 
   Harness serial(small_fat_tree());
   serial.factory->tcp_flow(HostId{0}, HostId{15}, serial.path(0, 15), size,
                            0);
-  serial.events.run();
+  serial.run();
   const double fct_serial = serial.logger.fct_us().front();
 
   // Two planes, two independent subflows: close to 2x speedup.
@@ -413,13 +426,13 @@ TEST(Mptcp, LiaAlsoGainsFromDisjointPlanesOnBulkFlows) {
   std::vector<routing::Path> paths = {parallel.path(0, 15, 0),
                                       parallel.path(0, 15, 1)};
   parallel.factory->mptcp_flow(HostId{0}, HostId{15}, paths, size, 0);
-  parallel.events.run();
+  parallel.run();
   const double fct_parallel = parallel.logger.fct_us().front();
 
   Harness serial(small_fat_tree());
   serial.factory->tcp_flow(HostId{0}, HostId{15}, serial.path(0, 15), size,
                            0);
-  serial.events.run();
+  serial.run();
   const double fct_serial = serial.logger.fct_us().front();
   EXPECT_LT(fct_parallel, 0.85 * fct_serial);
 }
@@ -428,7 +441,7 @@ TEST(Mptcp, SubflowCountRecorded) {
   Harness h(small_fat_tree(topo::NetworkType::kParallelHomogeneous, 2));
   std::vector<routing::Path> paths = {h.path(0, 15, 0), h.path(0, 15, 1)};
   h.factory->mptcp_flow(HostId{0}, HostId{15}, paths, kMB, 0);
-  h.events.run();
+  h.run();
   ASSERT_EQ(h.logger.records().size(), 1u);
   EXPECT_EQ(h.logger.records().front().subflows, 2);
 }
@@ -443,7 +456,7 @@ TEST(Mptcp, LiaIsNotMoreAggressiveThanTcpOnSharedBottleneck) {
   auto& conn = h.factory->mptcp_flow(HostId{0}, HostId{15}, same, huge, 0);
   auto& tcp = h.factory->tcp_flow(HostId{4}, HostId{15}, h.path(4, 15),
                                   huge, 0);
-  h.events.run_until(60 * kMillisecond);
+  h.run_until(60 * kMillisecond);
   std::uint64_t mptcp_bytes = 0;
   for (int i = 0; i < conn.num_subflows(); ++i) {
     mptcp_bytes += conn.subflow(i).acked_bytes();
@@ -462,10 +475,10 @@ TEST(Mptcp, CompletesWhenOneSubflowIsUseless) {
   auto good = h.path(0, 15, 0);
   auto bad = h.path(0, 15, 1);
 
-  MptcpConnection conn(h.events, h.pool, FlowId{99}, h.config.tcp,
-                       2 * kMB);
+  MptcpConnection conn(h.events(HostId{0}), h.pool(HostId{0}), FlowId{99},
+                       h.config.tcp, 2 * kMB);
   // Healthy subflow.
-  TcpSink good_sink(h.events, h.pool, h.config.tcp);
+  TcpSink good_sink(h.events(HostId{15}), h.pool(HostId{15}), h.config.tcp);
   {
     MptcpSubflow& sf = conn.add_subflow();
     const Route* fwd = h.network->make_route(good, good_sink);
@@ -475,8 +488,8 @@ TEST(Mptcp, CompletesWhenOneSubflowIsUseless) {
     sf.connect(fwd, 0);
   }
   // Black-holed subflow.
-  DropFirstN dropper(h.pool, 1 << 30);
-  TcpSink bad_sink(h.events, h.pool, h.config.tcp);
+  DropFirstN dropper(h.pool(HostId{0}), 1 << 30);
+  TcpSink bad_sink(h.events(HostId{15}), h.pool(HostId{15}), h.config.tcp);
   OwnedRoute bad_route;
   {
     MptcpSubflow& sf = conn.add_subflow();
@@ -489,7 +502,7 @@ TEST(Mptcp, CompletesWhenOneSubflowIsUseless) {
   }
   bool completed = false;
   conn.set_completion_callback([&](MptcpConnection&) { completed = true; });
-  h.events.run_until(2 * units::kSecond);
+  h.run_until(2 * units::kSecond);
   EXPECT_TRUE(completed);
 }
 
@@ -498,7 +511,7 @@ TEST(Mptcp, CompletesWhenOneSubflowIsUseless) {
 TEST(FlowFactoryTest, RecordsHopsAndEndpoints) {
   Harness h(small_fat_tree());
   h.factory->tcp_flow(HostId{0}, HostId{1}, h.path(0, 1), 1500, 0);
-  h.events.run();
+  h.run();
   ASSERT_EQ(h.logger.records().size(), 1u);
   const auto& r = h.logger.records().front();
   EXPECT_EQ(r.src, HostId{0});
@@ -511,7 +524,7 @@ TEST(FlowFactoryTest, CallbackFires) {
   int called = 0;
   h.factory->tcp_flow(HostId{0}, HostId{1}, h.path(0, 1), 1500, 0,
                       [&](const FlowRecord&) { ++called; });
-  h.events.run();
+  h.run();
   EXPECT_EQ(called, 1);
 }
 
@@ -519,7 +532,7 @@ TEST(FlowFactoryTest, StaggeredStartTimesHonored) {
   Harness h(small_fat_tree());
   h.factory->tcp_flow(HostId{0}, HostId{1}, h.path(0, 1), 1500,
                       5 * kMillisecond);
-  h.events.run();
+  h.run();
   ASSERT_EQ(h.logger.records().size(), 1u);
   EXPECT_GE(h.logger.records().front().end, 5 * kMillisecond);
   EXPECT_EQ(h.logger.records().front().start, 5 * kMillisecond);
