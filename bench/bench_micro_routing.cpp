@@ -4,19 +4,29 @@
 // the cost of the path computations the experiments lean on.
 //
 // Besides the default google-benchmark mode, `--json[=PATH]` switches to a
-// self-contained report mode that measures what the route cache buys the
-// experiment stack — cold vs warm lookup latency, cache hit rate, arena
-// footprint, and the fsim KSP sweep (route 10k flows at k=16) with the
-// cache enabled vs in pass-through mode — and writes one JSON document
-// (committed as BENCH_routing.json at the repo root). Report-mode flags:
-// --flows, --k, --hosts, --planes, --pairs.
+// self-contained report mode and writes one JSON document (committed as
+// BENCH_routing.json at the repo root). It has two sections, each recording
+// its own network and k:
+//   * route_cache — cold vs warm RouteCache lookups over --pairs KSP
+//     queries (k=8) on the 256-host, 4-plane Jellyfish of the
+//     microbenchmarks, with the hit counts, arena footprint and a digest
+//     over every path the cold lookups compute;
+//   * fsim_ksp_sweep — the routing time (RouteCache compute time) of
+//     --flows k-shortest-path multipath flows admitted by the fluid engine
+//     on a --hosts/--planes fat tree at --k, with the cache enabled vs in
+//     pass-through mode.
+// Every timing is the median, min and max of three runs, each on a fresh
+// cache. Report-mode flags: --flows, --k, --hosts, --planes, --pairs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/path_selector.hpp"
@@ -161,26 +171,65 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Routes `flows` KSP-multipath flows through a FluidSimulator backed by
-/// `cache`, returning the wall-clock seconds spent routing (add_flow).
+double median_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  return n % 2 == 1 ? samples[n / 2]
+                    : (samples[n / 2 - 1] + samples[n / 2]) / 2;
+}
+
+/// Writes the median, min and max of `samples` as `<name>_median` etc.
+void write_spread(exp::JsonWriter& w, const std::string& name,
+                  const std::vector<double>& samples) {
+  const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+  w.field(name + "_median", median_of(samples));
+  w.field(name + "_min", *lo);
+  w.field(name + "_max", *hi);
+}
+
+/// Folds every path of `entry` (plane, length, link ids) into `h`.
+std::uint64_t fold_paths(std::uint64_t h, const routing::RouteEntry& entry) {
+  for (std::size_t i = 0; i < entry.size(); ++i) {
+    const routing::PathView view = entry.view(i);
+    h = mix64(h ^ static_cast<std::uint64_t>(view.plane()));
+    h = mix64(h ^ static_cast<std::uint64_t>(view.hops()));
+    for (const LinkId id : view.links()) {
+      h = mix64(h ^ static_cast<std::uint32_t>(id.v));
+    }
+  }
+  return h;
+}
+
+/// Admits `flows` KSP-multipath flows through a FluidSimulator backed by
+/// `cache` and returns the seconds the cache spent computing routes. The
+/// engine routes a flow when it admits it, so the run stops at time zero,
+/// once every flow is admitted and before any completes.
 double route_flows(const topo::ParallelNetwork& net,
                    const fsim::FsimConfig& config,
-                   std::shared_ptr<routing::RouteCache> cache, int flows,
-                   std::uint64_t seed) {
-  fsim::FluidSimulator fluid(net, config, std::move(cache));
+                   const std::shared_ptr<routing::RouteCache>& cache,
+                   int flows, std::uint64_t seed) {
+  fsim::FluidSimulator fluid(net, config, cache);
   Rng rng(seed);
   const auto hosts = static_cast<std::uint64_t>(net.num_hosts());
-  std::vector<fsim::FlowSpec> specs;
-  specs.reserve(static_cast<std::size_t>(flows));
   for (int i = 0; i < flows; ++i) {
     const HostId src{static_cast<std::int32_t>(rng.next_below(hosts))};
     HostId dst{static_cast<std::int32_t>(rng.next_below(hosts))};
     if (dst == src) dst = HostId{(dst.v + 1) % net.num_hosts()};
-    specs.push_back({src, dst, 1'000'000, 0});
+    fluid.add_flow({src, dst, 1'000'000, 0});
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& spec : specs) fluid.add_flow(spec);
-  return seconds_since(t0);
+  fluid.run_until(0);
+  return static_cast<double>(cache->stats().compute_ns) * 1e-9;
+}
+
+void write_network(exp::JsonWriter& w, const topo::ParallelNetwork& net) {
+  const topo::NetworkSpec& spec = net.spec();
+  w.key("network").begin_object();
+  w.field("topo", topo::to_string(spec.topo));
+  w.field("type", topo::to_string(spec.type));
+  w.field("hosts", spec.hosts);
+  w.field("built_hosts", net.num_hosts());
+  w.field("planes", net.num_planes());
+  w.end_object();
 }
 
 int run_json_report(const Flags& flags) {
@@ -193,42 +242,69 @@ int run_json_report(const Flags& flags) {
   const int flows = flags.get_int("flows", 10'000);
   const int k = flags.get_int("k", 16);
   const int pairs = flags.get_int("pairs", 512);
+  constexpr int kRepeat = 3;
 
   exp::JsonWriter w;
   w.begin_object();
   w.field("bench", "micro_routing");
+  w.field("host_cpus", static_cast<int>(std::thread::hardware_concurrency()));
   w.key("config").begin_object();
-  w.field("hosts", hosts);
-  w.field("planes", planes);
-  w.field("flows", flows);
-  w.field("k", k);
-  w.field("pairs", pairs);
+  w.field("repeat", kRepeat);
   w.end_object();
 
-  // Cold vs warm lookup latency over `pairs` distinct jellyfish pairs.
+  // Cold vs warm lookup latency over `pairs` random jellyfish4() pairs.
   {
     const auto& net = jellyfish4();
-    routing::RouteCache cache(/*enabled=*/true);
+    constexpr int kLookupK = 8;
+    constexpr std::uint64_t kLookupSeed = 7;
     std::vector<routing::RouteQuery> queries;
     Rng rng(17);
     for (int i = 0; i < pairs; ++i) {
       const HostId src{static_cast<std::int32_t>(rng.next_below(256))};
       HostId dst{static_cast<std::int32_t>(rng.next_below(256))};
       if (dst == src) dst = HostId{(dst.v + 1) % 256};
-      queries.push_back(routing::RouteQuery::ksp(src, dst, 8, 7));
+      queries.push_back(
+          routing::RouteQuery::ksp(src, dst, kLookupK, kLookupSeed));
     }
-    const auto t_cold = std::chrono::steady_clock::now();
-    for (const auto& q : queries) (void)cache.lookup(net, q);
-    const double cold_s = seconds_since(t_cold);
-    const auto t_warm = std::chrono::steady_clock::now();
-    for (const auto& q : queries) (void)cache.lookup(net, q);
-    const double warm_s = seconds_since(t_warm);
-    const auto stats = cache.stats();
+    std::vector<double> cold_ns;
+    std::vector<double> warm_ns;
+    std::vector<double> compute_ns;
+    std::uint64_t digest = 0;
+    routing::RouteCacheStats stats;
+    std::vector<routing::RouteSnapshot> snapshots(queries.size());
+    for (int r = 0; r < kRepeat; ++r) {
+      routing::RouteCache cache(/*enabled=*/true);
+      const auto t_cold = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        snapshots[i] = cache.lookup(net, queries[i]);
+      }
+      cold_ns.push_back(seconds_since(t_cold) * 1e9 / pairs);
+      const auto t_warm = std::chrono::steady_clock::now();
+      for (const auto& q : queries) (void)cache.lookup(net, q);
+      warm_ns.push_back(seconds_since(t_warm) * 1e9 / pairs);
+      stats = cache.stats();
+      compute_ns.push_back(static_cast<double>(stats.compute_ns));
+
+      std::uint64_t h = 0x9E3779B97F4A7C15ULL;
+      for (const auto& snapshot : snapshots) h = fold_paths(h, *snapshot);
+      if (r > 0 && h != digest) {
+        std::fprintf(stderr, "path digest differs between repeats\n");
+        return 1;
+      }
+      digest = h;
+    }
+    char digest_hex[17];
+    std::snprintf(digest_hex, sizeof digest_hex, "%016" PRIx64, digest);
 
     w.key("route_cache").begin_object();
-    w.field("cold_lookup_ns_mean", cold_s * 1e9 / pairs);
-    w.field("warm_lookup_ns_mean", warm_s * 1e9 / pairs);
-    w.field("cold_over_warm", warm_s > 0 ? cold_s / warm_s : 0.0);
+    write_network(w, net);
+    w.field("k", kLookupK);
+    w.field("tiebreak_seed", kLookupSeed);
+    w.field("pairs", pairs);
+    write_spread(w, "cold_lookup_ns", cold_ns);
+    write_spread(w, "warm_lookup_ns", warm_ns);
+    const double warm = median_of(warm_ns);
+    w.field("cold_over_warm", warm > 0 ? median_of(cold_ns) / warm : 0.0);
     w.field("hits", stats.hits);
     w.field("misses", stats.misses);
     w.field("hit_rate", static_cast<double>(stats.hits) /
@@ -236,7 +312,8 @@ int run_json_report(const Flags& flags) {
     w.field("entries", stats.entries);
     w.field("paths", stats.paths);
     w.field("arena_bytes", stats.arena_bytes);
-    w.field("compute_ns", stats.compute_ns);
+    write_spread(w, "compute_ns", compute_ns);
+    w.field("path_digest", std::string(digest_hex));
     w.end_object();
   }
 
@@ -256,21 +333,29 @@ int run_json_report(const Flags& flags) {
     config.scheme = fsim::RouteScheme::kKspMultipath;
     config.k = k;
 
-    const auto cached = std::make_shared<routing::RouteCache>(true);
-    const double cached_s = route_flows(net, config, cached, flows, 23);
-    const double uncached_s = route_flows(
-        net, config, std::make_shared<routing::RouteCache>(false), flows,
-        23);
-    const auto stats = cached->stats();
+    std::vector<double> cached_s;
+    std::vector<double> uncached_s;
+    routing::RouteCacheStats stats;
+    for (int r = 0; r < kRepeat; ++r) {
+      const auto cached = std::make_shared<routing::RouteCache>(true);
+      cached_s.push_back(route_flows(net, config, cached, flows, 23));
+      stats = cached->stats();
+      uncached_s.push_back(route_flows(
+          net, config, std::make_shared<routing::RouteCache>(false), flows,
+          23));
+    }
 
     w.key("fsim_ksp_sweep").begin_object();
     w.field("engine", "fsim");
     w.field("scheme", "ksp_multipath");
     // The fat-tree builder rounds the host count up to the next radix.
-    w.field("built_hosts", net.num_hosts());
-    w.field("cached_s", cached_s);
-    w.field("uncached_s", uncached_s);
-    w.field("speedup", cached_s > 0 ? uncached_s / cached_s : 0.0);
+    write_network(w, net);
+    w.field("k", k);
+    w.field("flows", flows);
+    write_spread(w, "cached_s", cached_s);
+    write_spread(w, "uncached_s", uncached_s);
+    const double cached = median_of(cached_s);
+    w.field("speedup", cached > 0 ? median_of(uncached_s) / cached : 0.0);
     w.field("hits", stats.hits);
     w.field("misses", stats.misses);
     w.field("hit_rate", static_cast<double>(stats.hits) /

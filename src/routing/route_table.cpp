@@ -1,6 +1,8 @@
 #include "routing/route_table.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <memory>
 
 #include "util/rng.hpp"
 
@@ -36,31 +38,32 @@ PathRef RouteTable::intern(int plane, std::span<const LinkId> links) {
   auto& bucket = dedup_[hash];
   for (const PathRef& ref : bucket) {
     if (ref.plane != plane || ref.len != links.size()) continue;
-    const LinkId* stored = data(ref.offset);
-    bool same = true;
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      if (stored[i] != links[i]) {
-        same = false;
-        break;
-      }
+    // An empty path owns no slot (and may precede the first slab).
+    if (links.empty() ||
+        std::equal(links.begin(), links.end(), data(ref.offset))) {
+      return ref;
     }
-    if (same) return ref;
   }
 
   // A path never straddles slabs: pad to the next slab when it won't fit.
   const std::size_t room = chunks_.size() * kChunkLinks - next_offset_;
   if (links.size() > room) next_offset_ = chunks_.size() * kChunkLinks;
   if (next_offset_ + links.size() > chunks_.size() * kChunkLinks) {
-    chunks_.push_back(std::make_unique<LinkId[]>(kChunkLinks));
+    // Raw storage: slots are constructed by the copy below, so pages no
+    // path reaches are never written.
+    chunks_.emplace_back(
+        static_cast<LinkId*>(::operator new(kChunkLinks * sizeof(LinkId))));
   }
 
   PathRef ref;
   ref.plane = plane;
   ref.offset = static_cast<std::uint32_t>(next_offset_);
   ref.len = static_cast<std::uint32_t>(links.size());
-  LinkId* out = chunks_[next_offset_ / kChunkLinks].get() +
-                next_offset_ % kChunkLinks;
-  for (std::size_t i = 0; i < links.size(); ++i) out[i] = links[i];
+  if (!links.empty()) {
+    std::uninitialized_copy(links.begin(), links.end(),
+                            chunks_[next_offset_ / kChunkLinks].get() +
+                                next_offset_ % kChunkLinks);
+  }
   next_offset_ += links.size();
   links_stored_ += links.size();
   ++paths_;

@@ -10,12 +10,16 @@
 //
 // Storage is chunked (fixed-size slabs that never move) so published paths
 // stay readable while another thread interns new ones into the same table;
-// see route_cache.hpp for the synchronization contract.
+// see route_cache.hpp for the synchronization contract. Slabs are raw
+// storage: intern() constructs the slots it fills, so a table touches only
+// the memory its paths use, not a whole 256 KiB slab.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -103,7 +107,8 @@ class RouteTable {
   [[nodiscard]] std::size_t num_paths() const { return paths_; }
   /// Link ids actually stored (post-dedup, excluding chunk padding).
   [[nodiscard]] std::size_t links_stored() const { return links_stored_; }
-  /// Bytes of arena storage allocated (whole chunks).
+  /// Bytes of arena storage allocated (whole chunks), touched or not: a
+  /// slab's untouched tail is address space, not resident memory.
   [[nodiscard]] std::size_t arena_bytes() const {
     return chunks_.size() * kChunkLinks * sizeof(LinkId);
   }
@@ -112,11 +117,19 @@ class RouteTable {
   /// 64K links (256 KiB) per slab; a path never spans two slabs.
   static constexpr std::size_t kChunkLinks = std::size_t{1} << 16;
 
+  /// Frees a slab without running destructors (LinkId has none to run).
+  struct SlabDelete {
+    void operator()(LinkId* slab) const { ::operator delete(slab); }
+  };
+  using Slab = std::unique_ptr<LinkId, SlabDelete>;
+  static_assert(std::is_trivially_destructible_v<LinkId>);
+
   [[nodiscard]] const LinkId* data(std::uint32_t offset) const {
     return chunks_[offset / kChunkLinks].get() + offset % kChunkLinks;
   }
 
-  std::vector<std::unique_ptr<LinkId[]>> chunks_;
+  /// Only slots below next_offset_ that a path was copied into are live.
+  std::vector<Slab> chunks_;
   std::size_t next_offset_ = 0;  // first free arena slot
   std::size_t links_stored_ = 0;
   std::size_t paths_ = 0;

@@ -1,6 +1,7 @@
 #include "routing/shortest.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 
 namespace pnet::routing {
@@ -25,6 +26,19 @@ Path reconstruct(const std::vector<LinkId>& parent_link, NodeId src,
   std::reverse(path.links.begin(), path.links.end());
   return path;
 }
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::uint8_t kBaseBan = 1;
+constexpr std::uint8_t kSpurBan = 2;
+
+/// The pruning bound U plus a rounding slack. A label plus h(v) sums the
+/// same links as the route it bounds, but in another order, so exact ties
+/// can differ by a few ulps; the slack keeps every tie. It is relative so
+/// that it holds for weights of any scale.
+double prune_limit(double bound) { return bound + 1e-9 * (1.0 + bound); }
+
+std::size_t idx(NodeId n) { return static_cast<std::size_t>(n.v); }
+std::size_t idx(LinkId l) { return static_cast<std::size_t>(l.v); }
 
 }  // namespace
 
@@ -89,47 +103,171 @@ std::optional<Path> shortest_path(const topo::Graph& g, NodeId src,
   return reconstruct(parent_link, src, dst, g);
 }
 
+PathSearch::PathSearch(const topo::Graph& g, const LinkWeights* weights,
+                       const std::vector<bool>* base_banned)
+    : g_(g),
+      weights_(weights != nullptr ? weights->data() : nullptr),
+      link_ban_(static_cast<std::size_t>(g.num_links()), 0),
+      node_ban_(static_cast<std::size_t>(g.num_nodes()), 0),
+      dist_(static_cast<std::size_t>(g.num_nodes()), kInf),
+      parent_(static_cast<std::size_t>(g.num_nodes())) {
+  if (base_banned != nullptr) {
+    const std::size_t n = std::min(base_banned->size(), link_ban_.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((*base_banned)[i]) link_ban_[i] = kBaseBan;
+    }
+  }
+}
+
+void PathSearch::ban_link(LinkId id) {
+  if ((link_ban_[idx(id)] & kSpurBan) != 0) return;
+  link_ban_[idx(id)] |= kSpurBan;
+  banned_links_.push_back(id);
+}
+
+void PathSearch::ban_node(NodeId id) {
+  if (node_ban_[idx(id)] != 0) return;
+  node_ban_[idx(id)] = 1;
+  banned_nodes_.push_back(id);
+}
+
+void PathSearch::clear_bans() {
+  for (const LinkId id : banned_links_) link_ban_[idx(id)] &= ~kSpurBan;
+  for (const NodeId id : banned_nodes_) node_ban_[idx(id)] = 0;
+  banned_links_.clear();
+  banned_nodes_.clear();
+}
+
+void PathSearch::push(double d, std::int32_t node) {
+  heap_.emplace_back(d, node);
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+}
+
+PathSearch::Entry PathSearch::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  const Entry top = heap_.back();
+  heap_.pop_back();
+  return top;
+}
+
+template <class Settle>
+void PathSearch::drain(const std::vector<double>& dist, Settle&& settle) {
+  while (!heap_.empty()) {
+    const auto [d, node] = pop();
+    if (d > dist[static_cast<std::size_t>(node)]) continue;  // stale entry
+    if (!settle(NodeId{node}, d)) return;
+  }
+}
+
+void PathSearch::build_tree(NodeId dst) {
+  // In-links per node (CSR, ascending link id), for the backward search.
+  const auto nodes = static_cast<std::size_t>(g_.num_nodes());
+  std::vector<std::int32_t> first(nodes + 1, 0);
+  for (int l = 0; l < g_.num_links(); ++l) {
+    ++first[idx(g_.link(LinkId{l}).dst) + 1];
+  }
+  for (std::size_t n = 0; n < nodes; ++n) first[n + 1] += first[n];
+  std::vector<LinkId> in_links(static_cast<std::size_t>(g_.num_links()));
+  std::vector<std::int32_t> fill(first.begin(), first.end() - 1);
+  for (int l = 0; l < g_.num_links(); ++l) {
+    const std::size_t n = idx(g_.link(LinkId{l}).dst);
+    in_links[static_cast<std::size_t>(fill[n]++)] = LinkId{l};
+  }
+
+  tree_dst_ = dst;
+  h_.assign(nodes, kInf);
+  next_.assign(nodes, LinkId{});
+  heap_.clear();
+  h_[idx(dst)] = 0.0;
+  push(0.0, dst.v);
+  // Only dst and switches are settled: a host u gets h(u) as the start of a
+  // route but is never a tree path's interior.
+  drain(h_, [&](NodeId x, double d) {
+    for (auto i = first[idx(x)]; i < first[idx(x) + 1]; ++i) {
+      const LinkId id = in_links[static_cast<std::size_t>(i)];
+      if ((link_ban_[idx(id)] & kBaseBan) != 0) continue;
+      const NodeId u = g_.link(id).src;
+      const double nd = d + weight(id);
+      if (nd < h_[idx(u)]) {
+        h_[idx(u)] = nd;
+        next_[idx(u)] = id;
+        if (!g_.is_host(u)) push(nd, u.v);
+      }
+    }
+    return true;
+  });
+}
+
+bool PathSearch::tree_feasible(NodeId v) const {
+  for (NodeId node = v; node != tree_dst_;) {
+    const LinkId id = next_[idx(node)];
+    if (link_ban_[idx(id)] != 0) return false;
+    node = g_.link(id).dst;
+    if (node_ban_[idx(node)] != 0) return false;
+  }
+  return true;
+}
+
+std::optional<Path> PathSearch::find(NodeId src, NodeId dst) {
+  if (node_ban_[idx(src)] != 0 || node_ban_[idx(dst)] != 0) {
+    return std::nullopt;
+  }
+  for (const std::int32_t n : touched_) {
+    dist_[static_cast<std::size_t>(n)] = kInf;
+  }
+  touched_.clear();
+  heap_.clear();
+
+  const bool pruned = tree_dst_ == dst;
+  double bound = kInf;  // U: cheapest ban-free route seen so far
+  double limit = kInf;
+  // A label at v plus a feasible tree path is a real route (a walk that
+  // avoids every ban, whose cycles only shorten it), so it bounds the
+  // optimum.
+  auto offer = [&](NodeId v, double d) {
+    const double f = d + h_[idx(v)];
+    if (f < bound && tree_feasible(v)) {
+      bound = f;
+      limit = prune_limit(f);
+    }
+  };
+
+  dist_[idx(src)] = 0.0;
+  touched_.push_back(src.v);
+  push(0.0, src.v);
+  if (pruned) offer(src, 0.0);
+  drain(dist_, [&](NodeId u, double d) {
+    if (u == dst) return false;
+    if (pruned && d + h_[idx(u)] > limit) return true;
+    for (const LinkId id : g_.out_links(u)) {
+      if (link_ban_[idx(id)] != 0) continue;
+      const NodeId v = g_.link(id).dst;
+      if (node_ban_[idx(v)] != 0) continue;
+      if (v != dst && g_.is_host(v)) continue;  // hosts do not transit
+      const double nd = d + weight(id);
+      if (!(nd < dist_[idx(v)])) continue;
+      if (pruned && (h_[idx(v)] == kInf || nd + h_[idx(v)] > limit)) continue;
+      if (dist_[idx(v)] == kInf) touched_.push_back(v.v);
+      dist_[idx(v)] = nd;
+      parent_[idx(v)] = id;
+      push(nd, v.v);
+      if (pruned) offer(v, nd);
+    }
+    return true;
+  });
+  if (dist_[idx(dst)] == kInf) return std::nullopt;
+  return reconstruct(parent_, src, dst, g_);
+}
+
 std::optional<Path> dijkstra(const topo::Graph& g, NodeId src, NodeId dst,
                              const LinkWeights& weights,
                              const std::vector<bool>& banned_links,
                              const std::vector<bool>& banned_nodes) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(static_cast<std::size_t>(g.num_nodes()), kInf);
-  std::vector<LinkId> parent_link(static_cast<std::size_t>(g.num_nodes()));
-
-  auto node_banned = [&](NodeId n) {
-    return !banned_nodes.empty() && banned_nodes[static_cast<std::size_t>(n.v)];
-  };
-  auto link_banned = [&](LinkId l) {
-    return !banned_links.empty() && banned_links[static_cast<std::size_t>(l.v)];
-  };
-  if (node_banned(src) || node_banned(dst)) return std::nullopt;
-
-  using Entry = std::pair<double, std::int32_t>;  // (dist, node)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[static_cast<std::size_t>(src.v)] = 0.0;
-  heap.emplace(0.0, src.v);
-  while (!heap.empty()) {
-    const auto [d, uv] = heap.top();
-    heap.pop();
-    const NodeId u{uv};
-    if (d > dist[static_cast<std::size_t>(uv)]) continue;
-    if (u == dst) break;
-    if (!can_transit(g, u, src)) continue;
-    for (LinkId id : g.out_links(u)) {
-      if (link_banned(id)) continue;
-      const NodeId v = g.link(id).dst;
-      if (node_banned(v)) continue;
-      const double nd = d + weights[static_cast<std::size_t>(id.v)];
-      if (nd < dist[static_cast<std::size_t>(v.v)]) {
-        dist[static_cast<std::size_t>(v.v)] = nd;
-        parent_link[static_cast<std::size_t>(v.v)] = id;
-        heap.emplace(nd, v.v);
-      }
-    }
+  PathSearch search(g, &weights, &banned_links);
+  for (std::size_t n = 0; n < banned_nodes.size(); ++n) {
+    if (banned_nodes[n]) search.ban_node(NodeId{static_cast<std::int32_t>(n)});
   }
-  if (dist[static_cast<std::size_t>(dst.v)] == kInf) return std::nullopt;
-  return reconstruct(parent_link, src, dst, g);
+  return search.find(src, dst);
 }
 
 std::vector<std::vector<int>> all_pairs_switch_hops(

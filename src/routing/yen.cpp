@@ -35,23 +35,14 @@ std::vector<Path> k_shortest_paths(const topo::Graph& g, NodeId src,
   std::vector<Path> result;
   if (k <= 0 || src == dst) return result;
 
-  const LinkWeights unit =
-      tiebreak_weights != nullptr
-          ? *tiebreak_weights
-          : LinkWeights(static_cast<std::size_t>(g.num_links()), 1.0);
-
-  const std::vector<bool> no_base;
-  const std::vector<bool>& base =
-      base_banned != nullptr ? *base_banned : no_base;
-
-  auto first = dijkstra(g, src, dst, unit, base);
+  // One workspace and one reverse tree to dst serve every search below.
+  PathSearch search(g, tiebreak_weights, base_banned);
+  search.build_tree(dst);
+  auto first = search.find(src, dst);
   if (!first) return result;
   result.push_back(std::move(*first));
 
   std::set<Path, PathLess> candidates;
-  std::vector<bool> banned_links(static_cast<std::size_t>(g.num_links()));
-  std::vector<bool> banned_nodes(static_cast<std::size_t>(g.num_nodes()));
-
   while (static_cast<int>(result.size()) < k) {
     const Path& prev = result.back();
 
@@ -61,31 +52,23 @@ std::vector<Path> k_shortest_paths(const topo::Graph& g, NodeId src,
     NodeId spur_node = src;
     for (std::size_t i = 0; i < prev.links.size(); ++i) {
       // Ban links that would recreate any already-found path sharing this
-      // root; start from the caller's fault mask.
-      if (base.empty()) {
-        std::fill(banned_links.begin(), banned_links.end(), false);
-      } else {
-        banned_links.assign(base.begin(), base.end());
-      }
-      std::fill(banned_nodes.begin(), banned_nodes.end(), false);
+      // root; the caller's fault mask stays underneath.
+      search.clear_bans();
       for (const Path& p : result) {
-        if (p.links.size() >= i &&
+        if (p.links.size() > i &&
             std::equal(root_path.links.begin(), root_path.links.end(),
                        p.links.begin())) {
-          if (p.links.size() > i) {
-            banned_links[static_cast<std::size_t>(p.links[i].v)] = true;
-          }
+          search.ban_link(p.links[i]);
         }
       }
       // Ban the root path's interior nodes so spur paths stay loopless.
       NodeId at = src;
       for (const LinkId id : root_path.links) {
-        banned_nodes[static_cast<std::size_t>(at.v)] = true;
+        search.ban_node(at);
         at = g.link(id).dst;
       }
 
-      auto spur = dijkstra(g, spur_node, dst, unit, banned_links,
-                           banned_nodes);
+      auto spur = search.find(spur_node, dst);
       if (spur) {
         Path total;
         total.plane = prev.plane;
@@ -97,10 +80,8 @@ std::vector<Path> k_shortest_paths(const topo::Graph& g, NodeId src,
         if (!known) candidates.insert(std::move(total));
       }
 
-      if (i < prev.links.size()) {
-        root_path.links.push_back(prev.links[i]);
-        spur_node = g.link(prev.links[i]).dst;
-      }
+      root_path.links.push_back(prev.links[i]);
+      spur_node = g.link(prev.links[i]).dst;
     }
 
     if (candidates.empty()) break;

@@ -4,6 +4,13 @@
 // The metric is hop count (all fabric links weigh 1), matching Jellyfish and
 // the paper's use; ties are broken deterministically by link id so results
 // are reproducible across runs.
+//
+// Every search of one call (the first path and each spur) runs through one
+// PathSearch workspace, pruned by one reverse shortest-path tree to dst built
+// under the caller's fault mask. The pruning skips only nodes that cost
+// strictly more than the optimum, so the paths are exactly those of a full
+// Dijkstra per spur (shortest.hpp gives the argument; routing_test checks it
+// against that reference).
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,17 @@
 // Tests for routing: BFS/Dijkstra correctness, Yen KSP properties (loopless,
-// sorted, distinct, complete vs brute force), ECMP enumeration/hashing, and
+// sorted, distinct, complete vs brute force), Yen and Dijkstra path for path
+// against an independent reference, ECMP enumeration/hashing, and
 // cross-plane path merging.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <queue>
 #include <set>
+#include <tuple>
 
 #include "routing/ecmp.hpp"
 #include "routing/path.hpp"
@@ -15,6 +22,7 @@
 #include "topo/fat_tree.hpp"
 #include "topo/jellyfish.hpp"
 #include "topo/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace pnet::routing {
 namespace {
@@ -396,6 +404,10 @@ TEST(RouteTable, EmptyPathInternsWithoutAllocating) {
   EXPECT_TRUE(view.empty());
   EXPECT_EQ(view.plane(), 3);
   EXPECT_EQ(table.arena_bytes(), 0u);
+  // Re-interning dedups without reading a slab (there is none).
+  EXPECT_EQ(table.intern(empty), ref);
+  EXPECT_EQ(table.num_paths(), 1u);
+  EXPECT_EQ(table.arena_bytes(), 0u);
 }
 
 TEST(RouteTable, ManyPathsSurviveSlabGrowth) {
@@ -490,6 +502,374 @@ TEST(BannedLinks, PlaneBansApplyPerPlane) {
   const auto p1 = ecmp_paths_in_plane(net, 1, HostId{0}, HostId{15}, 256,
                                       &bans);
   EXPECT_EQ(p1.size(), base.size());  // identical plane, no bans
+}
+
+// ------------------------------------------------- independent reference
+//
+// Yen and Dijkstra as they stood before the pruned spur search: a full
+// Dijkstra per spur node with fresh ban masks, hosts pushed and dropped.
+// The production search must return exactly these paths, in this order.
+
+std::optional<Path> reference_dijkstra(const Graph& g, NodeId src,
+                                       NodeId dst, const LinkWeights& weights,
+                                       const std::vector<bool>& banned_links,
+                                       const std::vector<bool>& banned_nodes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(static_cast<std::size_t>(g.num_nodes()), kInf);
+  std::vector<LinkId> parent_link(static_cast<std::size_t>(g.num_nodes()));
+  auto node_banned = [&](NodeId n) {
+    return !banned_nodes.empty() && banned_nodes[static_cast<std::size_t>(n.v)];
+  };
+  auto link_banned = [&](LinkId l) {
+    return !banned_links.empty() && banned_links[static_cast<std::size_t>(l.v)];
+  };
+  if (node_banned(src) || node_banned(dst)) return std::nullopt;
+
+  using Entry = std::pair<double, std::int32_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  dist[static_cast<std::size_t>(src.v)] = 0.0;
+  heap.emplace(0.0, src.v);
+  while (!heap.empty()) {
+    const auto [d, uv] = heap.top();
+    heap.pop();
+    const NodeId u{uv};
+    if (d > dist[static_cast<std::size_t>(uv)]) continue;
+    if (u == dst) break;
+    if (u != src && g.is_host(u)) continue;
+    for (LinkId id : g.out_links(u)) {
+      if (link_banned(id)) continue;
+      const NodeId v = g.link(id).dst;
+      if (node_banned(v)) continue;
+      const double nd = d + weights[static_cast<std::size_t>(id.v)];
+      if (nd < dist[static_cast<std::size_t>(v.v)]) {
+        dist[static_cast<std::size_t>(v.v)] = nd;
+        parent_link[static_cast<std::size_t>(v.v)] = id;
+        heap.emplace(nd, v.v);
+      }
+    }
+  }
+  if (dist[static_cast<std::size_t>(dst.v)] == kInf) return std::nullopt;
+  Path path;
+  for (NodeId at = dst; at != src;) {
+    const LinkId incoming = parent_link[static_cast<std::size_t>(at.v)];
+    path.links.push_back(incoming);
+    at = g.link(incoming).src;
+  }
+  std::reverse(path.links.begin(), path.links.end());
+  return path;
+}
+
+std::vector<Path> reference_k_shortest_paths(
+    const Graph& g, NodeId src, NodeId dst, int k,
+    const LinkWeights* tiebreak_weights = nullptr,
+    const std::vector<bool>* base_banned = nullptr) {
+  std::vector<Path> result;
+  if (k <= 0 || src == dst) return result;
+  const LinkWeights unit =
+      tiebreak_weights != nullptr
+          ? *tiebreak_weights
+          : LinkWeights(static_cast<std::size_t>(g.num_links()), 1.0);
+  const std::vector<bool> no_base;
+  const std::vector<bool>& base =
+      base_banned != nullptr ? *base_banned : no_base;
+
+  auto first = reference_dijkstra(g, src, dst, unit, base, {});
+  if (!first) return result;
+  result.push_back(std::move(*first));
+
+  auto path_less = [](const Path& a, const Path& b) {
+    if (a.hops() != b.hops()) return a.hops() < b.hops();
+    return a.links < b.links;
+  };
+  std::set<Path, decltype(path_less)> candidates(path_less);
+  while (static_cast<int>(result.size()) < k) {
+    const Path& prev = result.back();
+    Path root_path;
+    root_path.plane = prev.plane;
+    NodeId spur_node = src;
+    for (std::size_t i = 0; i < prev.links.size(); ++i) {
+      std::vector<bool> banned_links =
+          base.empty() ? std::vector<bool>(
+                             static_cast<std::size_t>(g.num_links()), false)
+                       : base;
+      std::vector<bool> banned_nodes(static_cast<std::size_t>(g.num_nodes()),
+                                     false);
+      for (const Path& p : result) {
+        if (p.links.size() > i &&
+            std::equal(root_path.links.begin(), root_path.links.end(),
+                       p.links.begin())) {
+          banned_links[static_cast<std::size_t>(p.links[i].v)] = true;
+        }
+      }
+      NodeId at = src;
+      for (const LinkId id : root_path.links) {
+        banned_nodes[static_cast<std::size_t>(at.v)] = true;
+        at = g.link(id).dst;
+      }
+      auto spur = reference_dijkstra(g, spur_node, dst, unit, banned_links,
+                                     banned_nodes);
+      if (spur) {
+        Path total;
+        total.plane = prev.plane;
+        total.links = root_path.links;
+        total.links.insert(total.links.end(), spur->links.begin(),
+                           spur->links.end());
+        if (std::find(result.begin(), result.end(), total) == result.end()) {
+          candidates.insert(std::move(total));
+        }
+      }
+      root_path.links.push_back(prev.links[i]);
+      spur_node = g.link(prev.links[i]).dst;
+    }
+    if (candidates.empty()) break;
+    result.push_back(*candidates.begin());
+    candidates.erase(candidates.begin());
+  }
+  return result;
+}
+
+std::vector<Path> reference_ksp_across_planes(const topo::ParallelNetwork& net,
+                                              HostId src, HostId dst, int k,
+                                              std::uint64_t tiebreak_seed,
+                                              int total_cap,
+                                              const PlaneBans* bans) {
+  if (total_cap <= 0) total_cap = k;
+  std::vector<std::tuple<int, int, int>> order;
+  std::vector<Path> pool;
+  for (int p = 0; p < net.num_planes(); ++p) {
+    const Graph& g = net.plane(p).graph;
+    LinkWeights jitter;
+    if (tiebreak_seed != 0) {
+      jitter = jittered_unit_weights(
+          g, tiebreak_seed + static_cast<std::uint64_t>(p) * 0x1F3D5B79ULL);
+    }
+    auto paths = reference_k_shortest_paths(
+        g, net.host_node(p, src), net.host_node(p, dst), k,
+        tiebreak_seed != 0 ? &jitter : nullptr, detail::plane_bans(bans, p));
+    for (std::size_t rank = 0; rank < paths.size(); ++rank) {
+      paths[rank].plane = p;
+      order.emplace_back(paths[rank].hops(), static_cast<int>(rank), p);
+      pool.push_back(std::move(paths[rank]));
+    }
+  }
+  std::vector<std::size_t> index(pool.size());
+  for (std::size_t i = 0; i < index.size(); ++i) index[i] = i;
+  std::sort(index.begin(), index.end(), [&](std::size_t a, std::size_t b) {
+    return order[a] < order[b];
+  });
+  std::vector<Path> out;
+  for (std::size_t i = 0;
+       i < index.size() && static_cast<int>(out.size()) < total_cap; ++i) {
+    out.push_back(std::move(pool[index[i]]));
+  }
+  return out;
+}
+
+/// Fails `cables` random duplex cables of every plane (both directions).
+PlaneBans random_duplex_faults(const topo::ParallelNetwork& net, int cables,
+                               Rng& rng) {
+  PlaneBans bans(static_cast<std::size_t>(net.num_planes()));
+  for (int p = 0; p < net.num_planes(); ++p) {
+    const Graph& g = net.plane(p).graph;
+    auto& mask = bans[static_cast<std::size_t>(p)];
+    mask.assign(static_cast<std::size_t>(g.num_links()), false);
+    for (int c = 0; c < cables; ++c) {
+      const int link =
+          2 * rng.next_int(0, g.num_cables());  // forward link of a cable
+      mask[static_cast<std::size_t>(link)] = true;
+      mask[static_cast<std::size_t>(link) + 1] = true;
+    }
+  }
+  return bans;
+}
+
+/// Runs `queries` random queries on `net` through both ksp_across_planes
+/// and plane-0 k_shortest_paths, each against the reference, and returns
+/// how many paths matched. A query draws its hosts, k in [1, 16], unit or
+/// jittered weights (or, for direct queries, integer weights in [0, 3]),
+/// and either no faults or a few failed duplex cables per plane.
+std::size_t expect_matches_reference(const topo::ParallelNetwork& net,
+                                     int queries, std::uint64_t seed) {
+  Rng rng(seed);
+  std::size_t paths = 0;
+  const int hosts = net.num_hosts();
+  const Graph& g0 = net.plane(0).graph;
+  for (int q = 0; q < queries; ++q) {
+    const HostId src{rng.next_int(0, hosts)};
+    HostId dst{rng.next_int(0, hosts)};
+    if (dst == src) dst = HostId{(dst.v + 1) % hosts};
+    const int k = rng.next_int(1, 17);
+    const std::uint64_t tiebreak = rng.next_below(2) == 0 ? 0 : rng.next_u64();
+    const int fault_cables = rng.next_below(2) == 0 ? 0 : rng.next_int(1, 9);
+    const PlaneBans bans = random_duplex_faults(net, fault_cables, rng);
+    const PlaneBans* maybe_bans = fault_cables > 0 ? &bans : nullptr;
+    const int total_cap = rng.next_below(2) == 0 ? 0 : k * net.num_planes();
+
+    const auto got =
+        ksp_across_planes(net, src, dst, k, tiebreak, total_cap, maybe_bans);
+    const auto want = reference_ksp_across_planes(net, src, dst, k, tiebreak,
+                                                  total_cap, maybe_bans);
+    EXPECT_EQ(got, want) << "ksp_across_planes query " << q << ": " << src.v
+                         << " -> " << dst.v << " k=" << k
+                         << " seed=" << tiebreak
+                         << " faults=" << fault_cables;
+    paths += want.size();
+
+    LinkWeights weights;
+    switch (rng.next_below(3)) {
+      case 0:
+        break;  // unit
+      case 1:
+        weights = jittered_unit_weights(g0, rng.next_u64());
+        break;
+      default:
+        weights.resize(static_cast<std::size_t>(g0.num_links()));
+        for (auto& w : weights) w = static_cast<double>(rng.next_below(4));
+        break;
+    }
+    const LinkWeights* w = weights.empty() ? nullptr : &weights;
+    const auto* mask = detail::plane_bans(maybe_bans, 0);
+    const NodeId s0 = net.host_node(0, src);
+    const NodeId d0 = net.host_node(0, dst);
+    const auto direct = k_shortest_paths(g0, s0, d0, k, w, mask);
+    const auto direct_want = reference_k_shortest_paths(g0, s0, d0, k, w, mask);
+    EXPECT_EQ(direct, direct_want) << "k_shortest_paths query " << q << ": "
+                                   << src.v << " -> " << dst.v << " k=" << k;
+    paths += direct_want.size();
+  }
+  return paths;
+}
+
+topo::ParallelNetwork reference_net(topo::TopoKind kind, int hosts,
+                                    int planes) {
+  topo::NetworkSpec spec;
+  spec.topo = kind;
+  spec.hosts = hosts;
+  spec.parallelism = planes;
+  spec.type = planes == 1 ? topo::NetworkType::kSerialLow
+                          : topo::NetworkType::kParallelHeterogeneous;
+  return topo::build_network(spec);
+}
+
+TEST(YenReference, MatchesOnJellyfish) {
+  std::size_t paths = 0;
+  paths += expect_matches_reference(
+      reference_net(topo::TopoKind::kJellyfish, 96, 4), 300, 11);
+  paths += expect_matches_reference(
+      reference_net(topo::TopoKind::kJellyfish, 200, 2), 200, 12);
+  paths += expect_matches_reference(
+      reference_net(topo::TopoKind::kJellyfish, 686, 1), 60, 13);
+  EXPECT_GT(paths, 5000u);
+}
+
+TEST(YenReference, MatchesOnFatTree) {
+  std::size_t paths = 0;
+  paths += expect_matches_reference(
+      reference_net(topo::TopoKind::kFatTree, 54, 2), 200, 21);
+  paths += expect_matches_reference(
+      reference_net(topo::TopoKind::kFatTree, 128, 2), 150, 22);
+  EXPECT_GT(paths, 3000u);
+}
+
+TEST(YenReference, MatchesOnXpander) {
+  const std::size_t paths = expect_matches_reference(
+      reference_net(topo::TopoKind::kXpander, 128, 2), 200, 31);
+  EXPECT_GT(paths, 2000u);
+}
+
+TEST(YenReference, SpurWhoseTreePathIsBannedStartsUnbounded) {
+  // The reverse tree to t routes s via a (lowest node id at equal cost).
+  // Ban s->a: the tree path from s is infeasible, so the spur search starts
+  // with no bound and must still find the reference's path via b.
+  std::vector<NodeId> n;
+  const Graph g = diamond(n);
+  const LinkId s_to_a = g.out_links(n[0]).front();
+  ASSERT_EQ(g.link(s_to_a).dst, n[1]);
+
+  PathSearch search(g, nullptr, nullptr);
+  search.build_tree(n[3]);
+  EXPECT_TRUE(search.tree_feasible(n[0]));
+  search.ban_link(s_to_a);
+  EXPECT_FALSE(search.tree_feasible(n[0]));
+  const auto got = search.find(n[0], n[3]);
+
+  std::vector<bool> banned(static_cast<std::size_t>(g.num_links()), false);
+  banned[static_cast<std::size_t>(s_to_a.v)] = true;
+  const LinkWeights unit(static_cast<std::size_t>(g.num_links()), 1.0);
+  const auto want = reference_dijkstra(g, n[0], n[3], unit, banned, {});
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(g.link(got->links.front()).dst, n[2]);  // via b
+
+  // A banned node on the tree path is just as infeasible.
+  search.clear_bans();
+  search.ban_node(n[1]);
+  EXPECT_FALSE(search.tree_feasible(n[0]));
+  search.clear_bans();
+  EXPECT_TRUE(search.tree_feasible(n[0]));
+
+  for (int k = 1; k <= 4; ++k) {
+    EXPECT_EQ(k_shortest_paths(g, n[0], n[3], k),
+              reference_k_shortest_paths(g, n[0], n[3], k));
+  }
+}
+
+TEST(YenReference, DstCutOffByFaults) {
+  const auto net = reference_net(topo::TopoKind::kJellyfish, 96, 2);
+  const HostId src{3};
+  const HostId dst{70};
+  // Fail every cable of dst's host in plane 0; plane 1 stays intact.
+  PlaneBans bans(2);
+  const Graph& g0 = net.plane(0).graph;
+  bans[0].assign(static_cast<std::size_t>(g0.num_links()), false);
+  for (const LinkId id : g0.out_links(net.host_node(0, dst))) {
+    bans[0][static_cast<std::size_t>(id.v)] = true;
+    bans[0][static_cast<std::size_t>(id.v ^ 1)] = true;
+  }
+  EXPECT_TRUE(k_shortest_paths(g0, net.host_node(0, src),
+                               net.host_node(0, dst), 8, nullptr, &bans[0])
+                  .empty());
+  EXPECT_TRUE(reference_k_shortest_paths(g0, net.host_node(0, src),
+                                         net.host_node(0, dst), 8, nullptr,
+                                         &bans[0])
+                  .empty());
+  const auto got = ksp_across_planes(net, src, dst, 8, 5, 0, &bans);
+  ASSERT_FALSE(got.empty());
+  for (const auto& p : got) EXPECT_EQ(p.plane, 1);
+  EXPECT_EQ(got, reference_ksp_across_planes(net, src, dst, 8, 5, 0, &bans));
+}
+
+TEST(Dijkstra, MatchesReferenceOnArbitraryWeights) {
+  // The LP oracle's use: lengths of any non-negative magnitude, including
+  // zero, with link and node bans.
+  const auto net = reference_net(topo::TopoKind::kJellyfish, 96, 1);
+  const Graph& g = net.plane(0).graph;
+  Rng rng(41);
+  for (int q = 0; q < 200; ++q) {
+    LinkWeights w(static_cast<std::size_t>(g.num_links()));
+    for (auto& x : w) {
+      // Lengths spanning e^-10 .. e^10, one in eight exactly zero.
+      x = rng.next_below(8) == 0
+              ? 0.0
+              : std::exp(rng.next_double() * 20.0 - 10.0);
+    }
+    std::vector<bool> links(static_cast<std::size_t>(g.num_links()), false);
+    std::vector<bool> nodes(static_cast<std::size_t>(g.num_nodes()), false);
+    for (int i = 0; i < q % 12; ++i) {
+      links[static_cast<std::size_t>(rng.next_int(0, g.num_links()))] = true;
+      nodes[static_cast<std::size_t>(rng.next_int(0, g.num_nodes()))] = true;
+    }
+    const NodeId src = net.host_node(0, HostId{rng.next_int(0, 96)});
+    const NodeId dst = net.host_node(0, HostId{rng.next_int(0, 96)});
+    EXPECT_EQ(dijkstra(g, src, dst, w, links, nodes),
+              reference_dijkstra(g, src, dst, w, links, nodes))
+        << "query " << q;
+    // Pruned Yen under the same lengths.
+    const int k = 1 + q % 8;
+    EXPECT_EQ(k_shortest_paths(g, src, dst, k, &w, &links),
+              reference_k_shortest_paths(g, src, dst, k, &w, &links))
+        << "query " << q;
+  }
 }
 
 }  // namespace
