@@ -7,58 +7,13 @@
 // shortest-plane interface wins latency, KSP multipath wins bulk, and the
 // size-threshold policy gets both by dispatching on flow size (§5.1.2).
 //
-// One custom-engine cell per (workload, policy); exp::Runner fans the
+// One closed-loop cell per (workload, policy); exp::Runner fans the
 // 10-cell grid over --threads.
 //
 // Usage: bench_ablation_policies [--hosts=64] [--planes=4] [--rounds=10]
 #include "common.hpp"
-#include "workload/apps.hpp"
 
 using namespace pnet;
-
-namespace {
-
-exp::TrialResult run_policy(core::RoutingPolicy policy_kind, int hosts,
-                            int planes, std::uint64_t flow_bytes, int rounds,
-                            const exp::TrialContext& ctx) {
-  const auto spec =
-      bench::make_spec(topo::TopoKind::kJellyfish,
-                       topo::NetworkType::kParallelHeterogeneous, hosts,
-                       planes, ctx.seed);
-  core::PolicyConfig policy;
-  policy.policy = policy_kind;
-  policy.k = planes;
-  sim::SimConfig sim_config;
-  sim_config.queue_buffer_bytes = 400 * 1500;
-  core::SimHarness harness({.spec = spec, .policy = policy, .sim_config = sim_config});
-
-  workload::ClosedLoopApp::Config config;
-  config.concurrent_per_host = 2;
-  config.rounds_per_worker = rounds;
-  config.seed = mix64(ctx.seed);
-  workload::ClosedLoopApp app(
-      harness.starter(), harness.all_hosts(), config,
-      [&](HostId src, Rng& rng) {
-        return workload::random_destination(harness.net().num_hosts(), src,
-                                            rng);
-      },
-      [flow_bytes](Rng&) { return flow_bytes; });
-  app.start(0);
-  harness.run();
-
-  exp::TrialResult r;
-  r.fct_us = app.completion_times_us();
-  r.flows_started = static_cast<std::uint64_t>(harness.net().num_hosts()) *
-                    2ULL * static_cast<std::uint64_t>(rounds);
-  r.flows_finished = r.fct_us.size();
-  r.delivered_bytes =
-      static_cast<double>(harness.factory().total_delivered_bytes());
-  r.sim_seconds = units::to_seconds(harness.events().now());
-  r.events = harness.dispatched();
-  return r;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
@@ -90,16 +45,19 @@ int main(int argc, char** argv) {
   bench::Experiment experiment(flags, "ablation_policies");
   for (const auto& [label, bytes] : workloads) {
     for (auto p : policies) {
-      exp::ExperimentSpec spec;
-      spec.name = std::string(core::to_string(p)) + "/" +
-                  std::to_string(bytes) + "B";
-      spec.engine = exp::EngineKind::kCustom;
-      spec.seed = seed;
+      auto spec = bench::closed_loop_spec(
+          std::string(core::to_string(p)) + "/" + std::to_string(bytes) +
+              "B",
+          topo::TopoKind::kJellyfish,
+          topo::NetworkType::kParallelHeterogeneous, hosts, planes, seed);
+      spec.policy.policy = p;
+      spec.policy.k = planes;
+      spec.sim.queue_buffer_bytes = 400 * 1500;
+      spec.workload.concurrent = 2;
+      spec.workload.flow_bytes = bytes;
+      spec.workload.rounds = rounds;
       spec.trials = experiment.trials(1);
-      const std::uint64_t b = bytes;
-      experiment.add(std::move(spec), [=](const exp::TrialContext& ctx) {
-        return run_policy(p, hosts, planes, b, rounds, ctx);
-      });
+      experiment.add(std::move(spec));
     }
   }
   const auto results = experiment.run();

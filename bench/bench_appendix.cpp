@@ -8,57 +8,16 @@
 // 400G serial network. Fat trees have no heterogeneous variant, so those
 // cells are skipped, as in the paper.
 //
-// One custom-engine cell per (trace, grade, topology, type); the whole
+// One closed-loop cell per (trace, grade, topology, type); the whole
 // grid fans out through exp::Runner.
 //
 // Usage: bench_appendix [--hosts=48] [--rounds=4] [--seed=1] [--cap_mb=8]
 #include "common.hpp"
-#include "workload/apps.hpp"
 #include "workload/traces.hpp"
 
 using namespace pnet;
 
 namespace {
-
-exp::TrialResult run_config(topo::TopoKind kind, topo::NetworkType type,
-                            workload::Trace trace, int hosts,
-                            double base_rate, int rounds,
-                            std::uint64_t cap_bytes,
-                            const exp::TrialContext& ctx) {
-  auto spec = bench::make_spec(kind, type, hosts, 4, ctx.seed);
-  spec.base_rate_bps = base_rate;
-  core::PolicyConfig policy;
-  policy.policy = core::RoutingPolicy::kShortestPlane;
-  sim::SimConfig sim_config;
-  sim_config.queue_buffer_bytes = 400 * 1500;
-  core::SimHarness harness({.spec = spec, .policy = policy, .sim_config = sim_config});
-
-  const auto& dist = workload::FlowSizeDistribution::of(trace);
-  workload::ClosedLoopApp::Config config;
-  config.concurrent_per_host = 2;
-  config.rounds_per_worker = rounds;
-  config.seed = mix64(ctx.seed);
-  workload::ClosedLoopApp app(
-      harness.starter(), harness.all_hosts(), config,
-      [&](HostId src, Rng& rng) {
-        return workload::random_destination(harness.net().num_hosts(), src,
-                                            rng);
-      },
-      [&dist, cap_bytes](Rng& rng) { return dist.sample(rng, cap_bytes); });
-  app.start(0);
-  harness.run();
-
-  exp::TrialResult r;
-  r.fct_us = app.completion_times_us();
-  r.flows_started = static_cast<std::uint64_t>(harness.net().num_hosts()) *
-                    2ULL * static_cast<std::uint64_t>(rounds);
-  r.flows_finished = r.fct_us.size();
-  r.delivered_bytes =
-      static_cast<double>(harness.factory().total_delivered_bytes());
-  r.sim_seconds = units::to_seconds(harness.events().now());
-  r.events = harness.dispatched();
-  return r;
-}
 
 bool skip_cell(topo::TopoKind kind, topo::NetworkType type) {
   // Fat trees have no heterogeneous instantiation (paper note).
@@ -105,17 +64,19 @@ int main(int argc, char** argv) {
       for (auto kind : kinds) {
         for (auto type : bench::kAllTypes) {
           if (skip_cell(kind, type)) continue;
-          exp::ExperimentSpec spec;
-          spec.name = std::string(workload::to_string(trace)) + "/" +
-                      (base_rate == 10e9 ? "10G" : "100G") + "/" +
-                      topo::to_string(kind) + "/" + topo::to_string(type);
-          spec.engine = exp::EngineKind::kCustom;
-          spec.seed = seed;
+          auto spec = bench::closed_loop_spec(
+              workload::to_string(trace) + "/" +
+                  (base_rate == 10e9 ? "10G" : "100G") + "/" +
+                  topo::to_string(kind) + "/" + topo::to_string(type),
+              kind, type, hosts, 4, seed);
+          spec.topo.base_rate_bps = base_rate;
+          spec.sim.queue_buffer_bytes = 400 * 1500;
+          spec.workload.concurrent = 2;
+          spec.workload.rounds = rounds;
+          spec.workload.trace = trace;
+          spec.workload.trace_cap_bytes = cap;
           spec.trials = experiment.trials(1);
-          experiment.add(std::move(spec), [=](const exp::TrialContext& ctx) {
-            return run_config(kind, type, trace, hosts, base_rate, rounds,
-                              cap, ctx);
-          });
+          experiment.add(std::move(spec));
         }
       }
     }

@@ -8,55 +8,14 @@
 // in the paper. Serial high-bw only shaves serialization delay (90 ns/hop
 // at 400G), which is small next to the ~1 us/hop propagation.
 //
-// One custom-engine cell per network type; the RPC completion times are
+// One closed-loop cell per network type; the RPC completion times are
 // the cell's FCT sample set in the JSON report.
 //
 // Usage: bench_fig10_table2 [--hosts=96] [--planes=4] [--rounds=100]
 //        [--seed=1]  (--scale=paper: 686 hosts, 1000 rounds)
 #include "common.hpp"
-#include "workload/apps.hpp"
 
 using namespace pnet;
-
-namespace {
-
-exp::TrialResult run_rpcs(topo::NetworkType type, int hosts, int planes,
-                          std::uint64_t rpc_bytes, int rounds,
-                          const exp::TrialContext& ctx) {
-  const auto spec = bench::make_spec(topo::TopoKind::kJellyfish, type,
-                                     hosts, planes, ctx.seed);
-  core::PolicyConfig policy;
-  policy.policy = core::RoutingPolicy::kShortestPlane;  // single path
-  core::SimHarness harness({.spec = spec, .policy = policy});
-
-  workload::ClosedLoopApp::Config config;
-  config.concurrent_per_host = 1;
-  config.response_bytes = rpc_bytes;
-  config.rounds_per_worker = rounds;
-  config.seed = mix64(ctx.seed);
-  workload::ClosedLoopApp app(
-      harness.starter(), harness.all_hosts(), config,
-      [&](HostId src, Rng& rng) {
-        return workload::random_destination(harness.net().num_hosts(), src,
-                                            rng);
-      },
-      [rpc_bytes](Rng&) { return rpc_bytes; });
-  app.start(0);
-  harness.run();
-
-  exp::TrialResult r;
-  r.fct_us = app.completion_times_us();
-  r.flows_started = static_cast<std::uint64_t>(harness.net().num_hosts()) *
-                    static_cast<std::uint64_t>(rounds);
-  r.flows_finished = r.fct_us.size();
-  r.delivered_bytes =
-      static_cast<double>(harness.factory().total_delivered_bytes());
-  r.sim_seconds = units::to_seconds(harness.events().now());
-  r.events = harness.dispatched();
-  return r;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
@@ -78,14 +37,14 @@ int main(int argc, char** argv) {
 
   bench::Experiment experiment(flags, "fig10_table2");
   for (auto type : bench::kAllTypes) {
-    exp::ExperimentSpec spec;
-    spec.name = topo::to_string(type);
-    spec.engine = exp::EngineKind::kCustom;
-    spec.seed = seed;
+    auto spec = bench::closed_loop_spec(topo::to_string(type),
+                                        topo::TopoKind::kJellyfish, type,
+                                        hosts, planes, seed);
+    spec.workload.flow_bytes = 1500;
+    spec.workload.response_bytes = 1500;
+    spec.workload.rounds = rounds;
     spec.trials = experiment.trials(1);
-    experiment.add(std::move(spec), [=](const exp::TrialContext& ctx) {
-      return run_rpcs(type, hosts, planes, 1500, rounds, ctx);
-    });
+    experiment.add(std::move(spec));
   }
   const auto results = experiment.run();
 

@@ -8,59 +8,14 @@
 // high-bw only drains faster; parallel networks spread the requests over
 // 4x the paths and queues, keeping all percentiles mild.
 //
-// One custom-engine cell per (concurrency, network type) grid point, all
+// One closed-loop cell per (concurrency, network type) grid point, all
 // fanned out together by exp::Runner; drops and timeouts ride in the
-// cell's extra metrics.
+// cell's metrics.
 //
 // Usage: bench_fig11 [--hosts=64] [--planes=4] [--rounds=30] [--seed=1]
 #include "common.hpp"
-#include "workload/apps.hpp"
 
 using namespace pnet;
-
-namespace {
-
-exp::TrialResult run_rpcs(topo::NetworkType type, int hosts, int planes,
-                          int concurrent, int rounds,
-                          const exp::TrialContext& ctx) {
-  const auto spec = bench::make_spec(topo::TopoKind::kJellyfish, type,
-                                     hosts, planes, ctx.seed);
-  core::PolicyConfig policy;
-  policy.policy = core::RoutingPolicy::kShortestPlane;
-  core::SimHarness harness({.spec = spec, .policy = policy});
-
-  workload::ClosedLoopApp::Config config;
-  config.concurrent_per_host = concurrent;
-  config.response_bytes = 1500;  // small ack-sized reply
-  config.rounds_per_worker = rounds;
-  config.seed = mix64(ctx.seed);
-  workload::ClosedLoopApp app(
-      harness.starter(), harness.all_hosts(), config,
-      [&](HostId src, Rng& rng) {
-        return workload::random_destination(harness.net().num_hosts(), src,
-                                            rng);
-      },
-      [](Rng&) { return std::uint64_t{100'000}; });
-  app.start(0);
-  harness.run();
-
-  exp::TrialResult r;
-  r.fct_us = app.completion_times_us();
-  r.flows_started = static_cast<std::uint64_t>(harness.net().num_hosts()) *
-                    static_cast<std::uint64_t>(concurrent) *
-                    static_cast<std::uint64_t>(rounds);
-  r.flows_finished = r.fct_us.size();
-  r.delivered_bytes =
-      static_cast<double>(harness.factory().total_delivered_bytes());
-  r.sim_seconds = units::to_seconds(harness.events().now());
-  r.events = harness.dispatched();
-  r.metrics["drops"] = static_cast<double>(harness.network().total_drops());
-  r.metrics["timeouts"] =
-      static_cast<double>(harness.logger().total_timeouts());
-  return r;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
@@ -87,14 +42,15 @@ int main(int argc, char** argv) {
   bench::Experiment experiment(flags, "fig11");
   for (int c : concurrency) {
     for (auto type : bench::kAllTypes) {
-      exp::ExperimentSpec spec;
-      spec.name = "conc=" + std::to_string(c) + "/" + topo::to_string(type);
-      spec.engine = exp::EngineKind::kCustom;
-      spec.seed = seed;
+      auto spec = bench::closed_loop_spec(
+          "conc=" + std::to_string(c) + "/" + topo::to_string(type),
+          topo::TopoKind::kJellyfish, type, hosts, planes, seed);
+      spec.workload.concurrent = c;
+      spec.workload.flow_bytes = 100'000;
+      spec.workload.response_bytes = 1500;  // small ack-sized reply
+      spec.workload.rounds = rounds;
       spec.trials = experiment.trials(1);
-      experiment.add(std::move(spec), [=](const exp::TrialContext& ctx) {
-        return run_rpcs(type, hosts, planes, c, rounds, ctx);
-      });
+      experiment.add(std::move(spec));
     }
   }
   const auto results = experiment.run();

@@ -12,59 +12,15 @@
 // most of the gap to serial high-bw.
 //
 // Part (a) is pure distribution sampling and stays inline; parts (b)/(c)
-// are one custom-engine cell per (trace, network type), fanned over
+// are one closed-loop cell per (trace, network type), fanned over
 // --threads by exp::Runner.
 //
 // Usage: bench_fig13 [--hosts=64] [--planes=4] [--rounds=8] [--seed=1]
 //        [--cap_mb=16]  (--scale=paper: 686 hosts, more rounds, no cap)
 #include "common.hpp"
-#include "workload/apps.hpp"
 #include "workload/traces.hpp"
 
 using namespace pnet;
-
-namespace {
-
-exp::TrialResult run_trace(topo::NetworkType type, workload::Trace trace,
-                           int hosts, int planes, int rounds,
-                           std::uint64_t cap_bytes,
-                           const exp::TrialContext& ctx) {
-  const auto spec = bench::make_spec(topo::TopoKind::kJellyfish, type,
-                                     hosts, planes, ctx.seed);
-  core::PolicyConfig policy;
-  policy.policy = core::RoutingPolicy::kShortestPlane;  // single path, §5.3
-  sim::SimConfig sim_config;
-  sim_config.queue_buffer_bytes = 400 * 1500;
-  core::SimHarness harness({.spec = spec, .policy = policy, .sim_config = sim_config});
-
-  const auto& dist = workload::FlowSizeDistribution::of(trace);
-  workload::ClosedLoopApp::Config config;
-  config.concurrent_per_host = 4;  // saturating closed loop, §5.3
-  config.rounds_per_worker = rounds;
-  config.seed = mix64(ctx.seed);
-  workload::ClosedLoopApp app(
-      harness.starter(), harness.all_hosts(), config,
-      [&](HostId src, Rng& rng) {
-        return workload::random_destination(harness.net().num_hosts(), src,
-                                            rng);
-      },
-      [&dist, cap_bytes](Rng& rng) { return dist.sample(rng, cap_bytes); });
-  app.start(0);
-  harness.run();
-
-  exp::TrialResult r;
-  r.fct_us = app.completion_times_us();
-  r.flows_started = static_cast<std::uint64_t>(harness.net().num_hosts()) *
-                    4ULL * static_cast<std::uint64_t>(rounds);
-  r.flows_finished = r.fct_us.size();
-  r.delivered_bytes =
-      static_cast<double>(harness.factory().total_delivered_bytes());
-  r.sim_seconds = units::to_seconds(harness.events().now());
-  r.events = harness.dispatched();
-  return r;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
@@ -109,15 +65,16 @@ int main(int argc, char** argv) {
   bench::Experiment experiment(flags, "fig13");
   for (auto trace : traces) {
     for (auto type : bench::kAllTypes) {
-      exp::ExperimentSpec spec;
-      spec.name = std::string(workload::to_string(trace)) + "/" +
-                  topo::to_string(type);
-      spec.engine = exp::EngineKind::kCustom;
-      spec.seed = seed;
+      auto spec = bench::closed_loop_spec(
+          workload::to_string(trace) + "/" + topo::to_string(type),
+          topo::TopoKind::kJellyfish, type, hosts, planes, seed);
+      spec.sim.queue_buffer_bytes = 400 * 1500;
+      spec.workload.concurrent = 4;  // saturating closed loop, §5.3
+      spec.workload.rounds = rounds;
+      spec.workload.trace = trace;
+      spec.workload.trace_cap_bytes = cap;
       spec.trials = experiment.trials(1);
-      experiment.add(std::move(spec), [=](const exp::TrialContext& ctx) {
-        return run_trace(type, trace, hosts, planes, rounds, cap, ctx);
-      });
+      experiment.add(std::move(spec));
     }
   }
   const auto results = experiment.run();

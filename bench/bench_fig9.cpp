@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
                       "  --planes=N       dataplanes (default 4)\n"
                       "  --rounds=N       permutation rounds (default 3)\n"
                       "  --maxsize=N      largest flow size in bytes\n"
-                      "  --seed=N         base seed (default 1)\n");
+                      "  --seed=N         base seed (default 1)\n"
+                      "  --engine=E       packet|fsim (default packet)\n");
   const auto engine = bench::parse_engine(flags);
   const bool paper = flags.paper_scale();
   const int hosts = flags.get_int("hosts", paper ? 686 : 96);

@@ -7,11 +7,13 @@
 # Packet rows run two back-to-back rounds under --require-complete, so a
 # report that leaves flows unfinished fails here even when every row
 # reproduces it. Invoked by the bench_report_determinism test with
-# -DBENCH=<bench_fig9 path> -DFAULT_BENCH=<bench_fault_recovery path>
-# -DWORKDIR=<scratch dir>.
+# -DBENCH=<bench_fig9 path> -DRPC_BENCH=<bench_fig11 path>
+# -DFAULT_BENCH=<bench_fault_recovery path> -DWORKDIR=<scratch dir>.
 set(args --hosts=16 --planes=2 --maxsize=1000000 --trials=2 --json-timing=0)
 set(packet_args ${args} --engine=packet --rounds=2 --require-complete)
 set(fsim_args ${args} --engine=fsim --rounds=1)
+set(rpc_args --hosts=16 --planes=2 --rounds=2 --trials=2 --json-timing=0
+    --require-complete)
 
 # Runs `bench` with `case_args` once per row and fails unless every JSON
 # report is byte-identical to the first row's. A row reads
@@ -69,6 +71,12 @@ check_rows(fig9_ctl_packet ${BENCH}
            "1/-/on;4/-/on;1/2/on;4/4/on")
 check_rows(fig9_ctl_fsim ${BENCH} "${fsim_args};--controller=centralized"
            "1/-/on;4/-/on")
+
+# Closed-loop cells (bench_fig11's RPC grid) share the runner's route
+# cache and shard pool like fig9's, so they obey the same contract.
+if(RPC_BENCH)
+  check_rows(fig11_packet ${RPC_BENCH} "${rpc_args}" "${packet_rows}")
+endif()
 
 if(FAULT_BENCH)
   check_rows(fault_recovery ${FAULT_BENCH} "--hosts=16;--json-timing=0"

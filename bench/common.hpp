@@ -24,6 +24,7 @@
 #include "routing/plane_paths.hpp"
 #include "util/audit.hpp"
 #include "util/flags.hpp"
+#include "util/parallel.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/patterns.hpp"
@@ -45,6 +46,24 @@ inline topo::NetworkSpec make_spec(topo::TopoKind kind,
   spec.type = type;
   spec.hosts = hosts;
   spec.parallelism = parallelism;
+  spec.seed = seed;
+  return spec;
+}
+
+/// A closed-loop cell (exp::WorkloadSpec::Pattern::kClosedLoop, DESIGN.md
+/// §5c) with single-path shortest-plane routing — the shape the RPC and
+/// trace benches share. Every trial runs on the network
+/// util::job_seed(seed, 0) draws: the instance each of these benches'
+/// trial 0 built back when trials drew their own topology.
+inline exp::ExperimentSpec closed_loop_spec(std::string name,
+                                            topo::TopoKind kind,
+                                            topo::NetworkType type, int hosts,
+                                            int planes, std::uint64_t seed) {
+  exp::ExperimentSpec spec;
+  spec.name = std::move(name);
+  spec.topo = make_spec(kind, type, hosts, planes, util::job_seed(seed, 0));
+  spec.policy.policy = core::RoutingPolicy::kShortestPlane;
+  spec.workload.pattern = exp::WorkloadSpec::Pattern::kClosedLoop;
   spec.seed = seed;
   return spec;
 }

@@ -103,6 +103,14 @@ class ControlDriver : public sim::EventSource {
     events_.schedule_aux_at(next_, this);
   }
 
+  /// Re-arms the loop after a run() drained every queue, for work about to
+  /// start at `now` (a back-to-back round): ticks continue on the same
+  /// cadence grid, from its first point after `now`.
+  void resume(SimTime now) {
+    if (next_ <= now) next_ += ((now - next_) / cadence_ + 1) * cadence_;
+    events_.schedule_aux_at(next_, this);
+  }
+
   void do_next_event() override {
     events_.aux_fired();
     controller_.tick(events_.now());

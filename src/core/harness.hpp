@@ -88,6 +88,13 @@ class SimHarness {
   void run() { shards_.run(events_); }
   void run_until(SimTime deadline) { shards_.run_until(events_, deadline); }
 
+  /// The telemetry sampler stops once run() drains every queue; this
+  /// re-arms it before more work is scheduled (e.g. a back-to-back round).
+  /// No-op without telemetry.
+  void resume_sampling() {
+    if (driver_ != nullptr) driver_->resume(events_.now());
+  }
+
   /// Logs partial FlowRecords for flows still active — run_until stops the
   /// clock, it does not complete in-flight transfers, so without this the
   /// FlowLogger silently under-reports launched flows. Call once after the

@@ -118,10 +118,6 @@ bool decode_trial(const std::string& line, std::uint64_t& spec_hash,
   return true;
 }
 
-std::uint64_t Checkpoint::hash_spec(const ExperimentSpec& spec) {
-  return spec.hash();
-}
-
 Checkpoint::Checkpoint(std::string path) : path_(std::move(path)) {
   std::ifstream in(path_);
   std::string line;

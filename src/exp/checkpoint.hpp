@@ -27,7 +27,6 @@
 #include <utility>
 
 #include "exp/report.hpp"
-#include "exp/spec.hpp"
 
 namespace pnet::exp {
 
@@ -49,10 +48,6 @@ class Checkpoint {
   ~Checkpoint();
   Checkpoint(const Checkpoint&) = delete;
   Checkpoint& operator=(const Checkpoint&) = delete;
-
-  /// The journal key: ExperimentSpec::hash(). Kept as a named alias so
-  /// journal-key call sites read as checkpoint code.
-  [[nodiscard]] static std::uint64_t hash_spec(const ExperimentSpec& spec);
 
   /// The journaled result for (spec_hash, trial), or nullptr. Stable for
   /// the checkpoint's lifetime (the loaded map is never mutated).

@@ -1,6 +1,7 @@
 #include "exp/engine.hpp"
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -8,7 +9,9 @@
 #include "control/dataplanes.hpp"
 #include "core/harness.hpp"
 #include "util/parallel.hpp"
+#include "workload/apps.hpp"
 #include "workload/patterns.hpp"
+#include "workload/traces.hpp"
 
 namespace pnet::exp {
 
@@ -24,8 +27,23 @@ std::vector<workload::HostPair> pattern_pairs(
       return workload::all_to_all_pairs(net.num_hosts());
     case WorkloadSpec::Pattern::kRackAllToAll:
       return workload::rack_all_to_all_pairs(net);
+    case WorkloadSpec::Pattern::kClosedLoop:
+      break;  // no host-pair draw: PacketEngine runs a ClosedLoopApp
   }
-  return {};
+  throw std::invalid_argument(
+      std::string("exp: workload pattern ") + to_string(workload.pattern) +
+      " has no host-pair draw");
+}
+
+/// A closed-loop worker's request sizes: fixed, or trace draws.
+workload::SizePicker request_sizes(const WorkloadSpec& workload) {
+  if (!workload.trace.has_value()) {
+    return [bytes = workload.flow_bytes](Rng&) { return bytes; };
+  }
+  return [&dist = workload::FlowSizeDistribution::of(*workload.trace),
+          cap = workload.trace_cap_bytes](Rng& rng) {
+    return dist.sample(rng, cap);
+  };
 }
 
 SimTime jittered(SimTime base, SimTime jitter, Rng& rng) {
@@ -110,37 +128,58 @@ TrialResult PacketEngine::run_trial(const TrialContext& ctx) {
         harness, *controller, spec.controller.cadence);
     control_driver->start(harness.events().now());
   }
-  Rng rng(ctx.seed);
-  for (int round = 0; round < wl.rounds; ++round) {
-    if (ctx.cancel.cancelled()) break;
-    const SimTime base =
-        wl.round_gap > 0 ? round * wl.round_gap : harness.events().now();
-    for (const auto& [src, dst] :
-         pattern_pairs(wl, harness.net(), rng)) {
-      ++r.flows_started;
-      harness.starter()(src, dst, wl.flow_bytes,
-                        jittered(base, wl.start_jitter, rng),
-                        [&r](const sim::FlowRecord& rec) {
-                          r.fct_us.push_back(
-                              units::to_microseconds(rec.end - rec.start));
-                          ++r.flows_finished;
-                        });
-    }
-    if (wl.round_gap == 0) {
-      // Back-to-back rounds: drain this round before drawing the next.
-      if (spec.deadline > 0) {
-        harness.run_until(spec.deadline);
-      } else {
-        harness.run();
-      }
-    }
-  }
-  if (wl.round_gap > 0) {
+  const auto run = [&harness, &spec] {
     if (spec.deadline > 0) {
       harness.run_until(spec.deadline);
     } else {
       harness.run();
     }
+  };
+  std::optional<workload::ClosedLoopApp> app;
+  if (wl.pattern == WorkloadSpec::Pattern::kClosedLoop) {
+    const int hosts = harness.net().num_hosts();
+    app.emplace(harness.starter(), harness.all_hosts(),
+                workload::ClosedLoopApp::Config{
+                    .concurrent_per_host = wl.concurrent,
+                    .response_bytes = wl.response_bytes,
+                    .rounds_per_worker = wl.rounds,
+                    .seed = mix64(ctx.seed)},
+                [hosts](HostId src, Rng& rng) {
+                  return workload::random_destination(hosts, src, rng);
+                },
+                request_sizes(wl));
+    r.flows_started = static_cast<std::uint64_t>(hosts) *
+                      static_cast<std::uint64_t>(wl.concurrent) *
+                      static_cast<std::uint64_t>(wl.rounds);
+    app->start(0);
+    run();
+  } else {
+    Rng rng(ctx.seed);
+    for (int round = 0; round < wl.rounds; ++round) {
+      if (ctx.cancel.cancelled()) break;
+      const SimTime base =
+          wl.round_gap > 0 ? round * wl.round_gap : harness.events().now();
+      if (round > 0 && wl.round_gap == 0) {
+        // The last run() drained every queue, which also stopped the
+        // sampler and the control loop; re-arm both for this round.
+        if (telemetry != nullptr) harness.resume_sampling();
+        if (control_driver != nullptr) control_driver->resume(base);
+      }
+      for (const auto& [src, dst] :
+           pattern_pairs(wl, harness.net(), rng)) {
+        ++r.flows_started;
+        harness.starter()(src, dst, wl.flow_bytes,
+                          jittered(base, wl.start_jitter, rng),
+                          [&r](const sim::FlowRecord& rec) {
+                            r.fct_us.push_back(
+                                units::to_microseconds(rec.end - rec.start));
+                            ++r.flows_finished;
+                          });
+      }
+      // Back-to-back rounds: drain this round before drawing the next.
+      if (wl.round_gap == 0) run();
+    }
+    if (wl.round_gap > 0) run();
   }
   // Finalize before any throw: a cancelled trial must still log its
   // partial flow records (and run the conservation sweep) — the records
@@ -149,6 +188,13 @@ TrialResult PacketEngine::run_trial(const TrialContext& ctx) {
   harness.finalize(harness.events().now());
   throw_if_cancelled(ctx.cancel);
   if (ctx.audit) audit.check();  // raises InvariantViolation on breaches
+  if (app.has_value()) {
+    r.fct_us = app->completion_times_us();
+    r.flows_finished = r.fct_us.size();
+    r.metrics["drops"] = static_cast<double>(harness.network().total_drops());
+    r.metrics["timeouts"] =
+        static_cast<double>(harness.logger().total_timeouts());
+  }
   r.delivered_bytes =
       static_cast<double>(harness.factory().total_delivered_bytes());
   r.sim_seconds = units::to_seconds(harness.events().now());

@@ -93,13 +93,15 @@ class Engine {
   [[nodiscard]] virtual TrialResult run_trial(const TrialContext& ctx) = 0;
 };
 
-/// core::SimHarness over the packet simulator (src/sim).
+/// core::SimHarness over the packet simulator (src/sim). Runs every
+/// workload pattern, the closed loop included.
 class PacketEngine final : public Engine {
  public:
   [[nodiscard]] TrialResult run_trial(const TrialContext& ctx) override;
 };
 
 /// fsim::FluidSimulator — flow-level max-min rates, 100x+ faster.
+/// Host-pair patterns only: it throws std::invalid_argument on kClosedLoop.
 class FluidEngine final : public Engine {
  public:
   [[nodiscard]] TrialResult run_trial(const TrialContext& ctx) override;

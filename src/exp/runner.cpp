@@ -21,14 +21,6 @@ double now_seconds() {
 
 }  // namespace
 
-TrialResult Runner::packet_trial(const TrialContext& ctx) {
-  return PacketEngine().run_trial(ctx);
-}
-
-TrialResult Runner::fsim_trial(const TrialContext& ctx) {
-  return FluidEngine().run_trial(ctx);
-}
-
 std::vector<CellResult> Runner::run(const std::vector<Cell>& queued) const {
   // Controller default-merge (set_controller): cells that left the mode at
   // kOff inherit the runner-wide config on a copy, BEFORE validation and
@@ -94,7 +86,7 @@ std::vector<CellResult> Runner::run(const std::vector<Cell>& queued) const {
   if (!checkpoint_.empty()) {
     checkpoint = std::make_unique<Checkpoint>(checkpoint_);
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      spec_hashes[c] = Checkpoint::hash_spec(cells[c].spec);
+      spec_hashes[c] = cells[c].spec.hash();
     }
   }
 

@@ -110,12 +110,6 @@ class Runner {
   /// Single-cell convenience.
   [[nodiscard]] CellResult run_cell(Cell cell) const;
 
-  /// Built-in trial bodies, usable directly from custom functions that
-  /// want the standard run plus extra instrumentation. Thin wrappers over
-  /// PacketEngine / FluidEngine (exp/engine.hpp).
-  static TrialResult packet_trial(const TrialContext& ctx);
-  static TrialResult fsim_trial(const TrialContext& ctx);
-
  private:
   int threads_;
   telemetry::Config telemetry_{};

@@ -44,6 +44,7 @@ const char* to_string(WorkloadSpec::Pattern pattern) {
     case WorkloadSpec::Pattern::kPermutation: return "permutation";
     case WorkloadSpec::Pattern::kAllToAll: return "all_to_all";
     case WorkloadSpec::Pattern::kRackAllToAll: return "rack_all_to_all";
+    case WorkloadSpec::Pattern::kClosedLoop: return "closed_loop";
   }
   return "?";
 }
@@ -63,10 +64,26 @@ std::string ExperimentSpec::validate() const {
   if (workload.start_jitter < 0) return "spec.workload.start_jitter must "
                                         "be >= 0";
   if (workload.round_gap < 0) return "spec.workload.round_gap must be >= 0";
-  if (workload.round_gap == 0 && workload.rounds > 1 && deadline > 0) {
-    // Back-to-back rounds each run to completion; a deadline cannot be
-    // applied meaningfully across them.
-    return "spec.deadline requires workload.round_gap > 0 when rounds > 1";
+  if (workload.pattern == WorkloadSpec::Pattern::kClosedLoop) {
+    if (engine != EngineKind::kPacket) {
+      return "spec.workload.pattern closed_loop needs engine=packet";
+    }
+    if (workload.concurrent < 1) return "spec.workload.concurrent must be >= 1";
+    if (workload.round_gap > 0) {
+      return "spec.workload.round_gap does not apply to closed_loop";
+    }
+  } else {
+    if (workload.concurrent != 1 || workload.response_bytes > 0 ||
+        workload.trace.has_value() || workload.trace_cap_bytes > 0) {
+      return "spec.workload: concurrent, response_bytes, trace and "
+             "trace_cap_bytes apply to pattern closed_loop only";
+    }
+    if (workload.round_gap == 0 && workload.rounds > 1 && deadline > 0) {
+      // Back-to-back rounds each run to completion; a deadline cannot be
+      // applied meaningfully across them.
+      return "spec.deadline requires workload.round_gap > 0 when "
+             "rounds > 1";
+    }
   }
   if (policy.k < 1) return "spec.policy.k must be >= 1";
   if (policy.ecmp_path_cap < 1) return "spec.policy.ecmp_path_cap must "
@@ -117,13 +134,27 @@ void ExperimentSpec::to_json(JsonWriter& w) const {
     w.field("ecmp_path_cap", policy.ecmp_path_cap);
     w.field("multipath_cutoff_bytes", policy.multipath_cutoff_bytes);
     w.end_object();
+    // Each pattern writes exactly the fields it reads, so host-pair specs
+    // keep the canonical bytes (and hashes) they had before kClosedLoop.
     w.key("workload").begin_object();
     w.field("pattern", to_string(workload.pattern));
-    w.field("flow_bytes", workload.flow_bytes);
+    if (!workload.trace.has_value()) {
+      w.field("flow_bytes", workload.flow_bytes);
+    }
     w.field("rounds", workload.rounds);
-    w.field("start_jitter_us", units::to_microseconds(workload.start_jitter));
-    if (workload.round_gap > 0) {
-      w.field("round_gap_us", units::to_microseconds(workload.round_gap));
+    if (workload.pattern == WorkloadSpec::Pattern::kClosedLoop) {
+      w.field("concurrent", workload.concurrent);
+      w.field("response_bytes", workload.response_bytes);
+      if (workload.trace.has_value()) {
+        w.field("trace", workload::to_string(*workload.trace));
+        w.field("trace_cap_bytes", workload.trace_cap_bytes);
+      }
+    } else {
+      w.field("start_jitter_us",
+              units::to_microseconds(workload.start_jitter));
+      if (workload.round_gap > 0) {
+        w.field("round_gap_us", units::to_microseconds(workload.round_gap));
+      }
     }
     w.end_object();
     w.key("sim").begin_object();

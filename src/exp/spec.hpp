@@ -9,10 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
-
-#include <optional>
 
 #include "control/controller.hpp"
 #include "core/path_selector.hpp"
@@ -21,6 +20,7 @@
 #include "sim/network.hpp"
 #include "topo/parallel.hpp"
 #include "util/units.hpp"
+#include "workload/traces.hpp"
 
 namespace pnet::exp {
 
@@ -42,23 +42,44 @@ enum class EngineKind : std::uint8_t { kPacket, kFsim, kCustom };
     std::string_view name);
 [[nodiscard]] std::string engine_names();
 
-/// Synthetic workload of the built-in packet/fsim engines: `rounds`
-/// pattern instances of fixed-size flows, each flow jittered uniformly in
-/// [round start, round start + start_jitter).
+/// Synthetic workload of the built-in engines. The host-pair patterns run
+/// `rounds` pattern instances of fixed-size flows, each flow jittered
+/// uniformly in [round start, round start + start_jitter). kClosedLoop
+/// (packet engine only) is the RPC/trace driver of §5.2.1 and §5.3: every
+/// host runs `concurrent` workers from t = 0, and each worker issues
+/// `rounds` back-to-back requests to random destinations, each request
+/// optionally answered by a `response_bytes` reply.
 struct WorkloadSpec {
   enum class Pattern : std::uint8_t {
     kPermutation,    // each host sends to exactly one other host
     kAllToAll,       // every ordered host pair
     kRackAllToAll,   // one representative host per rack pair
+    kClosedLoop,     // workload::ClosedLoopApp on every host
   };
 
   Pattern pattern = Pattern::kPermutation;
+  /// Flow size; for kClosedLoop the request size unless `trace` is set.
   std::uint64_t flow_bytes = 1'000'000;
+  /// Pattern rounds; for kClosedLoop the requests per worker.
   int rounds = 1;
+  /// Host-pair patterns only (closed-loop workers all start at t = 0).
   SimTime start_jitter = 10 * units::kMicrosecond;
-  /// 0: rounds run back-to-back (each drains before the next starts).
-  /// >0: round r's flows are all scheduled at r * round_gap + jitter.
+  /// Host-pair patterns only. 0: rounds run back-to-back (each drains
+  /// before the next starts). >0: round r's flows are all scheduled at
+  /// r * round_gap + jitter.
   SimTime round_gap = 0;
+
+  // kClosedLoop only.
+  /// Workers per host.
+  int concurrent = 1;
+  /// 0: one-way requests; otherwise each request is an RPC whose reply of
+  /// this size must land before the worker's next request.
+  std::uint64_t response_bytes = 0;
+  /// Draw request sizes from this published flow-size CDF instead of
+  /// using `flow_bytes`.
+  std::optional<workload::Trace> trace;
+  /// Truncates trace draws at this size (0 = uncapped).
+  std::uint64_t trace_cap_bytes = 0;
 };
 
 [[nodiscard]] const char* to_string(WorkloadSpec::Pattern pattern);

@@ -26,6 +26,14 @@ class TelemetryDriver : public EventSource {
     schedule_next();
   }
 
+  /// Re-arms sampling after a run() drained every queue, for work about
+  /// to start at `now` (a back-to-back round). The grid continues where it
+  /// stopped; points a drained run skipped are captured first.
+  void resume(SimTime now) {
+    sampler_.advance(now);
+    schedule_next();
+  }
+
   void do_next_event() override {
     events_.aux_fired();
     sampler_.advance(events_.now());

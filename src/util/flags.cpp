@@ -40,7 +40,7 @@ bool is_common_flag(std::string_view key) {
   return key == "help" || key == "version" || key == "scale" ||
          key == "trials" ||
          key == "threads" || key == "json" || key == "json-timing" ||
-         key == "require-complete" || key == "engine" || key == "trace" ||
+         key == "require-complete" || key == "trace" ||
          key == "sample-every" || key == "trial-timeout" ||
          key == "run-deadline" || key == "retries" || key == "checkpoint" ||
          key == "audit" || key == "sim-threads" || key == "controller" ||

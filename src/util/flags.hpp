@@ -40,9 +40,8 @@ class Flags {
   /// Flags that were parsed but appear neither as "--key" in `usage` nor in
   /// the common set every bench accepts (--help, --version, --scale, and the
   /// experiment-runner flags --trials/--threads/--sim-threads/--json/
-  /// --json-timing/--require-complete/--engine/--trial-timeout/
-  /// --run-deadline/--retries/--checkpoint/--audit). The testable core of
-  /// handle_usage.
+  /// --json-timing/--require-complete/--trial-timeout/--run-deadline/
+  /// --retries/--checkpoint/--audit). The testable core of handle_usage.
   [[nodiscard]] std::vector<std::string> unknown_flags(
       std::string_view usage) const;
 

@@ -12,6 +12,7 @@
 #include "exp/json.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
+#include "topo/parallel.hpp"
 #include "util/parallel.hpp"
 #include "util/units.hpp"
 
@@ -71,6 +72,112 @@ TEST(ExperimentSpec, CustomEngineSkipsEngineFieldChecks) {
   spec.engine = EngineKind::kCustom;
   spec.topo.hosts = 0;  // would fail for the built-in engines
   EXPECT_EQ(spec.validate(), "");
+}
+
+ExperimentSpec closed_loop_spec(const std::string& name) {
+  auto spec = small_packet_spec(name);
+  spec.workload.pattern = WorkloadSpec::Pattern::kClosedLoop;
+  spec.workload.concurrent = 2;
+  spec.workload.flow_bytes = 20'000;
+  spec.workload.response_bytes = 1500;
+  spec.workload.rounds = 3;
+  return spec;
+}
+
+TEST(ExperimentSpec, ClosedLoopFieldsAreCheckedPerPattern) {
+  EXPECT_EQ(closed_loop_spec("ok").validate(), "");
+
+  auto spec = closed_loop_spec("fluid");
+  spec.engine = EngineKind::kFsim;  // the fluid engine has no closed loop
+  EXPECT_NE(spec.validate().find("engine=packet"), std::string::npos);
+
+  spec = closed_loop_spec("bad");
+  spec.workload.concurrent = 0;
+  EXPECT_NE(spec.validate(), "");
+
+  spec = closed_loop_spec("bad");
+  spec.workload.round_gap = units::kMillisecond;
+  EXPECT_NE(spec.validate(), "");
+
+  // Closed-loop fields on a host-pair pattern would be silently ignored.
+  spec = small_packet_spec("bad");
+  spec.workload.trace = workload::Trace::kWebSearch;
+  EXPECT_NE(spec.validate().find("closed_loop only"), std::string::npos);
+  spec = small_packet_spec("bad");
+  spec.workload.concurrent = 4;
+  EXPECT_NE(spec.validate(), "");
+
+  // A deadline cuts one closed loop; only back-to-back pattern rounds
+  // reject it.
+  spec = closed_loop_spec("cut");
+  spec.deadline = units::kMillisecond;
+  EXPECT_EQ(spec.validate(), "");
+}
+
+// Golden canonical JSON: growing WorkloadSpec must not move the bytes —
+// and so the hashes behind checkpoint keys, pnet-serve cache keys and
+// committed report spec blocks — of specs that predate a field.
+TEST(ExperimentSpec, HostPairCanonicalJsonIsPinned) {
+  ExperimentSpec plain;
+  plain.name = "default";
+  EXPECT_EQ(plain.canonical_json(),
+            R"({"name":"default","engine":"packet","seed":1,"trials":1,)"
+            R"("topo":{"kind":"fat-tree","type":"serial-low-bw",)"
+            R"("hosts":128,"parallelism":4,"base_rate_gbps":100,"seed":1},)"
+            R"("policy":{"policy":"round-robin","k":8,)"
+            R"("ecmp_path_cap":64,"multipath_cutoff_bytes":100000000},)"
+            R"("workload":{"pattern":"permutation","flow_bytes":1000000,)"
+            R"("rounds":1,"start_jitter_us":10},)"
+            R"("sim":{"queue_buffer_bytes":150000,"ecn_threshold_bytes":0,)"
+            R"("priority_acks":false,"trim_to_header":false,)"
+            R"("dctcp":false}})");
+
+  // bench_fig9's cell shape (--hosts=16 --planes=2 --maxsize=1000000).
+  ExperimentSpec fig9;
+  fig9.name = "1MB/parallel-homogeneous";
+  fig9.topo.topo = topo::TopoKind::kJellyfish;
+  fig9.topo.type = topo::NetworkType::kParallelHomogeneous;
+  fig9.topo.hosts = 16;
+  fig9.topo.parallelism = 2;
+  fig9.policy.policy = core::RoutingPolicy::kKspMultipath;
+  fig9.policy.k = 2;
+  fig9.sim.queue_buffer_bytes = 400 * 1500;
+  fig9.workload.flow_bytes = 1'000'000;
+  fig9.workload.rounds = 3;
+  EXPECT_EQ(fig9.canonical_json(),
+            R"({"name":"1MB/parallel-homogeneous","engine":"packet",)"
+            R"("seed":1,"trials":1,"topo":{"kind":"jellyfish",)"
+            R"("type":"parallel-homogeneous","hosts":16,"parallelism":2,)"
+            R"("base_rate_gbps":100,"seed":1},)"
+            R"("policy":{"policy":"ksp-multipath","k":2,)"
+            R"("ecmp_path_cap":64,"multipath_cutoff_bytes":100000000},)"
+            R"("workload":{"pattern":"permutation","flow_bytes":1000000,)"
+            R"("rounds":3,"start_jitter_us":10},)"
+            R"("sim":{"queue_buffer_bytes":600000,"ecn_threshold_bytes":0,)"
+            R"("priority_acks":false,"trim_to_header":false,)"
+            R"("dctcp":false}})");
+}
+
+TEST(ExperimentSpec, ClosedLoopFieldsSerializeOnlyForClosedLoop) {
+  const std::string fixed = closed_loop_spec("rpc").canonical_json();
+  EXPECT_NE(fixed.find(R"("workload":{"pattern":"closed_loop",)"
+                       R"("flow_bytes":20000,"rounds":3,"concurrent":2,)"
+                       R"("response_bytes":1500},)"),
+            std::string::npos);
+  // Trace draws replace flow_bytes, so it leaves the canonical form.
+  auto traced = closed_loop_spec("trace");
+  traced.workload.trace = workload::Trace::kDataMining;
+  traced.workload.trace_cap_bytes = 8'000'000;
+  EXPECT_NE(traced.canonical_json().find(
+                R"("workload":{"pattern":"closed_loop","rounds":3,)"
+                R"("concurrent":2,"response_bytes":1500,)"
+                R"("trace":"datamining","trace_cap_bytes":8000000},)"),
+            std::string::npos);
+  for (const char* key : {"concurrent", "response_bytes", "trace"}) {
+    EXPECT_EQ(small_packet_spec("p").canonical_json().find(key),
+              std::string::npos)
+        << key;
+  }
 }
 
 TEST(Runner, ThrowsOnInvalidSpecAndMissingCustomFn) {
@@ -269,6 +376,86 @@ TEST(Engine, TelemetryContextYieldsFoldedSeriesAndTrace) {
   const auto plain = PacketEngine().run(spec, {});
   EXPECT_TRUE(plain.trials[0].samples.empty());
   EXPECT_EQ(plain.trials[0].trace, nullptr);
+}
+
+TEST(Engine, ClosedLoopTrialCompletesEveryRequest) {
+  const auto spec = closed_loop_spec("rpc");
+  const auto hosts = static_cast<std::uint64_t>(
+      topo::build_network(spec.topo).num_hosts());
+  const std::uint64_t requests = hosts * 2 * 3;  // workers x rounds
+  const auto cell = PacketEngine().run(spec, {});
+  ASSERT_EQ(cell.trials.size(), 2u);
+  for (const auto& trial : cell.trials) {
+    EXPECT_EQ(trial.flows_started, requests);
+    EXPECT_EQ(trial.flows_finished, requests);
+    EXPECT_EQ(trial.fct_us.size(), requests);
+    // Every RPC delivered its request and its reply.
+    EXPECT_DOUBLE_EQ(trial.delivered_bytes,
+                     static_cast<double>(requests) * (20'000 + 1500));
+    EXPECT_EQ(trial.metrics.count("drops"), 1u);
+    EXPECT_EQ(trial.metrics.count("timeouts"), 1u);
+  }
+
+  // Trace draws replace flow_bytes: one-way requests, capped in size.
+  auto traced = closed_loop_spec("trace");
+  traced.trials = 1;
+  traced.workload.response_bytes = 0;
+  traced.workload.trace = workload::Trace::kWebSearch;
+  traced.workload.trace_cap_bytes = 50'000;
+  const auto trace_trial = PacketEngine().run(traced, {}).trials.at(0);
+  EXPECT_EQ(trace_trial.flows_finished, requests);
+  EXPECT_LE(trace_trial.delivered_bytes,
+            static_cast<double>(requests) * 50'000);
+  EXPECT_NE(trace_trial.delivered_bytes,
+            static_cast<double>(requests) * 20'000);
+
+  // The fluid engine has no closed loop; called directly, it says so.
+  auto fluid = closed_loop_spec("fluid");
+  fluid.engine = EngineKind::kFsim;
+  EXPECT_THROW((void)FluidEngine().run(fluid, {}), std::invalid_argument);
+}
+
+TEST(Runner, ClosedLoopReportIsByteIdenticalAcrossThreadsAndRuns) {
+  auto spec = closed_loop_spec("rpc-cell");
+  spec.trials = 3;
+  const std::vector<Cell> cells = {{spec, {}}};
+  const std::string one = run_report_json(cells, 1);
+  EXPECT_EQ(one, run_report_json(cells, 4));
+  EXPECT_EQ(one, run_report_json(cells, 1));
+  EXPECT_NE(one.find("\"unfinished\":0"), std::string::npos);
+}
+
+TEST(Engine, BackToBackRoundsKeepSamplingAndControlling) {
+  // A drained run() stops the sampler and the control loop; the engine
+  // re-arms both when the next back-to-back round starts, so their grids
+  // cover every round, not just the first. Unequal grids make each driver
+  // resume past points its sibling's last firing carried the clock over;
+  // the auditor checks no event lands in the past.
+  constexpr SimTime kSample = 100 * units::kMicrosecond;
+  constexpr SimTime kCadence = 300 * units::kMicrosecond;
+  auto spec = small_packet_spec("two-rounds");
+  spec.trials = 1;
+  spec.controller.mode = control::ControllerMode::kCentralized;
+  spec.controller.cadence = kCadence;
+  EngineContext ctx;
+  ctx.telemetry.sample_every = kSample;
+  ctx.audit = true;
+  const auto one = PacketEngine().run(spec, ctx).trials.at(0);
+  spec.workload.rounds = 2;
+  const auto two = PacketEngine().run(spec, ctx).trials.at(0);
+
+  // Round 1 of the two-round trial replays the one-round trial, so that
+  // trial's end is where round 2 starts.
+  const double round2_us = one.sim_seconds * 1e6;
+  const double end_us = two.sim_seconds * 1e6;
+  const double sample_us = units::to_microseconds(kSample);
+  const double cadence_us = units::to_microseconds(kCadence);
+  ASSERT_GT(end_us, round2_us + 4 * cadence_us);
+  const auto& t_us = two.samples.at("tm/t_us");
+  ASSERT_FALSE(t_us.empty());
+  EXPECT_GT(t_us.back(), end_us - cadence_us);
+  EXPECT_GE(static_cast<double>(t_us.size()), end_us / sample_us - 3);
+  EXPECT_GE(two.metrics.at("ctl/ticks"), end_us / cadence_us - 1);
 }
 
 // ------------------------------------------------- unfinished accounting

@@ -17,6 +17,7 @@
 #include "exp/checkpoint.hpp"
 #include "exp/runner.hpp"
 #include "sim/event_queue.hpp"
+#include "topo/parallel.hpp"
 #include "util/audit.hpp"
 #include "util/cancel.hpp"
 #include "util/parallel.hpp"
@@ -426,9 +427,9 @@ TEST(Checkpoint, EncodeDecodeRoundTrips) {
 TEST(Checkpoint, HashSeparatesSpecs) {
   const auto a = custom_spec("a", 2);
   auto b = custom_spec("a", 2);
-  EXPECT_EQ(Checkpoint::hash_spec(a), Checkpoint::hash_spec(b));
+  EXPECT_EQ(a.hash(), b.hash());
   b.seed += 1;
-  EXPECT_NE(Checkpoint::hash_spec(a), Checkpoint::hash_spec(b));
+  EXPECT_NE(a.hash(), b.hash());
 }
 
 TEST(Checkpoint, ResumedSweepIsByteIdenticalToUninterrupted) {
@@ -484,6 +485,29 @@ TEST(Checkpoint, StaleJournalOfOtherSpecIsIgnored) {
   other.seed += 100;
   (void)runner.run_cell({other, counting});
   EXPECT_EQ(calls.load(), 4);
+}
+
+TEST(Checkpoint, ClosedLoopCellsOfOtherHostCountDoNotAlias) {
+  // Two closed-loop cells that differ only in topo.hosts, against one
+  // journal: the second must run its own network, not resume the first's
+  // journaled trial.
+  TempPath journal("hosts_test.ckpt");
+  auto spec = small_packet_spec("rpc");
+  spec.workload.pattern = WorkloadSpec::Pattern::kClosedLoop;
+  spec.workload.rounds = 2;
+  spec.trials = 1;
+  Runner runner(1);
+  runner.set_checkpoint(journal.str());
+  const auto small = runner.run_cell({spec, {}});
+  spec.topo.hosts = 54;  // a k=6 fat tree (8 hosts round up to k=4's 16)
+  const auto large = runner.run_cell({spec, {}});
+  ASSERT_EQ(large.trials.size(), 1u);
+  EXPECT_EQ(large.trials[0].flows_started,
+            2u * static_cast<std::uint64_t>(
+                     topo::build_network(spec.topo).num_hosts()));
+  EXPECT_NE(large.trials[0].flows_started, small.trials[0].flows_started);
+  EXPECT_EQ(report_json({large}),
+            report_json({Runner(1).run_cell({spec, {}})}));
 }
 
 TEST(Checkpoint, TornFinalLineIsSkippedOnLoad) {

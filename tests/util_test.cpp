@@ -311,6 +311,16 @@ TEST(FlagsUsageDeathTest, KnownAndCommonFlagsPass) {
   SUCCEED();
 }
 
+TEST(FlagsUsageDeathTest, EngineIsNotACommonFlag) {
+  // Only benches that read --engine list it; anywhere else it must fail
+  // fast instead of being accepted and ignored.
+  EXPECT_EXIT(make_flags({"prog", "--engine=fsim"}).handle_usage(kUsage),
+              testing::ExitedWithCode(2), "unrecognized flag --engine");
+  make_flags({"prog", "--engine=fsim"})
+      .handle_usage("  --engine=E    packet|fsim\n");  // returns normally
+  SUCCEED();
+}
+
 TEST(Table, RendersAlignedRows) {
   TextTable t("Demo", {"name", "x", "y"});
   t.add_row({"alpha", "1", "2"});
