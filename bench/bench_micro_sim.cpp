@@ -17,27 +17,39 @@
 // behind them, plus a sharded-engine scaling sweep (packet_sim_mt: the
 // same permutation scenario on a wider multi-plane fabric at
 // --sim-threads 1/2/4/8, asserting the dispatched-event count is
-// identical across shard worker counts). The result is one JSON document,
-// committed as BENCH_micro_sim.json at the repo root; CI's micro-sim-perf
-// job re-runs it and fails on a >15% events/sec regression of the
-// packet_sim row, and checks the mt rows still agree on events.
+// identical across shard worker counts), plus the fluid engine's
+// water-fill on a paper-scale cell (fluid_solve). The result is one JSON
+// document, committed as BENCH_micro_sim.json at the repo root; CI's
+// micro-sim-perf job re-runs it and fails on a >15% events/sec regression
+// of the packet_sim row or a >15% rise of fluid_solve's median run time,
+// and checks that the mt rows still agree on events and that fluid_solve's
+// counts and FCT digest equal the baseline's.
 // Report-mode flags: --hosts, --planes, --bytes, --repeat, --mt-hosts,
 // --mt-planes, --mt-bytes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/harness.hpp"
 #include "exp/json.hpp"
+#include "exp/spec.hpp"
+#include "fsim/fluid.hpp"
 #include "routing/shortest.hpp"
 #include "sim/network.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/flags.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
+#include "workload/patterns.hpp"
 
 namespace {
 
@@ -202,6 +214,46 @@ SimRun run_permutation(int hosts, int planes, std::uint64_t bytes,
   return run;
 }
 
+/// One run of the fluid_solve cell on a warm route cache.
+struct FluidRun {
+  double wall_s = 0;
+  std::int64_t full_solves = 0;
+  std::int64_t fast_paths = 0;
+  std::uint64_t events = 0;
+  std::uint64_t fct_digest = 0;
+};
+
+/// fsim-paper's 1 MB parallel-homogeneous cell as exp::FluidEngine runs
+/// it: a permutation with 10 us of start jitter, traffic drawn from
+/// `traffic_seed`'s first trial. Times fluid.run() only.
+FluidRun run_fluid_cell(const topo::ParallelNetwork& net,
+                        const fsim::FsimConfig& config,
+                        const std::shared_ptr<routing::RouteCache>& cache,
+                        std::uint64_t bytes, std::uint64_t traffic_seed) {
+  fsim::FluidSimulator fluid(net, config, cache);
+  Rng rng(util::job_seed(traffic_seed, 0));
+  const exp::WorkloadSpec wl;
+  for (const auto& [src, dst] :
+       workload::permutation_pairs(net.num_hosts(), rng)) {
+    fluid.add_flow(
+        {src, dst, bytes,
+         static_cast<SimTime>(rng.next_below(
+             static_cast<std::uint64_t>(wl.start_jitter)))});
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  fluid.run();
+  FluidRun run;
+  run.wall_s = seconds_since(t0);
+  run.full_solves = fluid.allocator().full_solves();
+  run.fast_paths = fluid.allocator().fast_paths();
+  run.events = fluid.events();
+  run.fct_digest = 0x9E3779B97F4A7C15ULL;
+  for (const double fct : fluid.fct_us()) {
+    run.fct_digest = mix64(run.fct_digest ^ std::bit_cast<std::uint64_t>(fct));
+  }
+  return run;
+}
+
 int run_json_report(const Flags& flags) {
   const std::string path = flags.get("json", "-");
   const int hosts = flags.get_int("hosts", 16);
@@ -344,6 +396,70 @@ int run_json_report(const Flags& flags) {
                    "sim_threads rows (determinism breach)\n");
       return 1;
     }
+  }
+
+  // Fluid water-fill: fsim-paper's 1 MB parallel-homogeneous cell
+  // (Jellyfish, 686 hosts requested, 4 planes, topology seed 1, KSP k=4,
+  // traffic seed 1). One untimed run warms the route cache, so the timed
+  // runs cover only the water-fill and the event loop; `repeat` timed runs
+  // give the median, min and max.
+  {
+    topo::NetworkSpec spec;
+    spec.topo = topo::TopoKind::kJellyfish;
+    spec.type = topo::NetworkType::kParallelHomogeneous;
+    spec.hosts = 686;
+    spec.parallelism = 4;
+    spec.seed = 1;
+    core::PolicyConfig policy;
+    policy.policy = core::RoutingPolicy::kKspMultipath;
+    policy.k = 4;
+    constexpr std::uint64_t kFlowBytes = 1'000'000;
+    constexpr std::uint64_t kTrafficSeed = 1;
+    const fsim::FsimConfig config = exp::to_fsim_config(policy, kFlowBytes);
+    const auto net = topo::build_network(spec);
+    const auto cache = std::make_shared<routing::RouteCache>();
+    const FluidRun warm =
+        run_fluid_cell(net, config, cache, kFlowBytes, kTrafficSeed);
+    const int runs = std::max(1, repeat);
+    std::vector<double> wall_s;
+    for (int r = 0; r < runs; ++r) {
+      const FluidRun run =
+          run_fluid_cell(net, config, cache, kFlowBytes, kTrafficSeed);
+      if (run.full_solves != warm.full_solves ||
+          run.fast_paths != warm.fast_paths || run.events != warm.events ||
+          run.fct_digest != warm.fct_digest) {
+        std::fprintf(stderr,
+                     "fluid_solve: a repeat of the cell diverged from the "
+                     "first run (determinism breach)\n");
+        return 1;
+      }
+      wall_s.push_back(run.wall_s);
+    }
+    std::sort(wall_s.begin(), wall_s.end());
+    char digest_hex[17];
+    std::snprintf(digest_hex, sizeof digest_hex, "%016" PRIx64,
+                  warm.fct_digest);
+    w.key("fluid_solve").begin_object();
+    w.field("topo", "jellyfish");
+    w.field("type", topo::to_string(spec.type));
+    w.field("hosts_requested", spec.hosts);
+    w.field("hosts", net.num_hosts());
+    w.field("planes", spec.parallelism);
+    w.field("topology_seed", spec.seed);
+    w.field("k", policy.k);
+    w.field("flow_bytes", kFlowBytes);
+    w.field("traffic_seed", kTrafficSeed);
+    w.field("host_cpus",
+            static_cast<int>(std::thread::hardware_concurrency()));
+    w.field("full_solves", warm.full_solves);
+    w.field("fast_paths", warm.fast_paths);
+    w.field("events", warm.events);
+    w.field("fct_digest", std::string(digest_hex));
+    w.field("runs", runs);
+    w.field("wall_s_median", wall_s[wall_s.size() / 2]);
+    w.field("wall_s_min", wall_s.front());
+    w.field("wall_s_max", wall_s.back());
+    w.end_object();
   }
 
   w.end_object();

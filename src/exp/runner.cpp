@@ -4,6 +4,10 @@
 #include <chrono>
 #include <stdexcept>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "exp/checkpoint.hpp"
 #include "util/audit.hpp"
 #include "util/cancel.hpp"
@@ -21,7 +25,19 @@ double now_seconds() {
 
 }  // namespace
 
-std::vector<CellResult> Runner::run(const std::vector<Cell>& queued) const {
+std::vector<CellResult> Runner::run(const std::vector<Cell>& cells) const {
+  std::vector<CellResult> results = run_trials(cells);
+#ifdef __GLIBC__
+  // glibc keeps freed heap resident; without the trim, the pages a sweep's
+  // trials touched stay in the process's RSS and the next run() grows on
+  // top of them.
+  malloc_trim(0);
+#endif
+  return results;
+}
+
+std::vector<CellResult> Runner::run_trials(
+    const std::vector<Cell>& queued) const {
   // Controller default-merge (set_controller): cells that left the mode at
   // kOff inherit the runner-wide config on a copy, BEFORE validation and
   // spec hashing, so checkpoints and report JSON see the effective config.

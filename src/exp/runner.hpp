@@ -103,7 +103,8 @@ class Runner {
   /// Per-trial failures do NOT throw: they are isolated into the owning
   /// cell's CellResult::errors (in trial order), healthy trials keep
   /// merging deterministically, and the caller decides whether a partial
-  /// cell is fatal (bench --require-complete does).
+  /// cell is fatal (bench --require-complete does). On glibc, the heap the
+  /// trials freed is handed back to the OS before it returns.
   [[nodiscard]] std::vector<CellResult> run(
       const std::vector<Cell>& cells) const;
 
@@ -111,6 +112,11 @@ class Runner {
   [[nodiscard]] CellResult run_cell(Cell cell) const;
 
  private:
+  /// run() without the final heap trim: everything the trials used (route
+  /// caches, engines, outcomes) is destroyed when it returns.
+  [[nodiscard]] std::vector<CellResult> run_trials(
+      const std::vector<Cell>& queued) const;
+
   int threads_;
   telemetry::Config telemetry_{};
   double trial_timeout_s_ = 0.0;

@@ -171,9 +171,10 @@ class FluidSimulator {
     alloc_.set_cancel(cancel);
   }
 
-  /// Attaches an invariant auditor: every re-solve is checked for
-  /// allocation feasibility (link load <= capacity, rates >= 0) and every
-  /// active flow for a non-negative fluid residual. nullptr detaches.
+  /// Attaches an invariant auditor: every re-solve is checked for max-min
+  /// optimality (fsim::audit_max_min: feasible, and every subflow has a
+  /// bottleneck link) and every active flow for a non-negative fluid
+  /// residual. nullptr detaches.
   void set_audit(util::Audit* audit) { audit_ = audit; }
 
   [[nodiscard]] const MaxMinAllocator& allocator() const { return alloc_; }

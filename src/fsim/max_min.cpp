@@ -8,35 +8,77 @@
 
 namespace pnet::fsim {
 
+namespace {
+
+/// A link's fair share of what it has left. The one expression the level
+/// and the cutoff test read, so a cached share equals a fresh one.
+double fair_share(double rem, int unfrozen) {
+  return std::max(rem, 0.0) / static_cast<double>(unfrozen);
+}
+
+/// The highest share that still freezes at `level`: the 1e-12 relative
+/// slack absorbs the rounding of the shares' running subtractions. Never
+/// decreases as `level` grows (every step rounds monotonically).
+double cutoff_of(double level) {
+  return level + level * 1e-12 + std::numeric_limits<double>::min();
+}
+
+}  // namespace
+
 MaxMinAllocator::MaxMinAllocator(std::vector<double> capacity_bps)
     : capacity_(std::move(capacity_bps)),
+      link_head_(capacity_.size(), -1),
       active_on_link_(capacity_.size(), 0),
       slot_of_link_(capacity_.size(), -1) {}
 
 int MaxMinAllocator::add(std::vector<int> links) {
   int id;
   if (free_ids_.empty()) {
-    id = static_cast<int>(subflows_.size());
-    subflows_.emplace_back();
+    id = static_cast<int>(paths_.size());
+    paths_.emplace_back();
+    path_entries_.emplace_back();
+    rates_.push_back(0.0);
+    live_pos_.push_back(-1);
   } else {
     id = free_ids_.back();
     free_ids_.pop_back();
   }
-  auto& sub = subflows_[static_cast<std::size_t>(id)];
-  sub.links = std::move(links);
-  sub.live_pos = static_cast<int>(live_ids_.size());
+  const auto i = static_cast<std::size_t>(id);
+  paths_[i] = std::move(links);
+  live_pos_[i] = static_cast<int>(live_ids_.size());
   live_ids_.push_back(id);
 
   bool alone = true;
   double cap = std::numeric_limits<double>::infinity();
-  for (int link : sub.links) {
-    if (active_on_link_[static_cast<std::size_t>(link)]++ > 0) alone = false;
-    cap = std::min(cap, capacity_[static_cast<std::size_t>(link)]);
+  std::vector<int>& hops = path_entries_[i];
+  for (int link : paths_[i]) {
+    const auto l = static_cast<std::size_t>(link);
+    int e;
+    if (free_entries_.empty()) {
+      e = static_cast<int>(entries_.size());
+      entries_.emplace_back();
+    } else {
+      e = free_entries_.back();
+      free_entries_.pop_back();
+    }
+    entries_[static_cast<std::size_t>(e)] = {id, link_head_[l], -1};
+    if (link_head_[l] >= 0) {
+      entries_[static_cast<std::size_t>(link_head_[l])].prev = e;
+    }
+    link_head_[l] = e;
+    hops.push_back(e);
+    if (active_on_link_[l]++ > 0) {
+      alone = false;
+    } else {
+      slot_of_link_[l] = static_cast<int>(slot_links_.size());
+      slot_links_.push_back(link);
+    }
+    cap = std::min(cap, capacity_[l]);
   }
   if (alone && !dirty_) {
     // No shared link: nobody else's bottleneck moved, so the new subflow
     // simply gets its path's narrowest link.
-    sub.rate_bps = sub.links.empty() ? 0.0 : cap;
+    rates_[i] = paths_[i].empty() ? 0.0 : cap;
     ++fast_paths_;
   } else {
     dirty_ = true;
@@ -45,20 +87,44 @@ int MaxMinAllocator::add(std::vector<int> links) {
 }
 
 void MaxMinAllocator::remove(int id) {
-  auto& sub = subflows_[static_cast<std::size_t>(id)];
-  assert(sub.live_pos >= 0);
+  const auto i = static_cast<std::size_t>(id);
+  assert(live_pos_[i] >= 0);
   bool alone = true;
-  for (int link : sub.links) {
-    if (--active_on_link_[static_cast<std::size_t>(link)] > 0) alone = false;
+  std::vector<int>& path = paths_[i];
+  std::vector<int>& hops = path_entries_[i];
+  for (std::size_t h = 0; h < path.size(); ++h) {
+    const auto l = static_cast<std::size_t>(path[h]);
+    const Entry& entry = entries_[static_cast<std::size_t>(hops[h])];
+    if (entry.prev >= 0) {
+      entries_[static_cast<std::size_t>(entry.prev)].next = entry.next;
+    } else {
+      link_head_[l] = entry.next;
+    }
+    if (entry.next >= 0) {
+      entries_[static_cast<std::size_t>(entry.next)].prev = entry.prev;
+    }
+    free_entries_.push_back(hops[h]);
+    if (--active_on_link_[l] > 0) {
+      alone = false;
+    } else {
+      // Last entry gone: swap-remove the link from the dense slots.
+      const int slot = slot_of_link_[l];
+      const int last = slot_links_.back();
+      slot_links_[static_cast<std::size_t>(slot)] = last;
+      slot_of_link_[static_cast<std::size_t>(last)] = slot;
+      slot_links_.pop_back();
+      slot_of_link_[l] = -1;
+    }
   }
   // Swap-remove from the live list, fixing the moved subflow's position.
   const int last = live_ids_.back();
-  live_ids_[static_cast<std::size_t>(sub.live_pos)] = last;
-  subflows_[static_cast<std::size_t>(last)].live_pos = sub.live_pos;
+  live_ids_[static_cast<std::size_t>(live_pos_[i])] = last;
+  live_pos_[static_cast<std::size_t>(last)] = live_pos_[i];
   live_ids_.pop_back();
-  sub.live_pos = -1;
-  sub.links.clear();
-  sub.rate_bps = 0.0;
+  live_pos_[i] = -1;
+  path.clear();
+  hops.clear();
+  rates_[i] = 0.0;
   free_ids_.push_back(id);
   if (alone) {
     ++fast_paths_;  // departure frees capacity nobody was contending for
@@ -72,118 +138,150 @@ void MaxMinAllocator::solve() {
   dirty_ = false;
   ++full_solves_;
 
-  // Dense slots for the links active subflows actually touch, plus the
-  // link -> subflows adjacency (counting sort over path entries).
-  slot_links_.clear();
-  slot_rem_.clear();
-  slot_degree_.clear();
-  for (int id : live_ids_) {
-    for (int link : subflows_[static_cast<std::size_t>(id)].links) {
-      auto& slot = slot_of_link_[static_cast<std::size_t>(link)];
-      if (slot < 0) {
-        slot = static_cast<int>(slot_links_.size());
-        slot_links_.push_back(link);
-        slot_rem_.push_back(capacity_[static_cast<std::size_t>(link)]);
-        slot_degree_.push_back(0);
-      }
-      ++slot_degree_[static_cast<std::size_t>(slot)];
-    }
-  }
+  // Every active link starts open, with its full capacity shared by all of
+  // its entries.
   const std::size_t nslots = slot_links_.size();
-  slot_offset_.assign(nslots + 1, 0);
+  slots_.resize(nslots);
+  open_.resize(nslots);
+  open_share_.resize(nslots);
   for (std::size_t s = 0; s < nslots; ++s) {
-    slot_offset_[s + 1] = slot_offset_[s] + slot_degree_[s];
+    const auto link = static_cast<std::size_t>(slot_links_[s]);
+    Slot& slot = slots_[s];
+    slot.rem = capacity_[link];
+    slot.unfrozen = active_on_link_[link];
+    slot.open_pos = static_cast<int>(s);
+    open_[s] = static_cast<int>(s);
+    open_share_[s] = fair_share(slot.rem, slot.unfrozen);
   }
-  slot_subs_.resize(static_cast<std::size_t>(slot_offset_[nslots]));
-  slot_unfrozen_.assign(nslots, 0);
-  for (int id : live_ids_) {
-    for (int link : subflows_[static_cast<std::size_t>(id)].links) {
-      const auto slot = static_cast<std::size_t>(
-          slot_of_link_[static_cast<std::size_t>(link)]);
-      slot_subs_[static_cast<std::size_t>(slot_offset_[slot]) +
-                 static_cast<std::size_t>(slot_unfrozen_[slot]++)] = id;
-    }
-  }
-
-  frozen_.assign(subflows_.size(), 0);
+  std::size_t open = nslots;
+  frozen_.assign(paths_.size(), 0);
   std::size_t remaining = live_ids_.size();
 
   // Water-fill. Each round finds the lowest fair-share level among links
-  // that still carry unfrozen subflows and freezes exactly those subflows.
-  // The level is monotonically non-decreasing across rounds, so a single
-  // saturated-slot snapshot per round is sufficient.
-  std::vector<int>& scan = saturated_;  // reused scratch
+  // that still carry unfrozen subflows and freezes every unfrozen subflow
+  // on the links within the cutoff, all at that level. The round's level,
+  // cutoff and frozen set do not depend on the order the open slots or a
+  // link's entries are visited in: a minimum is order-free, and each slot
+  // sees the same count of identical `rem -= level` subtractions. So only
+  // the shares of the slots a freeze crossed need recomputing.
   std::uint64_t rounds = 0;
   while (remaining > 0) {
     if (cancel_ != nullptr && (rounds++ & 15) == 0 && cancel_->cancelled()) {
       break;  // partial rates are fine: the trial is being abandoned
     }
+    // One pass finds the level and keeps every open slot within the
+    // cutoff of the running minimum. The cutoff only falls as the minimum
+    // does, so this keeps a superset of the round's bottlenecks; when the
+    // minimum drops below the cutoff of everything kept so far, the kept
+    // slots are dropped at once, and the filter below drops the rest.
     double level = std::numeric_limits<double>::infinity();
-    for (std::size_t s = 0; s < nslots; ++s) {
-      if (slot_unfrozen_[s] <= 0) continue;
-      const double share = std::max(slot_rem_[s], 0.0) /
-                           static_cast<double>(slot_unfrozen_[s]);
-      level = std::min(level, share);
+    double cutoff = level;
+    saturated_.clear();
+    for (std::size_t j = 0; j < open; ++j) {
+      const double share = open_share_[j];
+      if (!(share <= cutoff)) continue;
+      if (share < level) {
+        const double below = cutoff_of(share);
+        if (level > below) saturated_.clear();  // all kept shares >= level
+        level = share;
+        cutoff = below;
+      }
+      saturated_.push_back(static_cast<int>(j));
     }
     if (!std::isfinite(level)) break;  // no constrained subflow left
-    scan.clear();
-    const double cutoff = level + level * 1e-12 +
-                          std::numeric_limits<double>::min();
-    for (std::size_t s = 0; s < nslots; ++s) {
-      if (slot_unfrozen_[s] <= 0) continue;
-      const double share = std::max(slot_rem_[s], 0.0) /
-                           static_cast<double>(slot_unfrozen_[s]);
-      if (share <= cutoff) scan.push_back(static_cast<int>(s));
-    }
-    for (int s : scan) {
-      const auto begin = static_cast<std::size_t>(slot_offset_[
-          static_cast<std::size_t>(s)]);
-      const auto end = static_cast<std::size_t>(slot_offset_[
-          static_cast<std::size_t>(s) + 1]);
-      for (std::size_t i = begin; i < end; ++i) {
-        const int id = slot_subs_[i];
-        if (frozen_[static_cast<std::size_t>(id)]) continue;
-        frozen_[static_cast<std::size_t>(id)] = 1;
-        auto& sub = subflows_[static_cast<std::size_t>(id)];
-        sub.rate_bps = level;
+    std::erase_if(saturated_, [&](int j) {
+      return open_share_[static_cast<std::size_t>(j)] > cutoff;
+    });
+    for (int& j : saturated_) j = open_[static_cast<std::size_t>(j)];
+
+    touched_.clear();
+    for (int bottleneck : saturated_) {
+      const auto link = static_cast<std::size_t>(
+          slot_links_[static_cast<std::size_t>(bottleneck)]);
+      for (int e = link_head_[link]; e >= 0;
+           e = entries_[static_cast<std::size_t>(e)].next) {
+        const auto id =
+            static_cast<std::size_t>(entries_[static_cast<std::size_t>(e)].sub);
+        if (frozen_[id]) continue;
+        frozen_[id] = 1;
+        rates_[id] = level;
         --remaining;
-        for (int link : sub.links) {
-          const auto slot = static_cast<std::size_t>(
-              slot_of_link_[static_cast<std::size_t>(link)]);
-          slot_rem_[slot] -= level;
-          --slot_unfrozen_[slot];
+        for (int hop : paths_[id]) {
+          const int s = slot_of_link_[static_cast<std::size_t>(hop)];
+          Slot& slot = slots_[static_cast<std::size_t>(s)];
+          slot.rem -= level;
+          --slot.unfrozen;
+          touched_.push_back(s);
         }
       }
     }
-  }
-
-  for (std::size_t s = 0; s < nslots; ++s) {
-    slot_of_link_[static_cast<std::size_t>(slot_links_[s])] = -1;
+    // Refresh the touched shares; close the slots whose last unfrozen
+    // subflow froze (swap-remove from the open list).
+    for (int s : touched_) {
+      Slot& slot = slots_[static_cast<std::size_t>(s)];
+      const int j = slot.open_pos;
+      if (j < 0) continue;  // closed by an earlier duplicate
+      if (slot.unfrozen > 0) {
+        open_share_[static_cast<std::size_t>(j)] =
+            fair_share(slot.rem, slot.unfrozen);
+        continue;
+      }
+      --open;
+      const int moved = open_[open];
+      open_[static_cast<std::size_t>(j)] = moved;
+      open_share_[static_cast<std::size_t>(j)] = open_share_[open];
+      slots_[static_cast<std::size_t>(moved)].open_pos = j;
+      slot.open_pos = -1;
+    }
   }
 }
 
-void MaxMinAllocator::audit_check(util::Audit& audit) {
+void MaxMinAllocator::audit_check(util::Audit& audit) const {
   if (dirty_) return;  // rates are declared stale until the next solve()
+  audit_max_min(capacity_, paths_, rates_, audit);
+}
+
+void audit_max_min(std::span<const double> capacity_bps,
+                   std::span<const std::vector<int>> paths,
+                   std::span<const double> rates_bps, util::Audit& audit) {
   audit.note_check();
-  audit_load_.assign(capacity_.size(), 0.0);
-  for (int id : live_ids_) {
-    const auto& sub = subflows_[static_cast<std::size_t>(id)];
-    if (sub.rate_bps < 0.0) {
-      audit.fail("max-min rate negative: subflow " + std::to_string(id) +
-                 " rate=" + std::to_string(sub.rate_bps) + " bps");
+  // Relative epsilon absorbs water-fill rounding; the absolute floor covers
+  // zero-capacity links and zero rates.
+  const auto tolerance = [](double x) { return x * 1e-6 + 1e-3; };
+  std::vector<double> load(capacity_bps.size(), 0.0);
+  std::vector<double> top(capacity_bps.size(), 0.0);  // highest rate per link
+  for (std::size_t f = 0; f < paths.size(); ++f) {
+    const double rate = rates_bps[f];
+    if (rate < 0.0) {
+      audit.fail("max-min rate negative: subflow " + std::to_string(f) +
+                 " rate=" + std::to_string(rate) + " bps");
     }
-    for (int link : sub.links) {
-      audit_load_[static_cast<std::size_t>(link)] += sub.rate_bps;
+    for (int link : paths[f]) {
+      const auto l = static_cast<std::size_t>(link);
+      load[l] += rate;
+      top[l] = std::max(top[l], rate);
     }
   }
-  for (std::size_t l = 0; l < capacity_.size(); ++l) {
-    // Relative epsilon absorbs water-fill rounding; the absolute floor
-    // covers zero-capacity links.
-    const double tolerance = capacity_[l] * 1e-6 + 1e-3;
-    if (audit_load_[l] > capacity_[l] + tolerance) {
+  for (std::size_t l = 0; l < capacity_bps.size(); ++l) {
+    if (load[l] > capacity_bps[l] + tolerance(capacity_bps[l])) {
       audit.fail("max-min allocation above capacity on link " +
-                 std::to_string(l) + ": " + std::to_string(audit_load_[l]) +
-                 " > " + std::to_string(capacity_[l]) + " bps");
+                 std::to_string(l) + ": " + std::to_string(load[l]) + " > " +
+                 std::to_string(capacity_bps[l]) + " bps");
+    }
+  }
+  for (std::size_t f = 0; f < paths.size(); ++f) {
+    if (paths[f].empty()) continue;
+    const double rate = rates_bps[f];
+    const bool bottlenecked =
+        std::any_of(paths[f].begin(), paths[f].end(), [&](int link) {
+          const auto l = static_cast<std::size_t>(link);
+          return load[l] >= capacity_bps[l] - tolerance(capacity_bps[l]) &&
+                 top[l] <= rate + tolerance(rate);
+        });
+    if (!bottlenecked) {
+      audit.fail("max-min rate not bottlenecked: subflow " +
+                 std::to_string(f) + " rate=" + std::to_string(rate) +
+                 " bps crosses no saturated link where it is the largest");
     }
   }
 }

@@ -11,20 +11,36 @@
 // tests/fsim_test.cpp cross-validates against lp::max_concurrent_flow.
 //
 // The allocator is built for incremental use by an event loop: add/remove
-// are O(path length) and keep per-link occupancy up to date; a solve is only
-// marked necessary when the change can affect other subflows (an arriving
-// or departing subflow whose links are otherwise unused takes a fast path
-// that touches nothing else). A full solve costs
-// O(sum of active path lengths + bottleneck levels * active links).
+// are O(path length) and keep per-link occupancy and the link -> subflow
+// adjacency up to date; a solve is only marked necessary when the change
+// can affect other subflows (an arriving or departing subflow whose links
+// are otherwise unused takes a fast path that touches nothing else). A full
+// solve costs O(active links + active subflows) to seed the fill, then per
+// round a scan of the links that still carry an unfrozen subflow (their
+// fair shares are cached) plus O(path length) per newly frozen subflow.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/audit.hpp"
 #include "util/cancel.hpp"
 
 namespace pnet::fsim {
+
+/// Checks that `rates_bps[i]` is a max-min fair allocation of subflows
+/// pinned to `paths[i]` over links of capacity `capacity_bps`:
+///  * feasibility — every rate >= 0 and every link's summed rate within
+///    its capacity;
+///  * the bottleneck property — every subflow with a non-empty path crosses
+///    a saturated link on which no subflow has a higher rate.
+/// Saturation and rate comparisons allow x * 1e-6 + 1e-3 bps of rounding.
+/// Subflows with an empty path are unconstrained and only checked for a
+/// non-negative rate. Each breach is filed with audit.fail().
+void audit_max_min(std::span<const double> capacity_bps,
+                   std::span<const std::vector<int>> paths,
+                   std::span<const double> rates_bps, util::Audit& audit);
 
 class MaxMinAllocator {
  public:
@@ -56,7 +72,7 @@ class MaxMinAllocator {
 
   /// Rate of an active subflow. Stale until solve() if dirty().
   [[nodiscard]] double rate_bps(int id) const {
-    return subflows_[static_cast<std::size_t>(id)].rate_bps;
+    return rates_[static_cast<std::size_t>(id)];
   }
   [[nodiscard]] int active() const {
     return static_cast<int>(live_ids_.size());
@@ -72,39 +88,58 @@ class MaxMinAllocator {
   /// down, not continued) once it fires. Polled every 16 fill rounds.
   void set_cancel(const util::CancelToken* cancel) { cancel_ = cancel; }
 
-  /// Asserts the allocation is feasible: every subflow rate >= 0 and the
-  /// summed rates on every link <= capacity within epsilon. Call after a
-  /// solve(); a dirty allocator is skipped (rates are declared stale).
-  void audit_check(util::Audit& audit);
+  /// Runs audit_max_min over the active subflows. Call after a solve(); a
+  /// dirty allocator is skipped (rates are declared stale).
+  void audit_check(util::Audit& audit) const;
 
  private:
-  struct Subflow {
-    std::vector<int> links;
-    double rate_bps = 0.0;
-    int live_pos = -1;  // index into live_ids_, -1 when free
+  /// One (subflow, link) pair of a path, threaded onto its link's list.
+  struct Entry {
+    int sub = -1;
+    int next = -1;  // next entry on the same link, -1 at the tail
+    int prev = -1;  // previous entry on the same link, -1 at the head
+  };
+
+  /// Water-fill state of one active link.
+  struct Slot {
+    double rem = 0.0;   // remaining capacity
+    int unfrozen = 0;   // unfrozen entries
+    int open_pos = -1;  // index in open_, -1 once closed
   };
 
   std::vector<double> capacity_;
-  std::vector<int> active_on_link_;  // live subflows crossing each link
-  std::vector<Subflow> subflows_;
+
+  // Per subflow id. A free id has an empty path and rate 0, so
+  // audit_max_min can read paths_ and rates_ as they are.
+  std::vector<std::vector<int>> paths_;
+  std::vector<std::vector<int>> path_entries_;  // entry id per path hop
+  std::vector<double> rates_;
+  std::vector<int> live_pos_;  // index into live_ids_, -1 when free
   std::vector<int> free_ids_;
   std::vector<int> live_ids_;
+
+  // Link -> subflow adjacency, patched by add/remove: each link's entries
+  // form an intrusive doubly linked list. Links with at least one entry
+  // are the solve's dense slots.
+  std::vector<Entry> entries_;
+  std::vector<int> free_entries_;
+  std::vector<int> link_head_;       // first entry per link, -1 when idle
+  std::vector<int> active_on_link_;  // entries per link
+  std::vector<int> slot_links_;      // dense slot -> link id
+  std::vector<int> slot_of_link_;    // link id -> dense slot (-1 idle)
+
   bool dirty_ = false;
   std::int64_t full_solves_ = 0;
   std::int64_t fast_paths_ = 0;
   const util::CancelToken* cancel_ = nullptr;
 
   // Solve scratch, persistent so steady-state re-solves do not allocate.
-  std::vector<int> slot_of_link_;  // link id -> dense slot (-1 idle)
-  std::vector<int> slot_links_;    // dense slot -> link id
-  std::vector<double> slot_rem_;   // remaining capacity per slot
-  std::vector<int> slot_unfrozen_; // unfrozen subflows per slot
-  std::vector<int> slot_degree_;   // adjacency offsets scratch
-  std::vector<int> slot_subs_;     // concatenated subflow ids per slot
-  std::vector<int> slot_offset_;
+  std::vector<Slot> slots_;
+  std::vector<int> open_;           // slots with an unfrozen subflow
+  std::vector<double> open_share_;  // cached fair share, parallel to open_
+  std::vector<int> saturated_;      // per-round bottleneck slots
+  std::vector<int> touched_;        // per-round slots a freeze crossed
   std::vector<char> frozen_;
-  std::vector<int> saturated_;     // per-round bottleneck slots
-  std::vector<double> audit_load_; // audit_check scratch: per-link rate sum
 };
 
 }  // namespace pnet::fsim

@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/harness.hpp"
+#include "exp/spec.hpp"
 #include "fsim/fluid.hpp"
 #include "fsim/max_min.hpp"
 #include "lp/link_index.hpp"
@@ -121,7 +126,388 @@ TEST(MaxMinAllocator, MatchesLpMaxMinFairOnRandomInstances) {
       EXPECT_NEAR(alloc.rate_bps(ids[f]), oracle[f], 1e-6 * oracle[f])
           << "trial " << trial << " flow " << f;
     }
+    util::Audit audit;  // both allocations pass the optimality audit
+    audit_max_min(cap, paths, oracle, audit);
+    alloc.audit_check(audit);
+    EXPECT_TRUE(audit.ok()) << "trial " << trial << ": " << audit.summary();
+    EXPECT_EQ(audit.checks(), 2u);
   }
+}
+
+TEST(MaxMinAllocator, AuditRejectsFeasibleButUnfairAllocations) {
+  // Links: 0 (10 Gb/s) shared by A and B; 1 (20 Gb/s) shared by B and C.
+  const std::vector<double> cap = {10e9, 20e9};
+  const std::vector<std::vector<int>> paths = {{0}, {0, 1}, {1}};
+  const auto fair = lp::max_min_fair(cap, paths);
+  {
+    util::Audit audit;
+    audit_max_min(cap, paths, fair, audit);
+    EXPECT_TRUE(audit.ok()) << audit.summary();
+  }
+  {
+    util::Audit audit;  // all zeros: feasible, but nothing is saturated
+    audit_max_min(cap, paths, std::vector<double>(3, 0.0), audit);
+    EXPECT_EQ(audit.violations().size(), 3u) << audit.summary();
+  }
+  {
+    std::vector<double> halved = fair;
+    for (double& rate : halved) rate /= 2;
+    util::Audit audit;
+    audit_max_min(cap, paths, halved, audit);
+    EXPECT_EQ(audit.violations().size(), 3u) << audit.summary();
+  }
+  {
+    // Saturated but unfair: C takes link 1's slack from B, so B's only
+    // saturated links carry a larger rate than its own.
+    util::Audit audit;
+    audit_max_min(cap, paths, std::vector<double>{8e9, 2e9, 18e9}, audit);
+    ASSERT_EQ(audit.violations().size(), 1u) << audit.summary();
+    EXPECT_NE(audit.violations()[0].find("subflow 1"), std::string::npos);
+  }
+  {
+    util::Audit audit;  // over capacity on link 0
+    audit_max_min(cap, paths, std::vector<double>{6e9, 6e9, 14e9}, audit);
+    EXPECT_FALSE(audit.ok());
+  }
+}
+
+// ------------------------------------------------- independent reference
+//
+// The water-fill as it stood before the allocator cached link shares and
+// kept its adjacency between solves: every solve rediscovers the active
+// links, rebuilds the link -> subflow adjacency by counting sort, and
+// every round evaluates every slot's share twice. MaxMinAllocator must
+// reproduce its rates bit for bit, and its solve/fast-path counts.
+
+class ReferenceMaxMin {
+ public:
+  explicit ReferenceMaxMin(std::vector<double> capacity_bps)
+      : capacity_(std::move(capacity_bps)),
+        active_on_link_(capacity_.size(), 0),
+        slot_of_link_(capacity_.size(), -1) {}
+
+  int add(std::vector<int> links) {
+    int id;
+    if (free_ids_.empty()) {
+      id = static_cast<int>(subflows_.size());
+      subflows_.emplace_back();
+    } else {
+      id = free_ids_.back();
+      free_ids_.pop_back();
+    }
+    auto& sub = subflows_[static_cast<std::size_t>(id)];
+    sub.links = std::move(links);
+    sub.live_pos = static_cast<int>(live_ids_.size());
+    live_ids_.push_back(id);
+    bool alone = true;
+    double cap = std::numeric_limits<double>::infinity();
+    for (int link : sub.links) {
+      if (active_on_link_[static_cast<std::size_t>(link)]++ > 0) alone = false;
+      cap = std::min(cap, capacity_[static_cast<std::size_t>(link)]);
+    }
+    if (alone && !dirty_) {
+      sub.rate_bps = sub.links.empty() ? 0.0 : cap;
+      ++fast_paths_;
+    } else {
+      dirty_ = true;
+    }
+    return id;
+  }
+
+  void remove(int id) {
+    auto& sub = subflows_[static_cast<std::size_t>(id)];
+    bool alone = true;
+    for (int link : sub.links) {
+      if (--active_on_link_[static_cast<std::size_t>(link)] > 0) alone = false;
+    }
+    const int last = live_ids_.back();
+    live_ids_[static_cast<std::size_t>(sub.live_pos)] = last;
+    subflows_[static_cast<std::size_t>(last)].live_pos = sub.live_pos;
+    live_ids_.pop_back();
+    sub.live_pos = -1;
+    sub.links.clear();
+    sub.rate_bps = 0.0;
+    free_ids_.push_back(id);
+    if (alone) {
+      ++fast_paths_;
+    } else {
+      dirty_ = true;
+    }
+  }
+
+  void set_capacity(int link, double bps) {
+    capacity_[static_cast<std::size_t>(link)] = bps;
+    dirty_ = true;
+  }
+
+  void solve() {
+    if (!dirty_) return;
+    dirty_ = false;
+    ++full_solves_;
+    std::vector<int> slot_links;
+    std::vector<double> slot_rem;
+    std::vector<int> slot_degree;
+    for (int id : live_ids_) {
+      for (int link : subflows_[static_cast<std::size_t>(id)].links) {
+        auto& slot = slot_of_link_[static_cast<std::size_t>(link)];
+        if (slot < 0) {
+          slot = static_cast<int>(slot_links.size());
+          slot_links.push_back(link);
+          slot_rem.push_back(capacity_[static_cast<std::size_t>(link)]);
+          slot_degree.push_back(0);
+        }
+        ++slot_degree[static_cast<std::size_t>(slot)];
+      }
+    }
+    const std::size_t nslots = slot_links.size();
+    std::vector<int> slot_offset(nslots + 1, 0);
+    for (std::size_t s = 0; s < nslots; ++s) {
+      slot_offset[s + 1] = slot_offset[s] + slot_degree[s];
+    }
+    std::vector<int> slot_subs(static_cast<std::size_t>(slot_offset[nslots]));
+    std::vector<int> slot_unfrozen(nslots, 0);
+    for (int id : live_ids_) {
+      for (int link : subflows_[static_cast<std::size_t>(id)].links) {
+        const auto slot = static_cast<std::size_t>(
+            slot_of_link_[static_cast<std::size_t>(link)]);
+        slot_subs[static_cast<std::size_t>(slot_offset[slot]) +
+                  static_cast<std::size_t>(slot_unfrozen[slot]++)] = id;
+      }
+    }
+    std::vector<char> frozen(subflows_.size(), 0);
+    std::size_t remaining = live_ids_.size();
+    std::vector<int> scan;
+    while (remaining > 0) {
+      double level = std::numeric_limits<double>::infinity();
+      for (std::size_t s = 0; s < nslots; ++s) {
+        if (slot_unfrozen[s] <= 0) continue;
+        const double share = std::max(slot_rem[s], 0.0) /
+                             static_cast<double>(slot_unfrozen[s]);
+        level = std::min(level, share);
+      }
+      if (!std::isfinite(level)) break;
+      scan.clear();
+      const double cutoff = level + level * 1e-12 +
+                            std::numeric_limits<double>::min();
+      for (std::size_t s = 0; s < nslots; ++s) {
+        if (slot_unfrozen[s] <= 0) continue;
+        const double share = std::max(slot_rem[s], 0.0) /
+                             static_cast<double>(slot_unfrozen[s]);
+        if (share <= cutoff) scan.push_back(static_cast<int>(s));
+      }
+      for (int s : scan) {
+        const auto begin = static_cast<std::size_t>(
+            slot_offset[static_cast<std::size_t>(s)]);
+        const auto end = static_cast<std::size_t>(
+            slot_offset[static_cast<std::size_t>(s) + 1]);
+        for (std::size_t i = begin; i < end; ++i) {
+          const int id = slot_subs[i];
+          if (frozen[static_cast<std::size_t>(id)]) continue;
+          frozen[static_cast<std::size_t>(id)] = 1;
+          auto& sub = subflows_[static_cast<std::size_t>(id)];
+          sub.rate_bps = level;
+          --remaining;
+          for (int link : sub.links) {
+            const auto slot = static_cast<std::size_t>(
+                slot_of_link_[static_cast<std::size_t>(link)]);
+            slot_rem[slot] -= level;
+            --slot_unfrozen[slot];
+          }
+        }
+      }
+    }
+    for (std::size_t s = 0; s < nslots; ++s) {
+      slot_of_link_[static_cast<std::size_t>(slot_links[s])] = -1;
+    }
+  }
+
+  [[nodiscard]] double rate_bps(int id) const {
+    return subflows_[static_cast<std::size_t>(id)].rate_bps;
+  }
+  [[nodiscard]] const std::vector<int>& live_ids() const { return live_ids_; }
+  [[nodiscard]] std::int64_t full_solves() const { return full_solves_; }
+  [[nodiscard]] std::int64_t fast_paths() const { return fast_paths_; }
+
+ private:
+  struct Subflow {
+    std::vector<int> links;
+    double rate_bps = 0.0;
+    int live_pos = -1;
+  };
+  std::vector<double> capacity_;
+  std::vector<int> active_on_link_;
+  std::vector<Subflow> subflows_;
+  std::vector<int> free_ids_;
+  std::vector<int> live_ids_;
+  std::vector<int> slot_of_link_;
+  bool dirty_ = false;
+  std::int64_t full_solves_ = 0;
+  std::int64_t fast_paths_ = 0;
+};
+
+/// Drives MaxMinAllocator and the reference through the same changes and
+/// compares every live rate by its bits after each one.
+class WaterFillTwin {
+ public:
+  explicit WaterFillTwin(const std::vector<double>& capacity)
+      : alloc_(capacity), ref_(capacity) {}
+
+  int add(const std::vector<int>& links) {
+    const int id = alloc_.add(links);
+    EXPECT_EQ(ref_.add(links), id);
+    return id;
+  }
+  void remove(int id) {
+    alloc_.remove(id);
+    ref_.remove(id);
+  }
+  void set_capacity(int link, double bps) {
+    alloc_.set_capacity(link, bps);
+    ref_.set_capacity(link, bps);
+  }
+  void solve() {
+    alloc_.solve();
+    ref_.solve();
+  }
+  [[nodiscard]] const std::vector<int>& live_ids() const {
+    return ref_.live_ids();
+  }
+
+  /// True when every live rate and both counters match the reference,
+  /// and the rates pass the max-min optimality audit.
+  [[nodiscard]] ::testing::AssertionResult same() const {
+    if (alloc_.full_solves() != ref_.full_solves() ||
+        alloc_.fast_paths() != ref_.fast_paths()) {
+      return ::testing::AssertionFailure()
+             << "solves/fast paths " << alloc_.full_solves() << "/"
+             << alloc_.fast_paths() << " vs reference " << ref_.full_solves()
+             << "/" << ref_.fast_paths();
+    }
+    if (alloc_.active() != static_cast<int>(ref_.live_ids().size())) {
+      return ::testing::AssertionFailure() << "live subflow counts differ";
+    }
+    for (int id : ref_.live_ids()) {
+      if (std::bit_cast<std::uint64_t>(alloc_.rate_bps(id)) !=
+          std::bit_cast<std::uint64_t>(ref_.rate_bps(id))) {
+        return ::testing::AssertionFailure()
+               << "subflow " << id << " rate " << alloc_.rate_bps(id)
+               << " vs reference " << ref_.rate_bps(id);
+      }
+    }
+    util::Audit audit;
+    alloc_.audit_check(audit);  // skipped while changes await a solve()
+    if (!audit.ok()) return ::testing::AssertionFailure() << audit.summary();
+    return ::testing::AssertionSuccess();
+  }
+
+ private:
+  MaxMinAllocator alloc_;
+  ReferenceMaxMin ref_;
+};
+
+TEST(WaterFillReference, MatchesOnRandomChurn) {
+  Rng rng(2024);
+  for (int instance = 0; instance < 2500; ++instance) {
+    const int num_links = 1 + static_cast<int>(rng.next_below(12));
+    // Small integer capacities make exact share ties common; the rest
+    // are arbitrary doubles.
+    const bool integral = rng.next_below(2) == 0;
+    std::vector<double> cap;
+    for (int l = 0; l < num_links; ++l) {
+      cap.push_back(integral
+                        ? static_cast<double>(1 + rng.next_below(4))
+                        : 1e9 * (0.5 + 99.5 * rng.next_double()));
+    }
+    WaterFillTwin twin(cap);
+    std::vector<int> live;
+    const int ops = 5 + static_cast<int>(rng.next_below(40));
+    for (int op = 0; op < ops; ++op) {
+      const std::uint64_t kind = rng.next_below(10);
+      if (kind < 5 || live.empty()) {
+        // Mostly short simple paths; sometimes empty, sometimes a link
+        // twice.
+        std::vector<int> path;
+        const int hops = static_cast<int>(rng.next_below(5));
+        for (int h = 0; h < hops; ++h) {
+          path.push_back(static_cast<int>(
+              rng.next_below(static_cast<std::uint64_t>(num_links))));
+        }
+        if (rng.next_below(8) != 0) {
+          std::sort(path.begin(), path.end());
+          path.erase(std::unique(path.begin(), path.end()), path.end());
+        }
+        live.push_back(twin.add(path));
+      } else if (kind < 8) {
+        const std::size_t pick = rng.next_below(live.size());
+        twin.remove(live[pick]);
+        live[pick] = live.back();
+        live.pop_back();
+      } else {
+        // Fail a link (capacity 0) or restore it.
+        const int link = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(num_links)));
+        const double restored = cap[static_cast<std::size_t>(link)];
+        twin.set_capacity(link, kind == 8 ? 0.0 : restored);
+      }
+      // Usually solve after every change; sometimes let changes pile up
+      // (the fast paths only fire on a clean allocator).
+      if (rng.next_below(4) != 0) twin.solve();
+      ASSERT_TRUE(twin.same()) << "instance " << instance << " op " << op;
+    }
+    twin.solve();
+    ASSERT_TRUE(twin.same()) << "instance " << instance << " final";
+  }
+}
+
+// The subflow paths of a 96-host Jellyfish fig9 fluid cell, added in flow
+// order and removed in a seeded random order, solving after each change.
+void expect_fig9_cell_matches_reference(topo::NetworkType type) {
+  topo::NetworkSpec spec;
+  spec.topo = topo::TopoKind::kJellyfish;
+  spec.type = type;
+  spec.hosts = 96;
+  spec.parallelism = 4;
+  spec.seed = 1;
+  const auto net = topo::build_network(spec);
+  core::PolicyConfig policy;
+  const bool parallel = type == topo::NetworkType::kParallelHomogeneous;
+  if (parallel) {
+    policy.policy = core::RoutingPolicy::kKspMultipath;
+    policy.k = 4;
+  } else {
+    policy.policy = core::RoutingPolicy::kShortestPlane;
+  }
+  const FsimConfig config = exp::to_fsim_config(policy, 1'000'000);
+  const lp::LinkIndex index(net);
+
+  WaterFillTwin twin(index.capacity());
+  Rng rng(util::job_seed(1, 0));
+  std::vector<int> ids;
+  const auto pairs = workload::permutation_pairs(net.num_hosts(), rng);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    for (const auto& path : choose_paths(net, config, pairs[i].first,
+                                         pairs[i].second,
+                                         static_cast<std::uint64_t>(i))) {
+      ids.push_back(twin.add(index.to_global(path)));
+      twin.solve();
+      ASSERT_TRUE(twin.same()) << "add " << ids.size();
+    }
+  }
+  EXPECT_GE(ids.size(), parallel ? 4 * pairs.size() : pairs.size());
+  rng.shuffle(ids);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    twin.remove(ids[i]);
+    twin.solve();
+    ASSERT_TRUE(twin.same()) << "remove " << i;
+  }
+}
+
+TEST(WaterFillReference, MatchesOnFig9ParallelKspCell) {
+  expect_fig9_cell_matches_reference(topo::NetworkType::kParallelHomogeneous);
+}
+
+TEST(WaterFillReference, MatchesOnFig9SerialShortestPlaneCell) {
+  expect_fig9_cell_matches_reference(topo::NetworkType::kSerialLow);
 }
 
 // --------------------------------------------------------- FluidSimulator
@@ -164,6 +550,39 @@ TEST(FluidSimulator, ZeroByteAndUnroutableFlowsComplete) {
   ASSERT_EQ(fluid.results().size(), 2u);
   EXPECT_EQ(fluid.results()[0].subflows, 0);
   for (const auto& r : fluid.results()) EXPECT_EQ(r.end, r.start);
+}
+
+// A failed plane zeroes its links' capacity: the subflows on it freeze at
+// rate 0 until recovery. Those zero rates are max-min fair (a zero-capacity
+// link is saturated), so the audit must pass clean through the outage.
+TEST(FluidSimulator, PlaneFailureUnderAuditStaysMaxMinFair) {
+  const auto net = topo::build_network(
+      fat_tree_spec(topo::NetworkType::kParallelHomogeneous, 16, 2));
+  FsimConfig config;
+  config.scheme = RouteScheme::kEcmpPlaneHash;
+  FluidSimulator fluid(net, config);
+  util::Audit audit;
+  fluid.set_audit(&audit);
+  Rng rng(17);
+  for (const auto& [src, dst] :
+       workload::permutation_pairs(net.num_hosts(), rng)) {
+    fluid.add_flow({src, dst, 10'000'000, 0});
+  }
+  fluid.fail_plane(50 * units::kMicrosecond, 500 * units::kMicrosecond, 0);
+  bool starved = false;  // saw plane-0 subflows held at rate 0
+  fluid.set_control(20 * units::kMicrosecond, [&](SimTime) {
+    const auto planes = fluid.active_subflow_planes();
+    if (fluid.plane_down(0) &&
+        std::count(planes.begin(), planes.end(), 0) > 0 &&
+        fluid.plane_rate_bps(0) == 0.0) {
+      starved = true;
+    }
+  });
+  fluid.run();
+  EXPECT_TRUE(starved);
+  EXPECT_EQ(fluid.results().size(), 16u);
+  EXPECT_GT(audit.checks(), 0u);
+  EXPECT_TRUE(audit.ok()) << audit.summary();
 }
 
 // The route cache is an optimization, never a behavior change: for every
