@@ -5,18 +5,21 @@
 //
 // Besides the default google-benchmark mode, `--json[=PATH]` switches to a
 // self-contained report mode and writes one JSON document (committed as
-// BENCH_routing.json at the repo root). It has two sections, each recording
-// its own network and k:
+// BENCH_routing.json at the repo root). It has three sections, each
+// recording the network (and k) it ran on:
 //   * route_cache — cold vs warm RouteCache lookups over --pairs KSP
 //     queries (k=8) on the 256-host, 4-plane Jellyfish of the
 //     microbenchmarks, with the hit counts, arena footprint and a digest
 //     over every path the cold lookups compute;
+//   * shortest_per_plane — the same lookups and counts for the same pairs
+//     as shortest-per-plane (BFS) queries;
 //   * fsim_ksp_sweep — the routing time (RouteCache compute time) of
 //     --flows k-shortest-path multipath flows admitted by the fluid engine
 //     on a --hosts/--planes fat tree at --k, with the cache enabled vs in
 //     pass-through mode.
 // Every timing is the median, min and max of three runs, each on a fresh
-// cache. Report-mode flags: --flows, --k, --hosts, --planes, --pairs.
+// cache. Report-mode flags: --flows, --k, --hosts, --planes, --pairs; any
+// other flag exits 2.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -232,7 +235,62 @@ void write_network(exp::JsonWriter& w, const topo::ParallelNetwork& net) {
   w.end_object();
 }
 
+/// Runs `queries` through a fresh RouteCache `repeat` times, cold and then
+/// warm, and writes the lookup times (median, min and max per query), the
+/// cache counts and a digest over every path the cold lookups compute.
+/// Returns false, after saying so, when the digest differs between repeats.
+bool write_lookups(exp::JsonWriter& w, const topo::ParallelNetwork& net,
+                   const std::vector<routing::RouteQuery>& queries,
+                   int repeat) {
+  const auto n = static_cast<double>(queries.size());
+  std::vector<double> cold_ns;
+  std::vector<double> warm_ns;
+  std::vector<double> compute_ns;
+  std::uint64_t digest = 0;
+  routing::RouteCacheStats stats;
+  std::vector<routing::RouteSnapshot> snapshots(queries.size());
+  for (int r = 0; r < repeat; ++r) {
+    routing::RouteCache cache(/*enabled=*/true);
+    const auto t_cold = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      snapshots[i] = cache.lookup(net, queries[i]);
+    }
+    cold_ns.push_back(seconds_since(t_cold) * 1e9 / n);
+    const auto t_warm = std::chrono::steady_clock::now();
+    for (const auto& q : queries) (void)cache.lookup(net, q);
+    warm_ns.push_back(seconds_since(t_warm) * 1e9 / n);
+    stats = cache.stats();
+    compute_ns.push_back(static_cast<double>(stats.compute_ns));
+
+    std::uint64_t h = 0x9E3779B97F4A7C15ULL;
+    for (const auto& snapshot : snapshots) h = fold_paths(h, *snapshot);
+    if (r > 0 && h != digest) {
+      std::fprintf(stderr, "path digest differs between repeats\n");
+      return false;
+    }
+    digest = h;
+  }
+  char digest_hex[17];
+  std::snprintf(digest_hex, sizeof digest_hex, "%016" PRIx64, digest);
+
+  write_spread(w, "cold_lookup_ns", cold_ns);
+  write_spread(w, "warm_lookup_ns", warm_ns);
+  const double warm = median_of(warm_ns);
+  w.field("cold_over_warm", warm > 0 ? median_of(cold_ns) / warm : 0.0);
+  w.field("hits", stats.hits);
+  w.field("misses", stats.misses);
+  w.field("hit_rate", static_cast<double>(stats.hits) /
+                          static_cast<double>(stats.hits + stats.misses));
+  w.field("entries", stats.entries);
+  w.field("paths", stats.paths);
+  w.field("arena_bytes", stats.arena_bytes);
+  write_spread(w, "compute_ns", compute_ns);
+  w.field("path_digest", std::string(digest_hex));
+  return true;
+}
+
 int run_json_report(const Flags& flags) {
+  flags.require_only({"json", "hosts", "planes", "flows", "k", "pairs"});
   const std::string path = flags.get("json", "-");
   // 32 hosts -> 992 (src, dst) pairs, so 10k flows revisit each pair ~10
   // times: the regime the per-cell shared cache targets (many flows, few
@@ -252,68 +310,35 @@ int run_json_report(const Flags& flags) {
   w.field("repeat", kRepeat);
   w.end_object();
 
-  // Cold vs warm lookup latency over `pairs` random jellyfish4() pairs.
+  // Cold vs warm lookup latency over `pairs` random jellyfish4() pairs,
+  // first as KSP queries, then as shortest-per-plane queries.
   {
     const auto& net = jellyfish4();
     constexpr int kLookupK = 8;
     constexpr std::uint64_t kLookupSeed = 7;
-    std::vector<routing::RouteQuery> queries;
+    std::vector<routing::RouteQuery> ksp;
+    std::vector<routing::RouteQuery> shortest;
     Rng rng(17);
     for (int i = 0; i < pairs; ++i) {
       const HostId src{static_cast<std::int32_t>(rng.next_below(256))};
       HostId dst{static_cast<std::int32_t>(rng.next_below(256))};
       if (dst == src) dst = HostId{(dst.v + 1) % 256};
-      queries.push_back(
-          routing::RouteQuery::ksp(src, dst, kLookupK, kLookupSeed));
+      ksp.push_back(routing::RouteQuery::ksp(src, dst, kLookupK, kLookupSeed));
+      shortest.push_back(routing::RouteQuery::shortest_per_plane(src, dst));
     }
-    std::vector<double> cold_ns;
-    std::vector<double> warm_ns;
-    std::vector<double> compute_ns;
-    std::uint64_t digest = 0;
-    routing::RouteCacheStats stats;
-    std::vector<routing::RouteSnapshot> snapshots(queries.size());
-    for (int r = 0; r < kRepeat; ++r) {
-      routing::RouteCache cache(/*enabled=*/true);
-      const auto t_cold = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        snapshots[i] = cache.lookup(net, queries[i]);
-      }
-      cold_ns.push_back(seconds_since(t_cold) * 1e9 / pairs);
-      const auto t_warm = std::chrono::steady_clock::now();
-      for (const auto& q : queries) (void)cache.lookup(net, q);
-      warm_ns.push_back(seconds_since(t_warm) * 1e9 / pairs);
-      stats = cache.stats();
-      compute_ns.push_back(static_cast<double>(stats.compute_ns));
-
-      std::uint64_t h = 0x9E3779B97F4A7C15ULL;
-      for (const auto& snapshot : snapshots) h = fold_paths(h, *snapshot);
-      if (r > 0 && h != digest) {
-        std::fprintf(stderr, "path digest differs between repeats\n");
-        return 1;
-      }
-      digest = h;
-    }
-    char digest_hex[17];
-    std::snprintf(digest_hex, sizeof digest_hex, "%016" PRIx64, digest);
 
     w.key("route_cache").begin_object();
     write_network(w, net);
     w.field("k", kLookupK);
     w.field("tiebreak_seed", kLookupSeed);
     w.field("pairs", pairs);
-    write_spread(w, "cold_lookup_ns", cold_ns);
-    write_spread(w, "warm_lookup_ns", warm_ns);
-    const double warm = median_of(warm_ns);
-    w.field("cold_over_warm", warm > 0 ? median_of(cold_ns) / warm : 0.0);
-    w.field("hits", stats.hits);
-    w.field("misses", stats.misses);
-    w.field("hit_rate", static_cast<double>(stats.hits) /
-                            static_cast<double>(stats.hits + stats.misses));
-    w.field("entries", stats.entries);
-    w.field("paths", stats.paths);
-    w.field("arena_bytes", stats.arena_bytes);
-    write_spread(w, "compute_ns", compute_ns);
-    w.field("path_digest", std::string(digest_hex));
+    if (!write_lookups(w, net, ksp, kRepeat)) return 1;
+    w.end_object();
+
+    w.key("shortest_per_plane").begin_object();
+    write_network(w, net);
+    w.field("pairs", pairs);
+    if (!write_lookups(w, net, shortest, kRepeat)) return 1;
     w.end_object();
   }
 

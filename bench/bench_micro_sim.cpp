@@ -25,7 +25,7 @@
 // and checks that the mt rows still agree on events and that fluid_solve's
 // counts and FCT digest equal the baseline's.
 // Report-mode flags: --hosts, --planes, --bytes, --repeat, --mt-hosts,
-// --mt-planes, --mt-bytes.
+// --mt-planes, --mt-bytes; any other flag exits 2.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -255,6 +255,8 @@ FluidRun run_fluid_cell(const topo::ParallelNetwork& net,
 }
 
 int run_json_report(const Flags& flags) {
+  flags.require_only({"json", "hosts", "planes", "bytes", "repeat", "mt-hosts",
+                      "mt-planes", "mt-bytes"});
   const std::string path = flags.get("json", "-");
   const int hosts = flags.get_int("hosts", 16);
   const int planes = flags.get_int("planes", 2);

@@ -72,35 +72,29 @@ std::vector<int> bfs_hops(const topo::Graph& g, NodeId src,
 std::optional<Path> shortest_path(const topo::Graph& g, NodeId src,
                                   NodeId dst,
                                   const std::vector<bool>* banned_links) {
-  std::vector<int> dist(static_cast<std::size_t>(g.num_nodes()),
-                        kUnreachable);
-  std::vector<LinkId> parent_link(static_cast<std::size_t>(g.num_nodes()));
-  dist[static_cast<std::size_t>(src.v)] = 0;
-  std::queue<NodeId> frontier;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    if (u == dst) break;
-    if (!can_transit(g, u, src)) continue;
-    for (LinkId id : g.out_links(u)) {
-      if (banned_links != nullptr &&
-          (*banned_links)[static_cast<std::size_t>(id.v)]) {
-        continue;
-      }
+  if (src == dst) return Path{};
+  // A node's parent is the first link that labels it, in FIFO order, so
+  // the search can stop as soon as dst is labelled. Only src and switches
+  // are queued: other hosts cannot transit.
+  const auto nodes = static_cast<std::size_t>(g.num_nodes());
+  std::vector<std::uint8_t> labelled(nodes, 0);
+  std::vector<LinkId> parent_link(nodes);
+  std::vector<NodeId> fifo;
+  fifo.reserve(nodes);
+  labelled[idx(src)] = 1;
+  fifo.push_back(src);
+  for (std::size_t head = 0; head < fifo.size(); ++head) {
+    for (LinkId id : g.out_links(fifo[head])) {
+      if (banned_links != nullptr && (*banned_links)[idx(id)]) continue;
       const NodeId v = g.link(id).dst;
-      if (dist[static_cast<std::size_t>(v.v)] == kUnreachable) {
-        dist[static_cast<std::size_t>(v.v)] =
-            dist[static_cast<std::size_t>(u.v)] + 1;
-        parent_link[static_cast<std::size_t>(v.v)] = id;
-        frontier.push(v);
-      }
+      if (labelled[idx(v)] != 0) continue;
+      labelled[idx(v)] = 1;
+      parent_link[idx(v)] = id;
+      if (v == dst) return reconstruct(parent_link, src, dst, g);
+      if (!g.is_host(v)) fifo.push_back(v);
     }
   }
-  if (dist[static_cast<std::size_t>(dst.v)] == kUnreachable) {
-    return std::nullopt;
-  }
-  return reconstruct(parent_link, src, dst, g);
+  return std::nullopt;
 }
 
 PathSearch::PathSearch(const topo::Graph& g, const LinkWeights* weights,
@@ -160,20 +154,7 @@ void PathSearch::drain(const std::vector<double>& dist, Settle&& settle) {
 }
 
 void PathSearch::build_tree(NodeId dst) {
-  // In-links per node (CSR, ascending link id), for the backward search.
   const auto nodes = static_cast<std::size_t>(g_.num_nodes());
-  std::vector<std::int32_t> first(nodes + 1, 0);
-  for (int l = 0; l < g_.num_links(); ++l) {
-    ++first[idx(g_.link(LinkId{l}).dst) + 1];
-  }
-  for (std::size_t n = 0; n < nodes; ++n) first[n + 1] += first[n];
-  std::vector<LinkId> in_links(static_cast<std::size_t>(g_.num_links()));
-  std::vector<std::int32_t> fill(first.begin(), first.end() - 1);
-  for (int l = 0; l < g_.num_links(); ++l) {
-    const std::size_t n = idx(g_.link(LinkId{l}).dst);
-    in_links[static_cast<std::size_t>(fill[n]++)] = LinkId{l};
-  }
-
   tree_dst_ = dst;
   h_.assign(nodes, kInf);
   next_.assign(nodes, LinkId{});
@@ -183,8 +164,7 @@ void PathSearch::build_tree(NodeId dst) {
   // Only dst and switches are settled: a host u gets h(u) as the start of a
   // route but is never a tree path's interior.
   drain(h_, [&](NodeId x, double d) {
-    for (auto i = first[idx(x)]; i < first[idx(x) + 1]; ++i) {
-      const LinkId id = in_links[static_cast<std::size_t>(i)];
+    for (const LinkId id : g_.in_links(x)) {
       if ((link_ban_[idx(id)] & kBaseBan) != 0) continue;
       const NodeId u = g_.link(id).src;
       const double nd = d + weight(id);
@@ -196,6 +176,15 @@ void PathSearch::build_tree(NodeId dst) {
     }
     return true;
   });
+}
+
+bool PathSearch::dst_closed(NodeId dst) const {
+  for (const LinkId id : g_.in_links(dst)) {
+    if (link_ban_[idx(id)] == 0 && node_ban_[idx(g_.link(id).src)] == 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool PathSearch::tree_feasible(NodeId v) const {
@@ -212,6 +201,7 @@ std::optional<Path> PathSearch::find(NodeId src, NodeId dst) {
   if (node_ban_[idx(src)] != 0 || node_ban_[idx(dst)] != 0) {
     return std::nullopt;
   }
+  if (src != dst && dst_closed(dst)) return std::nullopt;
   for (const std::int32_t n : touched_) {
     dist_[static_cast<std::size_t>(n)] = kInf;
   }

@@ -23,7 +23,9 @@ inline constexpr int kUnreachable = std::numeric_limits<int>::max();
 std::vector<int> bfs_hops(const topo::Graph& g, NodeId src,
                           const std::vector<bool>* banned_links = nullptr);
 
-/// One shortest (fewest-hop) path, deterministic tie-break by link id.
+/// One shortest (fewest-hop) path, deterministic tie-break by link id: a
+/// node's parent is the first link that reaches it in BFS order. The search
+/// stops as soon as `dst` is reached.
 std::optional<Path> shortest_path(const topo::Graph& g, NodeId src,
                                   NodeId dst,
                                   const std::vector<bool>* banned_links =
@@ -60,6 +62,14 @@ std::optional<Path> dijkstra(const topo::Graph& g, NodeId src, NodeId dst,
 /// shortest path keeps its label and first parent: the pruned search
 /// returns exactly the path of the unpruned one, for any non-negative
 /// weights.
+///
+/// find() first checks that some in-link of `dst` is open: not banned and
+/// not starting at a banned node. Every route to `dst` ends on one of them,
+/// and a search never crosses a banned link or labels a banned node, so
+/// when all are closed the answer is nullopt without a search. Yen meets
+/// this on every spur from a host `dst`'s top-of-rack switch: hosts are
+/// single-homed per plane, so every accepted path ends on the same in-link,
+/// and that spur bans it.
 class PathSearch {
  public:
   /// `weights` (nullptr = unit) and `base_banned` (nullptr = none, indexed
@@ -72,8 +82,8 @@ class PathSearch {
   void ban_node(NodeId id);
   void clear_bans();
 
-  /// Builds the reverse shortest-path tree to `dst` under the base mask.
-  /// Later find() calls toward `dst` prune with it.
+  /// Builds the reverse shortest-path tree to `dst` under the base mask,
+  /// walking Graph::in_links. Later find() calls toward `dst` prune with it.
   void build_tree(NodeId dst);
 
   /// Cheapest src->dst path under the current bans, or nullopt.
@@ -91,6 +101,9 @@ class PathSearch {
     return weights_ != nullptr ? weights_[static_cast<std::size_t>(id.v)]
                                : 1.0;
   }
+  /// True when every in-link of `dst` is banned or starts at a banned
+  /// node.
+  [[nodiscard]] bool dst_closed(NodeId dst) const;
   void push(double d, std::int32_t node);
   Entry pop();
   /// Pops entries in (dist, node) order, skipping stale ones, and hands

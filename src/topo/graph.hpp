@@ -38,6 +38,7 @@ class Graph {
   NodeId add_node(NodeKind kind, HostId host = HostId{}) {
     nodes_.push_back(Node{kind, host});
     adjacency_.emplace_back();
+    in_adjacency_.emplace_back();
     return NodeId{static_cast<std::int32_t>(nodes_.size() - 1)};
   }
 
@@ -47,6 +48,7 @@ class Graph {
     links_.push_back(Link{src, dst, rate_bps, latency});
     const LinkId id{static_cast<std::int32_t>(links_.size() - 1)};
     adjacency_[static_cast<std::size_t>(src.v)].push_back(id);
+    in_adjacency_[static_cast<std::size_t>(dst.v)].push_back(id);
     return id;
   }
 
@@ -86,6 +88,10 @@ class Graph {
   [[nodiscard]] std::span<const LinkId> out_links(NodeId id) const {
     return adjacency_[static_cast<std::size_t>(id.v)];
   }
+  /// The links whose dst is `id`, in ascending link id.
+  [[nodiscard]] std::span<const LinkId> in_links(NodeId id) const {
+    return in_adjacency_[static_cast<std::size_t>(id.v)];
+  }
 
   [[nodiscard]] bool is_host(NodeId id) const {
     return node(id).kind == NodeKind::kHost;
@@ -113,6 +119,7 @@ class Graph {
   std::vector<Node> nodes_;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> adjacency_;
+  std::vector<std::vector<LinkId>> in_adjacency_;
 };
 
 }  // namespace pnet::topo

@@ -1,5 +1,6 @@
 #include "util/flags.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -176,16 +177,34 @@ void Flags::handle_usage(std::string_view usage) const {
         "                    simulated milliseconds (default 1)\n");
     std::exit(0);
   }
-  const auto unknown = unknown_flags(usage);
+  reject(unknown_flags(usage), "run with --help for the accepted flags");
+}
+
+void Flags::require_only(std::initializer_list<std::string_view> keys) const {
+  std::vector<std::string> unknown;
+  for (const auto& [key, value] : values_) {
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      unknown.push_back(key);
+    }
+  }
+  if (unknown.empty()) return;
+  std::string accepted = "accepted flags:";
+  for (const std::string_view key : keys) {
+    accepted += " --";
+    accepted += key;
+  }
+  reject(unknown, accepted);
+}
+
+void Flags::reject(const std::vector<std::string>& unknown,
+                   const std::string& hint) const {
+  if (unknown.empty()) return;
   for (const auto& key : unknown) {
     std::fprintf(stderr, "%s: unrecognized flag --%s\n", program_.c_str(),
                  key.c_str());
   }
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "%s: run with --help for the accepted flags\n",
-                 program_.c_str());
-    std::exit(2);
-  }
+  std::fprintf(stderr, "%s: %s\n", program_.c_str(), hint.c_str());
+  std::exit(2);
 }
 
 bool Flags::paper_scale() const {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -54,11 +55,22 @@ class Flags {
   /// so a misspelled parameter can never silently fall back to its default.
   void handle_usage(std::string_view usage) const;
 
+  /// For modes that read a fixed set of flags and none of the common ones:
+  /// any parsed flag outside `keys` aborts with exit code 2, as in
+  /// handle_usage, even a common flag such as --trials, and the message
+  /// lists `keys`.
+  void require_only(std::initializer_list<std::string_view> keys) const;
+
   /// Basename of the binary (argv[0] stripped of its directory), for usage
   /// and error messages.
   [[nodiscard]] const std::string& program() const { return program_; }
 
  private:
+  /// Names each of `unknown` and then `hint` on stderr and exits 2;
+  /// returns if `unknown` is empty.
+  void reject(const std::vector<std::string>& unknown,
+              const std::string& hint) const;
+
   std::string program_;
   std::map<std::string, std::string> values_;
 };

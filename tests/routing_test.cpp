@@ -1,7 +1,7 @@
 // Tests for routing: BFS/Dijkstra correctness, Yen KSP properties (loopless,
-// sorted, distinct, complete vs brute force), Yen and Dijkstra path for path
-// against an independent reference, ECMP enumeration/hashing, and
-// cross-plane path merging.
+// sorted, distinct, complete vs brute force), Yen, Dijkstra and the BFS
+// shortest path path for path against independent references, the graph's
+// in-link lists, ECMP enumeration/hashing, and cross-plane path merging.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,9 @@
 #include "routing/yen.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/jellyfish.hpp"
+#include "topo/multitier.hpp"
 #include "topo/parallel.hpp"
+#include "topo/xpander.hpp"
 #include "util/rng.hpp"
 
 namespace pnet::routing {
@@ -870,6 +872,299 @@ TEST(Dijkstra, MatchesReferenceOnArbitraryWeights) {
               reference_k_shortest_paths(g, src, dst, k, &w, &links))
         << "query " << q;
   }
+}
+
+// ----------------------------------------- BFS shortest path reference
+//
+// shortest_path as it stood before it stopped at dst: a std::queue BFS
+// that queues every labelled node, skips non-transit hosts when it pops
+// them, and stops only when it pops dst.
+
+std::optional<Path> reference_shortest_path(
+    const Graph& g, NodeId src, NodeId dst,
+    const std::vector<bool>* banned_links = nullptr) {
+  std::vector<int> dist(static_cast<std::size_t>(g.num_nodes()),
+                        kUnreachable);
+  std::vector<LinkId> parent_link(static_cast<std::size_t>(g.num_nodes()));
+  dist[static_cast<std::size_t>(src.v)] = 0;
+  std::queue<NodeId> frontier;
+  frontier.push(src);
+  while (!frontier.empty()) {
+    const NodeId u = frontier.front();
+    frontier.pop();
+    if (u == dst) break;
+    if (u != src && g.is_host(u)) continue;
+    for (LinkId id : g.out_links(u)) {
+      if (banned_links != nullptr &&
+          (*banned_links)[static_cast<std::size_t>(id.v)]) {
+        continue;
+      }
+      const NodeId v = g.link(id).dst;
+      if (dist[static_cast<std::size_t>(v.v)] == kUnreachable) {
+        dist[static_cast<std::size_t>(v.v)] =
+            dist[static_cast<std::size_t>(u.v)] + 1;
+        parent_link[static_cast<std::size_t>(v.v)] = id;
+        frontier.push(v);
+      }
+    }
+  }
+  if (dist[static_cast<std::size_t>(dst.v)] == kUnreachable) {
+    return std::nullopt;
+  }
+  Path path;
+  for (NodeId at = dst; at != src;) {
+    const LinkId incoming = parent_link[static_cast<std::size_t>(at.v)];
+    path.links.push_back(incoming);
+    at = g.link(incoming).src;
+  }
+  std::reverse(path.links.begin(), path.links.end());
+  return path;
+}
+
+std::vector<Path> reference_shortest_per_plane(
+    const topo::ParallelNetwork& net, HostId src, HostId dst,
+    const PlaneBans* bans) {
+  std::vector<Path> out;
+  for (int p = 0; p < net.num_planes(); ++p) {
+    auto path = reference_shortest_path(
+        net.plane(p).graph, net.host_node(p, src), net.host_node(p, dst),
+        detail::plane_bans(bans, p));
+    if (path) {
+      path->plane = p;
+      out.push_back(std::move(*path));
+    }
+  }
+  std::stable_sort(out.begin(), out.end(), [](const Path& a, const Path& b) {
+    return a.hops() < b.hops();
+  });
+  return out;
+}
+
+/// Bans both directions of every cable at `node`, so nothing reaches it.
+void cut_off(const Graph& g, NodeId node, std::vector<bool>& mask) {
+  mask.resize(static_cast<std::size_t>(g.num_links()), false);
+  for (const LinkId id : g.out_links(node)) {
+    mask[static_cast<std::size_t>(id.v)] = true;
+    mask[static_cast<std::size_t>(g.reverse(id).v)] = true;
+  }
+}
+
+/// Runs `queries` random queries on `net`: shortest_per_plane between two
+/// hosts, and shortest_path between two nodes of one plane (hosts or
+/// switches, one in sixteen with src == dst), each against the reference.
+/// A query has no faults, a few failed duplex cables per plane, or those
+/// plus dst cut off in some planes. Returns how many paths matched.
+std::size_t expect_bfs_matches_reference(const topo::ParallelNetwork& net,
+                                         int queries, std::uint64_t seed) {
+  Rng rng(seed);
+  std::size_t paths = 0;
+  const int hosts = net.num_hosts();
+  for (int q = 0; q < queries; ++q) {
+    const HostId src{rng.next_int(0, hosts)};
+    const HostId dst{rng.next_int(0, hosts)};
+    const auto faults = rng.next_below(3);  // none, cables, cables + cut
+    PlaneBans bans = random_duplex_faults(
+        net, faults == 0 ? 0 : rng.next_int(1, 9), rng);
+    if (faults == 2) {
+      for (int p = 0; p < net.num_planes(); ++p) {
+        if (rng.next_below(2) == 0) {
+          cut_off(net.plane(p).graph, net.host_node(p, dst),
+                  bans[static_cast<std::size_t>(p)]);
+        }
+      }
+    }
+    const PlaneBans* maybe_bans = faults == 0 ? nullptr : &bans;
+
+    const auto got = shortest_per_plane(net, src, dst, maybe_bans);
+    EXPECT_EQ(got, reference_shortest_per_plane(net, src, dst, maybe_bans))
+        << "shortest_per_plane query " << q << ": " << src.v << " -> "
+        << dst.v << " faults=" << faults;
+    paths += got.size();
+
+    const int p = rng.next_int(0, net.num_planes());
+    const Graph& g = net.plane(p).graph;
+    const NodeId a{rng.next_int(0, g.num_nodes())};
+    const NodeId b = rng.next_below(16) == 0
+                         ? a
+                         : NodeId{rng.next_int(0, g.num_nodes())};
+    std::vector<bool> mask = bans[static_cast<std::size_t>(p)];
+    if (faults == 2) cut_off(g, b, mask);
+    const std::vector<bool>* m = faults == 0 ? nullptr : &mask;
+    const auto direct = shortest_path(g, a, b, m);
+    EXPECT_EQ(direct, reference_shortest_path(g, a, b, m))
+        << "shortest_path query " << q << " plane " << p << ": " << a.v
+        << " -> " << b.v << " faults=" << faults;
+    if (direct) ++paths;
+  }
+  return paths;
+}
+
+TEST(ShortestPathReference, MatchesOnJellyfish) {
+  std::size_t paths = 0;
+  paths += expect_bfs_matches_reference(
+      reference_net(topo::TopoKind::kJellyfish, 96, 4), 500, 51);
+  paths += expect_bfs_matches_reference(
+      reference_net(topo::TopoKind::kJellyfish, 686, 1), 300, 52);
+  topo::NetworkSpec spec;
+  spec.topo = topo::TopoKind::kJellyfish;
+  spec.type = topo::NetworkType::kParallelHomogeneous;
+  spec.hosts = 686;
+  spec.parallelism = 4;
+  paths += expect_bfs_matches_reference(topo::build_network(spec), 300, 53);
+  EXPECT_GT(paths, 2000u);
+}
+
+TEST(ShortestPathReference, MatchesOnFatTree) {
+  std::size_t paths = 0;
+  paths += expect_bfs_matches_reference(
+      reference_net(topo::TopoKind::kFatTree, 54, 2), 300, 61);
+  paths += expect_bfs_matches_reference(
+      reference_net(topo::TopoKind::kFatTree, 128, 2), 300, 62);
+  EXPECT_GT(paths, 800u);
+}
+
+TEST(ShortestPathReference, MatchesOnXpander) {
+  const std::size_t paths = expect_bfs_matches_reference(
+      reference_net(topo::TopoKind::kXpander, 128, 2), 400, 71);
+  EXPECT_GT(paths, 500u);
+}
+
+// ------------------------------------------------------------ in-links
+
+/// Graph::in_links(n) must list exactly the links whose dst is n, in
+/// ascending id: the order build_tree() relies on. Hosts are single-homed,
+/// which is what makes Yen's spur from a host's switch a dead one.
+void expect_in_links_match_scan(const Graph& g) {
+  std::vector<std::vector<LinkId>> want(
+      static_cast<std::size_t>(g.num_nodes()));
+  for (int l = 0; l < g.num_links(); ++l) {
+    want[static_cast<std::size_t>(g.link(LinkId{l}).dst.v)].push_back(
+        LinkId{l});
+  }
+  for (int n = 0; n < g.num_nodes(); ++n) {
+    const auto got = g.in_links(NodeId{n});
+    EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                           want[static_cast<std::size_t>(n)].begin(),
+                           want[static_cast<std::size_t>(n)].end()))
+        << "node " << n;
+    if (g.is_host(NodeId{n})) {
+      EXPECT_EQ(got.size(), 1u) << "host " << n;
+    }
+  }
+}
+
+TEST(InLinks, MatchBruteForceScanOnEveryBuilder) {
+  std::vector<NodeId> n;
+  expect_in_links_match_scan(diamond(n));
+  for (const int k : {4, 8}) {
+    topo::FatTreeConfig config;
+    config.k = k;
+    expect_in_links_match_scan(topo::build_fat_tree(config).graph);
+  }
+  expect_in_links_match_scan(topo::build_jellyfish({}).graph);
+  expect_in_links_match_scan(topo::build_xpander({}).graph);
+  topo::MultiTierConfig tiers;
+  tiers.radix = 4;
+  tiers.tiers = 3;
+  expect_in_links_match_scan(topo::build_multi_tier_fat_tree(tiers).graph);
+  expect_in_links_match_scan(topo::build_chassis_fat_tree(32, 4, 8).graph);
+  for (const auto kind : {topo::TopoKind::kFatTree, topo::TopoKind::kJellyfish,
+                          topo::TopoKind::kXpander}) {
+    for (const auto type : {topo::NetworkType::kSerialLow,
+                            topo::NetworkType::kParallelHomogeneous,
+                            topo::NetworkType::kParallelHeterogeneous,
+                            topo::NetworkType::kSerialHigh}) {
+      topo::NetworkSpec spec;
+      spec.topo = kind;
+      spec.type = type;
+      spec.hosts = 64;
+      spec.parallelism = 4;
+      const auto net = topo::build_network(spec);
+      for (int p = 0; p < net.num_planes(); ++p) {
+        expect_in_links_match_scan(net.plane(p).graph);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------- dead-spur exit
+
+TEST(PathSearch, ClosedDstReturnsNulloptAndOneOpenInLinkMatchesDijkstra) {
+  // Switch destinations, with several in-links each: close all of them
+  // (by spur ban, base ban, or a ban on the node they start at), then
+  // reopen one that starts at a switch. find(), with and without the
+  // reverse tree, must agree with the unpruned dijkstra() and the
+  // reference either way.
+  const auto net = reference_net(topo::TopoKind::kJellyfish, 96, 1);
+  const Graph& g = net.plane(0).graph;
+  const LinkWeights unit(static_cast<std::size_t>(g.num_links()), 1.0);
+  const auto switches = g.switches();
+  Rng rng(81);
+  int reopened = 0;
+  for (int q = 0; q < 60; ++q) {
+    const NodeId dst = switches[rng.next_below(switches.size())];
+    const NodeId src = net.host_node(0, HostId{rng.next_int(0, 96)});
+    const auto in = g.in_links(dst);
+    ASSERT_GT(in.size(), 1u);
+    // Half the queries put the link bans in the base mask.
+    const bool in_base = rng.next_below(2) == 0;
+    std::vector<bool> links(static_cast<std::size_t>(g.num_links()), false);
+    std::vector<bool> nodes(static_cast<std::size_t>(g.num_nodes()), false);
+    std::vector<LinkId> switch_links;
+    for (const LinkId id : in) {
+      const NodeId from = g.link(id).src;
+      if (!g.is_host(from)) switch_links.push_back(id);
+      if (rng.next_below(3) == 0 && from != src) {
+        nodes[static_cast<std::size_t>(from.v)] = true;
+      } else {
+        links[static_cast<std::size_t>(id.v)] = true;
+      }
+    }
+    auto expect_find = [&](const std::optional<Path>& want) {
+      const std::vector<bool> none;
+      const std::vector<bool>& base = in_base ? links : none;
+      PathSearch plain(g, nullptr, &base);
+      PathSearch pruned(g, nullptr, &base);
+      pruned.build_tree(dst);
+      for (PathSearch* search : {&plain, &pruned}) {
+        for (int l = 0; l < g.num_links(); ++l) {
+          if (!in_base && links[static_cast<std::size_t>(l)]) {
+            search->ban_link(LinkId{l});
+          }
+        }
+        for (int n = 0; n < g.num_nodes(); ++n) {
+          if (nodes[static_cast<std::size_t>(n)]) search->ban_node(NodeId{n});
+        }
+        EXPECT_EQ(search->find(src, dst), want) << "query " << q;
+      }
+      EXPECT_EQ(dijkstra(g, src, dst, unit, links, nodes), want)
+          << "query " << q;
+    };
+    EXPECT_FALSE(reference_dijkstra(g, src, dst, unit, links, nodes));
+    expect_find(std::nullopt);
+
+    // Reopen one in-link from a switch: lift its link ban and the ban on
+    // the node it starts at.
+    ASSERT_FALSE(switch_links.empty());
+    const LinkId open = switch_links[rng.next_below(switch_links.size())];
+    links[static_cast<std::size_t>(open.v)] = false;
+    nodes[static_cast<std::size_t>(g.link(open).src.v)] = false;
+    const auto want = reference_dijkstra(g, src, dst, unit, links, nodes);
+    expect_find(want);
+    if (want) {
+      EXPECT_EQ(want->links.back(), open) << "query " << q;
+      ++reopened;
+    }
+  }
+  EXPECT_GT(reopened, 40);
+
+  // The exit never fires for src == dst: that is the empty path.
+  PathSearch search(g, nullptr, nullptr);
+  const NodeId s = switches.front();
+  for (const LinkId id : g.in_links(s)) search.ban_link(id);
+  const auto empty = search.find(s, s);
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->empty());
 }
 
 }  // namespace

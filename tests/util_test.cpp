@@ -321,6 +321,20 @@ TEST(FlagsUsageDeathTest, EngineIsNotACommonFlag) {
   SUCCEED();
 }
 
+TEST(FlagsUsageDeathTest, RequireOnlyRejectsCommonFlagsToo) {
+  // A report mode that reads a fixed set must reject even the runner's
+  // common flags, which handle_usage would accept and the mode ignore.
+  make_flags({"prog", "--json=x", "--pairs=8"}).require_only({"json", "pairs"});
+  EXPECT_EXIT(make_flags({"prog", "--json=x", "--trials=2"})
+                  .require_only({"json", "pairs"}),
+              testing::ExitedWithCode(2), "unrecognized flag --trials");
+  EXPECT_EXIT(make_flags({"prog", "--json=x", "--bogus=3"})
+                  .require_only({"json", "pairs"}),
+              testing::ExitedWithCode(2), "prog: unrecognized flag --bogus");
+  EXPECT_EXIT(make_flags({"prog", "--bogus=3"}).require_only({"json", "pairs"}),
+              testing::ExitedWithCode(2), "accepted flags: --json --pairs");
+}
+
 TEST(Table, RendersAlignedRows) {
   TextTable t("Demo", {"name", "x", "y"});
   t.add_row({"alpha", "1", "2"});
