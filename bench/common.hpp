@@ -170,13 +170,13 @@ using exp::to_fsim_config;
 
 inline EngineKind parse_engine_or(const Flags& flags, EngineKind def) {
   const auto value = flags.get("engine", exp::to_string(def));
-  if (const auto engine = exp::engine_from_string(value);
+  if (const auto engine = util::from_string<EngineKind>(value);
       engine.has_value() && *engine != EngineKind::kCustom) {
     return *engine;
   }
   std::fprintf(stderr, "%s: unknown --engine '%s' (valid: %s)\n",
                flags.program().c_str(), value.c_str(),
-               exp::engine_names().c_str());
+               util::enum_names<EngineKind>().c_str());
   std::exit(2);
 }
 
@@ -187,15 +187,15 @@ inline EngineKind parse_engine(const Flags& flags) {
 /// The --controller flags, shared by every bench (they ride the common-flag
 /// whitelist): --controller=off|host-local|centralized picks the mode,
 /// --controller-cadence / --controller-detect-delay (simulated ms) tune the
-/// loop. Unknown mode names fail fast listing control::mode_names().
+/// loop. Unknown mode names fail fast listing every mode name.
 inline control::ControllerConfig parse_controller(const Flags& flags) {
   control::ControllerConfig config;
   const auto value = flags.get("controller", "off");
-  const auto mode = control::mode_from_string(value);
+  const auto mode = util::from_string<control::ControllerMode>(value);
   if (!mode.has_value()) {
     std::fprintf(stderr, "%s: unknown --controller '%s' (valid: %s)\n",
                  flags.program().c_str(), value.c_str(),
-                 control::mode_names().c_str());
+                 util::enum_names<control::ControllerMode>().c_str());
     std::exit(2);
   }
   config.mode = *mode;

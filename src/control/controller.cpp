@@ -8,11 +8,7 @@ namespace pnet::control {
 
 namespace {
 
-struct ModeName {
-  ControllerMode mode;
-  const char* name;
-};
-constexpr ModeName kModeTable[] = {
+constexpr util::EnumName<ControllerMode> kModeNames[] = {
     {ControllerMode::kOff, "off"},
     {ControllerMode::kHostLocal, "host-local"},
     {ControllerMode::kCentralized, "centralized"},
@@ -24,28 +20,10 @@ constexpr double kLoadFloorBps = 1e6;
 
 }  // namespace
 
-const char* to_string(ControllerMode mode) {
-  for (const ModeName& entry : kModeTable) {
-    if (entry.mode == mode) return entry.name;
-  }
-  return "?";
+util::EnumNames<ControllerMode> name_table(ControllerMode) {
+  return kModeNames;
 }
-
-std::optional<ControllerMode> mode_from_string(std::string_view name) {
-  for (const ModeName& entry : kModeTable) {
-    if (entry.name == name) return entry.mode;
-  }
-  return std::nullopt;
-}
-
-std::string mode_names() {
-  std::string out;
-  for (const ModeName& entry : kModeTable) {
-    if (!out.empty()) out += ' ';
-    out += entry.name;
-  }
-  return out;
-}
+const char* to_string(ControllerMode mode) { return util::to_name(mode); }
 
 std::string ControllerConfig::validate() const {
   if (!active()) return "";

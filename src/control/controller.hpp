@@ -19,13 +19,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/faults.hpp"
 #include "telemetry/sampler.hpp"
+#include "util/enum_names.hpp"
 #include "util/units.hpp"
 
 namespace pnet::control {
@@ -44,11 +43,7 @@ enum class ControllerMode : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(ControllerMode mode);
-/// Registry mirror of core::policy_from_string: unknown names return
-/// nullopt, callers fail fast listing mode_names().
-[[nodiscard]] std::optional<ControllerMode> mode_from_string(
-    std::string_view name);
-[[nodiscard]] std::string mode_names();
+[[nodiscard]] util::EnumNames<ControllerMode> name_table(ControllerMode);
 
 struct ControllerConfig {
   ControllerMode mode = ControllerMode::kOff;

@@ -9,13 +9,7 @@ namespace pnet::core {
 
 namespace {
 
-// The one policy-name table: to_string and policy_from_string both walk it,
-// so the round-trip cannot drift when a policy is added.
-struct PolicyName {
-  RoutingPolicy policy;
-  std::string_view name;
-};
-constexpr PolicyName kPolicyTable[] = {
+constexpr util::EnumName<RoutingPolicy> kPolicyNames[] = {
     {RoutingPolicy::kEcmp, "ecmp"},
     {RoutingPolicy::kRoundRobin, "round-robin"},
     {RoutingPolicy::kShortestPlane, "shortest-plane"},
@@ -25,28 +19,10 @@ constexpr PolicyName kPolicyTable[] = {
 
 }  // namespace
 
-std::string to_string(RoutingPolicy policy) {
-  for (const PolicyName& entry : kPolicyTable) {
-    if (entry.policy == policy) return std::string(entry.name);
-  }
-  return "?";
+util::EnumNames<RoutingPolicy> name_table(RoutingPolicy) {
+  return kPolicyNames;
 }
-
-std::optional<RoutingPolicy> policy_from_string(std::string_view name) {
-  for (const PolicyName& entry : kPolicyTable) {
-    if (entry.name == name) return entry.policy;
-  }
-  return std::nullopt;
-}
-
-std::string policy_names() {
-  std::string out;
-  for (const PolicyName& entry : kPolicyTable) {
-    if (!out.empty()) out += ' ';
-    out += entry.name;
-  }
-  return out;
-}
+std::string to_string(RoutingPolicy policy) { return util::to_name(policy); }
 
 PathSelector::PathSelector(const topo::ParallelNetwork& net,
                            PolicyConfig config,

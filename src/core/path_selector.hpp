@@ -19,8 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +26,7 @@
 #include "routing/route_cache.hpp"
 #include "sim/network.hpp"
 #include "topo/parallel.hpp"
+#include "util/enum_names.hpp"
 #include "workload/apps.hpp"
 
 namespace pnet::core {
@@ -41,15 +40,10 @@ enum class RoutingPolicy : std::uint8_t {
 };
 
 [[nodiscard]] std::string to_string(RoutingPolicy policy);
-
-/// String-keyed policy registry, shared by every bench/config surface so
-/// ablations name policies identically everywhere. `to_string` and
-/// `policy_from_string` round-trip over the same table; unknown names
-/// return nullopt (callers fail fast listing policy_names()).
-[[nodiscard]] std::optional<RoutingPolicy> policy_from_string(
-    std::string_view name);
-/// Every registered policy name, in enum order ("ecmp round-robin ...").
-[[nodiscard]] std::string policy_names();
+/// The policy-name table shared by every bench, config and wire surface, so
+/// ablations name policies identically everywhere (util::from_string and
+/// util::enum_names walk it too).
+[[nodiscard]] util::EnumNames<RoutingPolicy> name_table(RoutingPolicy);
 
 struct PolicyConfig {
   RoutingPolicy policy = RoutingPolicy::kRoundRobin;

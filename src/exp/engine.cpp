@@ -30,9 +30,9 @@ std::vector<workload::HostPair> pattern_pairs(
     case WorkloadSpec::Pattern::kClosedLoop:
       break;  // no host-pair draw: PacketEngine runs a ClosedLoopApp
   }
-  throw std::invalid_argument(
-      std::string("exp: workload pattern ") + to_string(workload.pattern) +
-      " has no host-pair draw");
+  throw std::invalid_argument(std::string("exp: workload pattern ") +
+                              util::to_name(workload.pattern) +
+                              " has no host-pair draw");
 }
 
 /// A closed-loop worker's request sizes: fixed, or trace draws.

@@ -4,50 +4,64 @@ namespace pnet::exp {
 
 namespace {
 
-struct EngineName {
-  EngineKind engine;
-  const char* name;
-};
-constexpr EngineName kEngineTable[] = {
+constexpr util::EnumName<EngineKind> kEngineNames[] = {
     {EngineKind::kPacket, "packet"},
     {EngineKind::kFsim, "fsim"},
     {EngineKind::kCustom, "custom"},
 };
+constexpr util::EnumName<WorkloadSpec::Pattern> kPatternNames[] = {
+    {WorkloadSpec::Pattern::kPermutation, "permutation"},
+    {WorkloadSpec::Pattern::kAllToAll, "all_to_all"},
+    {WorkloadSpec::Pattern::kRackAllToAll, "rack_all_to_all"},
+    {WorkloadSpec::Pattern::kClosedLoop, "closed_loop"},
+};
+
+/// The writer over the field list: emits each field whose condition holds.
+struct FieldWriter {
+  JsonWriter& w;
+
+  template <class M>
+  void operator()(std::string_view name, const M& member, bool write = true) {
+    if (!write) return;
+    w.key(name);
+    put(member);
+  }
+
+  template <class M>
+  void put(const M& m) {
+    if constexpr (std::is_enum_v<M>) {
+      w.value(util::to_name(m));
+    } else if constexpr (std::is_same_v<M, std::uint32_t>) {
+      w.value(static_cast<std::uint64_t>(m));
+    } else if constexpr (std::is_arithmetic_v<M>) {
+      w.value(m);
+    } else {  // a nested struct with a field list of its own
+      w.begin_object();
+      visit(*this, m);
+      w.end_object();
+    }
+  }
+  void put(const std::string& s) { w.value(s); }
+  template <class E>
+  void put(const std::optional<E>& e) { put(*e); }
+  void put(const std::vector<int>& items) {
+    w.begin_array();
+    for (const int item : items) w.value(item);
+    w.end_array();
+  }
+  template <class T>
+  void put(Micros<T> t) { w.value(units::to_microseconds(t.value)); }
+  template <class T>
+  void put(Gbps<T> r) { w.value(r.value / units::kGbps); }
+};
 
 }  // namespace
 
-const char* to_string(EngineKind engine) {
-  for (const EngineName& entry : kEngineTable) {
-    if (entry.engine == engine) return entry.name;
-  }
-  return "?";
+util::EnumNames<EngineKind> name_table(EngineKind) { return kEngineNames; }
+util::EnumNames<WorkloadSpec::Pattern> name_table(WorkloadSpec::Pattern) {
+  return kPatternNames;
 }
-
-std::optional<EngineKind> engine_from_string(std::string_view name) {
-  for (const EngineName& entry : kEngineTable) {
-    if (entry.name == name) return entry.engine;
-  }
-  return std::nullopt;
-}
-
-std::string engine_names() {
-  std::string out;
-  for (const EngineName& entry : kEngineTable) {
-    if (!out.empty()) out += ' ';
-    out += entry.name;
-  }
-  return out;
-}
-
-const char* to_string(WorkloadSpec::Pattern pattern) {
-  switch (pattern) {
-    case WorkloadSpec::Pattern::kPermutation: return "permutation";
-    case WorkloadSpec::Pattern::kAllToAll: return "all_to_all";
-    case WorkloadSpec::Pattern::kRackAllToAll: return "rack_all_to_all";
-    case WorkloadSpec::Pattern::kClosedLoop: return "closed_loop";
-  }
-  return "?";
-}
+const char* to_string(EngineKind engine) { return util::to_name(engine); }
 
 std::string ExperimentSpec::validate() const {
   if (name.empty()) return "spec.name must not be empty";
@@ -85,9 +99,39 @@ std::string ExperimentSpec::validate() const {
              "rounds > 1";
     }
   }
+  if (topo.host_latency < 0 || topo.fabric_latency < 0) {
+    return "spec.topo latencies must be >= 0";
+  }
   if (policy.k < 1) return "spec.policy.k must be >= 1";
   if (policy.ecmp_path_cap < 1) return "spec.policy.ecmp_path_cap must "
                                        "be >= 1";
+  // Increasing, so one plane set has one spelling and the list stays
+  // within `parallelism` entries.
+  int previous_plane = -1;
+  for (const int plane : policy.allowed_planes) {
+    if (plane <= previous_plane || plane >= topo.parallelism) {
+      return "spec.policy.allowed_planes must be increasing plane indices "
+             "in [0, parallelism)";
+    }
+    previous_plane = plane;
+  }
+  const sim::TcpParams& tcp = sim.tcp;
+  if (tcp.mss < 1 || tcp.ack_size < 1 || tcp.initial_window_packets < 1 ||
+      tcp.recovery_burst_segments < 1) {
+    return "spec.sim: mss, ack_size, initial_window_packets and "
+           "recovery_burst_segments must be >= 1";
+  }
+  // cwnd is a divisor once congestion avoidance starts.
+  if (tcp.max_cwnd_bytes < tcp.mss) {
+    return "spec.sim.max_cwnd_bytes must be >= mss";
+  }
+  if (tcp.min_rto <= 0 || tcp.initial_rto <= 0) {
+    return "spec.sim: min_rto and initial_rto must be > 0";
+  }
+  // DCTCP's EWMA gain is 1 / (1 << shift).
+  if (tcp.dctcp_gain_shift < 0 || tcp.dctcp_gain_shift > 30) {
+    return "spec.sim.dctcp_gain_shift must be in [0, 30]";
+  }
   if (const std::string err = controller.validate(); !err.empty()) {
     return "spec.controller: " + err;
   }
@@ -95,77 +139,8 @@ std::string ExperimentSpec::validate() const {
 }
 
 void ExperimentSpec::to_json(JsonWriter& w) const {
-  w.begin_object();
-  w.field("name", name);
-  w.field("engine", to_string(engine));
-  w.field("seed", seed);
-  w.field("trials", trials);
-  if (deadline > 0) w.field("deadline_us", units::to_microseconds(deadline));
-  // Written only when a control plane is on: specs predating the field
-  // keep their canonical bytes (and hashes) unchanged.
-  if (controller.active()) {
-    w.key("controller").begin_object();
-    w.field("mode", control::to_string(controller.mode));
-    w.field("cadence_us", units::to_microseconds(controller.cadence));
-    w.field("detect_delay_us",
-            units::to_microseconds(controller.detect_delay));
-    w.field("imbalance_threshold", controller.imbalance_threshold);
-    w.field("max_repins_per_tick", controller.max_repins_per_tick);
-    w.field("window", controller.window);
-    w.end_object();
-  }
-  if (engine != EngineKind::kCustom) {
-    w.key("topo").begin_object();
-    w.field("kind", topo::to_string(topo.topo));
-    w.field("type", topo::to_string(topo.type));
-    w.field("hosts", topo.hosts);
-    w.field("parallelism", topo.parallelism);
-    w.field("base_rate_gbps", topo.base_rate_bps / units::kGbps);
-    w.field("seed", topo.seed);
-    if (topo.jf_switches > 0) w.field("jf_switches", topo.jf_switches);
-    if (topo.jf_degree > 0) w.field("jf_degree", topo.jf_degree);
-    if (topo.jf_hosts_per_switch > 0) {
-      w.field("jf_hosts_per_switch", topo.jf_hosts_per_switch);
-    }
-    w.end_object();
-    w.key("policy").begin_object();
-    w.field("policy", core::to_string(policy.policy));
-    w.field("k", policy.k);
-    w.field("ecmp_path_cap", policy.ecmp_path_cap);
-    w.field("multipath_cutoff_bytes", policy.multipath_cutoff_bytes);
-    w.end_object();
-    // Each pattern writes exactly the fields it reads, so host-pair specs
-    // keep the canonical bytes (and hashes) they had before kClosedLoop.
-    w.key("workload").begin_object();
-    w.field("pattern", to_string(workload.pattern));
-    if (!workload.trace.has_value()) {
-      w.field("flow_bytes", workload.flow_bytes);
-    }
-    w.field("rounds", workload.rounds);
-    if (workload.pattern == WorkloadSpec::Pattern::kClosedLoop) {
-      w.field("concurrent", workload.concurrent);
-      w.field("response_bytes", workload.response_bytes);
-      if (workload.trace.has_value()) {
-        w.field("trace", workload::to_string(*workload.trace));
-        w.field("trace_cap_bytes", workload.trace_cap_bytes);
-      }
-    } else {
-      w.field("start_jitter_us",
-              units::to_microseconds(workload.start_jitter));
-      if (workload.round_gap > 0) {
-        w.field("round_gap_us", units::to_microseconds(workload.round_gap));
-      }
-    }
-    w.end_object();
-    w.key("sim").begin_object();
-    w.field("queue_buffer_bytes", sim.queue_buffer_bytes);
-    w.field("ecn_threshold_bytes", sim.ecn_threshold_bytes);
-    w.field("priority_acks", sim.priority_acks);
-    w.field("trim_to_header", sim.trim_to_header);
-    w.field("dctcp", sim.tcp.dctcp);
-    w.end_object();
-  }
-  w.end_object();
+  FieldWriter writer{w};
+  writer.put(*this);
 }
 
 std::string ExperimentSpec::canonical_json() const {
@@ -175,6 +150,12 @@ std::string ExperimentSpec::canonical_json() const {
 }
 
 std::uint64_t ExperimentSpec::hash() const { return fnv1a(canonical_json()); }
+
+std::string canonical_json(const topo::NetworkSpec& topo) {
+  JsonWriter w;
+  FieldWriter{w}.put(topo);
+  return w.str();
+}
 
 fsim::FsimConfig to_fsim_config(const core::PolicyConfig& policy,
                                 std::uint64_t flow_bytes) {

@@ -8,10 +8,12 @@
 // always be traced back to its exact configuration.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "control/controller.hpp"
 #include "core/path_selector.hpp"
@@ -19,6 +21,7 @@
 #include "fsim/fluid.hpp"
 #include "sim/network.hpp"
 #include "topo/parallel.hpp"
+#include "util/enum_names.hpp"
 #include "util/units.hpp"
 #include "workload/traces.hpp"
 
@@ -36,11 +39,7 @@ namespace pnet::exp {
 enum class EngineKind : std::uint8_t { kPacket, kFsim, kCustom };
 
 [[nodiscard]] const char* to_string(EngineKind engine);
-/// Registry mirror of core::policy_from_string: unknown names return
-/// nullopt, callers fail fast listing engine_names().
-[[nodiscard]] std::optional<EngineKind> engine_from_string(
-    std::string_view name);
-[[nodiscard]] std::string engine_names();
+[[nodiscard]] util::EnumNames<EngineKind> name_table(EngineKind);
 
 /// Synthetic workload of the built-in engines. The host-pair patterns run
 /// `rounds` pattern instances of fixed-size flows, each flow jittered
@@ -82,7 +81,8 @@ struct WorkloadSpec {
   std::uint64_t trace_cap_bytes = 0;
 };
 
-[[nodiscard]] const char* to_string(WorkloadSpec::Pattern pattern);
+[[nodiscard]] util::EnumNames<WorkloadSpec::Pattern> name_table(
+    WorkloadSpec::Pattern);
 
 struct ExperimentSpec {
   /// Cell label: names the row/series in tables and the JSON report.
@@ -110,7 +110,7 @@ struct ExperimentSpec {
   /// first problem found.
   [[nodiscard]] std::string validate() const;
 
-  /// Serializes the spec (deterministically) into an open JSON object.
+  /// Writes the spec's field list (below) as one JSON object.
   void to_json(JsonWriter& w) const;
 
   /// The spec's canonical form: to_json rendered standalone. Two specs are
@@ -125,6 +125,134 @@ struct ExperimentSpec {
   /// short of a 64-bit collision.
   [[nodiscard]] std::uint64_t hash() const;
 };
+
+// ------------------------------------------------------------ field list
+//
+// The one definition of the spec's wire format, in the serialize(Archive&)
+// idiom: one `visit(v, s)` per struct names each field once, in wire
+// order, as `v(wire_name, member, write_if)`. The member carries its codec
+// (integers, bools and strings as they are; enums by their name table; a
+// nested struct as an object; `us(t)` a SimTime in microseconds; `gbps(r)`
+// a rate in Gbps), and `write_if` says when the writer emits it. to_json
+// walks the list, so it feeds hash(), the checkpoint key and every report;
+// pnet-serve's decoder walks it too and rejects members it does not name.
+// A field added to a committed block is written only when it differs from
+// its default, so older specs keep their bytes; validate() bounds it if it
+// can come off the wire.
+
+/// `T` is `S` or `const S`: the writer visits const specs, the reader
+/// mutable ones.
+template <class T, class S>
+concept FieldsOf = std::same_as<std::remove_const_t<T>, S>;
+
+template <class T> struct Micros { T& value; };
+template <class T> struct Gbps { T& value; };
+template <class T> Micros<T> us(T& value) { return {value}; }
+template <class T> Gbps<T> gbps(T& value) { return {value}; }
+
+template <class V, FieldsOf<topo::NetworkSpec> T>
+void visit(V& v, T& t) {
+  const topo::NetworkSpec d;
+  v("kind", t.topo);
+  v("type", t.type);
+  v("hosts", t.hosts);
+  v("parallelism", t.parallelism);
+  v("base_rate_gbps", gbps(t.base_rate_bps));
+  v("seed", t.seed);
+  v("jf_switches", t.jf_switches, t.jf_switches > 0);
+  v("jf_degree", t.jf_degree, t.jf_degree > 0);
+  v("jf_hosts_per_switch", t.jf_hosts_per_switch, t.jf_hosts_per_switch > 0);
+  v("host_latency_us", us(t.host_latency), t.host_latency != d.host_latency);
+  v("fabric_latency_us", us(t.fabric_latency),
+    t.fabric_latency != d.fabric_latency);
+}
+
+template <class V, FieldsOf<core::PolicyConfig> T>
+void visit(V& v, T& p) {
+  const core::PolicyConfig d;
+  v("policy", p.policy);
+  v("k", p.k);
+  v("ecmp_path_cap", p.ecmp_path_cap);
+  v("multipath_cutoff_bytes", p.multipath_cutoff_bytes);
+  v("coupling", p.coupling, p.coupling != d.coupling);
+  v("allowed_planes", p.allowed_planes, !p.allowed_planes.empty());
+}
+
+/// Each pattern writes exactly the fields it reads.
+template <class V, FieldsOf<WorkloadSpec> T>
+void visit(V& v, T& w) {
+  const bool closed = w.pattern == WorkloadSpec::Pattern::kClosedLoop;
+  const bool traced = w.trace.has_value();
+  v("pattern", w.pattern);
+  v("flow_bytes", w.flow_bytes, !traced);
+  v("rounds", w.rounds);
+  v("concurrent", w.concurrent, closed);
+  v("response_bytes", w.response_bytes, closed);
+  v("trace", w.trace, closed && traced);
+  v("trace_cap_bytes", w.trace_cap_bytes, closed && traced);
+  v("start_jitter_us", us(w.start_jitter), !closed);
+  v("round_gap_us", us(w.round_gap), !closed && w.round_gap > 0);
+}
+
+template <class V, FieldsOf<sim::SimConfig> T>
+void visit(V& v, T& s) {
+  const sim::TcpParams d;
+  auto& t = s.tcp;
+  v("queue_buffer_bytes", s.queue_buffer_bytes);
+  v("ecn_threshold_bytes", s.ecn_threshold_bytes);
+  v("priority_acks", s.priority_acks);
+  v("trim_to_header", s.trim_to_header);
+  v("dctcp", t.dctcp);
+  v("mss", t.mss, t.mss != d.mss);
+  v("ack_size", t.ack_size, t.ack_size != d.ack_size);
+  v("initial_window_packets", t.initial_window_packets,
+    t.initial_window_packets != d.initial_window_packets);
+  v("max_cwnd_bytes", t.max_cwnd_bytes, t.max_cwnd_bytes != d.max_cwnd_bytes);
+  v("limited_ss_threshold", t.limited_ss_threshold,
+    t.limited_ss_threshold != d.limited_ss_threshold);
+  v("recovery_burst_segments", t.recovery_burst_segments,
+    t.recovery_burst_segments != d.recovery_burst_segments);
+  v("min_rto_us", us(t.min_rto), t.min_rto != d.min_rto);
+  v("initial_rto_us", us(t.initial_rto), t.initial_rto != d.initial_rto);
+  v("path_suspect_threshold", t.path_suspect_threshold,
+    t.path_suspect_threshold != d.path_suspect_threshold);
+  v("dctcp_gain_shift", t.dctcp_gain_shift,
+    t.dctcp_gain_shift != d.dctcp_gain_shift);
+  v("mptcp_staggered_join", t.mptcp_staggered_join,
+    t.mptcp_staggered_join != d.mptcp_staggered_join);
+}
+
+template <class V, FieldsOf<control::ControllerConfig> T>
+void visit(V& v, T& c) {
+  v("mode", c.mode);
+  v("cadence_us", us(c.cadence));
+  v("detect_delay_us", us(c.detect_delay));
+  v("imbalance_threshold", c.imbalance_threshold);
+  v("max_repins_per_tick", c.max_repins_per_tick);
+  v("window", c.window);
+}
+
+/// The controller block appears only with a control plane on, and the
+/// engine blocks only for the built-in engines (a custom trial function
+/// owns its own inputs).
+template <class V, FieldsOf<ExperimentSpec> T>
+void visit(V& v, T& s) {
+  const bool built_in = s.engine != EngineKind::kCustom;
+  v("name", s.name);
+  v("engine", s.engine);
+  v("seed", s.seed);
+  v("trials", s.trials);
+  v("deadline_us", us(s.deadline), s.deadline > 0);
+  v("controller", s.controller, s.controller.active());
+  v("topo", s.topo, built_in);
+  v("policy", s.policy, built_in);
+  v("workload", s.workload, built_in);
+  v("sim", s.sim, built_in);
+}
+
+/// The JSON object the NetworkSpec list writes: the key of every store
+/// that depends on the topology alone (pnet-serve's warm route caches).
+[[nodiscard]] std::string canonical_json(const topo::NetworkSpec& topo);
 
 /// FNV-1a 64 — the repository's canonical content hash (checkpoint keys,
 /// serve cache keys, warm route-cache keys all use it over canonical JSON).

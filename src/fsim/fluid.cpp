@@ -22,17 +22,7 @@ struct PendingLater {
   }
 };
 
-}  // namespace
-
-namespace {
-
-// One scheme-name table: to_string and scheme_from_string round-trip over
-// it (mirrors core::kPolicyTable).
-struct SchemeName {
-  RouteScheme scheme;
-  const char* name;
-};
-constexpr SchemeName kSchemeTable[] = {
+constexpr util::EnumName<RouteScheme> kSchemeNames[] = {
     {RouteScheme::kEcmpPlaneHash, "ecmp"},
     {RouteScheme::kShortestPlane, "shortest-plane"},
     {RouteScheme::kKspMultipath, "ksp-multipath"},
@@ -40,28 +30,8 @@ constexpr SchemeName kSchemeTable[] = {
 
 }  // namespace
 
-const char* to_string(RouteScheme scheme) {
-  for (const SchemeName& entry : kSchemeTable) {
-    if (entry.scheme == scheme) return entry.name;
-  }
-  return "?";
-}
-
-std::optional<RouteScheme> scheme_from_string(std::string_view name) {
-  for (const SchemeName& entry : kSchemeTable) {
-    if (entry.name == name) return entry.scheme;
-  }
-  return std::nullopt;
-}
-
-std::string scheme_names() {
-  std::string out;
-  for (const SchemeName& entry : kSchemeTable) {
-    if (!out.empty()) out += ' ';
-    out += entry.name;
-  }
-  return out;
-}
+util::EnumNames<RouteScheme> name_table(RouteScheme) { return kSchemeNames; }
+const char* to_string(RouteScheme scheme) { return util::to_name(scheme); }
 
 namespace {
 

@@ -24,9 +24,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "fsim/max_min.hpp"
@@ -35,6 +33,7 @@
 #include "routing/route_cache.hpp"
 #include "telemetry/telemetry.hpp"
 #include "topo/parallel.hpp"
+#include "util/enum_names.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -56,14 +55,9 @@ enum class RouteScheme : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(RouteScheme scheme);
-
-/// String-keyed scheme registry mirroring core::policy_from_string, so
-/// benches and controller ablation configs name fluid schemes identically.
-/// Unknown names return nullopt; callers fail fast listing scheme_names().
-[[nodiscard]] std::optional<RouteScheme> scheme_from_string(
-    std::string_view name);
-/// Every registered scheme name, in enum order.
-[[nodiscard]] std::string scheme_names();
+/// The scheme-name table, so benches and controller ablation configs name
+/// fluid schemes identically.
+[[nodiscard]] util::EnumNames<RouteScheme> name_table(RouteScheme);
 
 struct FsimConfig {
   RouteScheme scheme = RouteScheme::kEcmpPlaneHash;

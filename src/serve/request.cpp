@@ -1,7 +1,12 @@
 #include "serve/request.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <functional>
+#include <concepts>
+#include <limits>
+#include <optional>
+#include <type_traits>
+#include <vector>
 
 namespace pnet::serve {
 
@@ -11,6 +16,14 @@ namespace {
 /// beyond 2^53 would silently lose precision in the double-typed parse
 /// tree, so they are rejected as out of range instead.
 constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+
+/// Largest accepted time: 1e15 ps (1,000 simulated seconds), inside the
+/// range where the microsecond codec is exact. The writer's us = ps / 1e6
+/// and the reader's ps = us * 1e6 each round by at most one part in 2^53,
+/// so below 2^50 ps the result lies within 0.25 ps of the original and
+/// llround recovers it; near 2^53 ps a canonical time can decode to its
+/// neighbour.
+constexpr double kMaxExactPicoseconds = 1e15;
 
 struct Decoder {
   RequestError* error;
@@ -35,251 +48,143 @@ struct Decoder {
     return true;
   }
 
-  bool get_int(const JsonValue& v, const std::string& where, int& out) {
-    double d = 0.0;
-    if (!integral(v, where, -2147483648.0, 2147483647.0, d)) return false;
-    out = static_cast<int>(d);
-    return true;
-  }
+  // The bounded codecs, one per member type of the field list.
 
-  bool get_u64(const JsonValue& v, const std::string& where,
-               std::uint64_t& out) {
+  /// Integers within their type's range and within 2^53.
+  template <std::integral I>
+  bool get(const JsonValue& v, const std::string& where, I& out) {
+    using Limits = std::numeric_limits<I>;
     double d = 0.0;
-    if (!integral(v, where, 0.0, kMaxExactInteger, d)) return false;
-    out = static_cast<std::uint64_t>(d);
-    return true;
-  }
-
-  /// Times ride the wire as microseconds (the to_json convention) and are
-  /// stored as integer picoseconds.
-  bool get_us(const JsonValue& v, const std::string& where, SimTime& out) {
-    if (!v.is_number()) return fail(where + " must be a number");
-    const double ps = v.number * static_cast<double>(units::kMicrosecond);
-    if (ps < 0.0 || ps > kMaxExactInteger) {
-      return fail(where + " out of range");
+    if (!integral(v, where, static_cast<double>(Limits::min()),
+                  std::min(static_cast<double>(Limits::max()),
+                           kMaxExactInteger),
+                  d)) {
+      return false;
     }
-    out = static_cast<SimTime>(std::llround(ps));
+    out = static_cast<I>(d);
     return true;
   }
 
-  bool get_bool(const JsonValue& v, const std::string& where, bool& out) {
+  bool get(const JsonValue& v, const std::string& where, double& out) {
+    if (!v.is_number()) return fail(where + " must be a number");
+    out = v.number;
+    return true;
+  }
+
+  bool get(const JsonValue& v, const std::string& where, bool& out) {
     if (!v.is_bool()) return fail(where + " must be a boolean");
     out = v.boolean;
     return true;
   }
 
-  bool get_string(const JsonValue& v, const std::string& where,
-                  std::string& out) {
+  bool get(const JsonValue& v, const std::string& where, std::string& out) {
     if (!v.is_string()) return fail(where + " must be a string");
     out = v.text;
     return true;
   }
 
-  /// Walks an object's members through `field`, rejecting any key the
-  /// dispatcher does not recognize — the strictness backbone.
-  bool object(const JsonValue& v, const std::string& where,
-              const std::function<bool(const std::string&,
-                                       const JsonValue&)>& field,
-              bool& known) {
+  bool get(const JsonValue& v, const std::string& where,
+           std::vector<int>& out) {
+    if (!v.is_array()) return fail(where + " must be an array");
+    out.assign(v.items.size(), 0);
+    for (std::size_t i = 0; i < v.items.size(); ++i) {
+      if (!get(v.items[i], where, out[i])) return false;
+    }
+    return true;
+  }
+
+  /// Times ride the wire as microseconds and are stored as integer
+  /// picoseconds.
+  bool get(const JsonValue& v, const std::string& where,
+           exp::Micros<SimTime> out) {
+    if (!v.is_number()) return fail(where + " must be a number");
+    const double ps = v.number * static_cast<double>(units::kMicrosecond);
+    if (ps < 0.0 || ps > kMaxExactPicoseconds) {
+      return fail(where + " out of range");
+    }
+    out.value = static_cast<SimTime>(std::llround(ps));
+    return true;
+  }
+
+  bool get(const JsonValue& v, const std::string& where,
+           exp::Gbps<double> out) {
+    double gbps = 0.0;
+    if (!get(v, where, gbps)) return false;
+    out.value = gbps * units::kGbps;
+    return true;
+  }
+
+  template <class E>
+  bool get(const JsonValue& v, const std::string& where,
+           std::optional<E>& out) {
+    E value{};
+    if (!get(v, where, value)) return false;
+    out = value;
+    return true;
+  }
+
+  /// An enum by its table name, or a nested struct through its field list.
+  template <class M>
+  bool get(const JsonValue& v, const std::string& where, M& out) {
+    if constexpr (std::is_enum_v<M>) {
+      std::string name;
+      if (!get(v, where, name)) return false;
+      const std::optional<M> value = util::from_string<M>(name);
+      if (!value.has_value()) {
+        return fail("unknown " + where + " '" + name + "' (valid: " +
+                    util::enum_names<M>() + ")");
+      }
+      out = *value;
+      return true;
+    } else {
+      return fields(v, where, where + ".", out);
+    }
+  }
+
+  /// Decodes `out` from the object `v` through its field list: each listed
+  /// field whose member is present decodes it, and any member no field
+  /// claims (other than `extra`) is rejected — a misspelled knob must
+  /// never silently fall back to its default.
+  template <class T>
+  bool fields(const JsonValue& v, const std::string& where,
+              const std::string& prefix, T& out,
+              std::string_view extra = {}) {
     if (!v.is_object()) return fail(where + " must be an object");
-    for (const auto& [key, value] : v.members) {
-      known = false;
-      if (!field(key, value)) return false;
-      if (!known) {
+    FieldReader reader{*this, v, prefix,
+                       std::vector<bool>(v.members.size())};
+    exp::visit(reader, out);
+    if (!reader.ok) return false;
+    for (std::size_t i = 0; i < v.members.size(); ++i) {
+      const std::string& key = v.members[i].first;
+      if (!reader.claimed[i] && key != extra) {
         return fail("unknown field '" + where + "." + key + "'");
       }
     }
     return true;
   }
 
-  bool decode_engine(const JsonValue& v, exp::EngineKind& out) {
-    std::string s;
-    if (!get_string(v, "engine", s)) return false;
-    if (s == "packet") { out = exp::EngineKind::kPacket; return true; }
-    if (s == "fsim") { out = exp::EngineKind::kFsim; return true; }
-    if (s == "custom") {
-      return fail("engine 'custom' needs an in-process trial function and "
-                  "cannot be served");
-    }
-    return fail("engine must be 'packet' or 'fsim', got '" + s + "'");
-  }
+  /// The reader visitor: the field list's write conditions do not apply,
+  /// so a member the writer would omit still decodes and validate() judges
+  /// the combination.
+  struct FieldReader {
+    Decoder& decoder;
+    const JsonValue& object;
+    const std::string& prefix;
+    std::vector<bool> claimed;
+    bool ok = true;
 
-  bool decode_topo_kind(const JsonValue& v, topo::TopoKind& out) {
-    std::string s;
-    if (!get_string(v, "topo.kind", s)) return false;
-    if (s == "fat-tree") { out = topo::TopoKind::kFatTree; return true; }
-    if (s == "jellyfish") { out = topo::TopoKind::kJellyfish; return true; }
-    if (s == "xpander") { out = topo::TopoKind::kXpander; return true; }
-    return fail("topo.kind must be 'fat-tree', 'jellyfish' or 'xpander', "
-                "got '" + s + "'");
-  }
-
-  bool decode_net_type(const JsonValue& v, topo::NetworkType& out) {
-    std::string s;
-    if (!get_string(v, "topo.type", s)) return false;
-    if (s == "serial-low-bw") { out = topo::NetworkType::kSerialLow; return true; }
-    if (s == "parallel-homogeneous") {
-      out = topo::NetworkType::kParallelHomogeneous;
-      return true;
+    template <class M>
+    void operator()(std::string_view name, M&& member, bool /*write*/ = true) {
+      if (!ok) return;
+      for (std::size_t i = 0; i < object.members.size(); ++i) {
+        if (object.members[i].first != name) continue;
+        claimed[i] = true;
+        ok = decoder.get(object.members[i].second, prefix + std::string(name),
+                         member);
+        return;
+      }
     }
-    if (s == "parallel-heterogeneous") {
-      out = topo::NetworkType::kParallelHeterogeneous;
-      return true;
-    }
-    if (s == "serial-high-bw") { out = topo::NetworkType::kSerialHigh; return true; }
-    return fail("unknown topo.type '" + s + "'");
-  }
-
-  bool decode_policy_kind(const JsonValue& v, core::RoutingPolicy& out) {
-    std::string s;
-    if (!get_string(v, "policy.policy", s)) return false;
-    if (s == "ecmp") { out = core::RoutingPolicy::kEcmp; return true; }
-    if (s == "round-robin") { out = core::RoutingPolicy::kRoundRobin; return true; }
-    if (s == "shortest-plane") {
-      out = core::RoutingPolicy::kShortestPlane;
-      return true;
-    }
-    if (s == "ksp-multipath") {
-      out = core::RoutingPolicy::kKspMultipath;
-      return true;
-    }
-    if (s == "size-threshold") {
-      out = core::RoutingPolicy::kSizeThreshold;
-      return true;
-    }
-    return fail("unknown policy.policy '" + s + "'");
-  }
-
-  bool decode_pattern(const JsonValue& v, exp::WorkloadSpec::Pattern& out) {
-    std::string s;
-    if (!get_string(v, "workload.pattern", s)) return false;
-    if (s == "permutation") {
-      out = exp::WorkloadSpec::Pattern::kPermutation;
-      return true;
-    }
-    if (s == "all_to_all") {
-      out = exp::WorkloadSpec::Pattern::kAllToAll;
-      return true;
-    }
-    if (s == "rack_all_to_all") {
-      out = exp::WorkloadSpec::Pattern::kRackAllToAll;
-      return true;
-    }
-    return fail("unknown workload.pattern '" + s + "'");
-  }
-
-  bool decode_topo(const JsonValue& v, topo::NetworkSpec& topo) {
-    bool k = false;
-    return object(
-        v, "topo",
-        [&](const std::string& key, const JsonValue& value) {
-          k = true;
-          if (key == "kind") return decode_topo_kind(value, topo.topo);
-          if (key == "type") return decode_net_type(value, topo.type);
-          if (key == "hosts") return get_int(value, "topo.hosts", topo.hosts);
-          if (key == "parallelism") {
-            return get_int(value, "topo.parallelism", topo.parallelism);
-          }
-          if (key == "base_rate_gbps") {
-            if (!value.is_number()) {
-              return fail("topo.base_rate_gbps must be a number");
-            }
-            topo.base_rate_bps = value.number * units::kGbps;
-            return true;
-          }
-          if (key == "seed") return get_u64(value, "topo.seed", topo.seed);
-          if (key == "jf_switches") {
-            return get_int(value, "topo.jf_switches", topo.jf_switches);
-          }
-          if (key == "jf_degree") {
-            return get_int(value, "topo.jf_degree", topo.jf_degree);
-          }
-          if (key == "jf_hosts_per_switch") {
-            return get_int(value, "topo.jf_hosts_per_switch",
-                           topo.jf_hosts_per_switch);
-          }
-          k = false;
-          return true;
-        },
-        k);
-  }
-
-  bool decode_policy(const JsonValue& v, core::PolicyConfig& policy) {
-    bool k = false;
-    return object(
-        v, "policy",
-        [&](const std::string& key, const JsonValue& value) {
-          k = true;
-          if (key == "policy") return decode_policy_kind(value, policy.policy);
-          if (key == "k") return get_int(value, "policy.k", policy.k);
-          if (key == "ecmp_path_cap") {
-            return get_int(value, "policy.ecmp_path_cap",
-                           policy.ecmp_path_cap);
-          }
-          if (key == "multipath_cutoff_bytes") {
-            return get_u64(value, "policy.multipath_cutoff_bytes",
-                           policy.multipath_cutoff_bytes);
-          }
-          k = false;
-          return true;
-        },
-        k);
-  }
-
-  bool decode_workload(const JsonValue& v, exp::WorkloadSpec& wl) {
-    bool k = false;
-    return object(
-        v, "workload",
-        [&](const std::string& key, const JsonValue& value) {
-          k = true;
-          if (key == "pattern") return decode_pattern(value, wl.pattern);
-          if (key == "flow_bytes") {
-            return get_u64(value, "workload.flow_bytes", wl.flow_bytes);
-          }
-          if (key == "rounds") {
-            return get_int(value, "workload.rounds", wl.rounds);
-          }
-          if (key == "start_jitter_us") {
-            return get_us(value, "workload.start_jitter_us",
-                          wl.start_jitter);
-          }
-          if (key == "round_gap_us") {
-            return get_us(value, "workload.round_gap_us", wl.round_gap);
-          }
-          k = false;
-          return true;
-        },
-        k);
-  }
-
-  bool decode_sim(const JsonValue& v, sim::SimConfig& sim) {
-    bool k = false;
-    return object(
-        v, "sim",
-        [&](const std::string& key, const JsonValue& value) {
-          k = true;
-          if (key == "queue_buffer_bytes") {
-            return get_u64(value, "sim.queue_buffer_bytes",
-                           sim.queue_buffer_bytes);
-          }
-          if (key == "ecn_threshold_bytes") {
-            return get_u64(value, "sim.ecn_threshold_bytes",
-                           sim.ecn_threshold_bytes);
-          }
-          if (key == "priority_acks") {
-            return get_bool(value, "sim.priority_acks", sim.priority_acks);
-          }
-          if (key == "trim_to_header") {
-            return get_bool(value, "sim.trim_to_header", sim.trim_to_header);
-          }
-          if (key == "dctcp") {
-            return get_bool(value, "sim.dctcp", sim.tcp.dctcp);
-          }
-          k = false;
-          return true;
-        },
-        k);
-  }
+  };
 
   bool decode(const JsonValue& root, Request& out) {
     if (!root.is_object()) {
@@ -287,7 +192,7 @@ struct Decoder {
     }
     if (const JsonValue* stats = root.find("stats"); stats != nullptr) {
       bool want = false;
-      if (!get_bool(*stats, "stats", want)) return false;
+      if (!get(*stats, "stats", want)) return false;
       if (!want) return fail("stats must be true when present");
       if (root.members.size() != 1) {
         return fail("a stats request carries no other fields");
@@ -296,40 +201,18 @@ struct Decoder {
       return true;
     }
     out.kind = Request::Kind::kRun;
-    bool k = false;
-    const bool ok = object(
-        root, "spec",
-        [&](const std::string& key, const JsonValue& value) {
-          k = true;
-          if (key == "name") {
-            return get_string(value, "name", out.spec.name);
-          }
-          if (key == "engine") return decode_engine(value, out.spec.engine);
-          if (key == "seed") return get_u64(value, "seed", out.spec.seed);
-          if (key == "trials") {
-            return get_int(value, "trials", out.spec.trials);
-          }
-          if (key == "deadline_us") {
-            return get_us(value, "deadline_us", out.spec.deadline);
-          }
-          if (key == "topo") return decode_topo(value, out.spec.topo);
-          if (key == "policy") return decode_policy(value, out.spec.policy);
-          if (key == "workload") {
-            return decode_workload(value, out.spec.workload);
-          }
-          if (key == "sim") return decode_sim(value, out.spec.sim);
-          if (key == "deadline_ms") {
-            if (!value.is_number() || value.number < 0.0) {
-              return fail("deadline_ms must be a non-negative number");
-            }
-            out.deadline_ms = value.number;
-            return true;
-          }
-          k = false;
-          return true;
-        },
-        k);
-    if (!ok) return false;
+    if (const JsonValue* budget = root.find("deadline_ms");
+        budget != nullptr) {
+      if (!budget->is_number() || budget->number < 0.0) {
+        return fail("deadline_ms must be a non-negative number");
+      }
+      out.deadline_ms = budget->number;
+    }
+    if (!fields(root, "spec", "", out.spec, "deadline_ms")) return false;
+    if (out.spec.engine == exp::EngineKind::kCustom) {
+      return fail("engine 'custom' needs an in-process trial function and "
+                  "cannot be served");
+    }
     if (out.spec.name.empty()) {
       return fail("request is missing the required 'name' field");
     }

@@ -1,7 +1,8 @@
 // Request decoding for pnet-serve: one newline-delimited JSON object per
 // query, in exactly the shape exp::ExperimentSpec::to_json emits (so a
-// client can replay a spec straight out of any bench report), plus two
-// serve-only extensions:
+// client can replay a spec straight out of any bench report). The decoder
+// walks the same field list as that writer (exp/spec.hpp), so every field
+// the canonical JSON carries decodes. Two serve-only extensions:
 //   * {"stats": true}            — the /stats query; returns the service's
 //                                  telemetry snapshot instead of running
 //                                  an experiment;
@@ -12,8 +13,9 @@
 //
 // Decoding is strict: unknown fields anywhere are rejected (a misspelled
 // knob must never silently fall back to its default — the Flags philosophy
-// applied to the wire), enum strings must match their to_string forms,
-// integer fields must hold integral in-range numbers, and the underlying
+// applied to the wire), enum strings must match their name tables,
+// integer fields must hold integral in-range numbers, times must lie in
+// [0, 1e15] ps where their microsecond form is exact, and the underlying
 // parser already guarantees finiteness and bounded size. Every rejection
 // is a RequestError that the service serializes as the {"ok":false,...}
 // reply.

@@ -33,26 +33,6 @@ void summary_json(exp::JsonWriter& w, const exp::Summary& s) {
   w.end_object();
 }
 
-/// The warm-arena key: every NetworkSpec field that shapes the built
-/// topology. Policy/workload knobs are deliberately absent — RouteCache
-/// entries are keyed by the full RouteQuery already, so queries differing
-/// only in policy share one arena.
-std::uint64_t topo_key(const topo::NetworkSpec& t) {
-  exp::JsonWriter w;
-  w.begin_object();
-  w.field("kind", topo::to_string(t.topo));
-  w.field("type", topo::to_string(t.type));
-  w.field("hosts", t.hosts);
-  w.field("parallelism", t.parallelism);
-  w.field("base_rate_bps", t.base_rate_bps);
-  w.field("seed", t.seed);
-  w.field("jf_switches", t.jf_switches);
-  w.field("jf_degree", t.jf_degree);
-  w.field("jf_hosts_per_switch", t.jf_hosts_per_switch);
-  w.end_object();
-  return exp::fnv1a(w.str());
-}
-
 }  // namespace
 
 std::string hash_hex(std::uint64_t hash) {
@@ -189,9 +169,16 @@ std::string Service::over_cap(const exp::ExperimentSpec& spec) const {
            " exceeds this server's cap of " +
            std::to_string(options_.max_trials);
   }
-  if (spec.workload.rounds > options_.max_rounds) {
-    return "workload.rounds " + std::to_string(spec.workload.rounds) +
-           " exceeds this server's cap of " +
+  // Flows per host: `rounds` for a host-pair pattern, `concurrent` workers
+  // times `rounds` requests each for a closed loop.
+  const bool closed =
+      spec.workload.pattern == exp::WorkloadSpec::Pattern::kClosedLoop;
+  const std::int64_t flows = std::int64_t{spec.workload.rounds} *
+                             (closed ? spec.workload.concurrent : 1);
+  if (flows > options_.max_rounds) {
+    return (closed ? "workload.concurrent x workload.rounds "
+                   : "workload.rounds ") +
+           std::to_string(flows) + " exceeds this server's cap of " +
            std::to_string(options_.max_rounds);
   }
   return "";
@@ -374,7 +361,10 @@ exp::Engine* Service::engine_for(exp::EngineKind kind) {
 
 std::shared_ptr<routing::RouteCache> Service::warm_route_cache(
     const topo::NetworkSpec& topo) {
-  const std::uint64_t key = topo_key(topo);
+  // Keyed by the NetworkSpec block of the canonical JSON. Policy and
+  // workload are absent: RouteCache entries are keyed by the full
+  // RouteQuery already, so queries differing only there share one arena.
+  const std::uint64_t key = exp::fnv1a(exp::canonical_json(topo));
   const std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = route_caches_.begin(); it != route_caches_.end(); ++it) {
     if (it->first == key) {

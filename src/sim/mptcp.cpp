@@ -5,6 +5,17 @@
 
 namespace pnet::sim {
 
+namespace {
+
+constexpr util::EnumName<Coupling> kCouplingNames[] = {
+    {Coupling::kLia, "lia"},
+    {Coupling::kUncoupled, "uncoupled"},
+};
+
+}  // namespace
+
+util::EnumNames<Coupling> name_table(Coupling) { return kCouplingNames; }
+
 // ----------------------------------------------------------- MptcpSubflow
 
 std::uint64_t MptcpSubflow::pull_bytes(std::uint64_t want) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/tcp.hpp"
+#include "util/enum_names.hpp"
 
 namespace pnet::sim {
 
@@ -55,6 +56,8 @@ enum class Coupling {
   /// opening K parallel TCP connections. Kept as an ablation knob.
   kUncoupled,
 };
+
+[[nodiscard]] util::EnumNames<Coupling> name_table(Coupling);
 
 class MptcpConnection {
  public:

@@ -5,24 +5,28 @@
 
 namespace pnet::topo {
 
-std::string to_string(NetworkType type) {
-  switch (type) {
-    case NetworkType::kSerialLow: return "serial-low-bw";
-    case NetworkType::kParallelHomogeneous: return "parallel-homogeneous";
-    case NetworkType::kParallelHeterogeneous: return "parallel-heterogeneous";
-    case NetworkType::kSerialHigh: return "serial-high-bw";
-  }
-  return "?";
-}
+namespace {
 
-std::string to_string(TopoKind kind) {
-  switch (kind) {
-    case TopoKind::kFatTree: return "fat-tree";
-    case TopoKind::kJellyfish: return "jellyfish";
-    case TopoKind::kXpander: return "xpander";
-  }
-  return "?";
+constexpr util::EnumName<NetworkType> kNetworkTypeNames[] = {
+    {NetworkType::kSerialLow, "serial-low-bw"},
+    {NetworkType::kParallelHomogeneous, "parallel-homogeneous"},
+    {NetworkType::kParallelHeterogeneous, "parallel-heterogeneous"},
+    {NetworkType::kSerialHigh, "serial-high-bw"},
+};
+constexpr util::EnumName<TopoKind> kTopoKindNames[] = {
+    {TopoKind::kFatTree, "fat-tree"},
+    {TopoKind::kJellyfish, "jellyfish"},
+    {TopoKind::kXpander, "xpander"},
+};
+
+}  // namespace
+
+util::EnumNames<NetworkType> name_table(NetworkType) {
+  return kNetworkTypeNames;
 }
+util::EnumNames<TopoKind> name_table(TopoKind) { return kTopoKindNames; }
+std::string to_string(NetworkType type) { return util::to_name(type); }
+std::string to_string(TopoKind kind) { return util::to_name(kind); }
 
 namespace {
 

@@ -21,6 +21,7 @@
 #include "topo/graph.hpp"
 #include "topo/jellyfish.hpp"
 #include "topo/xpander.hpp"
+#include "util/enum_names.hpp"
 
 namespace pnet::topo {
 
@@ -35,6 +36,9 @@ enum class NetworkType : std::uint8_t {
 
 [[nodiscard]] std::string to_string(NetworkType type);
 [[nodiscard]] std::string to_string(TopoKind kind);
+/// The name tables behind to_string and util::from_string.
+[[nodiscard]] util::EnumNames<NetworkType> name_table(NetworkType);
+[[nodiscard]] util::EnumNames<TopoKind> name_table(TopoKind);
 
 struct Plane {
   Graph graph;

@@ -7,16 +7,20 @@
 
 namespace pnet::workload {
 
-std::string to_string(Trace trace) {
-  switch (trace) {
-    case Trace::kWebSearch: return "websearch";
-    case Trace::kDataMining: return "datamining";
-    case Trace::kWebServer: return "webserver";
-    case Trace::kCache: return "cache";
-    case Trace::kHadoop: return "hadoop";
-  }
-  return "?";
-}
+namespace {
+
+constexpr util::EnumName<Trace> kTraceNames[] = {
+    {Trace::kWebSearch, "websearch"},
+    {Trace::kDataMining, "datamining"},
+    {Trace::kWebServer, "webserver"},
+    {Trace::kCache, "cache"},
+    {Trace::kHadoop, "hadoop"},
+};
+
+}  // namespace
+
+util::EnumNames<Trace> name_table(Trace) { return kTraceNames; }
+std::string to_string(Trace trace) { return util::to_name(trace); }
 
 FlowSizeDistribution::FlowSizeDistribution(
     std::vector<std::pair<double, double>> points)

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/enum_names.hpp"
 #include "util/rng.hpp"
 
 namespace pnet::workload {
@@ -35,6 +36,7 @@ inline constexpr Trace kAllTraces[] = {Trace::kWebSearch, Trace::kDataMining,
                                        Trace::kHadoop};
 
 [[nodiscard]] std::string to_string(Trace trace);
+[[nodiscard]] util::EnumNames<Trace> name_table(Trace);
 
 class FlowSizeDistribution {
  public:

@@ -49,50 +49,55 @@ std::vector<std::string> split_names(const std::string& names) {
 }
 
 TEST(Registries, PolicyNamesRoundTripAndUnknownFailsFast) {
-  const auto names = split_names(core::policy_names());
+  const auto names = split_names(util::enum_names<core::RoutingPolicy>());
   EXPECT_GE(names.size(), 3u);
   for (const auto& name : names) {
-    const auto policy = core::policy_from_string(name);
+    const auto policy = util::from_string<core::RoutingPolicy>(name);
     ASSERT_TRUE(policy.has_value()) << name;
     EXPECT_EQ(core::to_string(*policy), name);
   }
-  EXPECT_FALSE(core::policy_from_string("no-such-policy").has_value());
-  EXPECT_FALSE(core::policy_from_string("").has_value());
+  EXPECT_FALSE(
+      util::from_string<core::RoutingPolicy>("no-such-policy").has_value());
+  EXPECT_FALSE(util::from_string<core::RoutingPolicy>("").has_value());
 }
 
 TEST(Registries, SchemeNamesRoundTripAndUnknownFailsFast) {
-  const auto names = split_names(fsim::scheme_names());
+  const auto names = split_names(util::enum_names<fsim::RouteScheme>());
   EXPECT_GE(names.size(), 3u);
   for (const auto& name : names) {
-    const auto scheme = fsim::scheme_from_string(name);
+    const auto scheme = util::from_string<fsim::RouteScheme>(name);
     ASSERT_TRUE(scheme.has_value()) << name;
     EXPECT_EQ(fsim::to_string(*scheme), name);
   }
-  EXPECT_FALSE(fsim::scheme_from_string("no-such-scheme").has_value());
+  EXPECT_FALSE(
+      util::from_string<fsim::RouteScheme>("no-such-scheme").has_value());
 }
 
 TEST(Registries, EngineNamesRoundTripAndUnknownFailsFast) {
-  const auto names = split_names(exp::engine_names());
+  const auto names = split_names(util::enum_names<exp::EngineKind>());
   EXPECT_GE(names.size(), 3u);
   for (const auto& name : names) {
-    const auto engine = exp::engine_from_string(name);
+    const auto engine = util::from_string<exp::EngineKind>(name);
     ASSERT_TRUE(engine.has_value()) << name;
     EXPECT_EQ(exp::to_string(*engine), name);
   }
-  EXPECT_FALSE(exp::engine_from_string("no-such-engine").has_value());
+  EXPECT_FALSE(
+      util::from_string<exp::EngineKind>("no-such-engine").has_value());
 }
 
 TEST(Registries, ModeNamesRoundTripAndUnknownFailsFast) {
-  const auto names = split_names(control::mode_names());
+  const auto names = split_names(util::enum_names<control::ControllerMode>());
   ASSERT_EQ(names.size(), 3u);
   for (const auto& name : names) {
-    const auto mode = control::mode_from_string(name);
+    const auto mode = util::from_string<control::ControllerMode>(name);
     ASSERT_TRUE(mode.has_value()) << name;
     EXPECT_EQ(control::to_string(*mode), name);
   }
-  EXPECT_FALSE(control::mode_from_string("no-such-mode").has_value());
-  EXPECT_EQ(*control::mode_from_string("off"), control::ControllerMode::kOff);
-  EXPECT_EQ(*control::mode_from_string("centralized"),
+  EXPECT_FALSE(
+      util::from_string<control::ControllerMode>("no-such-mode").has_value());
+  EXPECT_EQ(*util::from_string<control::ControllerMode>("off"),
+            control::ControllerMode::kOff);
+  EXPECT_EQ(*util::from_string<control::ControllerMode>("centralized"),
             control::ControllerMode::kCentralized);
 }
 

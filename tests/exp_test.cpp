@@ -6,12 +6,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "exp/json.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
+#include "serve/request.hpp"
 #include "topo/parallel.hpp"
 #include "util/parallel.hpp"
 #include "util/units.hpp"
@@ -64,6 +67,29 @@ TEST(ExperimentSpec, RejectsBadFields) {
   spec.workload.round_gap = 0;
   spec.deadline = units::kMillisecond;
   EXPECT_NE(spec.validate(), "");
+
+  // Values the simulator cannot take, now that they can come off the wire.
+  const std::vector<std::function<void(ExperimentSpec&)>> unrunnable = {
+      [](ExperimentSpec& s) { s.topo.host_latency = -1; },
+      [](ExperimentSpec& s) { s.topo.fabric_latency = -1; },
+      [](ExperimentSpec& s) { s.policy.allowed_planes = {2}; },
+      [](ExperimentSpec& s) { s.policy.allowed_planes = {-1}; },
+      [](ExperimentSpec& s) { s.policy.allowed_planes = {1, 0}; },
+      [](ExperimentSpec& s) { s.sim.tcp.mss = 0; },
+      [](ExperimentSpec& s) { s.sim.tcp.ack_size = 0; },
+      [](ExperimentSpec& s) { s.sim.tcp.initial_window_packets = 0; },
+      [](ExperimentSpec& s) { s.sim.tcp.recovery_burst_segments = 0; },
+      [](ExperimentSpec& s) { s.sim.tcp.max_cwnd_bytes = 1000; },
+      [](ExperimentSpec& s) { s.sim.tcp.min_rto = 0; },
+      [](ExperimentSpec& s) { s.sim.tcp.initial_rto = 0; },
+      [](ExperimentSpec& s) { s.sim.tcp.dctcp_gain_shift = -1; },
+      [](ExperimentSpec& s) { s.sim.tcp.dctcp_gain_shift = 31; },
+  };
+  for (std::size_t i = 0; i < unrunnable.size(); ++i) {
+    spec = small_packet_spec("bad");
+    unrunnable[i](spec);
+    EXPECT_NE(spec.validate(), "") << "case " << i;
+  }
 }
 
 TEST(ExperimentSpec, CustomEngineSkipsEngineFieldChecks) {
@@ -177,6 +203,186 @@ TEST(ExperimentSpec, ClosedLoopFieldsSerializeOnlyForClosedLoop) {
     EXPECT_EQ(small_packet_spec("p").canonical_json().find(key),
               std::string::npos)
         << key;
+  }
+}
+
+// Hash coverage: every field of every spec struct must reach the canonical
+// JSON. The mutations below are written per struct member, independently
+// of the field list in exp/spec.hpp; the list must carry each one into
+// hash() and through pnet-serve's decoder unchanged.
+
+// A member added to one of these structs changes its size (on the
+// platform CI builds on): give it a line in the field list, a mutation
+// below, and a bound in validate() if it comes off the wire.
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+static_assert(sizeof(topo::NetworkSpec) == 64);
+static_assert(sizeof(core::PolicyConfig) == 48);
+static_assert(sizeof(WorkloadSpec) == 72);
+static_assert(sizeof(sim::SimConfig) == 96);
+static_assert(sizeof(sim::TcpParams) == 72);
+static_assert(sizeof(control::ControllerConfig) == 40);
+static_assert(sizeof(ExperimentSpec) == 384);
+#endif
+
+/// Counts the leaf fields the list names, nested structs included.
+struct LeafCounter {
+  int leaves = 0;
+  template <class M>
+  void operator()(std::string_view, M&& member, bool = true) {
+    if constexpr (requires { pnet::exp::visit(*this, member); }) {
+      pnet::exp::visit(*this, member);
+    } else {
+      ++leaves;
+    }
+  }
+};
+
+struct Mutation {
+  const char* field;
+  ExperimentSpec base;
+  std::function<void(ExperimentSpec&)> mutate;
+};
+
+std::vector<Mutation> every_field_mutation() {
+  const ExperimentSpec pair = small_packet_spec("pair");
+  const ExperimentSpec rpc = closed_loop_spec("rpc");
+  ExperimentSpec traced = closed_loop_spec("traced");
+  traced.workload.trace = workload::Trace::kDataMining;
+  ExperimentSpec ctl = small_packet_spec("ctl");
+  ctl.controller.mode = control::ControllerMode::kCentralized;
+  return {
+      {"name", pair, [](ExperimentSpec& s) { s.name = "renamed"; }},
+      {"engine", pair, [](ExperimentSpec& s) { s.engine = EngineKind::kFsim; }},
+      {"seed", pair, [](ExperimentSpec& s) { s.seed = 99; }},
+      {"trials", pair, [](ExperimentSpec& s) { s.trials = 5; }},
+      {"deadline", pair,
+       [](ExperimentSpec& s) { s.deadline = 3 * units::kMillisecond; }},
+      // topo::NetworkSpec
+      {"topo.topo", pair,
+       [](ExperimentSpec& s) { s.topo.topo = topo::TopoKind::kXpander; }},
+      {"topo.type", pair,
+       [](ExperimentSpec& s) { s.topo.type = topo::NetworkType::kSerialHigh; }},
+      {"topo.parallelism", pair,
+       [](ExperimentSpec& s) { s.topo.parallelism = 3; }},
+      {"topo.hosts", pair, [](ExperimentSpec& s) { s.topo.hosts = 12; }},
+      {"topo.base_rate_bps", pair,
+       [](ExperimentSpec& s) { s.topo.base_rate_bps = 12.5e9; }},
+      {"topo.host_latency", pair,
+       [](ExperimentSpec& s) { s.topo.host_latency = 700'000; }},
+      {"topo.fabric_latency", pair,
+       [](ExperimentSpec& s) { s.topo.fabric_latency = 2'500'000; }},
+      {"topo.seed", pair, [](ExperimentSpec& s) { s.topo.seed = 4; }},
+      {"topo.jf_switches", pair,
+       [](ExperimentSpec& s) { s.topo.jf_switches = 6; }},
+      {"topo.jf_degree", pair, [](ExperimentSpec& s) { s.topo.jf_degree = 3; }},
+      {"topo.jf_hosts_per_switch", pair,
+       [](ExperimentSpec& s) { s.topo.jf_hosts_per_switch = 2; }},
+      // core::PolicyConfig
+      {"policy.policy", pair,
+       [](ExperimentSpec& s) { s.policy.policy = core::RoutingPolicy::kEcmp; }},
+      {"policy.k", pair, [](ExperimentSpec& s) { s.policy.k = 3; }},
+      {"policy.multipath_cutoff_bytes", pair,
+       [](ExperimentSpec& s) { s.policy.multipath_cutoff_bytes = 5000; }},
+      {"policy.ecmp_path_cap", pair,
+       [](ExperimentSpec& s) { s.policy.ecmp_path_cap = 16; }},
+      {"policy.coupling", pair,
+       [](ExperimentSpec& s) {
+         s.policy.coupling = sim::Coupling::kUncoupled;
+       }},
+      {"policy.allowed_planes", pair,
+       [](ExperimentSpec& s) { s.policy.allowed_planes = {1}; }},
+      // WorkloadSpec
+      {"workload.pattern", pair,
+       [](ExperimentSpec& s) {
+         s.workload.pattern = WorkloadSpec::Pattern::kAllToAll;
+       }},
+      {"workload.flow_bytes", pair,
+       [](ExperimentSpec& s) { s.workload.flow_bytes = 123'456; }},
+      {"workload.rounds", pair,
+       [](ExperimentSpec& s) { s.workload.rounds = 2; }},
+      {"workload.start_jitter", pair,
+       [](ExperimentSpec& s) { s.workload.start_jitter = 1'500'000; }},
+      {"workload.round_gap", pair,
+       [](ExperimentSpec& s) { s.workload.round_gap = units::kMillisecond; }},
+      {"workload.concurrent", rpc,
+       [](ExperimentSpec& s) { s.workload.concurrent = 5; }},
+      {"workload.response_bytes", rpc,
+       [](ExperimentSpec& s) { s.workload.response_bytes = 4000; }},
+      {"workload.trace", traced,
+       [](ExperimentSpec& s) { s.workload.trace = workload::Trace::kCache; }},
+      {"workload.trace_cap_bytes", traced,
+       [](ExperimentSpec& s) { s.workload.trace_cap_bytes = 8'000'000; }},
+      // sim::SimConfig and its TcpParams
+      {"sim.queue_buffer_bytes", pair,
+       [](ExperimentSpec& s) { s.sim.queue_buffer_bytes = 30'000; }},
+      {"sim.ecn_threshold_bytes", pair,
+       [](ExperimentSpec& s) { s.sim.ecn_threshold_bytes = 20'000; }},
+      {"sim.priority_acks", pair,
+       [](ExperimentSpec& s) { s.sim.priority_acks = true; }},
+      {"sim.trim_to_header", pair,
+       [](ExperimentSpec& s) { s.sim.trim_to_header = true; }},
+      {"sim.tcp.mss", pair, [](ExperimentSpec& s) { s.sim.tcp.mss = 9000; }},
+      {"sim.tcp.ack_size", pair,
+       [](ExperimentSpec& s) { s.sim.tcp.ack_size = 64; }},
+      {"sim.tcp.initial_window_packets", pair,
+       [](ExperimentSpec& s) { s.sim.tcp.initial_window_packets = 4; }},
+      {"sim.tcp.max_cwnd_bytes", pair,
+       [](ExperimentSpec& s) { s.sim.tcp.max_cwnd_bytes = 500'000; }},
+      {"sim.tcp.limited_ss_threshold", pair,
+       [](ExperimentSpec& s) { s.sim.tcp.limited_ss_threshold = 45'000; }},
+      {"sim.tcp.recovery_burst_segments", pair,
+       [](ExperimentSpec& s) { s.sim.tcp.recovery_burst_segments = 1; }},
+      {"sim.tcp.min_rto", pair,
+       [](ExperimentSpec& s) {
+         s.sim.tcp.min_rto = 200 * units::kMicrosecond;
+       }},
+      {"sim.tcp.initial_rto", pair,
+       [](ExperimentSpec& s) { s.sim.tcp.initial_rto = units::kSecond; }},
+      {"sim.tcp.path_suspect_threshold", pair,
+       [](ExperimentSpec& s) { s.sim.tcp.path_suspect_threshold = 7; }},
+      {"sim.tcp.dctcp", pair,
+       [](ExperimentSpec& s) { s.sim.tcp.dctcp = true; }},
+      {"sim.tcp.dctcp_gain_shift", pair,
+       [](ExperimentSpec& s) { s.sim.tcp.dctcp_gain_shift = 0; }},
+      {"sim.tcp.mptcp_staggered_join", pair,
+       [](ExperimentSpec& s) { s.sim.tcp.mptcp_staggered_join = true; }},
+      // control::ControllerConfig
+      {"controller.mode", pair,
+       [](ExperimentSpec& s) {
+         s.controller.mode = control::ControllerMode::kHostLocal;
+       }},
+      {"controller.cadence", ctl,
+       [](ExperimentSpec& s) { s.controller.cadence = 250'000'000; }},
+      {"controller.detect_delay", ctl,
+       [](ExperimentSpec& s) { s.controller.detect_delay = 0; }},
+      {"controller.imbalance_threshold", ctl,
+       [](ExperimentSpec& s) { s.controller.imbalance_threshold = 1.75; }},
+      {"controller.max_repins_per_tick", ctl,
+       [](ExperimentSpec& s) { s.controller.max_repins_per_tick = 0; }},
+      {"controller.window", ctl,
+       [](ExperimentSpec& s) { s.controller.window = 9; }},
+  };
+}
+
+TEST(ExperimentSpec, EveryFieldMovesTheHash) {
+  const std::vector<Mutation> mutations = every_field_mutation();
+  LeafCounter counter;
+  ExperimentSpec probe;
+  visit(counter, probe);
+  // One mutation per listed field (and, by the static_asserts above, per
+  // struct member).
+  EXPECT_EQ(counter.leaves, static_cast<int>(mutations.size()));
+  for (const Mutation& m : mutations) {
+    ExperimentSpec spec = m.base;
+    m.mutate(spec);
+    EXPECT_EQ(spec.validate(), "") << m.field;
+    EXPECT_NE(spec.hash(), m.base.hash()) << m.field;
+    serve::Request request;
+    serve::RequestError error;
+    const std::string canonical = spec.canonical_json();
+    ASSERT_TRUE(serve::decode_request(canonical, request, error))
+        << m.field << ": " << error.message;
+    EXPECT_EQ(request.spec.canonical_json(), canonical) << m.field;
   }
 }
 

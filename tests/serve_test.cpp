@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "exp/engine.hpp"
+#include "exp/runner.hpp"
 #include "serve/cache.hpp"
 #include "serve/json_value.hpp"
 #include "serve/request.hpp"
@@ -271,6 +272,135 @@ TEST(RequestDecoder, RequiresName) {
             std::string::npos);
   EXPECT_NE(decode_error("{}").find("name"), std::string::npos);
   EXPECT_NE(decode_error("[1,2]").find("object"), std::string::npos);
+}
+
+// ------------------------------------------- the wire round-trip property
+
+/// A random spec over every field of the list: every pattern (the closed
+/// loop with and without a trace), every engine a client may name, every
+/// controller mode, non-default transport and latency fields, non-integral
+/// rates, integers over the range their codec accepts and times over the
+/// whole range the decoder accepts, small ones included.
+exp::ExperimentSpec random_spec(std::mt19937_64& rng) {
+  const auto pick = [&](std::uint64_t n) { return rng() % n; };
+  const auto coin = [&] { return (rng() & 1) != 0; };
+  const auto any_int = [&] { return static_cast<int>(rng()); };
+  const auto any_u32 = [&] { return static_cast<std::uint32_t>(rng()); };
+  const auto any_u64 = [&] { return pick((std::uint64_t{1} << 53) + 1); };
+  const auto any_time = [&] {
+    return static_cast<SimTime>(pick(1'000'000'000'000'001ULL) >> pick(50));
+  };
+  const auto any_double = [&] {
+    return std::ldexp(static_cast<double>(rng() >> 11),
+                      static_cast<int>(pick(80)) - 70);
+  };
+  static const char* const kNames[] = {"q", "with \"quotes\"",
+                                       "tab\tand\nnewline", "ctl\x01",
+                                       "π/⊕", "back\\slash"};
+
+  exp::ExperimentSpec s;
+  s.name = kNames[pick(std::size(kNames))];
+  s.engine = coin() ? exp::EngineKind::kPacket : exp::EngineKind::kFsim;
+  s.seed = any_u64();
+  s.trials = any_int();
+  s.deadline = coin() ? any_time() : 0;
+
+  s.controller.mode = static_cast<control::ControllerMode>(pick(3));
+  s.controller.cadence = any_time();
+  s.controller.detect_delay = any_time();
+  s.controller.imbalance_threshold = any_double();
+  s.controller.max_repins_per_tick = any_int();
+  s.controller.window = any_int();
+
+  s.topo.topo = static_cast<topo::TopoKind>(pick(3));
+  s.topo.type = static_cast<topo::NetworkType>(pick(4));
+  s.topo.hosts = any_int();
+  s.topo.parallelism = any_int();
+  s.topo.base_rate_bps = any_double() * 1e9;
+  s.topo.seed = any_u64();
+  if (coin()) {
+    s.topo.jf_switches = any_int();
+    s.topo.jf_degree = any_int();
+    s.topo.jf_hosts_per_switch = any_int();
+  }
+  if (coin()) s.topo.host_latency = any_time();
+  if (coin()) s.topo.fabric_latency = any_time();
+
+  s.policy.policy = static_cast<core::RoutingPolicy>(pick(5));
+  s.policy.k = any_int();
+  s.policy.ecmp_path_cap = any_int();
+  s.policy.multipath_cutoff_bytes = any_u64();
+  if (coin()) s.policy.coupling = sim::Coupling::kUncoupled;
+  for (std::uint64_t i = pick(4); i > 0; --i) {
+    s.policy.allowed_planes.push_back(any_int());
+  }
+
+  exp::WorkloadSpec& w = s.workload;
+  w.pattern = static_cast<exp::WorkloadSpec::Pattern>(pick(4));
+  w.flow_bytes = any_u64();
+  w.rounds = any_int();
+  if (w.pattern == exp::WorkloadSpec::Pattern::kClosedLoop) {
+    w.concurrent = any_int();
+    w.response_bytes = coin() ? any_u64() : 0;
+    if (coin()) {
+      w.trace = static_cast<workload::Trace>(pick(5));
+      w.trace_cap_bytes = coin() ? any_u64() : 0;
+    }
+  } else {
+    w.start_jitter = any_time();
+    w.round_gap = coin() ? any_time() : 0;
+  }
+
+  s.sim.queue_buffer_bytes = any_u64();
+  s.sim.ecn_threshold_bytes = any_u64();
+  s.sim.priority_acks = coin();
+  s.sim.trim_to_header = coin();
+  sim::TcpParams& tcp = s.sim.tcp;
+  tcp.dctcp = coin();
+  if (coin()) {
+    tcp.mss = any_u32();
+    tcp.ack_size = any_u32();
+    tcp.initial_window_packets = any_u32();
+    tcp.max_cwnd_bytes = any_u64();
+    tcp.limited_ss_threshold = any_u64();
+    tcp.recovery_burst_segments = any_int();
+    tcp.min_rto = any_time();
+    tcp.initial_rto = any_time();
+    tcp.path_suspect_threshold = any_int();
+    tcp.dctcp_gain_shift = any_int();
+    tcp.mptcp_staggered_join = coin();
+  }
+  return s;
+}
+
+TEST(RequestDecoder, CanonicalJsonRoundTripsForRandomSpecs) {
+  std::mt19937_64 rng(0x5EC);  // seeded: the specs are reproducible
+  for (int i = 0; i < 4000; ++i) {
+    const std::string canonical = random_spec(rng).canonical_json();
+    Request request;
+    RequestError error;
+    ASSERT_TRUE(decode_request(canonical, request, error))
+        << "spec " << i << ": " << error.message << "\n" << canonical;
+    ASSERT_EQ(request.spec.canonical_json(), canonical) << "spec " << i;
+  }
+}
+
+TEST(RequestDecoder, TimesAreExactUpToTheirBound) {
+  // The wire takes times up to 1e15 ps (1,000 simulated seconds), where
+  // the microsecond codec still recovers every picosecond.
+  for (const SimTime t : {SimTime{1}, SimTime{999'999}, SimTime{1'000'001},
+                          SimTime{123'456'789'012'345},
+                          SimTime{999'999'999'999'999},
+                          SimTime{1'000'000'000'000'000}}) {
+    exp::ExperimentSpec spec;
+    spec.name = "t";
+    spec.deadline = t;
+    EXPECT_EQ(decode_ok(spec.canonical_json()).spec.deadline, t);
+  }
+  // Beyond it a canonical time could decode to its neighbour.
+  EXPECT_NE(decode_error(R"({"name":"x","deadline_us":4380509305.548719})")
+                .find("out of range"),
+            std::string::npos);
 }
 
 // ------------------------------------------------------------- the cache
@@ -643,6 +773,105 @@ TEST(Service, RealFluidEngineEndToEnd) {
                 R"("topo":{"hosts":16,"parallelism":2},)"
                 R"("workload":{"pattern":"permutation","flow_bytes":100000}})"),
             body);
+}
+
+/// One number of the /stats body, by its path below "stats".
+double stat_of(Service& service, std::initializer_list<const char*> path) {
+  JsonValue root;
+  std::string error;
+  EXPECT_TRUE(parse_json(service.stats_json(), root, error)) << error;
+  const JsonValue* v = root.find("stats");
+  for (const char* key : path) {
+    if (v == nullptr) break;
+    v = v->find(key);
+  }
+  EXPECT_NE(v, nullptr);
+  return v == nullptr ? -1.0 : v->number;
+}
+
+/// The spec a reply body echoes, as the bytes it carries.
+std::string echoed_spec(const std::string& body) {
+  const std::size_t begin = body.find(R"("spec":)");
+  const std::size_t end = body.find(R"(,"result":)");
+  EXPECT_NE(begin, std::string::npos) << body;
+  EXPECT_NE(end, std::string::npos) << body;
+  return body.substr(begin + 7, end - begin - 7);
+}
+
+TEST(Service, ServesClosedLoopSpecsAsTheRunnerRunsThem) {
+  exp::ExperimentSpec spec;
+  spec.name = "rpc";
+  spec.topo.type = topo::NetworkType::kParallelHomogeneous;
+  spec.topo.hosts = 16;
+  spec.topo.parallelism = 2;
+  spec.workload.pattern = exp::WorkloadSpec::Pattern::kClosedLoop;
+  spec.workload.flow_bytes = 20'000;
+  spec.workload.response_bytes = 1'500;
+  spec.workload.concurrent = 2;
+  spec.workload.rounds = 3;
+  ASSERT_EQ(spec.validate(), "");
+
+  ServiceOptions options;  // the real engines
+  options.workers = 1;
+  Service service(options);
+  const std::string body = service.handle_line(spec.canonical_json());
+  const exp::CellResult cell = exp::Runner(1).run_cell({spec, {}});
+  EXPECT_EQ(body, make_ok_body(spec.hash(), spec.canonical_json(), cell));
+  EXPECT_EQ(cell.unfinished_flows(), 0u);
+
+  // The echoed spec is a query of its own: a cache hit, same hash, same
+  // bytes.
+  const double hits = stat_of(service, {"cache", "hits"});
+  EXPECT_EQ(service.handle_line(echoed_spec(body)), body);
+  EXPECT_EQ(stat_of(service, {"cache", "hits"}), hits + 1);
+  EXPECT_EQ(counter_of(service, "engine_runs"), 1u);
+}
+
+TEST(Service, ServesControllerSpecs) {
+  Service service(stub_options());
+  const std::string body = service.handle_line(
+      R"({"name":"ctl","controller":{"mode":"centralized","window":2}})");
+  ASSERT_EQ(body.rfind(R"({"ok":true)", 0), 0u) << body;
+  EXPECT_NE(echoed_spec(body).find(R"("controller":{"mode":"centralized",)"),
+            std::string::npos);
+  EXPECT_EQ(service.handle_line(echoed_spec(body)), body);
+}
+
+TEST(Service, ClosedLoopRequestsPerHostAreCapped) {
+  ServiceOptions options = stub_options();
+  options.max_rounds = 8;
+  Service service(options);
+  // 4 workers x 4 requests each: 16 requests per host, over the cap of 8
+  // although `rounds` alone is under it.
+  const std::string over = service.handle_line(
+      R"({"name":"rpc","workload":{"pattern":"closed_loop",)"
+      R"("concurrent":4,"rounds":4}})");
+  EXPECT_NE(over.find(R"("kind":"invalid_spec")"), std::string::npos);
+  EXPECT_NE(over.find("cap"), std::string::npos) << over;
+  EXPECT_EQ(counter_of(service, "engine_runs"), 0u);
+
+  const std::string at_cap = service.handle_line(
+      R"({"name":"rpc","workload":{"pattern":"closed_loop",)"
+      R"("concurrent":2,"rounds":4}})");
+  EXPECT_EQ(at_cap.rfind(R"({"ok":true)", 0), 0u) << at_cap;
+}
+
+TEST(Service, WarmRouteCachesAreKeyedByTopologyAlone) {
+  Service service(stub_options());
+  const auto ok = [&](const char* line) {
+    const std::string body = service.handle_line(line);
+    EXPECT_EQ(body.rfind(R"({"ok":true)", 0), 0u) << body;
+  };
+  ok(R"({"name":"a","topo":{"hosts":8,"seed":3}})");
+  // Another policy and workload on the same topology: the same arena.
+  ok(R"({"name":"a","topo":{"hosts":8,"seed":3},"policy":{"policy":"ecmp"},)"
+     R"("workload":{"flow_bytes":5000}})");
+  EXPECT_EQ(counter_of(service, "route_cache_reuse"), 1u);
+  EXPECT_EQ(stat_of(service, {"warm_route_topologies"}), 1.0);
+  // Another topology seed: an arena of its own.
+  ok(R"({"name":"a","topo":{"hosts":8,"seed":4}})");
+  EXPECT_EQ(counter_of(service, "route_cache_reuse"), 1u);
+  EXPECT_EQ(stat_of(service, {"warm_route_topologies"}), 2.0);
 }
 
 }  // namespace

@@ -9,7 +9,14 @@
 //   ./pnet-serve --socket=/tmp/pnet.sock --workers=2 &
 //   printf '{"name":"q1","engine":"fsim","topo":{"hosts":64}}' |
 //     nc -U /tmp/pnet.sock
+//   rpc='{"name":"rpc","topo":{"hosts":16,"parallelism":2},"workload":'
+//   rpc+='{"pattern":"closed_loop","response_bytes":1500,"concurrent":2}}'
+//   printf '%s' "$rpc" | nc -U /tmp/pnet.sock
 //   printf '{"stats":true}' | nc -U /tmp/pnet.sock
+//
+// A query is any spec block of a bench report (the reply echoes its
+// canonical form, which can be resent as is): host-pair and closed-loop
+// workloads, with or without a controller, on either built-in engine.
 //
 // SIGTERM/SIGINT drain gracefully: in-flight and queued queries finish
 // (their clients get full responses), new ones are rejected retryable,
@@ -47,7 +54,9 @@ constexpr const char kUsage[] =
     "  --cache-mb N      result cache budget in MiB (default 64; 0 = off)\n"
     "  --max-hosts N     largest accepted topo.hosts (default 1024)\n"
     "  --max-trials N    largest accepted trials (default 64)\n"
-    "  --max-rounds N    largest accepted workload.rounds (default 256)\n";
+    "  --max-rounds N    largest accepted flows per host: workload.rounds,\n"
+    "                    or concurrent x rounds for a closed loop (default "
+    "256)\n";
 
 }  // namespace
 
