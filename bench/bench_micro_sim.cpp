@@ -17,13 +17,15 @@
 // behind them, plus a sharded-engine scaling sweep (packet_sim_mt: the
 // same permutation scenario on a wider multi-plane fabric at
 // --sim-threads 1/2/4/8, asserting the dispatched-event count is
-// identical across shard worker counts), plus the fluid engine's
-// water-fill on a paper-scale cell (fluid_solve). The result is one JSON
-// document, committed as BENCH_micro_sim.json at the repo root; CI's
-// micro-sim-perf job re-runs it and fails on a >15% events/sec regression
-// of the packet_sim row or a >15% rise of fluid_solve's median run time,
-// and checks that the mt rows still agree on events and that fluid_solve's
-// counts and FCT digest equal the baseline's.
+// identical across shard worker counts), plus a closed-loop RPC cell shaped
+// like perfbench's packet-rpc (rpc_sim: short flows, drops, RTO wake-ups),
+// plus the fluid engine's water-fill on a paper-scale cell (fluid_solve).
+// The result is one JSON document, committed as BENCH_micro_sim.json at the
+// repo root; CI's micro-sim-perf job re-runs it and fails on a >15%
+// events/sec regression of the packet_sim or rpc_sim row or a >15% rise of
+// fluid_solve's median run time, and checks that packet_sim's and
+// rpc_sim's event counts, the mt rows' and fluid_solve's counts and FCT
+// digest equal the baseline's.
 // Report-mode flags: --hosts, --planes, --bytes, --repeat, --mt-hosts,
 // --mt-planes, --mt-bytes; any other flag exits 2.
 #include <benchmark/benchmark.h>
@@ -49,6 +51,7 @@
 #include "util/flags.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "workload/apps.hpp"
 #include "workload/patterns.hpp"
 
 namespace {
@@ -180,6 +183,15 @@ struct SimRun {
   std::uint64_t heap_regrowths = 0;
 };
 
+/// Regrowths of the control queue and every shard's queue.
+std::uint64_t queue_regrowths(core::SimHarness& harness) {
+  std::uint64_t total = harness.events().regrowths();
+  for (std::size_t s = 0; s < harness.shards().size(); ++s) {
+    total += harness.shards().shard(s).events.regrowths();
+  }
+  return total;
+}
+
 SimRun run_permutation(int hosts, int planes, std::uint64_t bytes,
                        int sim_threads = 1) {
   topo::NetworkSpec spec;
@@ -206,11 +218,68 @@ SimRun run_permutation(int hosts, int planes, std::uint64_t bytes,
   run.route_dedup_hits = harness.network().routes().dedup_hits();
   run.route_arena_bytes = harness.network().routes().arena_bytes();
   // The pool numbers come from the standalone forwarding section; here
-  // only the event heaps (control queue and every shard) are sampled.
-  run.heap_regrowths = harness.events().regrowths();
-  for (std::size_t s = 0; s < harness.shards().size(); ++s) {
-    run.heap_regrowths += harness.shards().shard(s).events.regrowths();
-  }
+  // only the event queues (control queue and every shard) are sampled.
+  run.heap_regrowths = queue_regrowths(harness);
+  return run;
+}
+
+/// One run of the rpc_sim cell.
+struct RpcRun {
+  int hosts = 0;
+  std::uint64_t events = 0;
+  double wall_s = 0;
+  std::size_t completed = 0;
+  std::uint64_t drops = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t heap_regrowths = 0;
+};
+
+/// The rpc_sim cell: packet-rpc's closed loop (bench_fig11's RPCs) at 16
+/// requested hosts — a 4-plane parallel-homogeneous Jellyfish (topology
+/// seed 1) with shortest-plane routing, where each host keeps
+/// `kRpcConcurrent` 100 kB requests with 1.5 kB replies outstanding for
+/// `kRpcRounds` rounds each. Short flows with drops and RTO wake-ups, so
+/// transport and event-queue work dominate. Times harness.run() only.
+constexpr int kRpcHostsRequested = 16;
+constexpr int kRpcPlanes = 4;
+constexpr int kRpcConcurrent = 10;
+constexpr int kRpcRounds = 8;
+constexpr std::uint64_t kRpcRequestBytes = 100'000;
+constexpr std::uint64_t kRpcResponseBytes = 1500;
+constexpr std::uint64_t kRpcTrafficSeed = 1;
+
+RpcRun run_rpc_cell() {
+  topo::NetworkSpec spec;
+  spec.topo = topo::TopoKind::kJellyfish;
+  spec.type = topo::NetworkType::kParallelHomogeneous;
+  spec.hosts = kRpcHostsRequested;
+  spec.parallelism = kRpcPlanes;
+  spec.seed = 1;
+  core::PolicyConfig policy;
+  policy.policy = core::RoutingPolicy::kShortestPlane;
+  core::SimHarness harness({.spec = spec, .policy = policy});
+  const int hosts = harness.net().num_hosts();
+  workload::ClosedLoopApp app(
+      harness.starter(), harness.all_hosts(),
+      {.concurrent_per_host = kRpcConcurrent,
+       .response_bytes = kRpcResponseBytes,
+       .rounds_per_worker = kRpcRounds,
+       .seed = mix64(kRpcTrafficSeed)},
+      [hosts](HostId src, Rng& rng) {
+        return workload::random_destination(hosts, src, rng);
+      },
+      [](Rng&) { return kRpcRequestBytes; });
+  app.start(0);
+  const auto t0 = std::chrono::steady_clock::now();
+  harness.run();
+  RpcRun run;
+  run.wall_s = seconds_since(t0);
+  run.hosts = hosts;
+  run.events = harness.dispatched();
+  run.completed = app.completion_times_us().size();
+  run.drops = harness.network().total_drops();
+  run.timeouts = static_cast<std::uint64_t>(harness.logger().total_timeouts());
+  run.heap_regrowths = queue_regrowths(harness);
   return run;
 }
 
@@ -398,6 +467,42 @@ int run_json_report(const Flags& flags) {
                    "sim_threads rows (determinism breach)\n");
       return 1;
     }
+  }
+
+  // Closed-loop RPCs (rpc_sim): the transport-bound scenario, best of
+  // `repeat` runs like packet_sim. Its event count is deterministic.
+  {
+    RpcRun best;
+    for (int r = 0; r < repeat; ++r) {
+      RpcRun run = run_rpc_cell();
+      if (best.wall_s != 0 && run.events != best.events) {
+        std::fprintf(stderr,
+                     "rpc_sim: a repeat of the cell dispatched other events "
+                     "(determinism breach)\n");
+        return 1;
+      }
+      if (best.wall_s == 0 || run.wall_s < best.wall_s) best = run;
+    }
+    w.key("rpc_sim").begin_object();
+    w.field("topo", "jellyfish");
+    w.field("type", "parallel-homogeneous");
+    w.field("hosts_requested", kRpcHostsRequested);
+    w.field("hosts", best.hosts);
+    w.field("planes", kRpcPlanes);
+    w.field("concurrent", kRpcConcurrent);
+    w.field("rounds", kRpcRounds);
+    w.field("request_bytes", kRpcRequestBytes);
+    w.field("response_bytes", kRpcResponseBytes);
+    w.field("rpcs", best.completed);
+    w.field("drops", best.drops);
+    w.field("timeouts", best.timeouts);
+    w.field("events", best.events);
+    w.field("wall_s", best.wall_s);
+    w.field("events_per_sec",
+            best.wall_s > 0 ? static_cast<double>(best.events) / best.wall_s
+                            : 0.0);
+    w.field("event_heap_regrowths", best.heap_regrowths);
+    w.end_object();
   }
 
   // Fluid water-fill: fsim-paper's 1 MB parallel-homogeneous cell

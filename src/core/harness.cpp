@@ -12,7 +12,7 @@ SimHarness::SimHarness(const Options& options)
       selector_(net_, options.policy, options.route_cache),
       starter_(selector_.make_starter(factory_)),
       telemetry_(options.telemetry) {
-  // Reserve the event heaps up front and arm regrowth tracking; links
+  // Reserve the event queues up front and arm regrowth tracking; links
   // dominate a shard's steady-state pending set (one in-service completion
   // per queue, one delivery wake-up per pipe), plus slack for arrival wakes
   // (Arrivals can park a few superseded wakes per shard; see shard.hpp).

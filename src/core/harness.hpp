@@ -113,7 +113,7 @@ class SimHarness {
   [[nodiscard]] util::Audit* audit() { return audit_; }
 
   /// Conservation sweep over every queue, plus the steady-state allocation
-  /// invariant: the event heap must never have regrown past the
+  /// invariant: the event queues must never have regrown past the
   /// reservation made in the constructor. No-op without an auditor.
   void audit_check() {
     if (audit_ == nullptr) return;
@@ -125,7 +125,7 @@ class SimHarness {
     network_.audit_check(*audit_);
     audit_->note_check();
     if (events_.reserved() && events_.regrowths() > 0) {
-      audit_->fail("event heap regrew " +
+      audit_->fail("event queue regrew " +
                    std::to_string(events_.regrowths()) +
                    " times past its reservation (capacity now " +
                    std::to_string(events_.capacity()) + " entries)");

@@ -7,6 +7,7 @@
 
 #include "exp/json.hpp"
 #include "exp/report.hpp"
+#include "topo/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace pnet::serve {
@@ -163,6 +164,19 @@ std::string Service::over_cap(const exp::ExperimentSpec& spec) const {
     return "topo.hosts " + std::to_string(spec.topo.hosts) +
            " exceeds this server's cap of " +
            std::to_string(options_.max_hosts);
+  }
+  // What gets built: planes x nodes per plane. A plane holds about two
+  // nodes per host (a k = 4 fat tree 2.25, a Jellyfish 1.25), so
+  // kNodesPerCappedHost x max_hosts admits 16 planes of a fabric at the
+  // host cap, while no `parallelism` or `jf_switches` can ask for millions.
+  const std::int64_t node_cap =
+      std::int64_t{kNodesPerCappedHost} * options_.max_hosts;
+  const std::int64_t planes = topo::num_planes(spec.topo);
+  const std::int64_t nodes = topo::plane_nodes(spec.topo);
+  if (nodes > node_cap / planes) {
+    return "topo of " + std::to_string(planes) + " planes x " +
+           std::to_string(nodes) + " nodes exceeds this server's cap of " +
+           std::to_string(node_cap) + " nodes";
   }
   if (spec.trials > options_.max_trials) {
     return "trials " + std::to_string(spec.trials) +

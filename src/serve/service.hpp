@@ -72,6 +72,8 @@ struct ServiceOptions {
   std::size_t max_request_bytes = 1u << 20;
   /// Per-query resource caps — the bounded-memory contract. A spec over a
   /// cap is rejected "invalid_spec" at admission, before any allocation.
+  /// max_hosts also bounds the topology's size: planes x nodes per plane
+  /// may not exceed Service::kNodesPerCappedHost x max_hosts.
   int max_hosts = 1024;
   int max_trials = 64;
   int max_rounds = 256;
@@ -89,6 +91,10 @@ struct ServiceOptions {
 
 class Service {
  public:
+  /// Built nodes (planes x nodes per plane) a query may ask for, per host
+  /// of ServiceOptions::max_hosts.
+  static constexpr int kNodesPerCappedHost = 32;
+
   explicit Service(ServiceOptions options = {});
   /// Hard stop: cancels active queries (their clients get a structured
   /// "cancelled" reply), drops queued ones the same way, joins workers.

@@ -1,34 +1,56 @@
 // Discrete-event core, modelled after htsim's EventList: sources register
 // wake-ups at absolute simulated times; the queue dispatches them in time
-// order. Ties dispatch in scheduling order (a monotonic sequence number),
-// so runs are fully deterministic.
+// order. Ties dispatch in scheduling order, so runs are fully
+// deterministic.
 //
-// The heap is a hand-rolled 4-ary min-heap over a flat std::vector rather
-// than std::priority_queue<std::tuple<...>>: entries are one 24-byte POD
-// (no tuple comparison call chain), the backing store is reservable up
-// front (reserve()/request_capacity()), and the dispatch counter feeds the
-// events/sec throughput metric of the experiment runner. 4-ary beats
-// binary here because sift-down depth halves and the four children share
-// one or two cache lines, and the sifts move a hole instead of swapping —
-// pop cost dominates the simulator's per-event overhead (measured ~40% of
-// a TCP permutation run before this layout).
+// The queue is a monotone radix queue. schedule_at clamps every key to
+// now(), and now() never falls below `last_`, the time of the batch being
+// dispatched, so no key is ever below `last_`. An entry lives in bucket
+// std::bit_width(when ^ last_): bucket 0 holds the entries at `last_`
+// itself, bucket b > 0 those whose highest bit differing from `last_` is
+// bit b - 1. Every entry of a lower bucket is earlier than every entry of
+// a higher one, so the earliest pending time is the minimum of the lowest
+// non-empty bucket; each bucket keeps that minimum, updated on append.
+// When bucket 0 runs dry the lowest non-empty bucket is redistributed
+// against its own minimum (the new `last_`): its entries all land in
+// lower buckets, and the entries of higher buckets keep their index. Each
+// entry moves at most 63 times over its life, and far-future entries
+// (idle RTO timers) sit untouched in high buckets, so the cost of an
+// event does not grow with how many of them are pending.
 //
-// Dispatch is batched by timestamp: run_batch() drains every entry sharing
-// the earliest pending `when` and dispatches each immediately after its
-// pop. Each pop is the global minimum, and events scheduled *at* the batch
-// timestamp during dispatch carry larger seq values — the heap hands them
-// back after everything already pending at that instant — so the global
-// (when, seq) dispatch order is byte-identical to one-at-a-time dispatch
-// while same-instant cascades (queue drain -> pipe delivery -> ACK-clocked
-// send) run as one straight-line loop with a single clock/audit touch.
+// The order is exactly the (when, scheduling order) order of a heap keyed
+// by a sequence number. Buckets are FIFO lists: entries with equal `when`
+// always share a bucket, appends and redistributions both go to the tail,
+// and a redistribution walks its list head to tail into buckets that are
+// empty (they sit below the lowest non-empty one). So equal-time entries
+// leave a bucket in the order they were scheduled, and no sequence number
+// is stored. Peeks (next_time(), horizon(), advance_to()) never move
+// `last_`: between epochs the shard coordinator schedules below a minimum
+// it has only peeked at, so `last_` is set, and a bucket redistributed,
+// only once a batch is about to dispatch. tests/dataplane_test.cpp's
+// HeapReference suite pins the order against the 4-ary heap this replaced.
+//
+// Entries are 24-byte nodes (when, source, next index) in one pool with
+// an intrusive free list, so the pool's size is the reservation:
+// reserve()/request_capacity() size it up front, and the dispatch counter
+// feeds the events/sec throughput metric of the experiment runner.
+//
+// Dispatch is batched by timestamp: run_batch() drains every entry at the
+// earliest pending `when` — bucket 0 — including entries the dispatched
+// handlers schedule at that instant, which append behind everything
+// already pending there. The dispatch order is therefore byte-identical
+// to one-at-a-time dispatch, while same-instant cascades (queue drain ->
+// pipe delivery -> ACK-clocked send) run as one straight-line loop with a
+// single clock/audit touch.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/audit.hpp"
@@ -62,7 +84,8 @@ class EventQueue {
 
   /// Timestamp of the earliest pending event, or kNever when empty.
   [[nodiscard]] SimTime next_time() const {
-    return heap_.empty() ? kNever : heap_.front().when;
+    return occupied_ == 0 ? kNever
+                          : buckets_[std::countr_zero(occupied_)].min;
   }
 
   /// How far this queue is known to have no work before `deadline`: the
@@ -70,7 +93,7 @@ class EventQueue {
   /// the deadline itself. An empty shard's horizon is the deadline, never
   /// 0, so one idle plane cannot stall a conservative barrier.
   [[nodiscard]] SimTime horizon(SimTime deadline) const {
-    return heap_.empty() ? deadline : std::min(deadline, heap_.front().when);
+    return std::min(deadline, next_time());
   }
 
   /// Attaches a cooperative-cancellation token; run()/run_until() return
@@ -82,12 +105,12 @@ class EventQueue {
   /// every dispatched batch. Pass nullptr to detach.
   void set_audit(util::Audit* audit) { audit_ = audit; }
 
-  /// Preallocates backing storage for `events` pending entries and arms
-  /// regrowth tracking: from now on any heap reallocation is counted in
+  /// Preallocates the node pool for `events` pending entries and arms
+  /// regrowth tracking: from now on any pool reallocation is counted in
   /// regrowths(), which SimHarness::audit_check treats as an invariant
   /// violation (the steady state is supposed to be allocation-free).
   void reserve(std::size_t events) {
-    if (events > heap_.capacity()) heap_.reserve(events);
+    if (events > nodes_.capacity()) nodes_.reserve(events);
     reserved_ = true;
   }
 
@@ -95,25 +118,34 @@ class EventQueue {
   /// incrementally — e.g. FlowFactory creating endpoints one at a time.
   /// No-op when current capacity already suffices.
   void request_capacity(std::size_t events) {
-    if (events <= heap_.capacity()) return;
-    heap_.reserve(std::max(events, heap_.capacity() * 2));
+    if (events <= nodes_.capacity()) return;
+    nodes_.reserve(std::max(events, nodes_.capacity() * 2));
     reserved_ = true;
   }
 
   /// True once reserve()/request_capacity() armed regrowth tracking.
   [[nodiscard]] bool reserved() const { return reserved_; }
-  [[nodiscard]] std::size_t capacity() const { return heap_.capacity(); }
-  /// Heap reallocations observed after reserve() — 0 in a correctly sized
-  /// steady state.
+  [[nodiscard]] std::size_t capacity() const { return nodes_.capacity(); }
+  /// Node-pool reallocations observed after reserve() — 0 in a correctly
+  /// sized steady state.
   [[nodiscard]] std::uint64_t regrowths() const { return regrowths_; }
 
   void schedule_at(SimTime when, EventSource* source) {
     // Clamp to the present: scheduling "in the past" (e.g. an app reacting
     // to a completion record with a stale timestamp) must never move the
-    // clock backwards.
-    if (reserved_ && heap_.size() == heap_.capacity()) ++regrowths_;
-    heap_.push_back(Entry{when < now_ ? now_ : when, next_seq_++, source});
-    sift_up(heap_.size() - 1);
+    // clock backwards — and keeps every key at or above last_.
+    if (when < now_) when = now_;
+    std::uint32_t n = free_;
+    if (n != kNil) {
+      free_ = nodes_[n].next;
+      nodes_[n] = Node{when, source, kNil};
+    } else {
+      if (reserved_ && nodes_.size() == nodes_.capacity()) ++regrowths_;
+      n = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(Node{when, source, kNil});
+    }
+    append(bucket_of(when), n, when);
+    ++size_;
   }
   void schedule_in(SimTime delay, EventSource* source) {
     schedule_at(now_ + delay, source);
@@ -135,30 +167,18 @@ class EventQueue {
     if (aux_pending_ > 0) --aux_pending_;
   }
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t pending() const { return size_; }
   /// Pending entries that are real simulation work — everything except
   /// the self-rescheduling driver wake-ups placed via schedule_aux_at.
   [[nodiscard]] std::size_t real_pending() const {
-    return heap_.size() > aux_pending_ ? heap_.size() - aux_pending_ : 0;
+    return size_ > aux_pending_ ? size_ - aux_pending_ : 0;
   }
   /// Events dispatched since construction (the runner's throughput unit).
   [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
 
-  /// Dispatches one event; returns false when the queue is empty.
-  bool run_one() {
-    if (heap_.empty()) return false;
-    const Entry top = heap_.front();
-    pop();
-    check_monotonic(top.when);
-    now_ = top.when;
-    ++dispatched_;
-    top.source->do_next_event();
-    return true;
-  }
-
-  /// Dispatches every entry at the earliest pending timestamp, in seq
-  /// (scheduling) order, including events scheduled *at* that timestamp by
+  /// Dispatches every entry at the earliest pending timestamp, in
+  /// scheduling order, including events scheduled *at* that timestamp by
   /// the dispatched handlers themselves; returns false when the queue is
   /// empty. See the header comment for why the order matches
   /// one-at-a-time dispatch exactly. A handler endlessly rescheduling
@@ -166,16 +186,26 @@ class EventQueue {
   /// zero-delay loop is a bug that hangs the sim under any dispatch
   /// scheme.
   bool run_batch() {
-    if (heap_.empty()) return false;
-    const SimTime t = heap_.front().when;
+    if (empty()) return false;
+    if ((occupied_ & 1) == 0) settle();
+    const SimTime t = last_;
     check_monotonic(t);
     now_ = t;
+    Bucket& batch = buckets_[0];
     do {
-      EventSource* const source = heap_.front().source;
-      pop();
+      const std::uint32_t n = batch.head;
+      Node& node = nodes_[n];
+      EventSource* const source = node.source;
+      batch.head = node.next;
+      if (node.next == kNil) occupied_ &= ~std::uint64_t{1};
+      // Free the node before dispatch, so a handler rescheduling itself
+      // reuses it.
+      node.next = free_;
+      free_ = n;
+      --size_;
       ++dispatched_;
       source->do_next_event();
-    } while (!heap_.empty() && heap_.front().when == t);
+    } while ((occupied_ & 1) != 0);
     return true;
   }
 
@@ -183,10 +213,10 @@ class EventQueue {
   /// an attached CancelToken fires. The clock only advances to
   /// horizon(deadline) = min(deadline, next pending event): when dispatch
   /// stops early (cancel, or events remaining past the deadline) time must
-  /// not jump over work still in the heap, and a drained queue advances to
+  /// not jump over work still queued, and a drained queue advances to
   /// the deadline itself, never stalling at its last event time.
   void run_until(SimTime deadline) {
-    while (!heap_.empty() && heap_.front().when <= deadline) {
+    while (!empty() && next_time() <= deadline) {
       if (cancel_poll_due() && cancel_->cancelled()) break;
       run_batch();
     }
@@ -201,7 +231,7 @@ class EventQueue {
   /// the next epoch. Does not advance the clock past the last dispatched
   /// event; the caller pairs it with advance_to() after the barrier.
   void run_before(SimTime end) {
-    while (!heap_.empty() && heap_.front().when < end) {
+    while (!empty() && next_time() < end) {
       if (cancel_poll_due() && cancel_->cancelled()) break;
       run_batch();
     }
@@ -218,13 +248,69 @@ class EventQueue {
 
   /// Runs until the queue drains or an attached CancelToken fires.
   void run() {
-    while (!heap_.empty()) {
+    while (!empty()) {
       if (cancel_poll_due() && cancel_->cancelled()) break;
       run_batch();
     }
   }
 
  private:
+  static constexpr std::uint32_t kNil =
+      std::numeric_limits<std::uint32_t>::max();
+  static constexpr int kBuckets = 64;
+
+  struct Node {
+    SimTime when;
+    EventSource* source;
+    std::uint32_t next;  // next node in the same bucket or the free list
+  };
+  static_assert(sizeof(Node) == 24);
+
+  /// A FIFO list of nodes; head, tail and min are stale while empty.
+  struct Bucket {
+    SimTime min;  // earliest `when` in the bucket
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+
+  /// Keys are >= last_ >= 0, so when ^ last_ < 2^63 and the index is < 64.
+  [[nodiscard]] int bucket_of(SimTime when) const {
+    return std::bit_width(static_cast<std::uint64_t>(when ^ last_));
+  }
+
+  /// Appends node `n` (due at `when`, its `next` already kNil) to the tail
+  /// of bucket `b`.
+  void append(int b, std::uint32_t n, SimTime when) {
+    Bucket& bucket = buckets_[static_cast<std::size_t>(b)];
+    const std::uint64_t bit = std::uint64_t{1} << b;
+    if ((occupied_ & bit) != 0) {
+      nodes_[bucket.tail].next = n;
+      bucket.min = std::min(bucket.min, when);
+    } else {
+      bucket.head = n;
+      bucket.min = when;
+      occupied_ |= bit;
+    }
+    bucket.tail = n;
+  }
+
+  /// Bucket 0 is empty: makes the earliest pending time the new last_ and
+  /// redistributes the lowest non-empty bucket against it, head to tail,
+  /// which fills bucket 0 with that time's entries in scheduling order.
+  void settle() {
+    const int b = std::countr_zero(occupied_);
+    const Bucket& bucket = buckets_[static_cast<std::size_t>(b)];
+    last_ = bucket.min;
+    occupied_ &= ~(std::uint64_t{1} << b);
+    for (std::uint32_t n = bucket.head; n != kNil;) {
+      Node& node = nodes_[n];
+      const std::uint32_t next = node.next;
+      node.next = kNil;
+      append(bucket_of(node.when), n, node.when);
+      n = next;
+    }
+  }
+
   /// True when a token is attached and at least kCancelStride events have
   /// been dispatched since the last poll. Threshold-based (not a modulo of
   /// dispatched_) because batch dispatch advances the counter in jumps.
@@ -238,7 +324,7 @@ class EventQueue {
     if (audit_ == nullptr) return;
     audit_->note_check();
     // schedule_at clamps to the present, so a dispatch before now_ means
-    // the heap order itself broke.
+    // the queue order itself broke.
     if (when < now_) {
       audit_->fail("event time moved backwards: dispatching t=" +
                    std::to_string(when) + " with clock at t=" +
@@ -246,57 +332,14 @@ class EventQueue {
     }
   }
 
-  struct Entry {
-    SimTime when;
-    std::uint64_t seq;
-    EventSource* source;
-
-    /// Heap order: earliest time first; FIFO scheduling order on ties.
-    [[nodiscard]] bool before(const Entry& other) const {
-      return when != other.when ? when < other.when : seq < other.seq;
-    }
-  };
-
-  /// 4-ary layout: children of i live at 4i+1..4i+4, parent at (i-1)/4.
-
-  void pop() {
-    const Entry moved = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n == 0) return;
-    // Sift the displaced tail entry down from the root, moving a hole
-    // instead of swapping.
-    std::size_t i = 0;
-    while (true) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      std::size_t smallest = first;
-      const std::size_t end = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (heap_[c].before(heap_[smallest])) smallest = c;
-      }
-      if (!heap_[smallest].before(moved)) break;
-      heap_[i] = heap_[smallest];
-      i = smallest;
-    }
-    heap_[i] = moved;
-  }
-
-  void sift_up(std::size_t i) {
-    const Entry moved = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!moved.before(heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = moved;
-  }
-
-  std::vector<Entry> heap_;
+  std::vector<Node> nodes_;
+  std::array<Bucket, kBuckets> buckets_{};
+  std::uint64_t occupied_ = 0;  // bit b set <=> bucket b is non-empty
+  std::uint32_t free_ = kNil;
+  std::size_t size_ = 0;
+  SimTime last_ = 0;
   std::size_t aux_pending_ = 0;
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t next_cancel_poll_ = 0;
   bool reserved_ = false;

@@ -317,9 +317,9 @@ class FlowFactory {
  private:
   FlowId next_id() { return FlowId{next_flow_id_++}; }
 
-  /// Grows the shard event heaps' reservation ahead of demand as transport
+  /// Grows the shard event queues' reservation ahead of demand as transport
   /// endpoints are created, so the steady state stays allocation-free
-  /// (SimHarness::audit_check treats heap regrowth as a violation).
+  /// (SimHarness::audit_check treats regrowth as a violation).
   void reserve_events(int new_endpoints);
 
   /// Launch-time facts about one flow, kept so finalize() can synthesize a

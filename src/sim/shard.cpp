@@ -277,7 +277,7 @@ void ShardSet::audit_check(util::Audit& audit) const {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const EventQueue& ev = shards_[i]->events;
     if (ev.reserved() && ev.regrowths() > 0) {
-      audit.fail("shard " + std::to_string(i) + " event heap regrew " +
+      audit.fail("shard " + std::to_string(i) + " event queue regrew " +
                  std::to_string(ev.regrowths()) +
                  " times past its reservation (capacity now " +
                  std::to_string(ev.capacity()) + " entries)");

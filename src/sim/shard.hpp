@@ -89,7 +89,7 @@ class ArrivalQueue {
 /// integrated from peer shards into this shard's event stream at their due
 /// times. Follows Pipe's one-pending-wake discipline — at most one wake is
 /// scheduled per new earliest due, and superseded (stale) wakes deliver
-/// nothing and re-arm — so integration bursts cannot flood the event heap
+/// nothing and re-arm — so integration bursts cannot flood the event queue
 /// past its reservation.
 class Arrivals final : public EventSource {
  public:
@@ -224,7 +224,7 @@ class ShardSet {
   void note_host_link(SimTime latency);
   [[nodiscard]] SimTime lookahead() const { return lookahead_; }
 
-  /// Reserve/grow every shard's event heap (mirrors EventQueue::reserve /
+  /// Reserve/grow every shard's event queue (mirrors EventQueue::reserve /
   /// request_capacity; regrowth past the reservation is an audit failure).
   void reserve_events(std::size_t events);
   void request_capacity(std::size_t events);

@@ -39,11 +39,12 @@ void TcpSink::receive(Packet& packet) {
   // Merge [start, end) into the reassembly state.
   if (start <= cum_) {
     cum_ = std::max(cum_, end);
-    // Absorb any now-contiguous out-of-order ranges.
-    while (!ooo_.empty() && ooo_.front().first <= cum_) {
-      cum_ = std::max(cum_, ooo_.front().second);
-      ooo_.erase(ooo_.begin());
+    // Absorb the now-contiguous prefix of out-of-order ranges in one erase.
+    auto absorbed = ooo_.begin();
+    for (; absorbed != ooo_.end() && absorbed->first <= cum_; ++absorbed) {
+      cum_ = std::max(cum_, absorbed->second);
     }
+    ooo_.erase(ooo_.begin(), absorbed);
   } else {
     auto it = std::lower_bound(
         ooo_.begin(), ooo_.end(), start,

@@ -1,5 +1,6 @@
 #include "topo/parallel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -80,8 +81,9 @@ Plane build_fat_tree_plane(const NetworkSpec& spec, double rate) {
   return plane;
 }
 
-Plane build_xpander_plane(const NetworkSpec& spec, double rate,
-                          std::uint64_t seed) {
+/// Picks an Xpander shape for a host target: degree 8, 4 hosts per switch,
+/// and the smallest lift whose (degree + 1) * lift switches hold the hosts.
+XpanderConfig derive_xpander_shape(const NetworkSpec& spec) {
   XpanderConfig config;
   config.network_degree = 8;
   config.hosts_per_switch = 4;
@@ -89,6 +91,12 @@ Plane build_xpander_plane(const NetworkSpec& spec, double rate,
       (spec.hosts + config.hosts_per_switch - 1) / config.hosts_per_switch;
   config.lift = (switches_needed + config.network_degree) /
                 (config.network_degree + 1);
+  return config;
+}
+
+Plane build_xpander_plane(const NetworkSpec& spec, double rate,
+                          std::uint64_t seed) {
+  XpanderConfig config = derive_xpander_shape(spec);
   config.link_rate_bps = rate;
   config.host_link_latency = spec.host_latency;
   config.fabric_link_latency = spec.fabric_latency;
@@ -126,14 +134,38 @@ Plane build_jellyfish_plane(const NetworkSpec& spec, double rate,
 
 }  // namespace
 
+int num_planes(const NetworkSpec& spec) {
+  const bool parallel = spec.type == NetworkType::kParallelHomogeneous ||
+                        spec.type == NetworkType::kParallelHeterogeneous;
+  return parallel ? spec.parallelism : 1;
+}
+
+std::int64_t plane_nodes(const NetworkSpec& spec) {
+  switch (spec.topo) {
+    case TopoKind::kFatTree: {
+      const std::int64_t k = fat_tree_k_for_hosts(spec.hosts);
+      return k * k * k / 4 + 5 * k * k / 4;
+    }
+    case TopoKind::kJellyfish: {
+      const JellyfishShape shape = derive_jellyfish_shape(spec);
+      return std::int64_t{shape.switches} *
+             (1 + std::max(shape.hosts_per_switch, 0));
+    }
+    case TopoKind::kXpander: {
+      const XpanderConfig shape = derive_xpander_shape(spec);
+      return std::int64_t{shape.lift} * (shape.network_degree + 1) *
+             (1 + shape.hosts_per_switch);
+    }
+  }
+  return 0;
+}
+
 ParallelNetwork build_network(const NetworkSpec& spec) {
   if (spec.parallelism < 1) {
     throw std::invalid_argument("parallelism must be >= 1");
   }
 
-  const bool parallel = spec.type == NetworkType::kParallelHomogeneous ||
-                        spec.type == NetworkType::kParallelHeterogeneous;
-  const int num_planes = parallel ? spec.parallelism : 1;
+  const int num_planes = topo::num_planes(spec);
   const double rate = spec.type == NetworkType::kSerialHigh
                           ? spec.base_rate_bps * spec.parallelism
                           : spec.base_rate_bps;

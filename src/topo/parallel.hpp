@@ -112,4 +112,14 @@ class ParallelNetwork {
 /// Builds one of the four section-5 network types.
 ParallelNetwork build_network(const NetworkSpec& spec);
 
+/// The planes build_network(spec) builds: `parallelism` for the parallel
+/// types, one for the serial ones.
+[[nodiscard]] int num_planes(const NetworkSpec& spec);
+
+/// The nodes (hosts and switches) of one plane of build_network(spec),
+/// computed from the spec alone, so that a size cap can be checked before
+/// anything is built. `spec.hosts` must be small enough for a fat tree's
+/// k^3 to fit an int, as build_network itself requires.
+[[nodiscard]] std::int64_t plane_nodes(const NetworkSpec& spec);
+
 }  // namespace pnet::topo

@@ -676,6 +676,37 @@ TEST(Service, ResourceCapsRejectBeforeExecution) {
   EXPECT_EQ(counter_of(service, "engine_runs"), 0u);
 }
 
+TEST(Service, TopologySizeCapBoundsPlanesAndSwitches) {
+  // max_hosts 64 caps a query at 32 x 64 = 2048 built nodes. A 16-host fat
+  // tree plane has 36 nodes, a 16-switch Jellyfish with 2 hosts each 48.
+  ServiceOptions options = stub_options();
+  options.max_hosts = 64;
+  Service service(options);
+  const std::string planes = service.handle_line(
+      R"({"name":"planes","topo":{"hosts":16,)"
+      R"("type":"parallel-homogeneous","parallelism":1000000}})");
+  EXPECT_NE(planes.find(R"("kind":"invalid_spec")"), std::string::npos);
+  EXPECT_NE(planes.find("1000000 planes x 36 nodes"), std::string::npos)
+      << planes;
+  const std::string switches = service.handle_line(
+      R"({"name":"switches","topo":{"kind":"jellyfish","hosts":16,)"
+      R"("jf_switches":1000000,"jf_degree":4,"jf_hosts_per_switch":2}})");
+  EXPECT_NE(switches.find(R"("kind":"invalid_spec")"), std::string::npos);
+  EXPECT_NE(switches.find("3000000 nodes"), std::string::npos) << switches;
+  EXPECT_EQ(counter_of(service, "engine_runs"), 0u);
+
+  // The same shapes within the cap run: 56 fat-tree planes, 42 switches.
+  const std::string fits = service.handle_line(
+      R"({"name":"fits","topo":{"hosts":16,)"
+      R"("type":"parallel-homogeneous","parallelism":56}})");
+  EXPECT_EQ(fits.rfind(R"({"ok":true)", 0), 0u) << fits;
+  const std::string fits_jf = service.handle_line(
+      R"({"name":"fits_jf","topo":{"kind":"jellyfish","hosts":16,)"
+      R"("jf_switches":42,"jf_degree":4,"jf_hosts_per_switch":2}})");
+  EXPECT_EQ(fits_jf.rfind(R"({"ok":true)", 0), 0u) << fits_jf;
+  EXPECT_EQ(counter_of(service, "engine_runs"), 2u);
+}
+
 TEST(Service, OversizedRequestRejectedBeforeParsing) {
   ServiceOptions options = stub_options();
   options.max_request_bytes = 128;

@@ -231,6 +231,44 @@ TEST(ParallelNetwork, ParallelTypesHaveNPlanes) {
                                  : 0);
 }
 
+TEST(ParallelNetwork, PlaneCountsMatchTheBuiltNetwork) {
+  // num_planes and plane_nodes size a spec before it is built (pnet-serve's
+  // topology cap); they must agree with build_network for every kind.
+  struct Case {
+    TopoKind topo;
+    NetworkType type;
+    int hosts;
+    int jf_switches;
+  };
+  const Case cases[] = {
+      {TopoKind::kFatTree, NetworkType::kParallelHomogeneous, 2, 0},
+      {TopoKind::kFatTree, NetworkType::kSerialHigh, 100, 0},
+      {TopoKind::kJellyfish, NetworkType::kParallelHeterogeneous, 7, 0},
+      {TopoKind::kJellyfish, NetworkType::kParallelHomogeneous, 63, 0},
+      {TopoKind::kJellyfish, NetworkType::kSerialLow, 32, 16},
+      {TopoKind::kXpander, NetworkType::kParallelHomogeneous, 5, 0},
+      {TopoKind::kXpander, NetworkType::kSerialLow, 128, 0},
+  };
+  for (const Case& c : cases) {
+    NetworkSpec spec;
+    spec.topo = c.topo;
+    spec.type = c.type;
+    spec.hosts = c.hosts;
+    spec.parallelism = 3;
+    if (c.jf_switches > 0) {
+      spec.jf_switches = c.jf_switches;
+      spec.jf_degree = 4;
+      spec.jf_hosts_per_switch = 2;
+    }
+    const auto net = build_network(spec);
+    EXPECT_EQ(num_planes(spec), net.num_planes()) << to_string(c.topo);
+    for (int p = 0; p < net.num_planes(); ++p) {
+      EXPECT_EQ(plane_nodes(spec), net.plane(p).graph.num_nodes())
+          << to_string(c.topo) << " hosts " << c.hosts;
+    }
+  }
+}
+
 TEST(ParallelNetwork, HomogeneousPlanesAreIdentical) {
   NetworkSpec spec;
   spec.topo = TopoKind::kJellyfish;

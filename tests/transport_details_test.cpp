@@ -3,6 +3,11 @@
 // exercised through hand-built micro-networks rather than full topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/harness.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/mptcp.hpp"
@@ -10,6 +15,7 @@
 #include "sim/pipe.hpp"
 #include "sim/queue.hpp"
 #include "sim/tcp.hpp"
+#include "util/rng.hpp"
 
 namespace pnet::sim {
 namespace {
@@ -107,6 +113,96 @@ TEST(TcpDetails, SinkReassemblesArbitraryInjectionOrder) {
   EXPECT_EQ(capture.last_cum, 2000u);  // 0 and 1 contiguous
   inject(2000, 1000);
   EXPECT_EQ(capture.last_cum, 5000u);  // everything drains
+}
+
+TEST(TcpDetails, HoleFillAcksLikeTheOneRangeAtATimeLoop) {
+  // The sink's reassembly as it stood when it erased one absorbed
+  // out-of-order range per loop turn. The sink now erases the absorbed
+  // prefix in one call; it must send the same cumulative ACK for every
+  // segment.
+  struct OneAtATime {
+    std::uint64_t cum = 0;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> ooo;
+    std::uint64_t receive(std::uint64_t start, std::uint64_t end) {
+      if (start <= cum) {
+        cum = std::max(cum, end);
+        while (!ooo.empty() && ooo.front().first <= cum) {
+          cum = std::max(cum, ooo.front().second);
+          ooo.erase(ooo.begin());
+        }
+      } else {
+        auto it = std::lower_bound(
+            ooo.begin(), ooo.end(), start,
+            [](const auto& range, std::uint64_t s) { return range.first < s; });
+        if (it == ooo.end() || it->first != start) ooo.insert(it, {start, end});
+      }
+      return cum;
+    }
+  };
+  struct Capture : PacketSink {
+    explicit Capture(PacketPool& pool) : pool_(pool) {}
+    void receive(Packet& p) override {
+      acks.push_back(p.ack_seq);
+      pool_.free(&p);
+    }
+    std::vector<std::uint64_t> acks;
+    PacketPool& pool_;
+  };
+
+  Rng rng(0x0005'1AC4'F111ULL);
+  for (int round = 0; round < 20; ++round) {
+    Wire wire;
+    TcpParams params;
+    TcpSink sink(wire.events, wire.pool, params);
+    Capture capture(wire.pool);
+    OwnedRoute ack_route({&capture});
+    sink.set_ack_route(&ack_route);
+    OneAtATime model;
+    std::vector<std::uint64_t> want;
+    auto deliver = [&](std::uint64_t seq, std::uint32_t size) {
+      Packet* p = wire.pool.allocate();
+      p->seq = seq;
+      p->size_bytes = size;
+      sink.receive(*p);
+      want.push_back(model.receive(seq, seq + size));
+    };
+
+    // 400 MSS segments after a loss burst: segment 0 and a few others are
+    // lost, the rest arrive shuffled, some twice and some followed by an
+    // odd-sized overlapping retransmission; then the holes fill, in
+    // increasing order on even rounds (each fill absorbs one run) and in
+    // decreasing order on odd ones (the last fill absorbs every range).
+    constexpr int kSegments = 400;
+    constexpr std::uint32_t kMss = 1000;
+    std::vector<int> order(kSegments);
+    for (int i = 0; i < kSegments; ++i) order[static_cast<std::size_t>(i)] = i;
+    for (std::size_t i = order.size() - 1; i > 0; --i) {
+      std::swap(order[i], order[rng.next_below(i + 1)]);
+    }
+    std::vector<bool> lost(kSegments, false);
+    lost[0] = true;
+    for (std::uint64_t h = rng.next_below(6); h > 0; --h) {
+      lost[rng.next_below(kSegments)] = true;
+    }
+    for (const int seg : order) {
+      if (lost[static_cast<std::size_t>(seg)]) continue;
+      const auto seq = static_cast<std::uint64_t>(seg) * kMss;
+      deliver(seq, kMss);
+      if (rng.next_below(8) == 0) deliver(seq, kMss);
+      if (rng.next_below(8) == 0) {
+        deliver(seq + kMss / 2,
+                static_cast<std::uint32_t>(1 + rng.next_below(3 * kMss)));
+      }
+    }
+    for (int i = 0; i < kSegments; ++i) {
+      const int seg = round % 2 == 0 ? i : kSegments - 1 - i;
+      if (lost[static_cast<std::size_t>(seg)]) {
+        deliver(static_cast<std::uint64_t>(seg) * kMss, kMss);
+      }
+    }
+    ASSERT_EQ(capture.acks, want) << "round " << round;
+    EXPECT_GE(sink.cumulative_acked(), std::uint64_t{kSegments} * kMss);
+  }
 }
 
 TEST(TcpDetails, DuplicateSegmentsDoNotConfuseReassembly) {

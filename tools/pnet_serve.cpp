@@ -52,7 +52,8 @@ constexpr const char kUsage[] =
     "  --queue-limit N   admission queue bound (default 64)\n"
     "  --deadline-ms D   default per-query deadline, 0 = none (default 0)\n"
     "  --cache-mb N      result cache budget in MiB (default 64; 0 = off)\n"
-    "  --max-hosts N     largest accepted topo.hosts (default 1024)\n"
+    "  --max-hosts N     largest accepted topo.hosts; 32 x N caps the\n"
+    "                    planes x nodes per plane built (default 1024)\n"
     "  --max-trials N    largest accepted trials (default 64)\n"
     "  --max-rounds N    largest accepted flows per host: workload.rounds,\n"
     "                    or concurrent x rounds for a closed loop (default "
