@@ -24,8 +24,9 @@
 // repo root; CI's micro-sim-perf job re-runs it and fails on a >15%
 // events/sec regression of the packet_sim or rpc_sim row or a >15% rise of
 // fluid_solve's median run time, and checks that packet_sim's and
-// rpc_sim's event counts, the mt rows' and fluid_solve's counts and FCT
-// digest equal the baseline's.
+// rpc_sim's event counts and endpoint slots (the transport endpoints the
+// flow factory held room for at once), the mt rows' and fluid_solve's
+// counts and FCT digest equal the baseline's.
 // Report-mode flags: --hosts, --planes, --bytes, --repeat, --mt-hosts,
 // --mt-planes, --mt-bytes; any other flag exits 2.
 #include <benchmark/benchmark.h>
@@ -175,8 +176,8 @@ struct SimRun {
   double wall_s = 0;
   double delivered = 0;
   std::size_t routes = 0;
-  std::size_t route_dedup_hits = 0;
   std::size_t route_arena_bytes = 0;
+  std::size_t endpoint_slots = 0;
   std::size_t pool_allocated = 0;
   std::size_t pool_slabs = 0;
   std::size_t pool_slab_bytes = 0;
@@ -215,8 +216,8 @@ SimRun run_permutation(int hosts, int planes, std::uint64_t bytes,
   run.delivered =
       static_cast<double>(harness.factory().total_delivered_bytes());
   run.routes = harness.network().routes().num_routes();
-  run.route_dedup_hits = harness.network().routes().dedup_hits();
   run.route_arena_bytes = harness.network().routes().arena_bytes();
+  run.endpoint_slots = harness.factory().endpoint_slots();
   // The pool numbers come from the standalone forwarding section; here
   // only the event queues (control queue and every shard) are sampled.
   run.heap_regrowths = queue_regrowths(harness);
@@ -231,6 +232,7 @@ struct RpcRun {
   std::size_t completed = 0;
   std::uint64_t drops = 0;
   std::uint64_t timeouts = 0;
+  std::size_t endpoint_slots = 0;
   std::uint64_t heap_regrowths = 0;
 };
 
@@ -279,6 +281,7 @@ RpcRun run_rpc_cell() {
   run.completed = app.completion_times_us().size();
   run.drops = harness.network().total_drops();
   run.timeouts = static_cast<std::uint64_t>(harness.logger().total_timeouts());
+  run.endpoint_slots = harness.factory().endpoint_slots();
   run.heap_regrowths = queue_regrowths(harness);
   return run;
 }
@@ -405,8 +408,8 @@ int run_json_report(const Flags& flags) {
                             : 0.0);
     w.field("delivered_bytes", best.delivered);
     w.field("routes_interned", best.routes);
-    w.field("route_dedup_hits", best.route_dedup_hits);
     w.field("route_arena_bytes", best.route_arena_bytes);
+    w.field("endpoint_slots", best.endpoint_slots);
     w.field("event_heap_regrowths", best.heap_regrowths);
     w.end_object();
   }
@@ -501,6 +504,7 @@ int run_json_report(const Flags& flags) {
     w.field("events_per_sec",
             best.wall_s > 0 ? static_cast<double>(best.events) / best.wall_s
                             : 0.0);
+    w.field("endpoint_slots", best.endpoint_slots);
     w.field("event_heap_regrowths", best.heap_regrowths);
     w.end_object();
   }

@@ -30,10 +30,20 @@
 // only once a batch is about to dispatch. tests/dataplane_test.cpp's
 // HeapReference suite pins the order against the 4-ary heap this replaced.
 //
-// Entries are 24-byte nodes (when, source, next index) in one pool with
-// an intrusive free list, so the pool's size is the reservation:
+// Entries are 24-byte nodes (when, source, next index, tag) in one pool
+// with an intrusive free list, so the pool's size is the reservation:
 // reserve()/request_capacity() size it up front, and the dispatch counter
 // feeds the events/sec throughput metric of the experiment runner.
+//
+// Wake-ups are tagged. schedule_at stamps the source's generation into the
+// node's tag, and run_batch frees and counts every entry but calls the
+// handler only while the tag still equals the source's generation.
+// sim::FlowFactory bumps an endpoint's generation when it retires the
+// endpoint, and a later flow that reuses it keeps the new value. The
+// retired flow had completed, so each of its leftover RTO wake-ups would
+// have returned at once. They stay in the stream as counted no-ops, so
+// dispatch order and dispatched() are those of a run that never recycles,
+// and none of them reaches the next flow.
 //
 // Dispatch is batched by timestamp: run_batch() drains every entry at the
 // earliest pending `when` — bucket 0 — including entries the dispatched
@@ -64,6 +74,17 @@ class EventSource {
   virtual ~EventSource() = default;
   /// Called when a scheduled wake-up fires.
   virtual void do_next_event() = 0;
+
+  /// Wake-up tag: schedule_at stamps it on the entry, and the entry calls
+  /// do_next_event() only while the two still match. sim::FlowFactory
+  /// bumps it when it retires a transport endpoint for reuse, which turns
+  /// every wake-up still pending for the finished flow into a counted
+  /// no-op; every other source keeps generation 0 for life.
+  [[nodiscard]] std::uint32_t generation() const { return generation_; }
+  void set_generation(std::uint32_t generation) { generation_ = generation; }
+
+ private:
+  std::uint32_t generation_ = 0;
 };
 
 class EventQueue {
@@ -104,6 +125,8 @@ class EventQueue {
   /// Attaches an invariant auditor checking event-time monotonicity on
   /// every dispatched batch. Pass nullptr to detach.
   void set_audit(util::Audit* audit) { audit_ = audit; }
+  /// The attached auditor, or nullptr; sources on this queue audit into it.
+  [[nodiscard]] util::Audit* audit() const { return audit_; }
 
   /// Preallocates the node pool for `events` pending entries and arms
   /// regrowth tracking: from now on any pool reallocation is counted in
@@ -135,14 +158,15 @@ class EventQueue {
     // to a completion record with a stale timestamp) must never move the
     // clock backwards — and keeps every key at or above last_.
     if (when < now_) when = now_;
+    const Node node{when, source, kNil, source->generation()};
     std::uint32_t n = free_;
     if (n != kNil) {
       free_ = nodes_[n].next;
-      nodes_[n] = Node{when, source, kNil};
+      nodes_[n] = node;
     } else {
       if (reserved_ && nodes_.size() == nodes_.capacity()) ++regrowths_;
       n = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.push_back(Node{when, source, kNil});
+      nodes_.push_back(node);
     }
     append(bucket_of(when), n, when);
     ++size_;
@@ -196,6 +220,7 @@ class EventQueue {
       const std::uint32_t n = batch.head;
       Node& node = nodes_[n];
       EventSource* const source = node.source;
+      const std::uint32_t tag = node.tag;
       batch.head = node.next;
       if (node.next == kNil) occupied_ &= ~std::uint64_t{1};
       // Free the node before dispatch, so a handler rescheduling itself
@@ -204,7 +229,9 @@ class EventQueue {
       free_ = n;
       --size_;
       ++dispatched_;
-      source->do_next_event();
+      // A stale wake-up of a recycled source is dispatched and counted,
+      // but its handler is not called.
+      if (source->generation() == tag) source->do_next_event();
     } while ((occupied_ & 1) != 0);
     return true;
   }
@@ -263,6 +290,7 @@ class EventQueue {
     SimTime when;
     EventSource* source;
     std::uint32_t next;  // next node in the same bucket or the free list
+    std::uint32_t tag;   // source->generation() when scheduled
   };
   static_assert(sizeof(Node) == 24);
 

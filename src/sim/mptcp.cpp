@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 namespace pnet::sim {
 
@@ -54,10 +55,40 @@ void MptcpSubflow::on_timeout(int consecutive_timeouts) {
 // -------------------------------------------------------- MptcpConnection
 
 MptcpSubflow& MptcpConnection::add_subflow() {
-  subflows_.push_back(std::make_unique<MptcpSubflow>(
-      events_, pool_, flow_, params_, *this,
-      static_cast<int>(subflows_.size())));
+  const int index = static_cast<int>(subflows_.size());
+  if (spare_.empty()) {
+    subflows_.push_back(std::make_unique<MptcpSubflow>(
+        events_, pool_, flow_, params_, *this, index));
+  } else {
+    // Re-construct a retired subflow in place, keeping its generation so
+    // the old flow's wake-ups stay no-ops.
+    subflows_.push_back(std::move(spare_.back()));
+    spare_.pop_back();
+    MptcpSubflow* sf = subflows_.back().get();
+    const std::uint32_t generation = sf->generation();
+    std::destroy_at(sf);
+    std::construct_at(sf, events_, pool_, flow_, params_, *this, index);
+    sf->set_generation(generation);
+  }
   return *subflows_.back();
+}
+
+bool MptcpConnection::idle() const {
+  return std::all_of(subflows_.begin(), subflows_.end(),
+                     [](const auto& sf) { return sf->idle(); });
+}
+
+void MptcpConnection::retire() {
+  for (const auto& sf : subflows_) sf->retire();
+}
+
+std::vector<std::unique_ptr<MptcpSubflow>>
+MptcpConnection::release_subflows() {
+  std::vector<std::unique_ptr<MptcpSubflow>> all = std::move(spare_);
+  for (auto& sf : subflows_) all.push_back(std::move(sf));
+  subflows_.clear();
+  spare_.clear();
+  return all;
 }
 
 std::uint64_t MptcpConnection::pull(std::uint64_t want) {

@@ -63,11 +63,15 @@ class MptcpConnection {
  public:
   using CompletionCallback = std::function<void(MptcpConnection&)>;
 
+  /// `spare` hands over the subflow objects of a retired connection (see
+  /// release_subflows); add_subflow() re-constructs them in place before
+  /// it allocates new ones.
   MptcpConnection(EventQueue& events, PacketPool& pool, FlowId flow,
                   const TcpParams& params, std::uint64_t flow_size,
-                  Coupling coupling = Coupling::kLia)
+                  Coupling coupling = Coupling::kLia,
+                  std::vector<std::unique_ptr<MptcpSubflow>> spare = {})
       : events_(events), pool_(pool), flow_(flow), params_(params),
-        flow_size_(flow_size), coupling_(coupling) {}
+        flow_size_(flow_size), coupling_(coupling), spare_(std::move(spare)) {}
 
   [[nodiscard]] Coupling coupling() const { return coupling_; }
 
@@ -92,6 +96,16 @@ class MptcpConnection {
   }
   [[nodiscard]] int total_retransmits() const;
   [[nodiscard]] int total_timeouts() const;
+
+  /// True when every subflow's pending wake-ups would return without
+  /// acting (TcpSrc::idle), so a complete connection can do nothing more.
+  [[nodiscard]] bool idle() const;
+  /// Retires every subflow (TcpSrc::retire).
+  void retire();
+  /// Moves out every subflow object, spares included, for the connection
+  /// re-constructed in this one's place: wake-ups of a retired flow may
+  /// still point at them, so they are never freed while the factory lives.
+  [[nodiscard]] std::vector<std::unique_ptr<MptcpSubflow>> release_subflows();
 
   // --- interface used by MptcpSubflow ---
   std::uint64_t pull(std::uint64_t want);
@@ -125,6 +139,8 @@ class MptcpConnection {
   SimTime completion_time_ = -1;
   CompletionCallback on_complete_;
   std::vector<std::unique_ptr<MptcpSubflow>> subflows_;
+  /// Retired subflow objects waiting to be re-constructed by add_subflow.
+  std::vector<std::unique_ptr<MptcpSubflow>> spare_;
 };
 
 }  // namespace pnet::sim

@@ -1,6 +1,7 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "util/rng.hpp"
 
@@ -71,29 +72,30 @@ std::size_t SimNetwork::shard_of(int plane, NodeId node) const {
                          : shards_.shard_of_plane(plane);
 }
 
+void SimNetwork::push_hop(int plane, LinkId link) {
+  route_scratch_.push_back(&queue(plane, link));
+  route_scratch_.push_back(
+      stages_[static_cast<std::size_t>(plane)][static_cast<std::size_t>(link.v)]
+          .get());
+}
+
 const Route* SimNetwork::make_route(const routing::Path& path,
                                     PacketSink& endpoint) {
   route_scratch_.clear();
-  route_scratch_.reserve(path.links.size() * 2 + 1);
-  for (LinkId id : path.links) {
-    route_scratch_.push_back(&queue(path.plane, id));
-    route_scratch_.push_back(stages_[static_cast<std::size_t>(path.plane)]
-                                    [static_cast<std::size_t>(id.v)]
-                                        .get());
-  }
+  for (const LinkId id : path.links) push_hop(path.plane, id);
   route_scratch_.push_back(&endpoint);
   return routes_.intern(route_scratch_, path.hops());
 }
 
-routing::Path SimNetwork::reverse_path(const routing::Path& path) const {
+const Route* SimNetwork::make_reverse_route(const routing::Path& path,
+                                            PacketSink& endpoint) {
   const topo::Graph& g = net_.plane(path.plane).graph;
-  routing::Path rev;
-  rev.plane = path.plane;
-  rev.links.reserve(path.links.size());
+  route_scratch_.clear();
   for (auto it = path.links.rbegin(); it != path.links.rend(); ++it) {
-    rev.links.push_back(g.reverse(*it));
+    push_hop(path.plane, g.reverse(*it));
   }
-  return rev;
+  route_scratch_.push_back(&endpoint);
+  return routes_.intern(route_scratch_, path.hops());
 }
 
 std::uint64_t SimNetwork::total_drops() const {
@@ -261,21 +263,129 @@ void FlowLogger::write_csv(std::ostream& out) const {
   }
 }
 
+FlowFactory::FlowFactory(EventQueue& events, SimNetwork& network,
+                         FlowLogger& logger)
+    : events_(events), network_(network), shards_(network.shards()),
+      logger_(logger), pools_(network.shards().size()) {
+  shards_.set_barrier_hook([this] { retire_drained(); });
+}
+
+FlowFactory::~FlowFactory() { shards_.set_barrier_hook({}); }
+
+void FlowFactory::LiveList::push_back(FlowSlot* flow) {
+  flow->prev = tail;
+  flow->next = nullptr;
+  (tail == nullptr ? head : tail->next) = flow;
+  tail = flow;
+}
+
+void FlowFactory::LiveList::erase(FlowSlot* flow) {
+  (flow->prev == nullptr ? head : flow->prev->next) = flow->next;
+  (flow->next == nullptr ? tail : flow->next->prev) = flow->prev;
+  flow->prev = nullptr;
+  flow->next = nullptr;
+}
+
 void FlowFactory::reserve_events(int new_endpoints) {
   endpoints_ += static_cast<std::size_t>(new_endpoints);
   // Bound on simultaneously pending events: one in-service completion per
   // queue, one delivery wake-up per pipe (2 * links), a start event plus a
   // short stack of stale RTO wake-ups per transport endpoint (arm_rto
-  // leaves superseded wake-ups in the heap until they fire), and slack for
-  // the telemetry driver, fault injector, and workload apps.
+  // leaves superseded wake-ups in the queue until they fire, and a retired
+  // flow's stale wake-ups stay there too), and slack for the telemetry
+  // driver, fault injector, and workload apps.
   const std::size_t bound =
       2 * network_.total_links() +
       static_cast<std::size_t>(network_.net().num_hosts()) +
       16 * endpoints_ + 64;
-  // The shards split this pending set between their heaps; each keeps the
-  // global bound (cheap, and endpoints are not balanced across shards in
+  // The shards split this pending set between their queues; each keeps the
+  // global bound (cheap — it reserves address space, and only the entries
+  // in use touch memory — and endpoints are not balanced across shards in
   // general). Endpoints never schedule on the control queue.
   shards_.request_capacity(bound);
+}
+
+FlowFactory::TcpFlow& FlowFactory::acquire_tcp(HostId src, FlowId id) {
+  const std::size_t s = shards_.shard_of_host(src);
+  Shard& shard = shards_.shard(s);
+  SlotPool<TcpFlow>& pool = pools_[s].tcp;
+  const TcpParams& params = network_.config().tcp;
+  if (pool.free.empty()) {
+    pool.slots.push_back(
+        std::make_unique<TcpFlow>(shard.events, shard.pool, id, params));
+    return *pool.slots.back();
+  }
+  TcpFlow& flow = *pool.free.back();
+  pool.free.pop_back();
+  // Re-construct the retired source in place. Wake-ups of the old flow may
+  // still point at it, so it keeps its generation, which retirement
+  // already moved past theirs.
+  const std::uint32_t generation = flow.source.generation();
+  std::destroy_at(&flow.source);
+  std::construct_at(&flow.source, shard.events, shard.pool, id, params);
+  flow.source.set_generation(generation);
+  return flow;
+}
+
+TcpSink& FlowFactory::acquire_sink(HostId dst, FlowId id) {
+  const std::size_t s = shards_.shard_of_host(dst);
+  Shard& shard = shards_.shard(s);
+  SlotPool<TcpSink>& pool = pools_[s].sinks;
+  const TcpParams& params = network_.config().tcp;
+  if (pool.free.empty()) {
+    pool.slots.push_back(
+        std::make_unique<TcpSink>(shard.events, shard.pool, params, id));
+    return *pool.slots.back();
+  }
+  TcpSink& sink = *pool.free.back();
+  pool.free.pop_back();
+  std::destroy_at(&sink);
+  std::construct_at(&sink, shard.events, shard.pool, params, id);
+  return sink;
+}
+
+FlowFactory::MptcpFlow& FlowFactory::acquire_mptcp(HostId src, FlowId id,
+                                                   std::uint64_t bytes,
+                                                   Coupling coupling) {
+  const std::size_t s = shards_.shard_of_host(src);
+  Shard& shard = shards_.shard(s);
+  SlotPool<MptcpFlow>& pool = pools_[s].mptcp;
+  const TcpParams& params = network_.config().tcp;
+  if (pool.free.empty()) {
+    pool.slots.push_back(std::make_unique<MptcpFlow>(
+        shard.events, shard.pool, id, params, bytes, coupling));
+    return *pool.slots.back();
+  }
+  MptcpFlow& flow = *pool.free.back();
+  pool.free.pop_back();
+  // The subflow objects outlive the connection re-constructed around them.
+  auto subflows = flow.connection.release_subflows();
+  std::destroy_at(&flow.connection);
+  std::construct_at(&flow.connection, shard.events, shard.pool, id, params,
+                    bytes, coupling, std::move(subflows));
+  flow.sinks.clear();
+  flow.planes.clear();
+  return flow;
+}
+
+void FlowFactory::launch(FlowSlot& flow, LiveList& live,
+                         const LaunchInfo& info, FlowCallback on_complete) {
+  flow.info = info;
+  flow.on_complete = std::move(on_complete);
+  live.push_back(&flow);
+  peak_held_flows_ =
+      std::max(peak_held_flows_, next_flow_id_ - flows_retired_);
+  note_started(flow.info);
+}
+
+const Route* FlowFactory::wire(FlowSlot& flow, const routing::Path& path,
+                               TcpSink& sink, TcpSrc& source) {
+  const Route* fwd = network_.make_route(path, sink);
+  const Route* rev = network_.make_reverse_route(path, source);
+  flow.routes.push_back(fwd);
+  flow.routes.push_back(rev);
+  sink.set_ack_route(rev);
+  return fwd;
 }
 
 TcpSrc& FlowFactory::tcp_flow(HostId src, HostId dst,
@@ -283,75 +393,62 @@ TcpSrc& FlowFactory::tcp_flow(HostId src, HostId dst,
                               SimTime start, FlowCallback on_complete) {
   reserve_events(1);
   const FlowId id = next_id();
-  sources_.push_back(std::make_unique<TcpSrc>(shards_.host_events(src),
-                                              shards_.host_pool(src), id,
-                                              network_.config().tcp));
-  TcpSrc& source = *sources_.back();
-  sinks_.push_back(std::make_unique<TcpSink>(shards_.host_events(dst),
-                                             shards_.host_pool(dst),
-                                             network_.config().tcp));
-  TcpSink& sink = *sinks_.back();
-
-  const Route* fwd = network_.make_route(path, sink);
-  const Route* rev =
-      network_.make_route(network_.reverse_path(path), source);
-  sink.set_ack_route(rev);
+  TcpFlow& flow = acquire_tcp(src, id);
+  TcpSrc& source = flow.source;
+  flow.sink = &acquire_sink(dst, id);
+  flow.plane = path.plane;
+  flow.tracked = static_cast<bool>(repath_provider_);
+  const Route* fwd = wire(flow, path, *flow.sink, source);
   source.set_flow_size(bytes);
 
-  if (repath_provider_) {
-    tcp_metas_.push_back(std::make_unique<TcpFlowMeta>(
-        TcpFlowMeta{&source, &sink, src, dst, bytes, path.plane}));
-    source.set_repath_callback(
-        [this, meta = tcp_metas_.back().get()](TcpSrc&) -> const Route* {
-          if (shards_.in_worker_phase()) {
-            // RTO-driven repath on a shard thread: route building mutates
-            // the route arena and telemetry, so park it until the barrier
-            // and install the fresh route there. The source keeps its old
-            // route (and its RTO backoff) for the fraction of an epoch in
-            // between — deterministically, at every worker count.
-            shards_.defer(shards_.shard_of_host(meta->src),
-                          shards_.host_events(meta->src).now(), [this, meta] {
-                            if (meta->source->complete()) return;
-                            meta->source->apply_repath(repath(*meta));
-                          });
-            return nullptr;
-          }
-          return repath(*meta);
-        });
+  if (flow.tracked) {
+    source.set_repath_callback([this, &flow](TcpSrc&) -> const Route* {
+      if (shards_.in_worker_phase()) {
+        // RTO-driven repath on a shard thread: route building mutates the
+        // route arena and telemetry, so park it until the barrier and
+        // install the fresh route there. The source keeps its old route
+        // (and its RTO backoff) for the fraction of an epoch in between —
+        // deterministically, at every worker count. The drain runs before
+        // any retirement, so the slot still holds this flow.
+        const HostId host = flow.info.src;
+        shards_.defer(shards_.shard_of_host(host),
+                      shards_.host_events(host).now(), [this, &flow] {
+                        if (flow.source.complete()) return;
+                        flow.source.apply_repath(repath(flow));
+                      });
+        return nullptr;
+      }
+      return repath(flow);
+    });
   }
 
-  const int hops = path.hops();
-  source.set_completion_callback(
-      [this, id, src, dst, bytes, start, hops,
-       cb = std::move(on_complete)](TcpSrc& s) {
-        FlowRecord record{id,    src,
-                          dst,   bytes,
-                          start, s.completion_time(),
-                          hops,  1,
-                          s.retransmits(), s.timeouts(), s.repaths()};
-        record.delivered_bytes = bytes;
-        deliver_record(record, cb, src);
-      });
-  tcp_info_.push_back(LaunchInfo{id, src, dst, bytes, start, hops, false});
-  note_started(tcp_info_.back());
+  source.set_completion_callback([this, &flow](TcpSrc& s) {
+    const LaunchInfo& info = flow.info;
+    FlowRecord record{info.id,    info.src,
+                      info.dst,   info.bytes,
+                      info.start, s.completion_time(),
+                      info.hops,  1,
+                      s.retransmits(), s.timeouts(), s.repaths()};
+    record.delivered_bytes = info.bytes;
+    deliver_record(record, flow, tcp_draining_);
+  });
+  launch(flow, tcp_live_, LaunchInfo{id, src, dst, bytes, start, path.hops()},
+         std::move(on_complete));
   source.connect(fwd, start);
   return source;
 }
 
-const Route* FlowFactory::repath(TcpFlowMeta& meta) {
-  auto paths =
-      repath_provider_(meta.src, meta.dst, meta.plane, meta.bytes);
+const Route* FlowFactory::repath(TcpFlow& flow) {
+  auto paths = repath_provider_(flow.info.src, flow.info.dst, flow.plane,
+                                flow.info.bytes);
   if (paths.empty()) return nullptr;
   const routing::Path& path = paths.front();
-  const Route* fwd = network_.make_route(path, *meta.sink);
-  const Route* rev =
-      network_.make_route(network_.reverse_path(path), *meta.source);
-  meta.sink->set_ack_route(rev);
-  meta.plane = path.plane;
+  const Route* fwd = wire(flow, path, *flow.sink, flow.source);
+  flow.plane = path.plane;
   if (telemetry_ != nullptr) {
     telemetry_->registry.counter("repaths").inc();
     PNET_TRACE_INSTANT(&telemetry_->trace, "repath", events_.now(),
-                       meta.source->flow().v);
+                       flow.info.id.v);
   }
   return fwd;
 }
@@ -359,25 +456,26 @@ const Route* FlowFactory::repath(TcpFlowMeta& meta) {
 int FlowFactory::repin_flows(int from_plane, int max_flows,
                              const RepinPick& pick) {
   int moved = 0;
-  for (const auto& meta : tcp_metas_) {
-    if (moved >= max_flows) break;
-    if (meta->plane != from_plane || meta->source->complete()) continue;
-    auto paths = pick(meta->src, meta->dst, meta->bytes);
+  for (FlowSlot* slot = tcp_live_.head; slot != nullptr && moved < max_flows;
+       slot = slot->next) {
+    auto& flow = static_cast<TcpFlow&>(*slot);
+    if (!flow.tracked || flow.plane != from_plane ||
+        flow.source.complete()) {
+      continue;
+    }
+    auto paths = pick(flow.info.src, flow.info.dst, flow.info.bytes);
     if (paths.empty()) continue;
     const routing::Path& path = paths.front();
     // Same rewiring as repath(): fresh forward + reverse routes, the sink's
     // ACK route follows, and the source restarts cleanly on the new path.
-    const Route* fwd = network_.make_route(path, *meta->sink);
-    const Route* rev =
-        network_.make_route(network_.reverse_path(path), *meta->source);
-    meta->sink->set_ack_route(rev);
-    meta->plane = path.plane;
-    meta->source->apply_repath(fwd);
+    const Route* fwd = wire(flow, path, *flow.sink, flow.source);
+    flow.plane = path.plane;
+    flow.source.apply_repath(fwd);
     ++moved;
     if (telemetry_ != nullptr) {
       telemetry_->registry.counter("repins").inc();
       PNET_TRACE_INSTANT(&telemetry_->trace, "repin", events_.now(),
-                         meta->source->flow().v);
+                         flow.info.id.v);
     }
   }
   return moved;
@@ -385,47 +483,76 @@ int FlowFactory::repin_flows(int from_plane, int max_flows,
 
 std::vector<int> FlowFactory::live_tcp_planes() const {
   std::vector<int> out;
-  for (const auto& meta : tcp_metas_) {
-    if (!meta->source->complete()) out.push_back(meta->plane);
-  }
+  for_each_live<const TcpFlow>(tcp_live_, [&out](const TcpFlow& flow) {
+    if (flow.tracked && !flow.source.complete()) out.push_back(flow.plane);
+  });
+  return out;
+}
+
+std::vector<const TcpSrc*> FlowFactory::incomplete_tcp_flows() const {
+  std::vector<const TcpSrc*> out;
+  for_each_live<const TcpFlow>(tcp_live_, [&out](const TcpFlow& flow) {
+    if (!flow.source.complete()) out.push_back(&flow.source);
+  });
+  return out;
+}
+
+std::vector<const MptcpConnection*> FlowFactory::incomplete_mptcp_flows()
+    const {
+  std::vector<const MptcpConnection*> out;
+  for_each_live<const MptcpFlow>(mptcp_live_, [&out](const MptcpFlow& flow) {
+    if (!flow.connection.complete()) out.push_back(&flow.connection);
+  });
   return out;
 }
 
 void FlowFactory::on_plane_failed(int plane) {
-  for (const auto& meta : tcp_metas_) {
-    if (meta->plane == plane && !meta->source->complete()) {
-      meta->source->force_repath();
+  for_each_live<TcpFlow>(tcp_live_, [plane](TcpFlow& flow) {
+    if (flow.tracked && flow.plane == plane && !flow.source.complete()) {
+      flow.source.force_repath();
     }
-  }
-  for (std::size_t i = 0; i < connections_.size(); ++i) {
-    MptcpConnection& conn = *connections_[i];
-    if (conn.complete()) continue;
-    const auto& planes = connection_planes_[i];
-    for (std::size_t s = 0; s < planes.size(); ++s) {
-      if (planes[s] != plane) continue;
+  });
+  for_each_live<MptcpFlow>(mptcp_live_, [plane](MptcpFlow& flow) {
+    MptcpConnection& conn = flow.connection;
+    if (conn.complete()) return;
+    for (std::size_t s = 0; s < flow.planes.size(); ++s) {
+      if (flow.planes[s] != plane) continue;
       MptcpSubflow& sf = conn.subflow(static_cast<int>(s));
       if (!sf.abandoned()) conn.handle_stuck_subflow(sf);
     }
-  }
+  });
 }
 
 void FlowFactory::on_plane_recovered(int plane) {
-  for (std::size_t i = 0; i < connections_.size(); ++i) {
-    MptcpConnection& conn = *connections_[i];
-    if (conn.complete()) continue;
-    const auto& planes = connection_planes_[i];
-    for (std::size_t s = 0; s < planes.size(); ++s) {
-      if (planes[s] != plane) continue;
+  for_each_live<MptcpFlow>(mptcp_live_, [plane](MptcpFlow& flow) {
+    MptcpConnection& conn = flow.connection;
+    if (conn.complete()) return;
+    for (std::size_t s = 0; s < flow.planes.size(); ++s) {
+      if (flow.planes[s] != plane) continue;
       MptcpSubflow& sf = conn.subflow(static_cast<int>(s));
       if (sf.abandoned()) conn.revive_subflow(sf);
     }
-  }
+  });
 }
 
 std::uint64_t FlowFactory::total_delivered_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& src : sources_) total += src->acked_bytes();
-  for (const auto& conn : connections_) total += conn->delivered_bytes();
+  // Retired flows can deliver nothing more, so their bytes are a constant.
+  std::uint64_t total = retired_delivered_;
+  for_each_live<const TcpFlow>(tcp_live_, [&total](const TcpFlow& flow) {
+    total += flow.source.acked_bytes();
+  });
+  for_each_live<const MptcpFlow>(mptcp_live_,
+                                 [&total](const MptcpFlow& flow) {
+                                   total += flow.connection.delivered_bytes();
+                                 });
+  return total;
+}
+
+std::size_t FlowFactory::endpoint_slots() const {
+  std::size_t total = 0;
+  for (const ShardPools& p : pools_) {
+    total += p.tcp.slots.size() + p.sinks.slots.size() + p.mptcp.slots.size();
+  }
   return total;
 }
 
@@ -436,10 +563,8 @@ MptcpConnection& FlowFactory::mptcp_flow(HostId src, HostId dst,
                                          Coupling coupling) {
   reserve_events(static_cast<int>(paths.size()));
   const FlowId id = next_id();
-  connections_.push_back(std::make_unique<MptcpConnection>(
-      shards_.host_events(src), shards_.host_pool(src), id,
-      network_.config().tcp, bytes, coupling));
-  MptcpConnection& connection = *connections_.back();
+  MptcpFlow& flow = acquire_mptcp(src, id, bytes, coupling);
+  MptcpConnection& connection = flow.connection;
 
   // MP_JOIN staggering: secondary subflows join one handshake later, the
   // handshake riding the primary path's round trip.
@@ -452,40 +577,29 @@ MptcpConnection& FlowFactory::mptcp_flow(HostId src, HostId dst,
   bool first = true;
   for (const auto& path : paths) {
     MptcpSubflow& subflow = connection.add_subflow();
-    sinks_.push_back(std::make_unique<TcpSink>(shards_.host_events(dst),
-                                               shards_.host_pool(dst),
-                                               network_.config().tcp));
-    TcpSink& sink = *sinks_.back();
-    const Route* fwd = network_.make_route(path, sink);
-    const Route* rev =
-        network_.make_route(network_.reverse_path(path), subflow);
-    sink.set_ack_route(rev);
-    subflow.connect(fwd, first ? start : start + join_delay);
+    TcpSink& sink = acquire_sink(dst, id);
+    // Each subflow's plane lets the §3.4 link-status hooks
+    // (on_plane_failed / on_plane_recovered) find affected subflows.
+    flow.sinks.push_back(&sink);
+    flow.planes.push_back(path.plane);
+    subflow.connect(wire(flow, path, sink, subflow),
+                    first ? start : start + join_delay);
     first = false;
   }
 
-  // Record each subflow's plane so the §3.4 link-status hooks
-  // (on_plane_failed / on_plane_recovered) can find affected subflows.
-  std::vector<int> planes;
-  planes.reserve(paths.size());
-  for (const auto& path : paths) planes.push_back(path.plane);
-  connection_planes_.push_back(std::move(planes));
-
+  connection.set_completion_callback([this, &flow](MptcpConnection& c) {
+    const LaunchInfo& info = flow.info;
+    FlowRecord record{info.id,    info.src,
+                      info.dst,   info.bytes,
+                      info.start, c.completion_time(),
+                      info.hops,  static_cast<int>(flow.planes.size()),
+                      c.total_retransmits(), c.total_timeouts(), 0};
+    record.delivered_bytes = info.bytes;
+    deliver_record(record, flow, mptcp_draining_);
+  });
   const int hops = paths.empty() ? 0 : paths.front().hops();
-  const int num_subflows = static_cast<int>(paths.size());
-  connection.set_completion_callback(
-      [this, id, src, dst, bytes, start, hops, num_subflows,
-       cb = std::move(on_complete)](MptcpConnection& c) {
-        FlowRecord record{id,    src,
-                          dst,   bytes,
-                          start, c.completion_time(),
-                          hops,  num_subflows,
-                          c.total_retransmits(), c.total_timeouts(), 0};
-        record.delivered_bytes = bytes;
-        deliver_record(record, cb, src);
-      });
-  mptcp_info_.push_back(LaunchInfo{id, src, dst, bytes, start, hops, false});
-  note_started(mptcp_info_.back());
+  launch(flow, mptcp_live_, LaunchInfo{id, src, dst, bytes, start, hops},
+         std::move(on_complete));
   return connection;
 }
 
@@ -493,25 +607,84 @@ void FlowFactory::set_telemetry(telemetry::Telemetry* telemetry) {
   telemetry_ = telemetry;
 }
 
-void FlowFactory::deliver_record(const FlowRecord& record,
-                                 const FlowCallback& cb, HostId src_host) {
+template <class Flow>
+void FlowFactory::deliver_record(const FlowRecord& record, Flow& flow,
+                                 std::vector<Flow*>& draining) {
+  auto deliver = [this, record, &flow, &draining] {
+    logger_.record(record);
+    note_finished(record);
+    draining.push_back(&flow);
+    if (flow.on_complete) flow.on_complete(record);
+  };
   if (shards_.in_worker_phase()) {
     // Completion fired on the sender's shard thread; the logger, telemetry
     // and the user callback are coordinator-only, so park the record until
     // the barrier. The drain's (end, shard, emit) stable order keeps the
     // logger's record sequence worker-count-independent.
-    shards_.defer(shards_.shard_of_host(src_host), record.end,
-                  [this, record, cb] { deliver_record_now(record, cb); });
+    shards_.defer(shards_.shard_of_host(record.src), record.end,
+                  std::move(deliver));
     return;
   }
-  deliver_record_now(record, cb);
+  deliver();
 }
 
-void FlowFactory::deliver_record_now(const FlowRecord& record,
-                                     const FlowCallback& cb) {
-  logger_.record(record);
-  note_finished(record);
-  if (cb) cb(record);
+void FlowFactory::retire_drained() {
+  // A completed flow whose endpoints put on the wire exactly as many
+  // packets as came off it or were dropped on the way has nothing in
+  // flight; with its sources idle, nothing can reach it any more.
+  std::erase_if(tcp_draining_, [this](TcpFlow* flow) {
+    const TcpSrc& src = flow->source;
+    const TcpSink& sink = *flow->sink;
+    if (!src.idle() || src.packets_sent() + sink.packets_sent() !=
+                           src.packets_ended() + sink.packets_ended()) {
+      return false;
+    }
+    retire(*flow);
+    return true;
+  });
+  std::erase_if(mptcp_draining_, [this](MptcpFlow* flow) {
+    MptcpConnection& conn = flow->connection;
+    if (!conn.idle()) return false;
+    std::uint64_t sent = 0;
+    std::uint64_t ended = 0;
+    for (std::size_t i = 0; i < flow->sinks.size(); ++i) {
+      const MptcpSubflow& sf = conn.subflow(static_cast<int>(i));
+      sent += sf.packets_sent() + flow->sinks[i]->packets_sent();
+      ended += sf.packets_ended() + flow->sinks[i]->packets_ended();
+    }
+    if (sent != ended) return false;
+    retire(*flow);
+    return true;
+  });
+}
+
+void FlowFactory::retire(TcpFlow& flow) {
+  flow.source.retire();
+  flow.sink->poison();
+  retired_delivered_ += flow.source.acked_bytes();
+  pools_[shards_.shard_of_host(flow.info.dst)].sinks.free.push_back(
+      flow.sink);
+  pools_[shards_.shard_of_host(flow.info.src)].tcp.free.push_back(&flow);
+  release(flow, tcp_live_);
+}
+
+void FlowFactory::retire(MptcpFlow& flow) {
+  flow.connection.retire();
+  for (TcpSink* sink : flow.sinks) {
+    sink->poison();
+    pools_[shards_.shard_of_host(flow.info.dst)].sinks.free.push_back(sink);
+  }
+  retired_delivered_ += flow.connection.delivered_bytes();
+  pools_[shards_.shard_of_host(flow.info.src)].mptcp.free.push_back(&flow);
+  release(flow, mptcp_live_);
+}
+
+void FlowFactory::release(FlowSlot& flow, LiveList& live) {
+  for (const Route* route : flow.routes) network_.release_route(route);
+  flow.routes.clear();
+  flow.on_complete = nullptr;
+  live.erase(&flow);
+  ++flows_retired_;
 }
 
 void FlowFactory::note_started(const LaunchInfo& info) {
@@ -529,39 +702,36 @@ void FlowFactory::note_finished(const FlowRecord& r) {
 
 int FlowFactory::finalize(SimTime at) {
   int count = 0;
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
-    LaunchInfo& info = tcp_info_[i];
-    const TcpSrc& s = *sources_[i];
-    if (info.finalized || s.complete()) continue;
+  const auto log_partial = [&](LaunchInfo& info, FlowRecord record,
+                               std::uint64_t delivered) {
     info.finalized = true;
-    FlowRecord record{info.id, info.src,
-                      info.dst, info.bytes,
-                      info.start, at,
-                      info.hops, 1,
-                      s.retransmits(), s.timeouts(), s.repaths()};
-    record.delivered_bytes = s.acked_bytes();
+    record.delivered_bytes = delivered;
     record.completed = false;
     logger_.record(record);
     note_finished(record);
     ++count;
-  }
-  for (std::size_t i = 0; i < connections_.size(); ++i) {
-    LaunchInfo& info = mptcp_info_[i];
-    const MptcpConnection& c = *connections_[i];
-    if (info.finalized || c.complete()) continue;
-    info.finalized = true;
-    FlowRecord record{info.id, info.src,
-                      info.dst, info.bytes,
-                      info.start, at,
-                      info.hops,
-                      static_cast<int>(connection_planes_[i].size()),
-                      c.total_retransmits(), c.total_timeouts(), 0};
-    record.delivered_bytes = c.delivered_bytes();
-    record.completed = false;
-    logger_.record(record);
-    note_finished(record);
-    ++count;
-  }
+  };
+  for_each_live<TcpFlow>(tcp_live_, [&](TcpFlow& flow) {
+    LaunchInfo& info = flow.info;
+    const TcpSrc& s = flow.source;
+    if (info.finalized || s.complete()) return;
+    log_partial(info,
+                FlowRecord{info.id, info.src, info.dst, info.bytes,
+                           info.start, at, info.hops, 1, s.retransmits(),
+                           s.timeouts(), s.repaths()},
+                s.acked_bytes());
+  });
+  for_each_live<MptcpFlow>(mptcp_live_, [&](MptcpFlow& flow) {
+    LaunchInfo& info = flow.info;
+    const MptcpConnection& c = flow.connection;
+    if (info.finalized || c.complete()) return;
+    log_partial(info,
+                FlowRecord{info.id, info.src, info.dst, info.bytes,
+                           info.start, at, info.hops,
+                           static_cast<int>(flow.planes.size()),
+                           c.total_retransmits(), c.total_timeouts(), 0},
+                c.delivered_bytes());
+  });
   if (count > 0 && telemetry_ != nullptr) {
     telemetry_->registry.counter("finalized_flows").add(
         static_cast<std::uint64_t>(count));

@@ -1,7 +1,9 @@
 // Instantiates the simulation objects for a ParallelNetwork (one Queue +
 // Pipe per directed link per plane) and builds source routes from routing
-// Paths. FlowFactory creates TCP/MPTCP endpoints wired over those routes
-// and reports completions to a FlowLogger.
+// Paths. FlowFactory creates TCP/MPTCP endpoints wired over those routes,
+// reports completions to a FlowLogger, and recycles a finished flow's
+// endpoints and routes once none of its packets is in flight (DESIGN.md
+// §5h).
 #pragma once
 
 #include <functional>
@@ -57,15 +59,17 @@ class SimNetwork {
   }
 
   /// Builds a forwarding chain along `path`, ending at `endpoint`, interned
-  /// into this network's route arena (stable address; identical chains
-  /// share one Route).
+  /// into this network's route arena (stable address until released).
   const Route* make_route(const routing::Path& path, PacketSink& endpoint);
+  /// The ACK chain of `path`, ending at `endpoint`: the duplex twins of its
+  /// links in reverse order.
+  const Route* make_reverse_route(const routing::Path& path,
+                                  PacketSink& endpoint);
+  /// Hands a chain back to the arena once nothing can reach it.
+  void release_route(const Route* route) { routes_.release(route); }
 
   /// The arena backing make_route (allocation diagnostics).
   [[nodiscard]] const RouteArena& routes() const { return routes_; }
-
-  /// The reverse of `path` (ACK direction), using each link's duplex twin.
-  [[nodiscard]] routing::Path reverse_path(const routing::Path& path) const;
 
   /// Total tail-drops across every queue (Fig 11c's retransmit driver).
   [[nodiscard]] std::uint64_t total_drops() const;
@@ -138,6 +142,8 @@ class SimNetwork {
 
  private:
   void apply_link_state(int plane, LinkId link);
+  /// Appends link `link`'s queue and propagation stage to route_scratch_.
+  void push_hop(int plane, LinkId link);
   /// The shard that owns `node`'s side of plane `plane`.
   [[nodiscard]] std::size_t shard_of(int plane, NodeId node) const;
 
@@ -222,11 +228,13 @@ class FlowFactory {
   /// Each transport endpoint binds to its host's shard of the network
   /// (sources and MPTCP connections to the sender's, sinks to the
   /// receiver's); completion/repath callbacks that fire while the shards
-  /// run are parked via ShardSet::defer until the next barrier. `events`
+  /// run are parked via ShardSet::defer until the next barrier, and
+  /// finished flows retire at the barriers (see endpoint_slots). `events`
   /// is the control queue.
-  FlowFactory(EventQueue& events, SimNetwork& network, FlowLogger& logger)
-      : events_(events), network_(network), shards_(network.shards()),
-        logger_(logger) {}
+  FlowFactory(EventQueue& events, SimNetwork& network, FlowLogger& logger);
+  ~FlowFactory();
+  FlowFactory(const FlowFactory&) = delete;
+  FlowFactory& operator=(const FlowFactory&) = delete;
 
   /// Enables transport-driven failover: every subsequent single-path TCP
   /// flow gets a repath callback that asks `provider` for fresh paths when
@@ -282,12 +290,15 @@ class FlowFactory {
   /// number of flows finalized.
   int finalize(SimTime at);
 
-  /// Single-path TCP flow; returns the source endpoint.
+  /// Single-path TCP flow; returns the source endpoint. The reference
+  /// stays valid until a later flow reuses the slot, which can happen only
+  /// after this flow completes and none of its packets is in flight.
   TcpSrc& tcp_flow(HostId src, HostId dst, const routing::Path& path,
                    std::uint64_t bytes, SimTime start,
                    FlowCallback on_complete = {});
 
-  /// MPTCP flow with one subflow per path.
+  /// MPTCP flow with one subflow per path; the reference is valid for as
+  /// long as tcp_flow's.
   MptcpConnection& mptcp_flow(HostId src, HostId dst,
                               const std::vector<routing::Path>& paths,
                               std::uint64_t bytes, SimTime start,
@@ -296,23 +307,21 @@ class FlowFactory {
 
   [[nodiscard]] int flows_created() const { return next_flow_id_; }
 
-  /// Diagnostic: transport endpoints that have not completed yet. Useful
-  /// when an experiment's event queue drains unexpectedly early.
-  [[nodiscard]] std::vector<const TcpSrc*> incomplete_tcp_flows() const {
-    std::vector<const TcpSrc*> out;
-    for (const auto& src : sources_) {
-      if (!src->complete()) out.push_back(src.get());
-    }
-    return out;
-  }
+  /// Endpoint slots constructed across every shard's pools: one per
+  /// TcpSrc, TcpSink and MptcpConnection slot. A flow hands its slots back
+  /// at the first barrier after it completed with none of its packets in
+  /// flight and no wake-up that would act, so this tracks the flows live
+  /// or draining at once, not every flow created.
+  [[nodiscard]] std::size_t endpoint_slots() const;
+  /// Most flows live or draining (created, not yet retired) at once.
+  [[nodiscard]] int peak_held_flows() const { return peak_held_flows_; }
+
+  /// Diagnostic: transport endpoints that have not completed yet, in
+  /// creation order. Useful when an experiment's event queue drains
+  /// unexpectedly early.
+  [[nodiscard]] std::vector<const TcpSrc*> incomplete_tcp_flows() const;
   [[nodiscard]] std::vector<const MptcpConnection*> incomplete_mptcp_flows()
-      const {
-    std::vector<const MptcpConnection*> out;
-    for (const auto& conn : connections_) {
-      if (!conn->complete()) out.push_back(conn.get());
-    }
-    return out;
-  }
+      const;
 
  private:
   FlowId next_id() { return FlowId{next_flow_id_++}; }
@@ -323,8 +332,7 @@ class FlowFactory {
   void reserve_events(int new_endpoints);
 
   /// Launch-time facts about one flow, kept so finalize() can synthesize a
-  /// partial record for flows that never complete. tcp_info_ aligns with
-  /// sources_, mptcp_info_ with connections_.
+  /// partial record for flows that never complete.
   struct LaunchInfo {
     FlowId id;
     HostId src;
@@ -335,50 +343,133 @@ class FlowFactory {
     bool finalized = false;
   };
 
+  /// What both flow kinds keep besides their endpoints. A flow's slot
+  /// lives in its sender shard's pool; pending wake-ups point into it, so
+  /// it never moves or dies while the factory lives, and a retired slot
+  /// is re-constructed in place for a later flow of the same shard.
+  struct FlowSlot {
+    LaunchInfo info;
+    FlowCallback on_complete;
+    /// Every chain interned for the flow, repaths included; released to
+    /// the arena when the flow retires.
+    std::vector<const Route*> routes;
+    /// Links of the live list (creation order) while not retired.
+    FlowSlot* prev = nullptr;
+    FlowSlot* next = nullptr;
+  };
+
+  /// One single-path TCP flow. The sink lives in the receiver shard's
+  /// pool.
+  struct TcpFlow : FlowSlot {
+    TcpFlow(EventQueue& events, PacketPool& pool, FlowId id,
+            const TcpParams& params)
+        : source(events, pool, id, params) {}
+    TcpSrc source;
+    TcpSink* sink = nullptr;
+    /// Repath bookkeeping: the plane the flow rides now, and whether it
+    /// was created after set_repath_provider().
+    int plane = -1;
+    bool tracked = false;
+  };
+
+  /// One MPTCP flow; sinks[i] and planes[i] belong to subflow i.
+  struct MptcpFlow : FlowSlot {
+    MptcpFlow(EventQueue& events, PacketPool& pool, FlowId id,
+              const TcpParams& params, std::uint64_t bytes,
+              Coupling coupling)
+        : connection(events, pool, id, params, bytes, coupling) {}
+    MptcpConnection connection;
+    std::vector<TcpSink*> sinks;
+    std::vector<int> planes;
+  };
+
+  /// One shard's slots of one kind, and the retired ones free for reuse.
+  template <class T>
+  struct SlotPool {
+    std::vector<std::unique_ptr<T>> slots;
+    std::vector<T*> free;
+  };
+  struct ShardPools {
+    SlotPool<TcpFlow> tcp;
+    SlotPool<TcpSink> sinks;
+    SlotPool<MptcpFlow> mptcp;
+  };
+
+  /// Flows not yet retired, in creation order: O(1) append and unlink.
+  struct LiveList {
+    FlowSlot* head = nullptr;
+    FlowSlot* tail = nullptr;
+    void push_back(FlowSlot* flow);
+    void erase(FlowSlot* flow);
+  };
+  template <class T, class Fn>
+  static void for_each_live(const LiveList& list, Fn&& fn) {
+    for (FlowSlot* f = list.head; f != nullptr; f = f->next) {
+      fn(static_cast<T&>(*f));
+    }
+  }
+
+  TcpFlow& acquire_tcp(HostId src, FlowId id);
+  TcpSink& acquire_sink(HostId dst, FlowId id);
+  MptcpFlow& acquire_mptcp(HostId src, FlowId id, std::uint64_t bytes,
+                           Coupling coupling);
+  /// Fills the shared part of a freshly acquired slot and links it live.
+  void launch(FlowSlot& flow, LiveList& live, const LaunchInfo& info,
+              FlowCallback on_complete);
+
+  /// Barrier hook: retires every completed flow with no packet in flight
+  /// and idle sources. Runs after the deferred drain, so a repath closure
+  /// parked for a flow always runs before its slot can be reused.
+  void retire_drained();
+  void retire(TcpFlow& flow);
+  void retire(MptcpFlow& flow);
+  /// Releases the flow's chains and unlinks it from `live`.
+  void release(FlowSlot& flow, LiveList& live);
+
   void note_started(const LaunchInfo& info);
   void note_finished(const FlowRecord& r);
 
   /// Routes a completion record to the logger/telemetry/user callback —
   /// immediately on the coordinator, or parked at the next barrier when
-  /// called from a shard's run phase (`src_host` names that shard).
-  void deliver_record(const FlowRecord& record, const FlowCallback& cb,
-                      HostId src_host);
-  void deliver_record_now(const FlowRecord& record, const FlowCallback& cb);
+  /// called from a shard's run phase (on the sender's shard) — and queues
+  /// the flow on `draining` for retirement.
+  template <class Flow>
+  void deliver_record(const FlowRecord& record, Flow& flow,
+                      std::vector<Flow*>& draining);
 
-  /// Repath bookkeeping for one single-path TCP flow: which plane it rides
-  /// now, plus the endpoints to rewire when it moves.
-  struct TcpFlowMeta {
-    TcpSrc* source = nullptr;
-    TcpSink* sink = nullptr;
-    HostId src;
-    HostId dst;
-    std::uint64_t bytes = 0;
-    int plane = -1;
-  };
   /// Builds the replacement route pair (or nullptr when the provider has
-  /// nowhere better) and updates `meta` + the sink's ACK route.
-  const Route* repath(TcpFlowMeta& meta);
+  /// nowhere better) and updates the flow's plane + the sink's ACK route.
+  const Route* repath(TcpFlow& flow);
+  /// Interns `path`'s data chain to the sink and its ACK chain to
+  /// `source`, points the sink's ACK route at the latter and returns the
+  /// former; both are released when the flow retires.
+  const Route* wire(FlowSlot& flow, const routing::Path& path,
+                    TcpSink& sink, TcpSrc& source);
 
   EventQueue& events_;
   SimNetwork& network_;
   ShardSet& shards_;
   FlowLogger& logger_;
   /// Transport endpoints created so far (TcpSrc + MPTCP subflows), the
-  /// scaling term of reserve_events' pending-event bound.
+  /// scaling term of reserve_events' pending-event bound: retired flows'
+  /// stale wake-ups still hold queue entries.
   std::size_t endpoints_ = 0;
   int next_flow_id_ = 0;
   int flows_finished_ = 0;
+  int flows_retired_ = 0;
+  int peak_held_flows_ = 0;
+  /// Bytes delivered by retired flows (their share of
+  /// total_delivered_bytes; live flows are summed on demand).
+  std::uint64_t retired_delivered_ = 0;
   RepathProvider repath_provider_;
   telemetry::Telemetry* telemetry_ = nullptr;
 
-  std::vector<std::unique_ptr<TcpSrc>> sources_;
-  std::vector<std::unique_ptr<TcpSink>> sinks_;
-  std::vector<std::unique_ptr<MptcpConnection>> connections_;
-  std::vector<std::unique_ptr<TcpFlowMeta>> tcp_metas_;
-  /// Per-connection subflow planes, aligned with connections_.
-  std::vector<std::vector<int>> connection_planes_;
-  std::vector<LaunchInfo> tcp_info_;    // aligned with sources_
-  std::vector<LaunchInfo> mptcp_info_;  // aligned with connections_
+  std::vector<ShardPools> pools_;  // one per shard
+  LiveList tcp_live_;
+  LiveList mptcp_live_;
+  /// Completed flows waiting for their last packets to land or drop.
+  std::vector<TcpFlow*> tcp_draining_;
+  std::vector<MptcpFlow*> mptcp_draining_;
 };
 
 }  // namespace pnet::sim

@@ -41,6 +41,10 @@ class PacketSink {
  public:
   virtual ~PacketSink() = default;
   virtual void receive(Packet& packet) = 0;
+  /// A queue dropped a packet whose route ends at this sink. Transport
+  /// endpoints count these to know when none of their packets is in
+  /// flight; called from the dropping queue's shard thread.
+  virtual void packet_lost() {}
 };
 
 /// An immutable forwarding chain. `hop_count` is the number of physical

@@ -7,6 +7,7 @@ namespace pnet::sim {
 void Queue::drop(Packet& packet, std::uint64_t& cause_counter) {
   ++cause_counter;
   ++s_->drops;
+  if (packet.route != nullptr) packet.route->sinks.back()->packet_lost();
   pool_.free(&packet);
 }
 

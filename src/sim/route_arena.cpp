@@ -2,43 +2,33 @@
 
 #include <algorithm>
 
-#include "util/rng.hpp"
-
 namespace pnet::sim {
-
-namespace {
-
-std::uint64_t chain_hash(std::span<PacketSink* const> sinks, int hop_count) {
-  std::uint64_t h = mix64(0x9E3779B97F4A7C15ULL ^
-                          static_cast<std::uint64_t>(hop_count));
-  for (PacketSink* sink : sinks) {
-    h = mix64(h ^ reinterpret_cast<std::uintptr_t>(sink));
-  }
-  return h;
-}
-
-}  // namespace
 
 const Route* RouteArena::intern(std::span<PacketSink* const> sinks,
                                 int hop_count) {
-  auto& bucket = dedup_[chain_hash(sinks, hop_count)];
-  for (const Route* route : bucket) {
-    if (route->hop_count == hop_count &&
-        std::equal(route->sinks.begin(), route->sinks.end(), sinks.begin(),
-                   sinks.end())) {
-      ++dedup_hits_;
-      return route;
-    }
+  ++num_routes_;
+  Route* route = nullptr;
+  PacketSink** storage = nullptr;
+  if (sinks.size() < free_.size() && !free_[sinks.size()].empty()) {
+    route = free_[sinks.size()].back();
+    free_[sinks.size()].pop_back();
+    // The arena owns the chain storage; Route only exposes it as const.
+    storage = const_cast<PacketSink**>(route->sinks.data());
+  } else {
+    storage = alloc_sinks(sinks.size());
+    route = alloc_route();
   }
-  PacketSink** storage = alloc_sinks(sinks.size());
   std::copy(sinks.begin(), sinks.end(), storage);
-  Route* route = alloc_route();
   route->sinks = std::span<PacketSink* const>(storage, sinks.size());
   route->hop_count = hop_count;
-  bucket.push_back(route);
-  ++num_routes_;
-  sinks_stored_ += sinks.size();
   return route;
+}
+
+void RouteArena::release(const Route* route) {
+  const std::size_t length = route->sinks.size();
+  if (length >= free_.size()) free_.resize(length + 1);
+  // Every Route comes from alloc_route's mutable slabs.
+  free_[length].push_back(const_cast<Route*>(route));
 }
 
 PacketSink** RouteArena::alloc_sinks(std::size_t count) {

@@ -2,22 +2,22 @@
 // every route in a SimNetwork — the sim-layer twin of routing::RouteTable's
 // PathRef/PathView split.
 //
-// make_route used to heap-allocate a Route (itself holding a heap
-// vector<PacketSink*>) per flow direction and per repath; at fat-tree scale
-// that is hundreds of thousands of small allocations whose contents are
-// overwhelmingly duplicates (every flow pair between the same hosts on the
-// same plane shares a chain). The arena interns instead: sink chains live in
-// fixed-size slabs that never move, Route headers live in their own slabs
-// (stable addresses — transports hold `const Route*` across their whole
-// lifetime), and identical chains are deduplicated on intern. Append-only:
-// routes are never evicted while the network lives.
+// Sink chains live in fixed-size slabs that never move, and Route headers
+// in slabs of their own (stable addresses: packets and transports hold
+// `const Route*`), so interning a chain costs no per-route allocation.
+// There is no dedup: every chain ends at its own transport endpoint, so no
+// two chains of different flows are equal (a content-hash index over the
+// chains never hit). Instead the arena recycles: sim::FlowFactory releases
+// every chain of a flow it retires, and the arena keeps one free list per
+// chain length, which intern() serves before it carves new storage. A
+// closed loop of short flows therefore holds chains for its live and
+// draining flows only, not for every flow it ever started.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/packet.hpp"
@@ -26,17 +26,17 @@ namespace pnet::sim {
 
 class RouteArena {
  public:
-  /// Interns a forwarding chain (deduplicating by content) and returns a
-  /// stable pointer, valid for the arena's lifetime. Not thread safe; the
-  /// sim is single-threaded per trial.
+  /// Stores a forwarding chain and returns a stable pointer, valid until
+  /// the chain is released. Not thread safe: the shard coordinator builds
+  /// every route.
   const Route* intern(std::span<PacketSink* const> sinks, int hop_count);
 
-  /// Distinct routes stored (post-dedup).
+  /// Hands `route`'s storage back for a later chain of the same length.
+  /// No packet or endpoint may still hold it.
+  void release(const Route* route);
+
+  /// Chains interned over the arena's life, released ones included.
   [[nodiscard]] std::size_t num_routes() const { return num_routes_; }
-  /// Intern calls answered from the dedup index instead of new storage.
-  [[nodiscard]] std::size_t dedup_hits() const { return dedup_hits_; }
-  /// Sink pointers actually stored (post-dedup, excluding slab padding).
-  [[nodiscard]] std::size_t sinks_stored() const { return sinks_stored_; }
   /// Bytes of arena storage allocated (whole slabs).
   [[nodiscard]] std::size_t arena_bytes() const {
     return sink_chunks_.size() * kSinkChunk * sizeof(PacketSink*) +
@@ -59,10 +59,8 @@ class RouteArena {
   std::vector<std::unique_ptr<Route[]>> route_chunks_;
   std::size_t route_used_ = kRouteChunk;
   std::size_t num_routes_ = 0;
-  std::size_t dedup_hits_ = 0;
-  std::size_t sinks_stored_ = 0;
-  /// Content hash -> routes with that hash (chained for collisions).
-  std::unordered_map<std::uint64_t, std::vector<const Route*>> dedup_;
+  /// free_[n]: released routes whose chains hold n sinks.
+  std::vector<std::vector<Route*>> free_;
 };
 
 }  // namespace pnet::sim

@@ -194,12 +194,14 @@ void ShardSet::integrate() {
     for (auto& d : s->deferred) drain_scratch_.push_back(std::move(d));
     s->deferred.clear();
   }
-  if (drain_scratch_.empty()) return;
-  std::stable_sort(
-      drain_scratch_.begin(), drain_scratch_.end(),
-      [](const Deferred& a, const Deferred& b) { return a.at < b.at; });
-  for (const Deferred& d : drain_scratch_) d.fn();
-  drain_scratch_.clear();
+  if (!drain_scratch_.empty()) {
+    std::stable_sort(
+        drain_scratch_.begin(), drain_scratch_.end(),
+        [](const Deferred& a, const Deferred& b) { return a.at < b.at; });
+    for (const Deferred& d : drain_scratch_) d.fn();
+    drain_scratch_.clear();
+  }
+  if (barrier_hook_) barrier_hook_();
 }
 
 void ShardSet::start_workers() {

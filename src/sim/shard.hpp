@@ -244,6 +244,13 @@ class ShardSet {
     shards_[shard]->deferred.push_back(Deferred{at, std::move(fn)});
   }
 
+  /// Runs `fn` on the coordinator at the end of every barrier, after the
+  /// deferred callbacks drained, when every shard is idle: sim::FlowFactory
+  /// retires finished flows there. Empty detaches.
+  void set_barrier_hook(std::function<void()> fn) {
+    barrier_hook_ = std::move(fn);
+  }
+
   /// True while shard event loops are executing (even inline with one
   /// worker): callbacks that would touch shared state must defer().
   [[nodiscard]] bool in_worker_phase() const {
@@ -294,7 +301,7 @@ class ShardSet {
   void run_slice(std::size_t w, SimTime end);
   /// Coordinator phase: mailboxes -> arrival buffers (dst-major, src
   /// order, FIFO within), then deferred callbacks in (at, shard, emit)
-  /// order.
+  /// order, then the barrier hook.
   void integrate();
   void start_workers();
   void worker_main(std::size_t w, WorkerSync* sync);
@@ -314,6 +321,7 @@ class ShardSet {
   bool workers_started_ = false;
   std::vector<std::unique_ptr<WorkerSync>> sync_;  // workers 1..W-1
   std::vector<Deferred> drain_scratch_;
+  std::function<void()> barrier_hook_;
 };
 
 }  // namespace pnet::sim

@@ -9,6 +9,10 @@ namespace pnet::sim {
 
 void TcpSink::receive(Packet& packet) {
   assert(!packet.is_ack);
+  if (!take(packet, events_.audit())) {
+    pool_.free(&packet);
+    return;
+  }
   const std::uint64_t start = packet.seq;
   const std::uint64_t end = packet.seq + packet.size_bytes;
   const SimTime ts_echo = packet.retransmitted ? -1 : packet.ts_echo;
@@ -32,6 +36,7 @@ void TcpSink::receive(Packet& packet) {
     nack->subflow = subflow;
     nack->route = ack_route_;
     nack->next_hop = 0;
+    ++sent_;
     nack->forward();
     return;
   }
@@ -68,6 +73,7 @@ void TcpSink::receive(Packet& packet) {
   ack->ecn_echo = ecn_ce;
   ack->route = ack_route_;
   ack->next_hop = 0;
+  ++sent_;
   ack->forward();
 }
 
@@ -171,6 +177,10 @@ void TcpSrc::apply_repath(const Route* route) {
 
 void TcpSrc::receive(Packet& packet) {
   assert(packet.is_ack);
+  if (!take(packet, events_.audit())) {
+    pool_.free(&packet);
+    return;
+  }
   const std::uint64_t cum = packet.ack_seq;
   const SimTime ts_echo = packet.ts_echo;
   const bool ecn_echo = packet.ecn_echo;
@@ -370,6 +380,7 @@ void TcpSrc::send_segment(std::uint64_t seq, std::uint32_t size,
   packet->route = data_route_;
   packet->next_hop = 0;
   if (retransmit) ++retransmits_;
+  ++sent_;
   packet->forward();
 }
 

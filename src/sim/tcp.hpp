@@ -11,11 +11,14 @@
 // window and pulling bytes from a shared connection-level stream.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "sim/event_queue.hpp"
 #include "sim/packet.hpp"
+#include "util/audit.hpp"
 
 namespace pnet::sim {
 
@@ -55,13 +58,62 @@ struct TcpParams {
   bool mptcp_staggered_join = false;
 };
 
+/// The transport end of a route (TcpSrc for ACKs, TcpSink for data). It
+/// counts the packets it puts on the wire, the packets it takes off, and
+/// the packets bound for it that a queue dropped, so sim::FlowFactory can
+/// tell when none of a flow's packets is in flight: the sum of its
+/// endpoints' packets_sent() equals the sum of their packets_ended().
+class Endpoint : public PacketSink {
+ public:
+  explicit Endpoint(FlowId flow) : flow_(flow) {}
+
+  /// Drops happen on any shard, hence the one atomic counter.
+  void packet_lost() override {
+    lost_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  [[nodiscard]] FlowId flow() const { return flow_; }
+  [[nodiscard]] std::uint64_t packets_sent() const { return sent_; }
+  /// Packets bound here that are off the wire: taken off or dropped.
+  [[nodiscard]] std::uint64_t packets_ended() const {
+    return received_ + lost_.load(std::memory_order_relaxed);
+  }
+
+  /// Poisons a retired endpoint: under audit, any later delivery into it
+  /// fails, since no packet carries an invalid flow id.
+  void poison() { flow_ = FlowId{}; }
+
+ protected:
+  /// Takes `packet` off the wire. Under audit, a packet of another flow
+  /// means a retired or recycled endpoint was still reachable: that fails
+  /// the audit, and false tells the caller to free the packet unread.
+  bool take(const Packet& packet, util::Audit* audit) {
+    ++received_;
+    if (audit == nullptr) return true;
+    audit->note_check();
+    if (packet.flow == flow_) return true;
+    audit->fail("packet of flow " + std::to_string(packet.flow.v) +
+                " delivered into the endpoint of flow " +
+                std::to_string(flow_.v) + " (retired or recycled)");
+    return false;
+  }
+
+  FlowId flow_;
+  std::uint64_t sent_ = 0;
+
+ private:
+  std::uint64_t received_ = 0;
+  std::atomic<std::uint64_t> lost_{0};
+};
+
 class TcpSrc;
 
 /// Receiver endpoint: reassembles the byte stream and ACKs every segment.
-class TcpSink : public PacketSink {
+class TcpSink : public Endpoint {
  public:
-  TcpSink(EventQueue& events, PacketPool& pool, const TcpParams& params)
-      : events_(events), pool_(pool), params_(params) {}
+  TcpSink(EventQueue& events, PacketPool& pool, const TcpParams& params,
+          FlowId flow = FlowId{})
+      : Endpoint(flow), events_(events), pool_(pool), params_(params) {}
 
   /// `ack_route` must terminate at the TcpSrc.
   void set_ack_route(const Route* ack_route) { ack_route_ = ack_route; }
@@ -81,7 +133,7 @@ class TcpSink : public PacketSink {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ooo_;
 };
 
-class TcpSrc : public EventSource, public PacketSink {
+class TcpSrc : public EventSource, public Endpoint {
  public:
   using CompletionCallback = std::function<void(TcpSrc&)>;
   /// Asked for a replacement data route when the current path is suspect
@@ -93,7 +145,7 @@ class TcpSrc : public EventSource, public PacketSink {
 
   TcpSrc(EventQueue& events, PacketPool& pool, FlowId flow,
          const TcpParams& params)
-      : events_(events), pool_(pool), flow_(flow), params_(params),
+      : Endpoint(flow), events_(events), pool_(pool), params_(params),
         cwnd_(static_cast<std::uint64_t>(params.initial_window_packets) *
               params.mss),
         rto_(params.initial_rto) {}
@@ -114,10 +166,20 @@ class TcpSrc : public EventSource, public PacketSink {
   // EventSource: start-of-flow and RTO wake-ups.
   void do_next_event() override;
 
-  [[nodiscard]] FlowId flow() const { return flow_; }
   [[nodiscard]] SimTime start_time() const { return start_time_; }
   [[nodiscard]] SimTime completion_time() const { return completion_time_; }
   [[nodiscard]] bool complete() const { return completion_time_ >= 0; }
+  /// True when any pending wake-up would return without acting: started,
+  /// and complete, abandoned or with no RTO armed.
+  [[nodiscard]] bool idle() const {
+    return started_ && (complete() || abandoned_ || rto_deadline_ < 0);
+  }
+  /// Turns every pending wake-up into a counted no-op and poisons the
+  /// endpoint; see sim::FlowFactory's slot reuse.
+  void retire() {
+    set_generation(generation() + 1);
+    poison();
+  }
   [[nodiscard]] std::uint64_t cwnd() const { return cwnd_; }
   [[nodiscard]] std::uint64_t acked_bytes() const { return snd_una_; }
   [[nodiscard]] int retransmits() const { return retransmits_; }
@@ -190,7 +252,6 @@ class TcpSrc : public EventSource, public PacketSink {
 
   EventQueue& events_;
   PacketPool& pool_;
-  FlowId flow_;
   TcpParams params_;
 
   const Route* data_route_ = nullptr;

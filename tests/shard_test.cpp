@@ -3,10 +3,13 @@
 // ArrivalQueue / handoff merge order, the headline contract — a harness
 // produces byte-identical flow records and event counts at every worker
 // count, with and without fault injection, with boundary packet
-// conservation holding under audit — and agreement with a reference built
-// by hand from Queue, Pipe, TcpSrc and TcpSink on one EventQueue.
+// conservation holding under audit — agreement with a reference built
+// by hand from Queue, Pipe, TcpSrc and TcpSink on one EventQueue, and the
+// flow factory's slot lifecycle across shards (retirement once no packet
+// is in flight, reuse, stale wake-ups, the misdelivery audit).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,6 +28,7 @@
 #include "sim/tcp.hpp"
 #include "util/audit.hpp"
 #include "util/rng.hpp"
+#include "workload/apps.hpp"
 #include "workload/patterns.hpp"
 
 namespace pnet::sim {
@@ -436,6 +440,315 @@ TEST(ShardedEngine, SinglePlaneBackToBackRoundsAllFinish) {
   EXPECT_EQ(started, 2 * harness.net().num_hosts());
   EXPECT_EQ(finished, started);
   EXPECT_LT(harness.events().now(), units::kSecond);
+}
+
+// ------------------------------------------------------- flow lifecycle
+
+/// Runs `fn` from a control-queue event at `at`: on the coordinator,
+/// between epochs, as a workload app would.
+class AtTime : public EventSource {
+ public:
+  AtTime(EventQueue& events, SimTime at, std::function<void()> fn)
+      : fn_(std::move(fn)) {
+    events.schedule_at(at, this);
+  }
+  void do_next_event() override { fn_(); }
+
+ private:
+  std::function<void()> fn_;
+};
+
+topo::NetworkSpec lifecycle_fat_tree(int planes) {
+  topo::NetworkSpec spec;
+  spec.topo = topo::TopoKind::kFatTree;
+  spec.hosts = 16;
+  if (planes > 1) {
+    spec.type = topo::NetworkType::kParallelHomogeneous;
+    spec.parallelism = planes;
+  }
+  return spec;
+}
+
+struct ReuseRun {
+  const TcpSrc* first = nullptr;
+  const TcpSrc* second = nullptr;
+  std::vector<std::tuple<int, SimTime, SimTime, int, int>> records;
+  std::uint64_t dispatched = 0;
+  std::size_t slots = 0;
+  std::size_t violations = 0;
+};
+
+/// One plane (one shard). The first flow (host 0 -> 1, one initial window)
+/// completes within microseconds, leaving its RTO wake-up pending at
+/// 10 ms, and retires at the next barrier. The second is created at 5 ms
+/// from the control queue to start at 15 ms; when both run it reuses the
+/// first one's slots, so the stale wake-up at 10 ms lands on its source.
+ReuseRun run_reuse(bool first, bool second) {
+  util::Audit audit;
+  core::SimHarness harness(
+      {.spec = lifecycle_fat_tree(1), .policy = {}, .audit = &audit});
+  FlowFactory& factory = harness.factory();
+  const routing::Path path =
+      host_path(harness.net(), 0, HostId{0}, HostId{1});
+  ReuseRun out;
+  if (first) out.first = &factory.tcp_flow(HostId{0}, HostId{1}, path,
+                                           15'000, 0);
+  AtTime create(harness.events(), 5 * kMillisecond, [&] {
+    if (second) {
+      out.second = &factory.tcp_flow(HostId{0}, HostId{1}, path, 1'000'000,
+                                     15 * kMillisecond);
+    }
+  });
+  harness.run();
+  harness.finalize(harness.events().now());
+  for (const FlowRecord& r : harness.logger().records()) {
+    out.records.emplace_back(r.id.v, r.start, r.end, r.retransmits,
+                             r.timeouts);
+  }
+  out.dispatched = harness.dispatched();
+  out.slots = factory.endpoint_slots();
+  out.violations = audit.violations().size();
+  return out;
+}
+
+TEST(FlowLifecycle, StaleWakeOfARetiredFlowNeverReachesItsSlotsNextFlow) {
+  const ReuseRun both = run_reuse(true, true);
+  const ReuseRun only_first = run_reuse(true, false);
+  const ReuseRun only_second = run_reuse(false, true);
+  // The second flow took over the first one's source and sink.
+  ASSERT_NE(both.first, nullptr);
+  EXPECT_EQ(both.second, both.first);
+  EXPECT_EQ(both.slots, 2u);
+  // The stale wake-up is dispatched and counted: the run dispatches what
+  // the two flows dispatch alone (the control event counted once).
+  EXPECT_EQ(both.dispatched + 1,
+            only_first.dispatched + only_second.dispatched);
+  // It neither started the second flow at 10 ms nor touched it later.
+  ASSERT_EQ(both.records.size(), 2u);
+  ASSERT_EQ(only_second.records.size(), 1u);
+  const auto& [id, start, end, retransmits, timeouts] = both.records[1];
+  const auto& [id_alone, start_alone, end_alone, retransmits_alone,
+               timeouts_alone] = only_second.records[0];
+  EXPECT_EQ(start, 15 * kMillisecond);
+  EXPECT_EQ(end, end_alone);
+  EXPECT_EQ(retransmits, retransmits_alone);
+  EXPECT_EQ(timeouts, 0);
+  EXPECT_EQ(both.records[0], only_first.records[0]);
+  EXPECT_EQ(both.violations, 0u);
+}
+
+TEST(FlowLifecycle, CompletedFlowKeepsItsSlotsWhileItsPacketsAreInFlight) {
+  // Flow A starts on plane 0, whose host link runs at 1% of its rate, and
+  // is re-pinned to plane 1 a microsecond later: it completes there while
+  // its first window still crawls through plane 0 towards the sink.
+  util::Audit audit;
+  core::SimHarness harness({.spec = lifecycle_fat_tree(2),
+                            .policy = {},
+                            .audit = &audit,
+                            .sim_threads = 2});
+  FlowFactory& factory = harness.factory();
+  const HostId src{0};
+  const HostId dst{1};
+  const routing::Path slow = host_path(harness.net(), 0, src, dst);
+  const routing::Path fast = host_path(harness.net(), 1, src, dst);
+  harness.network().set_cable_degraded(0, slow.links.front(), 0.0, 0.01);
+  factory.set_repath_provider(
+      [](HostId, HostId, int, std::uint64_t) {
+        return std::vector<routing::Path>{};
+      });
+  const TcpSrc& a = factory.tcp_flow(src, dst, slow, 150'000, 0);
+  harness.run_until(kMicrosecond);
+  ASSERT_EQ(factory.repin_flows(0, 1,
+                                [&fast](HostId, HostId, std::uint64_t) {
+                                  return std::vector<routing::Path>{fast};
+                                }),
+            1);
+  SimTime t = kMicrosecond;
+  while (harness.logger().records().empty()) {
+    t += kMicrosecond;
+    harness.run_until(t);
+    ASSERT_LT(t, kMillisecond) << "flow A never completed";
+  }
+  // Complete, but its first window is still queued on plane 0 (and the
+  // duplicates' ACKs are yet to come): its slots stay held, so a flow
+  // created now gets fresh ones.
+  ASSERT_GT(harness.network().plane_queued_bytes(0), 0u);
+  const TcpSrc& b = factory.tcp_flow(src, dst, fast, 100'000'000, t);
+  EXPECT_NE(&b, &a);
+  EXPECT_EQ(factory.endpoint_slots(), 4u);
+  // Once plane 0 drained and the last packets crossed their pipes, A's
+  // slots are free again, and the next flow takes them over.
+  while (harness.network().plane_queued_bytes(0) > 0) {
+    t += kMicrosecond;
+    harness.run_until(t);
+  }
+  t += 10 * kMicrosecond;
+  harness.run_until(t);
+  const TcpSrc& c = factory.tcp_flow(src, dst, fast, 1'500, t);
+  EXPECT_EQ(&c, &a);
+  EXPECT_EQ(factory.endpoint_slots(), 4u);
+  harness.run_until(t + kMillisecond);
+  harness.finalize(harness.events().now());
+  EXPECT_EQ(harness.logger().records().size(), 3u);
+  EXPECT_EQ(audit.violations().size(), 0u)
+      << "first: " << audit.violations().front();
+}
+
+struct ClosedLoopOutput {
+  std::vector<std::tuple<int, int, int, std::uint64_t, SimTime, SimTime,
+                         int, int>>
+      records;
+  std::uint64_t dispatched = 0;
+  std::uint64_t delivered_bytes = 0;
+  std::uint64_t drops = 0;
+  int flows = 0;
+  int multipath = 0;  // records of flows with more than one subflow
+  std::size_t slots = 0;
+  int peak_held = 0;
+  std::size_t violations = 0;
+};
+
+/// bench_fig11's closed loop on a small fabric with shallow buffers: 100 kB
+/// requests and 1.5 kB replies, 4 outstanding per host, 12 rounds, audited.
+/// Shortest-plane routing runs single-path TCP; `mptcp` routes every flow
+/// over two KSP paths, so connections and their subflows get recycled.
+ClosedLoopOutput run_closed_loop(int planes, int sim_threads,
+                                 bool mptcp = false) {
+  core::PolicyConfig policy;
+  policy.policy = core::RoutingPolicy::kShortestPlane;
+  if (mptcp) {
+    policy.policy = core::RoutingPolicy::kKspMultipath;
+    policy.k = 2;
+  }
+  sim::SimConfig config;
+  config.queue_buffer_bytes = 20 * 1500;
+  util::Audit audit;
+  core::SimHarness harness({.spec = lifecycle_fat_tree(planes),
+                            .policy = policy,
+                            .sim_config = config,
+                            .audit = &audit,
+                            .sim_threads = sim_threads});
+  const int hosts = harness.net().num_hosts();
+  workload::ClosedLoopApp app(
+      harness.starter(), harness.all_hosts(),
+      {.concurrent_per_host = 4,
+       .response_bytes = 1500,
+       .rounds_per_worker = 12,
+       .seed = 7},
+      [hosts](HostId src, Rng& rng) {
+        return workload::random_destination(hosts, src, rng);
+      },
+      [](Rng&) { return std::uint64_t{100'000}; });
+  app.start(0);
+  harness.run();
+  harness.finalize(harness.events().now());
+  ClosedLoopOutput out;
+  for (const FlowRecord& r : harness.logger().records()) {
+    out.records.emplace_back(r.id.v, r.src.v, r.dst.v, r.delivered_bytes,
+                             r.start, r.end, r.retransmits, r.timeouts);
+    out.multipath += r.subflows > 1 ? 1 : 0;
+  }
+  out.dispatched = harness.dispatched();
+  out.delivered_bytes = harness.factory().total_delivered_bytes();
+  out.drops = harness.network().total_drops();
+  out.flows = harness.factory().flows_created();
+  out.slots = harness.factory().endpoint_slots();
+  out.peak_held = harness.factory().peak_held_flows();
+  out.violations = audit.violations().size();
+  return out;
+}
+
+TEST(FlowLifecycle, ClosedLoopHoldsSlotsForLiveAndDrainingFlowsOnly) {
+  // One shard: its two pools (sources, sinks) each grow to the most flows
+  // held at once, and no further.
+  const ClosedLoopOutput one = run_closed_loop(1, 1);
+  EXPECT_EQ(one.flows, 16 * 4 * 12 * 2);
+  EXPECT_EQ(static_cast<int>(one.records.size()), one.flows);
+  EXPECT_GT(one.drops, 0u);
+  EXPECT_EQ(one.slots, 2 * static_cast<std::size_t>(one.peak_held));
+  // Live flows are at most one per worker; the draining ones add little.
+  EXPECT_LE(one.peak_held, 2 * 16 * 4);
+  EXPECT_EQ(one.violations, 0u);
+
+  // Four shards, each pool bounded by the flows held at once; the same
+  // bytes, events and slots at every worker count.
+  const ClosedLoopOutput base = run_closed_loop(4, 1);
+  EXPECT_EQ(static_cast<int>(base.records.size()), base.flows);
+  EXPECT_GT(base.drops, 0u);
+  EXPECT_LE(base.slots, 2 * 4 * static_cast<std::size_t>(base.peak_held));
+  EXPECT_LE(base.peak_held, 2 * 16 * 4);
+  EXPECT_LT(base.slots, static_cast<std::size_t>(base.flows));
+  EXPECT_EQ(base.violations, 0u);
+  for (const int workers : {2, 4}) {
+    const ClosedLoopOutput other = run_closed_loop(4, workers);
+    EXPECT_EQ(other.records, base.records) << "sim_threads=" << workers;
+    EXPECT_EQ(other.dispatched, base.dispatched) << "sim_threads=" << workers;
+    EXPECT_EQ(other.delivered_bytes, base.delivered_bytes)
+        << "sim_threads=" << workers;
+    EXPECT_EQ(other.slots, base.slots) << "sim_threads=" << workers;
+    EXPECT_EQ(other.violations, 0u) << "sim_threads=" << workers;
+  }
+}
+
+TEST(FlowLifecycle, RecycledMptcpConnectionsMatchAcrossWorkerCounts) {
+  const ClosedLoopOutput base = run_closed_loop(4, 1, /*mptcp=*/true);
+  EXPECT_EQ(static_cast<int>(base.records.size()), base.flows);
+  EXPECT_GT(base.multipath, base.flows / 2);
+  EXPECT_GT(base.drops, 0u);
+  // Without reuse each two-subflow flow would hold three slots (its
+  // connection and two sinks); together they stay below one per flow.
+  EXPECT_LT(base.slots, static_cast<std::size_t>(base.flows));
+  EXPECT_EQ(base.violations, 0u);
+  for (const int workers : {2, 4}) {
+    const ClosedLoopOutput other = run_closed_loop(4, workers, true);
+    EXPECT_EQ(other.records, base.records) << "sim_threads=" << workers;
+    EXPECT_EQ(other.dispatched, base.dispatched) << "sim_threads=" << workers;
+    EXPECT_EQ(other.delivered_bytes, base.delivered_bytes)
+        << "sim_threads=" << workers;
+    EXPECT_EQ(other.slots, base.slots) << "sim_threads=" << workers;
+    EXPECT_EQ(other.violations, 0u) << "sim_threads=" << workers;
+  }
+}
+
+/// Frees every packet it receives.
+class Drain : public PacketSink {
+ public:
+  explicit Drain(PacketPool& pool) : pool_(pool) {}
+  void receive(Packet& packet) override {
+    ++received;
+    pool_.free(&packet);
+  }
+  int received = 0;
+
+ private:
+  PacketPool& pool_;
+};
+
+TEST(FlowLifecycle, AuditFailsDeliveriesIntoRetiredOrRecycledEndpoints) {
+  EventQueue events;
+  PacketPool pool;
+  util::Audit audit;  // collecting
+  events.set_audit(&audit);
+  Drain acks(pool);
+  OwnedRoute ack_route({&acks});
+  TcpSink sink(events, pool, TcpParams{}, FlowId{3});
+  sink.set_ack_route(ack_route.get());
+  const auto deliver = [&](int flow) {
+    Packet* p = pool.allocate();
+    p->flow = FlowId{flow};
+    p->size_bytes = 1500;
+    sink.receive(*p);
+  };
+  deliver(3);  // its own flow: ACKed
+  EXPECT_EQ(acks.received, 1);
+  EXPECT_TRUE(audit.violations().empty());
+  deliver(4);  // a slot recycled for flow 3 still reached by flow 4
+  sink.poison();
+  deliver(3);  // a retired slot still reached by its old flow
+  EXPECT_EQ(audit.violations().size(), 2u);
+  EXPECT_EQ(acks.received, 1);  // neither was processed
+  EXPECT_EQ(sink.packets_ended(), 3u);
+  EXPECT_EQ(pool.live(), 0u);
 }
 
 }  // namespace

@@ -372,7 +372,7 @@ TEST(Tcp, RetransmissionTimeoutFiresAtTunedMinimum) {
                                          h.config.tcp);
   const Route* base = h.network->make_route(path, *sinks_holder_);
   const Route* rev =
-      h.network->make_route(h.network->reverse_path(path), *src_holder_);
+      h.network->make_reverse_route(path, *src_holder_);
   sinks_holder_->set_ack_route(rev);
   src_holder_->set_flow_size(15000);  // exactly the initial window
   SimTime done = -1;
@@ -483,7 +483,7 @@ TEST(Mptcp, CompletesWhenOneSubflowIsUseless) {
     MptcpSubflow& sf = conn.add_subflow();
     const Route* fwd = h.network->make_route(good, good_sink);
     const Route* rev =
-        h.network->make_route(h.network->reverse_path(good), sf);
+        h.network->make_reverse_route(good, sf);
     good_sink.set_ack_route(rev);
     sf.connect(fwd, 0);
   }
@@ -496,7 +496,7 @@ TEST(Mptcp, CompletesWhenOneSubflowIsUseless) {
     const Route* base = h.network->make_route(bad, bad_sink);
     bad_route.assign(prepend_sink(dropper, *base), base->hop_count);
     const Route* rev =
-        h.network->make_route(h.network->reverse_path(bad), sf);
+        h.network->make_reverse_route(bad, sf);
     bad_sink.set_ack_route(rev);
     sf.connect(&bad_route, 0);
   }
