@@ -19,14 +19,16 @@
 // --sim-threads 1/2/4/8, asserting the dispatched-event count is
 // identical across shard worker counts), plus a closed-loop RPC cell shaped
 // like perfbench's packet-rpc (rpc_sim: short flows, drops, RTO wake-ups),
-// plus the fluid engine's water-fill on a paper-scale cell (fluid_solve).
-// The result is one JSON document, committed as BENCH_micro_sim.json at the
-// repo root; CI's micro-sim-perf job re-runs it and fails on a >15%
-// events/sec regression of the packet_sim or rpc_sim row or a >15% rise of
-// fluid_solve's median run time, and checks that packet_sim's and
-// rpc_sim's event counts and endpoint slots (the transport endpoints the
-// flow factory held room for at once), the mt rows' and fluid_solve's
-// counts and FCT digest equal the baseline's.
+// plus the fluid engine's water-fill on two paper-scale cells (fluid_solve,
+// fluid_solve_serial), measured in a child process before the packet
+// sections run. The result is one JSON document, committed as
+// BENCH_micro_sim.json at the repo root; CI's micro-sim-perf job re-runs
+// it and fails on a >15% events/sec regression of the packet_sim or
+// rpc_sim row or a >15% rise of either fluid section's median run time,
+// and checks that packet_sim's and rpc_sim's event counts and endpoint
+// slots (the transport endpoints the flow factory held room for at once),
+// the mt rows' and the fluid sections' counts and FCT digests equal the
+// baseline's.
 // Report-mode flags: --hosts, --planes, --bytes, --repeat, --mt-hosts,
 // --mt-planes, --mt-bytes; any other flag exits 2.
 #include <benchmark/benchmark.h>
@@ -38,9 +40,14 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "core/harness.hpp"
 #include "exp/json.hpp"
@@ -286,17 +293,18 @@ RpcRun run_rpc_cell() {
   return run;
 }
 
-/// One run of the fluid_solve cell on a warm route cache.
+/// One run of a fluid cell on a warm route cache.
 struct FluidRun {
   double wall_s = 0;
   std::int64_t full_solves = 0;
+  std::int64_t warm_solves = 0;
   std::int64_t fast_paths = 0;
   std::uint64_t events = 0;
   std::uint64_t fct_digest = 0;
 };
 
-/// fsim-paper's 1 MB parallel-homogeneous cell as exp::FluidEngine runs
-/// it: a permutation with 10 us of start jitter, traffic drawn from
+/// One of fsim-paper's 1 MB cells as exp::FluidEngine runs it: a
+/// permutation with 10 us of start jitter, traffic drawn from
 /// `traffic_seed`'s first trial. Times fluid.run() only.
 FluidRun run_fluid_cell(const topo::ParallelNetwork& net,
                         const fsim::FsimConfig& config,
@@ -317,6 +325,7 @@ FluidRun run_fluid_cell(const topo::ParallelNetwork& net,
   FluidRun run;
   run.wall_s = seconds_since(t0);
   run.full_solves = fluid.allocator().full_solves();
+  run.warm_solves = fluid.allocator().warm_solves();
   run.fast_paths = fluid.allocator().fast_paths();
   run.events = fluid.events();
   run.fct_digest = 0x9E3779B97F4A7C15ULL;
@@ -324,6 +333,150 @@ FluidRun run_fluid_cell(const topo::ParallelNetwork& net,
     run.fct_digest = mix64(run.fct_digest ^ std::bit_cast<std::uint64_t>(fct));
   }
   return run;
+}
+
+/// One fluid section: fsim-paper's 1 MB `type` cell (Jellyfish, 686 hosts
+/// requested, 4 planes, topology seed 1, traffic seed 1) under `policy`.
+struct FluidCell {
+  const char* name;
+  topo::NetworkType type;
+  core::PolicyConfig policy;
+
+  [[nodiscard]] topo::NetworkSpec network() const {
+    topo::NetworkSpec spec;
+    spec.topo = topo::TopoKind::kJellyfish;
+    spec.type = type;
+    spec.hosts = 686;
+    spec.parallelism = 4;
+    spec.seed = 1;
+    return spec;
+  }
+};
+
+constexpr std::uint64_t kFluidFlowBytes = 1'000'000;
+constexpr std::uint64_t kFluidTrafficSeed = 1;
+
+/// What a fluid section measured (trivially copyable: it crosses a pipe).
+struct FluidSection {
+  bool ok = false;  // every timed repeat matched the warm-up run
+  int hosts = 0;
+  FluidRun counts;  // the warm-up run's
+  int runs = 0;
+  double wall_s_median = 0;
+  double wall_s_min = 0;
+  double wall_s_max = 0;
+};
+static_assert(std::is_trivially_copyable_v<FluidSection>);
+
+/// One untimed run warms the route cache, so the timed runs cover only
+/// the water-fill and the event loop; `repeat` timed runs give the median,
+/// min and max.
+FluidSection measure_fluid_cell(const FluidCell& cell, int repeat) {
+  const fsim::FsimConfig config =
+      exp::to_fsim_config(cell.policy, kFluidFlowBytes);
+  const auto net = topo::build_network(cell.network());
+  const auto cache = std::make_shared<routing::RouteCache>();
+  FluidSection section;
+  section.hosts = net.num_hosts();
+  section.counts =
+      run_fluid_cell(net, config, cache, kFluidFlowBytes, kFluidTrafficSeed);
+  section.runs = std::max(1, repeat);
+  std::vector<double> wall_s;
+  for (int r = 0; r < section.runs; ++r) {
+    const FluidRun run =
+        run_fluid_cell(net, config, cache, kFluidFlowBytes, kFluidTrafficSeed);
+    const FluidRun& warm = section.counts;
+    if (run.full_solves != warm.full_solves ||
+        run.warm_solves != warm.warm_solves ||
+        run.fast_paths != warm.fast_paths || run.events != warm.events ||
+        run.fct_digest != warm.fct_digest) {
+      std::fprintf(stderr,
+                   "%s: a repeat of the cell diverged from the first run "
+                   "(determinism breach)\n",
+                   cell.name);
+      return section;
+    }
+    wall_s.push_back(run.wall_s);
+  }
+  std::sort(wall_s.begin(), wall_s.end());
+  section.wall_s_median = wall_s[wall_s.size() / 2];
+  section.wall_s_min = wall_s.front();
+  section.wall_s_max = wall_s.back();
+  section.ok = true;
+  return section;
+}
+
+/// Measures every cell in a child forked before any other section runs,
+/// and waits for it. Run after the packet sections in one process, the
+/// fluid cells' times moved with the heap those sections left behind
+/// (their small per-subflow blocks land wherever the free lists put them);
+/// the child starts from the untouched heap, and leaves the packet
+/// sections theirs. False when the child failed.
+bool measure_fluid_cells(std::span<const FluidCell> cells, int repeat,
+                         std::vector<FluidSection>& out) {
+  out.assign(cells.size(), {});
+  const std::size_t bytes = out.size() * sizeof(FluidSection);
+  int fds[2];
+  if (::pipe(fds) != 0) return false;
+  const pid_t child = ::fork();
+  if (child < 0) return false;
+  if (child == 0) {
+    ::close(fds[0]);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      out[i] = measure_fluid_cell(cells[i], repeat);
+    }
+    const auto* data = reinterpret_cast<const char*>(out.data());
+    for (std::size_t done = 0; done < bytes;) {
+      const ssize_t n = ::write(fds[1], data + done, bytes - done);
+      if (n <= 0) ::_exit(1);
+      done += static_cast<std::size_t>(n);
+    }
+    ::_exit(0);
+  }
+  ::close(fds[1]);
+  auto* data = reinterpret_cast<char*>(out.data());
+  std::size_t got = 0;
+  while (got < bytes) {
+    const ssize_t n = ::read(fds[0], data + got, bytes - got);
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ::waitpid(child, &status, 0);
+  return got == bytes && WIFEXITED(status) && WEXITSTATUS(status) == 0 &&
+         std::all_of(out.begin(), out.end(),
+                     [](const FluidSection& s) { return s.ok; });
+}
+
+void write_fluid_section(exp::JsonWriter& w, const FluidCell& cell,
+                         const FluidSection& section) {
+  const topo::NetworkSpec spec = cell.network();
+  char digest_hex[17];
+  std::snprintf(digest_hex, sizeof digest_hex, "%016" PRIx64,
+                section.counts.fct_digest);
+  w.key(cell.name).begin_object();
+  w.field("topo", "jellyfish");
+  w.field("type", topo::to_string(spec.type));
+  w.field("hosts_requested", spec.hosts);
+  w.field("hosts", section.hosts);
+  w.field("planes", spec.parallelism);
+  w.field("topology_seed", spec.seed);
+  w.field("routing", core::to_string(cell.policy.policy));
+  w.field("k", cell.policy.k);  // paths per flow
+  w.field("flow_bytes", kFluidFlowBytes);
+  w.field("traffic_seed", kFluidTrafficSeed);
+  w.field("host_cpus", static_cast<int>(std::thread::hardware_concurrency()));
+  w.field("full_solves", section.counts.full_solves);
+  w.field("warm_solves", section.counts.warm_solves);
+  w.field("fast_paths", section.counts.fast_paths);
+  w.field("events", section.counts.events);
+  w.field("fct_digest", std::string(digest_hex));
+  w.field("runs", section.runs);
+  w.field("wall_s_median", section.wall_s_median);
+  w.field("wall_s_min", section.wall_s_min);
+  w.field("wall_s_max", section.wall_s_max);
+  w.end_object();
 }
 
 int run_json_report(const Flags& flags) {
@@ -335,6 +488,26 @@ int run_json_report(const Flags& flags) {
   const auto bytes =
       static_cast<std::uint64_t>(flags.get_int("bytes", 2'000'000));
   const int repeat = flags.get_int("repeat", 3);
+
+  // Fluid water-fill under bench_fig9's routing: fsim-paper's 1 MB
+  // parallel-homogeneous cell (KSP, k=4) and serial-low cell (one path per
+  // flow, on the shortest plane). Measured first, in a child process;
+  // written last.
+  core::PolicyConfig ksp;
+  ksp.policy = core::RoutingPolicy::kKspMultipath;
+  ksp.k = 4;
+  core::PolicyConfig shortest_plane;
+  shortest_plane.policy = core::RoutingPolicy::kShortestPlane;
+  shortest_plane.k = 1;
+  const std::vector<FluidCell> fluid_cells = {
+      {"fluid_solve", topo::NetworkType::kParallelHomogeneous, ksp},
+      {"fluid_solve_serial", topo::NetworkType::kSerialLow, shortest_plane},
+  };
+  std::vector<FluidSection> fluid;
+  if (!measure_fluid_cells(fluid_cells, repeat, fluid)) {
+    std::fprintf(stderr, "fluid sections failed\n");
+    return 1;
+  }
 
   exp::JsonWriter w;
   w.begin_object();
@@ -509,68 +682,8 @@ int run_json_report(const Flags& flags) {
     w.end_object();
   }
 
-  // Fluid water-fill: fsim-paper's 1 MB parallel-homogeneous cell
-  // (Jellyfish, 686 hosts requested, 4 planes, topology seed 1, KSP k=4,
-  // traffic seed 1). One untimed run warms the route cache, so the timed
-  // runs cover only the water-fill and the event loop; `repeat` timed runs
-  // give the median, min and max.
-  {
-    topo::NetworkSpec spec;
-    spec.topo = topo::TopoKind::kJellyfish;
-    spec.type = topo::NetworkType::kParallelHomogeneous;
-    spec.hosts = 686;
-    spec.parallelism = 4;
-    spec.seed = 1;
-    core::PolicyConfig policy;
-    policy.policy = core::RoutingPolicy::kKspMultipath;
-    policy.k = 4;
-    constexpr std::uint64_t kFlowBytes = 1'000'000;
-    constexpr std::uint64_t kTrafficSeed = 1;
-    const fsim::FsimConfig config = exp::to_fsim_config(policy, kFlowBytes);
-    const auto net = topo::build_network(spec);
-    const auto cache = std::make_shared<routing::RouteCache>();
-    const FluidRun warm =
-        run_fluid_cell(net, config, cache, kFlowBytes, kTrafficSeed);
-    const int runs = std::max(1, repeat);
-    std::vector<double> wall_s;
-    for (int r = 0; r < runs; ++r) {
-      const FluidRun run =
-          run_fluid_cell(net, config, cache, kFlowBytes, kTrafficSeed);
-      if (run.full_solves != warm.full_solves ||
-          run.fast_paths != warm.fast_paths || run.events != warm.events ||
-          run.fct_digest != warm.fct_digest) {
-        std::fprintf(stderr,
-                     "fluid_solve: a repeat of the cell diverged from the "
-                     "first run (determinism breach)\n");
-        return 1;
-      }
-      wall_s.push_back(run.wall_s);
-    }
-    std::sort(wall_s.begin(), wall_s.end());
-    char digest_hex[17];
-    std::snprintf(digest_hex, sizeof digest_hex, "%016" PRIx64,
-                  warm.fct_digest);
-    w.key("fluid_solve").begin_object();
-    w.field("topo", "jellyfish");
-    w.field("type", topo::to_string(spec.type));
-    w.field("hosts_requested", spec.hosts);
-    w.field("hosts", net.num_hosts());
-    w.field("planes", spec.parallelism);
-    w.field("topology_seed", spec.seed);
-    w.field("k", policy.k);
-    w.field("flow_bytes", kFlowBytes);
-    w.field("traffic_seed", kTrafficSeed);
-    w.field("host_cpus",
-            static_cast<int>(std::thread::hardware_concurrency()));
-    w.field("full_solves", warm.full_solves);
-    w.field("fast_paths", warm.fast_paths);
-    w.field("events", warm.events);
-    w.field("fct_digest", std::string(digest_hex));
-    w.field("runs", runs);
-    w.field("wall_s_median", wall_s[wall_s.size() / 2]);
-    w.field("wall_s_min", wall_s.front());
-    w.field("wall_s_max", wall_s.back());
-    w.end_object();
+  for (std::size_t i = 0; i < fluid_cells.size(); ++i) {
+    write_fluid_section(w, fluid_cells[i], fluid[i]);
   }
 
   w.end_object();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "routing/ecmp.hpp"
 #include "routing/plane_paths.hpp"
@@ -540,6 +541,16 @@ void FluidSimulator::run_until(SimTime deadline) {
       control_tick_(tick_at);
     }
   }
+  // The allocator's counts since the last return.
+  const auto publish = [](const telemetry::Registry::Counter& counter,
+                          std::int64_t& published, std::int64_t total) {
+    counter.add(static_cast<std::uint64_t>(total -
+                                           std::exchange(published, total)));
+  };
+  publish(water_fills_counter_, published_water_fills_, alloc_.full_solves());
+  publish(warm_water_fills_counter_, published_warm_water_fills_,
+          alloc_.warm_solves());
+  publish(fast_paths_counter_, published_fast_paths_, alloc_.fast_paths());
 }
 
 void FluidSimulator::run() { run_until(kNever); }
@@ -591,10 +602,16 @@ void FluidSimulator::set_telemetry(telemetry::Telemetry* telemetry) {
   if (telemetry == nullptr) {
     flows_started_counter_ = {};
     flows_finished_counter_ = {};
+    water_fills_counter_ = {};
+    warm_water_fills_counter_ = {};
+    fast_paths_counter_ = {};
     return;
   }
   flows_started_counter_ = telemetry->registry.counter("flows_started");
   flows_finished_counter_ = telemetry->registry.counter("flows_finished");
+  water_fills_counter_ = telemetry->registry.counter("water_fills");
+  warm_water_fills_counter_ = telemetry->registry.counter("warm_water_fills");
+  fast_paths_counter_ = telemetry->registry.counter("fast_paths");
   telemetry::Sampler& sampler = telemetry->sampler;
   if (!sampler.enabled()) return;
   sampler.add_series(

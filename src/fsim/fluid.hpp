@@ -153,8 +153,11 @@ class FluidSimulator {
   /// add_flow/run — sampler series register here and the grid starts at
   /// now(). The sampler advances at allocation-epoch boundaries (grid
   /// points become events, so rate buckets are exact); sampling stops once
-  /// the simulation drains. `telemetry` must outlive the simulator; null
-  /// detaches (the default zero-cost path).
+  /// the simulation drains. The allocator's water-fills, warm water-fills
+  /// and fast paths are published as counters (`water_fills`,
+  /// `warm_water_fills`, `fast_paths`) each time run()/run_until()
+  /// returns. `telemetry` must outlive the simulator; null detaches (the
+  /// default zero-cost path).
   void set_telemetry(telemetry::Telemetry* telemetry);
 
   /// Attaches a cooperative-cancellation token: run()/run_until() return
@@ -328,6 +331,14 @@ class FluidSimulator {
   // Cached handles so the admit/complete hot paths skip name lookups.
   telemetry::Registry::Counter flows_started_counter_;
   telemetry::Registry::Counter flows_finished_counter_;
+  // The allocator's water-fills, warm ones and fast paths, published as
+  // deltas when run_until returns.
+  telemetry::Registry::Counter water_fills_counter_;
+  telemetry::Registry::Counter warm_water_fills_counter_;
+  telemetry::Registry::Counter fast_paths_counter_;
+  std::int64_t published_water_fills_ = 0;
+  std::int64_t published_warm_water_fills_ = 0;
+  std::int64_t published_fast_paths_ = 0;
 };
 
 }  // namespace pnet::fsim

@@ -38,6 +38,7 @@ int MaxMinAllocator::add(std::vector<int> links) {
     paths_.emplace_back();
     path_entries_.emplace_back();
     rates_.push_back(0.0);
+    round_.push_back(kUnfrozen);
     live_pos_.push_back(-1);
   } else {
     id = free_ids_.back();
@@ -47,6 +48,7 @@ int MaxMinAllocator::add(std::vector<int> links) {
   paths_[i] = std::move(links);
   live_pos_[i] = static_cast<int>(live_ids_.size());
   live_ids_.push_back(id);
+  added_.push_back(id);
 
   bool alone = true;
   double cap = std::numeric_limits<double>::infinity();
@@ -125,6 +127,10 @@ void MaxMinAllocator::remove(int id) {
   path.clear();
   hops.clear();
   rates_[i] = 0.0;
+  // Fast path or not, the next solve cannot replay the round this
+  // subflow froze in.
+  removed_round_ = std::min(removed_round_, round_[i]);
+  round_[i] = kUnfrozen;
   free_ids_.push_back(id);
   if (alone) {
     ++fast_paths_;  // departure frees capacity nobody was contending for
@@ -133,17 +139,59 @@ void MaxMinAllocator::remove(int id) {
   }
 }
 
-void MaxMinAllocator::solve() {
-  if (!dirty_) return;
-  dirty_ = false;
-  ++full_solves_;
+void MaxMinAllocator::collect_fixed_rounds(int link, int limit) {
+  fixed_rounds_.clear();
+  for (int e = link_head_[static_cast<std::size_t>(link)]; e >= 0;
+       e = entries_[static_cast<std::size_t>(e)].next) {
+    const int round = round_[static_cast<std::size_t>(
+        entries_[static_cast<std::size_t>(e)].sub)];
+    if (round < limit) fixed_rounds_.push_back(round);
+  }
+  std::sort(fixed_rounds_.begin(), fixed_rounds_.end());
+}
 
+int MaxMinAllocator::first_reached_round(int link, int limit) {
+  // Replays the link through rounds 0..limit-1 with its current entries:
+  // before round k it has lost the level of each entry frozen before k.
+  // Entries, not subflows: a path may cross the link twice.
+  collect_fixed_rounds(link, limit);
+  double rem = capacity_[static_cast<std::size_t>(link)];
+  int unfrozen = active_on_link_[static_cast<std::size_t>(link)];
+  std::size_t next = 0;
+  for (int k = 0; k < limit; ++k) {
+    for (; next < fixed_rounds_.size() && fixed_rounds_[next] < k; ++next) {
+      rem -= levels_[static_cast<std::size_t>(fixed_rounds_[next])];
+      --unfrozen;
+    }
+    if (fair_share(rem, unfrozen) <=
+        cutoff_of(levels_[static_cast<std::size_t>(k)])) {
+      return k;
+    }
+  }
+  return limit;
+}
+
+int MaxMinAllocator::resume_round() {
+  // A removed subflow that froze in round r crossed only links whose share
+  // was above the cutoff in every earlier round; without it those shares
+  // only grow, so rounds before r replay. Rounds before an arrival's first
+  // reached round replay as well: none of its links comes within a cutoff.
+  int k0 = std::min(removed_round_, static_cast<int>(levels_.size()));
+  for (const int id : added_) {
+    const auto i = static_cast<std::size_t>(id);
+    if (live_pos_[i] < 0) continue;  // removed again before this solve
+    for (const int link : paths_[i]) {
+      if (k0 == 0) return 0;
+      k0 = first_reached_round(link, k0);
+    }
+  }
+  return k0;
+}
+
+std::size_t MaxMinAllocator::seed_cold(std::size_t& remaining) {
   // Every active link starts open, with its full capacity shared by all of
   // its entries.
   const std::size_t nslots = slot_links_.size();
-  slots_.resize(nslots);
-  open_.resize(nslots);
-  open_share_.resize(nslots);
   for (std::size_t s = 0; s < nslots; ++s) {
     const auto link = static_cast<std::size_t>(slot_links_[s]);
     Slot& slot = slots_[s];
@@ -153,9 +201,147 @@ void MaxMinAllocator::solve() {
     open_[s] = static_cast<int>(s);
     open_share_[s] = fair_share(slot.rem, slot.unfrozen);
   }
-  std::size_t open = nslots;
-  frozen_.assign(paths_.size(), 0);
-  std::size_t remaining = live_ids_.size();
+  std::fill(round_.begin(), round_.end(), kUnfrozen);
+  remaining = live_ids_.size();
+  return nslots;
+}
+
+std::size_t MaxMinAllocator::seed_warm(int k0, std::size_t& remaining) {
+  // Subflows frozen before k0 keep their rate and round; the others refill.
+  // round_count_[r + 1] counts the frozen subflows of round r.
+  round_count_.assign(static_cast<std::size_t>(k0) + 1, 0);
+  remaining = 0;
+  for (const int id : live_ids_) {
+    int& round = round_[static_cast<std::size_t>(id)];
+    if (round < k0) {
+      ++round_count_[static_cast<std::size_t>(round) + 1];
+    } else {
+      round = kUnfrozen;
+      ++remaining;
+    }
+  }
+  // Both reseeds give each open link the cold fill's residual. Replaying
+  // the frozen subflows over every active link costs O(active links +
+  // frozen hops) and wins when most subflows refill (the KSP cells, ~78%);
+  // opening only the refilled subflows' links costs O(refilled hops) plus
+  // an entry walk per link that holds a frozen entry, and wins otherwise
+  // (the serial cells, ~45%).
+  return 3 * remaining >= 2 * live_ids_.size() ? reseed_all_links(k0)
+                                               : reseed_refilled_links(k0);
+}
+
+std::size_t MaxMinAllocator::reseed_all_links(int k0) {
+  // Every active link starts as in a cold fill, then the frozen subflows
+  // take their levels off it round by round (counting-sorted by round):
+  // the cold fill's subtractions, in its order.
+  for (int r = 0; r < k0; ++r) {
+    round_count_[static_cast<std::size_t>(r) + 1] +=
+        round_count_[static_cast<std::size_t>(r)];
+  }
+  by_round_.resize(static_cast<std::size_t>(round_count_.back()));
+  for (const int id : live_ids_) {
+    const int round = round_[static_cast<std::size_t>(id)];
+    if (round == kUnfrozen) continue;
+    by_round_[static_cast<std::size_t>(
+        round_count_[static_cast<std::size_t>(round)]++)] = id;
+  }
+  const std::size_t nslots = slot_links_.size();
+  for (std::size_t s = 0; s < nslots; ++s) {
+    const auto link = static_cast<std::size_t>(slot_links_[s]);
+    slots_[s].rem = capacity_[link];
+    slots_[s].unfrozen = active_on_link_[link];
+  }
+  for (const int id : by_round_) {
+    const double level =
+        levels_[static_cast<std::size_t>(round_[static_cast<std::size_t>(id)])];
+    for (const int hop : paths_[static_cast<std::size_t>(id)]) {
+      Slot& slot = slots_[static_cast<std::size_t>(
+          slot_of_link_[static_cast<std::size_t>(hop)])];
+      slot.rem -= level;
+      --slot.unfrozen;
+    }
+  }
+  // The links left with an unfrozen entry open, in slot order.
+  std::size_t open = 0;
+  for (std::size_t s = 0; s < nslots; ++s) {
+    Slot& slot = slots_[s];
+    if (slot.unfrozen == 0) {
+      slot.open_pos = -1;
+      continue;
+    }
+    slot.open_pos = static_cast<int>(open);
+    open_[open] = static_cast<int>(s);
+    open_share_[open] = fair_share(slot.rem, slot.unfrozen);
+    ++open;
+  }
+  return open;
+}
+
+std::size_t MaxMinAllocator::reseed_refilled_links(int k0) {
+  // The refilled subflows' links open, counting their entries (open_
+  // doubles as the membership test: a stale open_pos does not point back
+  // at its slot).
+  std::size_t open = 0;
+  for (const int id : live_ids_) {
+    const auto i = static_cast<std::size_t>(id);
+    if (round_[i] != kUnfrozen) continue;
+    for (const int hop : paths_[i]) {
+      const int s = slot_of_link_[static_cast<std::size_t>(hop)];
+      Slot& slot = slots_[static_cast<std::size_t>(s)];
+      const auto j = static_cast<std::size_t>(slot.open_pos);
+      if (slot.open_pos >= 0 && j < open && open_[j] == s) {
+        ++slot.unfrozen;
+        continue;
+      }
+      slot.open_pos = static_cast<int>(open);
+      slot.unfrozen = 1;
+      open_[open++] = s;
+    }
+  }
+  // A link whose entries all refill has its full capacity left; the others
+  // lose the cold fill's subtractions before k0.
+  for (std::size_t j = 0; j < open; ++j) {
+    Slot& slot = slots_[static_cast<std::size_t>(open_[j])];
+    const int link = slot_links_[static_cast<std::size_t>(open_[j])];
+    slot.rem = slot.unfrozen < active_on_link_[static_cast<std::size_t>(link)]
+                   ? residual_at(link, k0)
+                   : capacity_[static_cast<std::size_t>(link)];
+    open_share_[j] = fair_share(slot.rem, slot.unfrozen);
+  }
+  return open;
+}
+
+double MaxMinAllocator::residual_at(int link, int k0) {
+  // The cold fill subtracts round 0's level once per entry frozen in round
+  // 0, then round 1's, and so on; the order within a round does not
+  // matter (every subtraction in it is the same), the order of the rounds
+  // does.
+  collect_fixed_rounds(link, k0);
+  double rem = capacity_[static_cast<std::size_t>(link)];
+  for (const int round : fixed_rounds_) {
+    rem -= levels_[static_cast<std::size_t>(round)];
+  }
+  return rem;
+}
+
+void MaxMinAllocator::solve() {
+  if (!dirty_) return;
+  dirty_ = false;
+  ++full_solves_;
+
+  const int k0 = cold_ ? 0 : resume_round();
+  const std::size_t nslots = slot_links_.size();
+  slots_.resize(nslots);
+  open_.resize(nslots);
+  open_share_.resize(nslots);
+  std::size_t remaining = 0;
+  std::size_t open =
+      k0 > 0 ? seed_warm(k0, remaining) : seed_cold(remaining);
+  if (k0 > 0) ++warm_solves_;
+  cold_ = false;
+  removed_round_ = kUnfrozen;
+  added_.clear();
+  levels_.resize(static_cast<std::size_t>(k0));
 
   // Water-fill. Each round finds the lowest fair-share level among links
   // that still carry unfrozen subflows and freezes every unfrozen subflow
@@ -167,7 +353,8 @@ void MaxMinAllocator::solve() {
   std::uint64_t rounds = 0;
   while (remaining > 0) {
     if (cancel_ != nullptr && (rounds++ & 15) == 0 && cancel_->cancelled()) {
-      break;  // partial rates are fine: the trial is being abandoned
+      cold_ = true;  // partial rates are fine: the trial is being abandoned
+      break;
     }
     // One pass finds the level and keeps every open slot within the
     // cutoff of the running minimum. The cutoff only falls as the minimum
@@ -193,6 +380,8 @@ void MaxMinAllocator::solve() {
       return open_share_[static_cast<std::size_t>(j)] > cutoff;
     });
     for (int& j : saturated_) j = open_[static_cast<std::size_t>(j)];
+    const int round = static_cast<int>(levels_.size());
+    levels_.push_back(level);
 
     touched_.clear();
     for (int bottleneck : saturated_) {
@@ -202,8 +391,8 @@ void MaxMinAllocator::solve() {
            e = entries_[static_cast<std::size_t>(e)].next) {
         const auto id =
             static_cast<std::size_t>(entries_[static_cast<std::size_t>(e)].sub);
-        if (frozen_[id]) continue;
-        frozen_[id] = 1;
+        if (round_[id] != kUnfrozen) continue;
+        round_[id] = round;
         rates_[id] = level;
         --remaining;
         for (int hop : paths_[id]) {

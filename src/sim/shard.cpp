@@ -1,9 +1,46 @@
 #include "sim/shard.hpp"
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 namespace pnet::sim {
+
+namespace {
+
+/// Returns `value` once it no longer holds `old`. Spins first (epochs
+/// often follow each other within microseconds), then yields for up to
+/// kYieldFor, then blocks in std::atomic::wait. On an idle host a yield
+/// returns at once and waking a blocked thread costs tens of microseconds,
+/// so short waits never block; on a busy host each yield hands the core
+/// to another thread, the budget runs out within a yield or two, and the
+/// waiter sleeps instead of taking its share of the cores from the
+/// threads it waits for.
+std::uint64_t wait_for_change(const std::atomic<std::uint64_t>& value,
+                              std::uint64_t old) {
+  constexpr int kSpins = 2048;
+  constexpr auto kYieldFor = std::chrono::microseconds(500);
+  for (int i = 0; i < kSpins; ++i) {
+    const std::uint64_t v = value.load(std::memory_order_acquire);
+    if (v != old) return v;
+  }
+  const auto until = std::chrono::steady_clock::now() + kYieldFor;
+  do {
+    std::this_thread::yield();
+    const std::uint64_t v = value.load(std::memory_order_acquire);
+    if (v != old) return v;
+  } while (std::chrono::steady_clock::now() < until);
+  for (;;) {
+    value.wait(old, std::memory_order_acquire);
+    const std::uint64_t v = value.load(std::memory_order_acquire);
+    if (v != old) return v;
+  }
+}
+
+}  // namespace
 
 ShardSet::ShardSet(int num_planes, int sim_threads)
     : workers_(std::min(std::max(sim_threads, 1), std::max(num_planes, 1))) {
@@ -17,8 +54,13 @@ ShardSet::ShardSet(int num_planes, int sim_threads)
 
 ShardSet::~ShardSet() {
   // Workers only wait between epochs (run_epoch joins every done ack
-  // before returning), so at this point they are all spinning idle.
-  quit_.store(true, std::memory_order_release);
+  // before returning), so at this point they are all idle: spinning, or
+  // blocked until their epoch changes. Moving it to kQuit wakes them; a
+  // bare notify could be lost before a worker blocks.
+  for (auto& w : sync_) {
+    w->epoch.store(kQuit, std::memory_order_release);
+    w->epoch.notify_one();
+  }
   for (auto& w : sync_) {
     if (w->thread.joinable()) w->thread.join();
   }
@@ -140,17 +182,13 @@ void ShardSet::run_epoch(SimTime end) {
   }
   epoch_end_ = end;
   const std::uint64_t k = ++epoch_seq_;
-  for (auto& w : sync_) w->epoch.store(k, std::memory_order_release);
-  run_slice(0, end);
   for (auto& w : sync_) {
-    int spins = 0;
-    while (w->done.load(std::memory_order_acquire) != k) {
-      if (++spins >= kSpinLimit) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
+    w->epoch.store(k, std::memory_order_release);
+    w->epoch.notify_one();
   }
+  run_slice(0, end);
+  // `done` holds the previous epoch until the worker acks this one.
+  for (auto& w : sync_) wait_for_change(w->done, k - 1);
   in_worker_phase_.store(false, std::memory_order_relaxed);
   for (auto& w : sync_) {
     if (w->error != nullptr) {
@@ -219,15 +257,8 @@ void ShardSet::start_workers() {
 void ShardSet::worker_main(std::size_t w, WorkerSync* sync) {
   std::uint64_t last = 0;
   for (;;) {
-    std::uint64_t k = 0;
-    int spins = 0;
-    while ((k = sync->epoch.load(std::memory_order_acquire)) == last) {
-      if (quit_.load(std::memory_order_acquire)) return;
-      if (++spins >= kSpinLimit) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
+    const std::uint64_t k = wait_for_change(sync->epoch, last);
+    if (k == kQuit) return;
     try {
       // epoch_end_ was written before the release-store on `epoch`; the
       // acquire-load above makes it visible here.
@@ -236,6 +267,7 @@ void ShardSet::worker_main(std::size_t w, WorkerSync* sync) {
       sync->error = std::current_exception();
     }
     sync->done.store(k, std::memory_order_release);
+    sync->done.notify_one();
     last = k;
   }
 }

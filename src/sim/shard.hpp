@@ -20,9 +20,12 @@
 // shard inline. Phases strictly alternate — during the run phase each
 // shard's state is touched only by the thread driving it; during the
 // coordinator phase (control events, mailbox integration, deferred
-// completions) the coordinator may touch everything while workers spin on
-// their epoch atomics. The acquire/release pair on epoch/done is the only
-// cross-thread synchronization; there are no locks on any packet path.
+// completions) the coordinator may touch everything while workers wait on
+// their epoch atomics (a short spin, a few yields, then std::atomic::wait,
+// so an idle worker on a busy host sleeps instead of yielding in a loop;
+// the coordinator waits for each done ack the same way). The acquire/release
+// pair on epoch/done is the only cross-thread synchronization; there are
+// no locks on any packet path.
 #pragma once
 
 #include <algorithm>
@@ -288,7 +291,8 @@ class ShardSet {
     std::thread thread;
   };
 
-  static constexpr int kSpinLimit = 2048;
+  /// Epoch value that tells a worker to exit.
+  static constexpr std::uint64_t kQuit = ~std::uint64_t{0};
 
   [[nodiscard]] static SimTime sat_add(SimTime a, SimTime b) {
     return a > EventQueue::kNever - b ? EventQueue::kNever : a + b;
@@ -313,7 +317,6 @@ class ShardSet {
   bool audit_enabled_ = false;
 
   std::atomic<bool> in_worker_phase_{false};
-  std::atomic<bool> quit_{false};
   /// Barrier time of the epoch being published; written before the
   /// release-store on each worker's `epoch`, read after its acquire-load.
   SimTime epoch_end_ = 0;

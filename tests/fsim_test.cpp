@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/harness.hpp"
+#include "exp/engine.hpp"
 #include "exp/spec.hpp"
 #include "fsim/fluid.hpp"
 #include "fsim/max_min.hpp"
@@ -510,6 +511,321 @@ TEST(WaterFillReference, MatchesOnFig9SerialShortestPlaneCell) {
   expect_fig9_cell_matches_reference(topo::NetworkType::kSerialLow);
 }
 
+// ------------------------------------------------- warm-started water-fill
+
+/// MaxMinAllocator and the reference driven through the same changes, with
+/// the allocator in reach so a test can tell how a solve started as well
+/// as check what it computed.
+class WarmTwin {
+ public:
+  explicit WarmTwin(const std::vector<double>& capacity)
+      : alloc(capacity), ref(capacity) {}
+
+  int add(const std::vector<int>& links) {
+    const int id = alloc.add(links);
+    EXPECT_EQ(ref.add(links), id);
+    return id;
+  }
+  void remove(int id) {
+    alloc.remove(id);
+    ref.remove(id);
+  }
+  void set_capacity(int link, double bps) {
+    alloc.set_capacity(link, bps);
+    ref.set_capacity(link, bps);
+  }
+  /// Solves both; true when the allocator's solve resumed past round 0.
+  bool solve() {
+    const std::int64_t warm = alloc.warm_solves();
+    alloc.solve();
+    ref.solve();
+    return alloc.warm_solves() > warm;
+  }
+
+  /// Every live rate bit-identical to the reference, the same counters,
+  /// and a clean max-min audit.
+  [[nodiscard]] ::testing::AssertionResult same() const {
+    if (alloc.full_solves() != ref.full_solves() ||
+        alloc.fast_paths() != ref.fast_paths()) {
+      return ::testing::AssertionFailure()
+             << "solves/fast paths " << alloc.full_solves() << "/"
+             << alloc.fast_paths() << " vs reference " << ref.full_solves()
+             << "/" << ref.fast_paths();
+    }
+    for (int id : ref.live_ids()) {
+      if (std::bit_cast<std::uint64_t>(alloc.rate_bps(id)) !=
+          std::bit_cast<std::uint64_t>(ref.rate_bps(id))) {
+        return ::testing::AssertionFailure()
+               << "subflow " << id << " rate " << alloc.rate_bps(id)
+               << " vs reference " << ref.rate_bps(id);
+      }
+    }
+    util::Audit audit;
+    alloc.audit_check(audit);
+    if (!audit.ok()) return ::testing::AssertionFailure() << audit.summary();
+    return ::testing::AssertionSuccess();
+  }
+
+  MaxMinAllocator alloc;
+  ReferenceMaxMin ref;
+};
+
+/// Links 0-4 of 1-5 Gb/s, each carrying two one-hop subflows (a[i], b[i]),
+/// and one subflow across all five. The fill freezes the long subflow and
+/// link 0's pair in round 0, then link i's pair in round i. Link 5 is idle
+/// for fast-path arrivals; its capacity lies just within round 1's cutoff,
+/// so a subflow there freezes at round 1's level in a solve, not at the
+/// capacity the fast path gives it.
+struct Staircase {
+  static constexpr int kLinks = 5;
+  static constexpr int kIdle = 5;
+
+  static std::vector<double> capacity() {
+    std::vector<double> cap;
+    for (int l = 0; l < kLinks; ++l) cap.push_back(1e9 * (l + 1));
+    const double level0 = 1e9 / 3;
+    const double level1 = (2e9 - level0) / 2;
+    cap.push_back(level1 * (1 + 1e-13));
+    return cap;
+  }
+
+  Staircase() : twin(capacity()) {
+    across = twin.add({0, 1, 2, 3, 4});
+    for (int l = 0; l < kLinks; ++l) {
+      a.push_back(twin.add({l}));
+      b.push_back(twin.add({l}));
+    }
+    EXPECT_FALSE(twin.solve());  // the first solve is cold
+    EXPECT_TRUE(twin.same());
+  }
+
+  WarmTwin twin;
+  int across = -1;
+  std::vector<int> a, b;
+};
+
+TEST(WaterFillWarmStart, DepartureReplaysTheRoundsBeforeItsOwn) {
+  // Round 0 (first), 2 (middle) and 4 (last): only a departure from round
+  // 0 has nothing to replay.
+  for (const int round : {0, 2, 4}) {
+    Staircase s;
+    const auto r = static_cast<std::size_t>(round);
+    s.twin.remove(s.a[r]);
+    EXPECT_EQ(s.twin.solve(), round > 0) << "round " << round;
+    ASSERT_TRUE(s.twin.same()) << "round " << round;
+    s.twin.remove(s.b[r]);
+    EXPECT_EQ(s.twin.solve(), round > 0) << "round " << round;
+    ASSERT_TRUE(s.twin.same()) << "round " << round;
+  }
+}
+
+TEST(WaterFillWarmStart, ArrivalResumesAtTheFirstRoundItReaches) {
+  Staircase s;
+  // Link 0 saturates first: an arrival there changes round 0.
+  s.twin.add({0});
+  EXPECT_FALSE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+  // On link 1 it cannot reach round 0 (2 Gb/s over 4 is above its level).
+  s.twin.add({1});
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+}
+
+TEST(WaterFillWarmStart, FastPathArrivalJoinsTheNextWarmSolve) {
+  Staircase s;
+  const int idle = s.twin.add({Staircase::kIdle});
+  EXPECT_FALSE(s.twin.alloc.dirty());  // fast path: the capacity as rate
+  EXPECT_EQ(s.twin.alloc.rate_bps(idle),
+            Staircase::capacity()[Staircase::kIdle]);
+  ASSERT_TRUE(s.twin.same());
+  // A departure from round 3 dirties the allocator; the idle subflow
+  // reaches round 1, where the cold fill freezes it at that round's level.
+  s.twin.remove(s.a[3]);
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+  EXPECT_EQ(s.twin.alloc.rate_bps(idle), s.twin.alloc.rate_bps(s.a[1]));
+}
+
+TEST(WaterFillWarmStart, ChangesPileUpBeforeOneSolve) {
+  Staircase s;
+  s.twin.remove(s.b[3]);
+  s.twin.remove(s.a[4]);
+  s.twin.add({2, 3});
+  s.twin.add({4});
+  s.twin.add({Staircase::kIdle});
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+  s.twin.remove(s.b[1]);
+  s.twin.add({1, 2});
+  s.twin.remove(s.a[2]);
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+}
+
+TEST(WaterFillWarmStart, IdRemovedAndAddedAgainBeforeTheSolve) {
+  Staircase s;
+  // The removal's round bounds the resume round; the new subflow behind
+  // the recycled id is an arrival.
+  const int id = s.a[3];
+  s.twin.remove(id);
+  EXPECT_EQ(s.twin.add({2, 4}), id);
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+  // Added and removed again before a solve: no change at all.
+  s.twin.remove(s.twin.add({3}));
+  s.twin.remove(s.b[4]);
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+}
+
+TEST(WaterFillWarmStart, DoubleCrossingAndEmptyPaths) {
+  Staircase s;
+  const int twice = s.twin.add({3, 3});
+  const int empty = s.twin.add({});
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+  EXPECT_EQ(s.twin.alloc.rate_bps(empty), 0.0);
+  s.twin.remove(twice);
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+  s.twin.add({4, 2, 4});
+  s.twin.remove(s.b[2]);
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+  s.twin.remove(empty);
+  s.twin.remove(s.a[4]);
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+}
+
+TEST(WaterFillWarmStart, SetCapacityMakesTheNextSolveCold) {
+  Staircase s;
+  s.twin.remove(s.a[3]);
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+  s.twin.set_capacity(2, 0.5e9);
+  EXPECT_FALSE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+  s.twin.remove(s.a[4]);
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+  s.twin.set_capacity(2, 3e9);
+  s.twin.remove(s.b[4]);
+  EXPECT_FALSE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+}
+
+TEST(WaterFillWarmStart, CancelledSolveMakesTheNextOneCold) {
+  Staircase s;
+  const util::CancelToken token = util::CancelToken::armed();
+  token.cancel();
+  // A departure from round 3 would resume warm; the fill is abandoned at
+  // its first poll, after the warm reseeding.
+  s.twin.alloc.set_cancel(&token);
+  s.twin.remove(s.a[3]);
+  EXPECT_TRUE(s.twin.solve());
+  s.twin.alloc.set_cancel(nullptr);
+  s.twin.add({4});
+  s.twin.remove(s.b[3]);
+  EXPECT_FALSE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+  s.twin.remove(s.a[4]);
+  EXPECT_TRUE(s.twin.solve());
+  ASSERT_TRUE(s.twin.same());
+}
+
+TEST(WaterFillWarmStart, MatchesOnLongerRandomChurn) {
+  // Longer churn over more links than WaterFillReference's, so solves
+  // resume deep into the fill with links holding entries frozen in
+  // several rounds, through both reseeds (most subflows refilling, or
+  // few), whose residuals must subtract the rounds in order. Arbitrary
+  // capacities only: with small integers the subtractions are exact in
+  // any order.
+  Rng rng(31);
+  std::int64_t warm = 0;
+  for (int instance = 0; instance < 2000; ++instance) {
+    const int num_links = 1 + static_cast<int>(rng.next_below(40));
+    std::vector<double> cap;
+    for (int l = 0; l < num_links; ++l) {
+      cap.push_back(1e9 * (0.5 + 99.5 * rng.next_double()));
+    }
+    WarmTwin twin(cap);
+    std::vector<int> live;
+    const int ops = 5 + static_cast<int>(rng.next_below(300));
+    for (int op = 0; op < ops; ++op) {
+      const std::uint64_t kind = rng.next_below(10);
+      if (kind < 5 || live.empty()) {
+        std::vector<int> path;
+        const int hops = static_cast<int>(rng.next_below(8));
+        for (int h = 0; h < hops; ++h) {
+          path.push_back(static_cast<int>(
+              rng.next_below(static_cast<std::uint64_t>(num_links))));
+        }
+        if (rng.next_below(8) != 0) {
+          std::sort(path.begin(), path.end());
+          path.erase(std::unique(path.begin(), path.end()), path.end());
+        }
+        live.push_back(twin.add(path));
+      } else if (kind < 8) {
+        const std::size_t pick = rng.next_below(live.size());
+        twin.remove(live[pick]);
+        live[pick] = live.back();
+        live.pop_back();
+      } else {
+        const int link = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(num_links)));
+        const double restored = cap[static_cast<std::size_t>(link)];
+        twin.set_capacity(link, kind == 8 ? 0.0 : restored);
+      }
+      if (rng.next_below(4) != 0) twin.solve();
+      ASSERT_TRUE(twin.same()) << "instance " << instance << " op " << op;
+    }
+    twin.solve();
+    ASSERT_TRUE(twin.same()) << "instance " << instance << " final";
+    warm += twin.alloc.warm_solves();
+  }
+  EXPECT_GT(warm, 0);
+}
+
+TEST(WaterFillWarmStart, MostFig9SerialSolvesAreWarm) {
+  // The 96-host fig9 serial cell's subflows, added in flow order and
+  // removed in a seeded random order, solving after each change.
+  topo::NetworkSpec spec;
+  spec.topo = topo::TopoKind::kJellyfish;
+  spec.type = topo::NetworkType::kSerialLow;
+  spec.hosts = 96;
+  spec.parallelism = 4;
+  spec.seed = 1;
+  const auto net = topo::build_network(spec);
+  core::PolicyConfig policy;
+  policy.policy = core::RoutingPolicy::kShortestPlane;
+  const FsimConfig config = exp::to_fsim_config(policy, 1'000'000);
+  const lp::LinkIndex index(net);
+
+  WarmTwin twin(index.capacity());
+  Rng rng(util::job_seed(1, 0));
+  std::vector<int> ids;
+  const auto pairs = workload::permutation_pairs(net.num_hosts(), rng);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    for (const auto& path : choose_paths(net, config, pairs[i].first,
+                                         pairs[i].second,
+                                         static_cast<std::uint64_t>(i))) {
+      ids.push_back(twin.add(index.to_global(path)));
+      twin.solve();
+      ASSERT_TRUE(twin.same()) << "add " << ids.size();
+    }
+  }
+  rng.shuffle(ids);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    twin.remove(ids[i]);
+    twin.solve();
+    ASSERT_TRUE(twin.same()) << "remove " << i;
+  }
+  EXPECT_GT(2 * twin.alloc.warm_solves(), twin.alloc.full_solves())
+      << twin.alloc.warm_solves() << " of " << twin.alloc.full_solves()
+      << " solves warm";
+}
+
 // --------------------------------------------------------- FluidSimulator
 
 TEST(FluidSimulator, StaggeredArrivalsFollowAnalyticSchedule) {
@@ -841,6 +1157,58 @@ TEST(Sweep, ResultsIdenticalAcrossThreadCounts) {
       EXPECT_EQ(serial[i][f], threaded[i][f]) << "job " << i << " flow " << f;
     }
   }
+}
+
+// A fig9 fluid cell with telemetry on reports the allocator's water-fills,
+// warm water-fills and fast paths; the same trial driven by hand shows
+// they are the allocator's own counts.
+TEST(FluidSimulator, TelemetryCarriesTheWaterFillCounts) {
+  exp::ExperimentSpec spec;
+  spec.name = "fig9-fsim-serial";
+  spec.engine = exp::EngineKind::kFsim;
+  spec.topo.topo = topo::TopoKind::kJellyfish;
+  spec.topo.type = topo::NetworkType::kSerialLow;
+  spec.topo.hosts = 96;
+  spec.topo.parallelism = 4;
+  spec.topo.seed = 1;
+  spec.policy.policy = core::RoutingPolicy::kShortestPlane;
+  spec.workload.flow_bytes = 1'000'000;
+  spec.workload.rounds = 1;
+  spec.seed = 1;
+  spec.trials = 1;
+  exp::EngineContext ctx;
+  ctx.telemetry.sample_every = 20 * units::kMicrosecond;
+  const auto cell = exp::FluidEngine().run(spec, ctx);
+  ASSERT_EQ(cell.trials.size(), 1u);
+  const auto& metrics = cell.trials[0].metrics;
+
+  const auto net = topo::build_network(spec.topo);
+  const auto telemetry = exp::make_telemetry(ctx.telemetry);
+  FluidSimulator fluid(
+      net, exp::to_fsim_config(spec.policy, spec.workload.flow_bytes));
+  fluid.set_telemetry(telemetry.get());
+  Rng rng(util::job_seed(spec.seed, 0));
+  for (const auto& [src, dst] :
+       workload::permutation_pairs(net.num_hosts(), rng)) {
+    fluid.add_flow({src, dst, spec.workload.flow_bytes,
+                    static_cast<SimTime>(rng.next_below(
+                        static_cast<std::uint64_t>(
+                            spec.workload.start_jitter)))});
+  }
+  fluid.run();
+  ASSERT_EQ(fluid.fct_us(), cell.trials[0].fct_us) << "not the same trial";
+  const MaxMinAllocator& alloc = fluid.allocator();
+  EXPECT_EQ(metrics.at("tm/water_fills"),
+            static_cast<double>(alloc.full_solves()));
+  EXPECT_EQ(metrics.at("tm/warm_water_fills"),
+            static_cast<double>(alloc.warm_solves()));
+  EXPECT_EQ(metrics.at("tm/fast_paths"),
+            static_cast<double>(alloc.fast_paths()));
+  EXPECT_GT(alloc.warm_solves(), 0);
+
+  // Telemetry off: no tm/ counters.
+  const auto plain = exp::FluidEngine().run(spec, {});
+  EXPECT_EQ(plain.trials[0].metrics.count("tm/water_fills"), 0u);
 }
 
 // Scale guard: a k=8 fat tree (128 hosts) with thousands of flows must be
