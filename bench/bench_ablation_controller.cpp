@@ -83,17 +83,6 @@ double imbalance(const std::vector<double>& plane_bytes) {
   return lo > 0.0 ? hi / lo : 0.0;
 }
 
-void fold_controller_metrics(const control::Controller* controller,
-                             exp::TrialResult& r) {
-  if (controller == nullptr) return;
-  r.metrics["ctl/ticks"] = static_cast<double>(controller->ticks());
-  r.metrics["ctl/repins"] = static_cast<double>(controller->repins());
-  r.metrics["ctl/plane_events"] =
-      static_cast<double>(controller->plane_events());
-  r.metrics["ctl/churn_skips"] =
-      static_cast<double>(controller->churn_skips());
-}
-
 // ------------------------------------------------------------ packet cells
 
 exp::TrialResult packet_trial(const Scenario& sc,
@@ -182,7 +171,7 @@ exp::TrialResult packet_trial(const Scenario& sc,
       static_cast<double>(h.factory().total_delivered_bytes());
   r.sim_seconds = units::to_seconds(h.events().now());
   r.events = h.dispatched();
-  fold_controller_metrics(controller.get(), r);
+  exp::fold_controller(controller.get(), r);
   exp::fold_telemetry(tel, r);
   return r;
 }
@@ -251,7 +240,7 @@ exp::TrialResult fluid_trial(const Scenario& sc,
   r.delivered_bytes = fluid.delivered_bytes();
   r.sim_seconds = units::to_seconds(fluid.now());
   r.events = fluid.events();
-  fold_controller_metrics(controller.get(), r);
+  exp::fold_controller(controller.get(), r);
   return r;
 }
 

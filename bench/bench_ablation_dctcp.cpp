@@ -7,8 +7,10 @@
 // RTOs; DCTCP's ECN marking keeps queues short and the tail flat. P-Nets
 // help both by spreading the fan-in over N separate downlink queues.
 //
-// One custom-engine cell per (fan-in, network, transport) with --trials
-// independent incast draws, all fanned out by exp::Runner.
+// One incast packet spec per (fan-in, network, transport)
+// (exp::WorkloadSpec::Pattern::kIncast) with --trials trials, each drawing
+// its own receiver on the cell's one network, all fanned out by
+// exp::Runner. Fan-ins that need more hosts than --hosts are left out.
 //
 // Usage: bench_ablation_dctcp [--hosts=64] [--trials=5] [--seed=1]
 #include <numeric>
@@ -30,49 +32,6 @@ const char* to_string(Transport t) {
   return "?";
 }
 
-exp::TrialResult run_incast(topo::NetworkType type, Transport transport,
-                            int fan_in, int hosts,
-                            const exp::TrialContext& ctx) {
-  const auto spec = bench::make_spec(topo::TopoKind::kJellyfish, type,
-                                     hosts, 4, ctx.seed);
-  core::PolicyConfig policy;
-  policy.policy = core::RoutingPolicy::kRoundRobin;
-  sim::SimConfig sim_config;
-  sim_config.queue_buffer_bytes = 100 * 1500;
-  if (transport == Transport::kDctcp) {
-    sim_config.ecn_threshold_bytes = 20 * 1500;
-    sim_config.tcp.dctcp = true;
-  } else if (transport == Transport::kTrim) {
-    sim_config.trim_to_header = true;
-  }
-  core::SimHarness harness({.spec = spec, .policy = policy, .sim_config = sim_config});
-
-  exp::TrialResult r;
-  Rng rng(mix64(ctx.seed));
-  const int dst = rng.next_int(0, harness.net().num_hosts());
-  for (int i = 0; r.flows_started <
-                      static_cast<std::uint64_t>(fan_in) &&
-                  i < harness.net().num_hosts();
-       ++i) {
-    if (i == dst) continue;
-    ++r.flows_started;
-    harness.starter()(HostId{i}, HostId{dst}, 200'000, 0,
-                      [&r](const sim::FlowRecord& rec) {
-                        r.fct_us.push_back(
-                            units::to_microseconds(rec.end - rec.start));
-                        ++r.flows_finished;
-                      });
-  }
-  harness.run_until(2 * units::kSecond);
-  r.metrics["timeouts"] =
-      static_cast<double>(harness.logger().total_timeouts());
-  r.delivered_bytes =
-      static_cast<double>(harness.factory().total_delivered_bytes());
-  r.sim_seconds = units::to_seconds(harness.events().now());
-  r.events = harness.dispatched();
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -88,7 +47,8 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.get_i64("seed", 1));
 
-  const std::vector<int> fan_ins = {2, 4, 8, 16, 32};
+  std::vector<int> fan_ins = {2, 4, 8, 16, 32};
+  std::erase_if(fan_ins, [hosts](int fan_in) { return fan_in >= hosts; });
   const std::vector<std::pair<topo::NetworkType, Transport>> configs = {
       {topo::NetworkType::kSerialLow, Transport::kReno},
       {topo::NetworkType::kSerialLow, Transport::kDctcp},
@@ -101,17 +61,24 @@ int main(int argc, char** argv) {
   const int trials = experiment.trials(5);
   for (int fan_in : fan_ins) {
     for (const auto& [type, transport] : configs) {
-      exp::ExperimentSpec spec;
-      spec.name = "fanin=" + std::to_string(fan_in) + "/" +
-                  topo::to_string(type) + "/" + to_string(transport);
-      spec.engine = exp::EngineKind::kCustom;
-      spec.seed = seed;
+      auto spec = bench::driver_spec(
+          "fanin=" + std::to_string(fan_in) + "/" + topo::to_string(type) +
+              "/" + to_string(transport),
+          exp::WorkloadSpec::Pattern::kIncast, topo::TopoKind::kJellyfish,
+          type, hosts, 4, seed);
+      spec.policy.policy = core::RoutingPolicy::kRoundRobin;
+      spec.sim.queue_buffer_bytes = 100 * 1500;
+      if (transport == Transport::kDctcp) {
+        spec.sim.ecn_threshold_bytes = 20 * 1500;
+        spec.sim.tcp.dctcp = true;
+      } else if (transport == Transport::kTrim) {
+        spec.sim.trim_to_header = true;
+      }
+      spec.workload.flow_bytes = 200'000;
+      spec.workload.fan_in = fan_in;
+      spec.deadline = 2 * units::kSecond;
       spec.trials = trials;
-      const auto ty = type;
-      const auto tr = transport;
-      experiment.add(std::move(spec), [=](const exp::TrialContext& ctx) {
-        return run_incast(ty, tr, fan_in, hosts, ctx);
-      });
+      experiment.add(std::move(spec));
     }
   }
   const auto results = experiment.run();

@@ -6,57 +6,13 @@
 // knee sits close to the serial high-bandwidth network's, far beyond
 // serial low-bw — the throughput claim of the paper in open-loop form.
 //
-// One custom-engine cell per (load, network type); the whole grid fans out
-// through exp::Runner.
+// One open-loop packet spec per (load, network type) (exp::WorkloadSpec::
+// Pattern::kOpenLoop); the whole grid fans out through exp::Runner.
 //
 // Usage: bench_ablation_load [--hosts=48] [--flows=400] [--seed=1]
 #include "common.hpp"
-#include "workload/open_loop.hpp"
 
 using namespace pnet;
-
-namespace {
-
-exp::TrialResult run_load(topo::NetworkType type, double load, int hosts,
-                          int flows, const exp::TrialContext& ctx) {
-  const auto spec = bench::make_spec(topo::TopoKind::kJellyfish, type,
-                                     hosts, 4, ctx.seed);
-  core::PolicyConfig policy;
-  policy.policy = core::RoutingPolicy::kRoundRobin;
-  sim::SimConfig sim_config;
-  sim_config.queue_buffer_bytes = 400 * 1500;
-  core::SimHarness harness({.spec = spec, .policy = policy, .sim_config = sim_config});
-
-  workload::OpenLoopApp::Config config;
-  // Load is defined against the SERIAL edge bandwidth so the same x-axis
-  // stresses every network type equally (parallel types have N x capacity
-  // headroom at equal offered load).
-  config.load = load;
-  config.max_flows = flows;
-  config.seed = mix64(ctx.seed);
-  workload::OpenLoopApp app(
-      harness.events(), harness.starter(), harness.all_hosts(),
-      /*host_uplink_bps=*/100e9, /*mean_flow_bytes=*/100'000.0, config,
-      [&](HostId src, Rng& rng) {
-        return workload::random_destination(harness.net().num_hosts(), src,
-                                            rng);
-      },
-      [](Rng&) { return std::uint64_t{100'000}; });
-  app.start(0);
-  harness.run_until(5 * units::kSecond);
-
-  exp::TrialResult r;
-  r.fct_us = app.completion_times_us();
-  r.flows_started = static_cast<std::uint64_t>(flows);
-  r.flows_finished = r.fct_us.size();
-  r.delivered_bytes =
-      static_cast<double>(harness.factory().total_delivered_bytes());
-  r.sim_seconds = units::to_seconds(harness.events().now());
-  r.events = harness.dispatched();
-  return r;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
@@ -79,15 +35,21 @@ int main(int argc, char** argv) {
   bench::Experiment experiment(flags, "ablation_load");
   for (double load : loads) {
     for (auto type : bench::kAllTypes) {
-      exp::ExperimentSpec spec;
-      spec.name = "load=" + format_double(load, 1) + "/" +
-                  topo::to_string(type);
-      spec.engine = exp::EngineKind::kCustom;
-      spec.seed = seed;
+      auto spec = bench::driver_spec(
+          "load=" + format_double(load, 1) + "/" + topo::to_string(type),
+          exp::WorkloadSpec::Pattern::kOpenLoop, topo::TopoKind::kJellyfish,
+          type, hosts, 4, seed);
+      spec.policy.policy = core::RoutingPolicy::kRoundRobin;
+      spec.sim.queue_buffer_bytes = 400 * 1500;
+      spec.workload.flow_bytes = 100'000;
+      spec.workload.rounds = flows;
+      // Load is defined against the SERIAL edge bandwidth so the same
+      // x-axis stresses every network type equally (parallel types have
+      // N x capacity headroom at equal offered load).
+      spec.workload.load = load;
+      spec.deadline = 5 * units::kSecond;
       spec.trials = experiment.trials(1);
-      experiment.add(std::move(spec), [=](const exp::TrialContext& ctx) {
-        return run_load(type, load, hosts, flows, ctx);
-      });
+      experiment.add(std::move(spec));
     }
   }
   const auto results = experiment.run();

@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
   bench::Experiment experiment(flags, "ablation_policies");
   for (const auto& [label, bytes] : workloads) {
     for (auto p : policies) {
-      auto spec = bench::closed_loop_spec(
+      auto spec = bench::driver_spec(
           std::string(core::to_string(p)) + "/" + std::to_string(bytes) +
               "B",
-          topo::TopoKind::kJellyfish,
+          exp::WorkloadSpec::Pattern::kClosedLoop, topo::TopoKind::kJellyfish,
           topo::NetworkType::kParallelHeterogeneous, hosts, planes, seed);
       spec.policy.policy = p;
       spec.policy.k = planes;

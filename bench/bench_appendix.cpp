@@ -64,11 +64,12 @@ int main(int argc, char** argv) {
       for (auto kind : kinds) {
         for (auto type : bench::kAllTypes) {
           if (skip_cell(kind, type)) continue;
-          auto spec = bench::closed_loop_spec(
+          auto spec = bench::driver_spec(
               workload::to_string(trace) + "/" +
                   (base_rate == 10e9 ? "10G" : "100G") + "/" +
                   topo::to_string(kind) + "/" + topo::to_string(type),
-              kind, type, hosts, 4, seed);
+              exp::WorkloadSpec::Pattern::kClosedLoop, kind, type, hosts, 4,
+              seed);
           spec.topo.base_rate_bps = base_rate;
           spec.sim.queue_buffer_bytes = 400 * 1500;
           spec.workload.concurrent = 2;

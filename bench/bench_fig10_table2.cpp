@@ -37,9 +37,9 @@ int main(int argc, char** argv) {
 
   bench::Experiment experiment(flags, "fig10_table2");
   for (auto type : bench::kAllTypes) {
-    auto spec = bench::closed_loop_spec(topo::to_string(type),
-                                        topo::TopoKind::kJellyfish, type,
-                                        hosts, planes, seed);
+    auto spec = bench::driver_spec(
+        topo::to_string(type), exp::WorkloadSpec::Pattern::kClosedLoop,
+        topo::TopoKind::kJellyfish, type, hosts, planes, seed);
     spec.workload.flow_bytes = 1500;
     spec.workload.response_bytes = 1500;
     spec.workload.rounds = rounds;

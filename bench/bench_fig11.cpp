@@ -42,8 +42,9 @@ int main(int argc, char** argv) {
   bench::Experiment experiment(flags, "fig11");
   for (int c : concurrency) {
     for (auto type : bench::kAllTypes) {
-      auto spec = bench::closed_loop_spec(
+      auto spec = bench::driver_spec(
           "conc=" + std::to_string(c) + "/" + topo::to_string(type),
+          exp::WorkloadSpec::Pattern::kClosedLoop,
           topo::TopoKind::kJellyfish, type, hosts, planes, seed);
       spec.workload.concurrent = c;
       spec.workload.flow_bytes = 100'000;

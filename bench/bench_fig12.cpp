@@ -12,50 +12,15 @@
 // close to serial high-bw, with no extra heterogeneous win (flows collide
 // on the popular short paths, §5.2.2).
 //
-// One custom-engine cell per network type; the three stage timelines ride
-// in the cell's named sample sets (stage1/stage2/stage3, seconds).
+// One Hadoop packet spec per network type (exp::WorkloadSpec::Pattern::
+// kHadoop); the three stage timelines ride in the cell's named sample sets
+// (stage1_s/stage2_s/stage3_s, seconds).
 //
 // Usage: bench_fig12 [--hosts=100] [--mappers=16] [--reducers=16]
 //        [--gb=2] [--block_mb=32] [--seed=1]
 #include "common.hpp"
-#include "workload/apps.hpp"
 
 using namespace pnet;
-
-namespace {
-
-exp::TrialResult run_job(topo::NetworkType type, int hosts,
-                         workload::HadoopJob::Config job_config,
-                         const exp::TrialContext& ctx) {
-  const auto spec =
-      bench::make_spec(topo::TopoKind::kJellyfish, type, hosts, 4, ctx.seed);
-  core::PolicyConfig policy;
-  policy.policy = core::RoutingPolicy::kShortestPlane;  // single path
-  sim::SimConfig sim_config;
-  sim_config.queue_buffer_bytes = 400 * 1500;  // bulk-transfer buffers
-  core::SimHarness harness({.spec = spec, .policy = policy, .sim_config = sim_config});
-
-  job_config.seed = mix64(ctx.seed);
-  workload::HadoopJob job(harness.starter(), harness.all_hosts(),
-                          job_config);
-  job.start(0);
-  harness.run();
-
-  exp::TrialResult r;
-  r.samples["stage1_s"] = job.stage_worker_times_s(0);
-  r.samples["stage2_s"] = job.stage_worker_times_s(1);
-  r.samples["stage3_s"] = job.stage_worker_times_s(2);
-  // Surface an unfinished job through the flow counters.
-  r.flows_started = 1;
-  r.flows_finished = job.finished() ? 1 : 0;
-  r.delivered_bytes =
-      static_cast<double>(harness.factory().total_delivered_bytes());
-  r.sim_seconds = units::to_seconds(harness.events().now());
-  r.events = harness.dispatched();
-  return r;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
@@ -67,34 +32,36 @@ int main(int argc, char** argv) {
                       "  --hosts=N     cluster hosts (default 100)\n"
                       "  --mappers=N   map workers (default 16)\n"
                       "  --reducers=N  reduce workers (default 16)\n"
-                      "  --gb=N        total sort gigabytes (default 2)\n"
+                      "  --gb=X        total sort gigabytes (default 2)\n"
                       "  --block_mb=N  block size in MB (default 32)\n"
                       "  --seed=N      placement seed (default 1)\n");
   const bool paper = flags.paper_scale();
   const int hosts = flags.get_int("hosts", paper ? 250 : 100);
-
-  workload::HadoopJob::Config job_config;
-  job_config.num_mappers = flags.get_int("mappers", paper ? 32 : 16);
-  job_config.num_reducers = flags.get_int("reducers", paper ? 32 : 16);
-  job_config.total_bytes =
-      static_cast<std::uint64_t>(flags.get_i64("gb", paper ? 100 : 2)) *
-      1'000'000'000ULL;
-  job_config.block_bytes = static_cast<std::uint64_t>(
+  const int mappers = flags.get_int("mappers", paper ? 32 : 16);
+  const int reducers = flags.get_int("reducers", paper ? 32 : 16);
+  // A size the job cannot take reaches validate() as 0 bytes (exit 2).
+  const double gb = flags.get_double("gb", paper ? 100 : 2);
+  const std::uint64_t job_bytes =
+      gb > 0 && gb < 1e9 ? static_cast<std::uint64_t>(gb * 1e9) : 0;
+  const auto block_bytes = static_cast<std::uint64_t>(
       flags.get_i64("block_mb", paper ? 128 : 32)) * 1'000'000ULL;
-  job_config.concurrent_blocks = 4;
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.get_i64("seed", 1));
 
   bench::Experiment experiment(flags, "fig12");
   for (auto type : bench::kAllTypes) {
-    exp::ExperimentSpec spec;
-    spec.name = topo::to_string(type);
-    spec.engine = exp::EngineKind::kCustom;
-    spec.seed = seed;
+    auto spec = bench::driver_spec(topo::to_string(type),
+                                   exp::WorkloadSpec::Pattern::kHadoop,
+                                   topo::TopoKind::kJellyfish, type, hosts, 4,
+                                   seed);
+    spec.sim.queue_buffer_bytes = 400 * 1500;  // bulk-transfer buffers
+    spec.workload.flow_bytes = block_bytes;
+    spec.workload.concurrent = 4;  // blocks in flight per worker
+    spec.workload.mappers = mappers;
+    spec.workload.reducers = reducers;
+    spec.workload.job_bytes = job_bytes;
     spec.trials = experiment.trials(1);
-    experiment.add(std::move(spec), [=](const exp::TrialContext& ctx) {
-      return run_job(type, hosts, job_config, ctx);
-    });
+    experiment.add(std::move(spec));
   }
   const auto results = experiment.run();
 

@@ -65,8 +65,9 @@ int main(int argc, char** argv) {
   bench::Experiment experiment(flags, "fig13");
   for (auto trace : traces) {
     for (auto type : bench::kAllTypes) {
-      auto spec = bench::closed_loop_spec(
+      auto spec = bench::driver_spec(
           workload::to_string(trace) + "/" + topo::to_string(type),
+          exp::WorkloadSpec::Pattern::kClosedLoop,
           topo::TopoKind::kJellyfish, type, hosts, planes, seed);
       spec.sim.queue_buffer_bytes = 400 * 1500;
       spec.workload.concurrent = 4;  // saturating closed loop, §5.3

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,20 +51,22 @@ inline topo::NetworkSpec make_spec(topo::TopoKind kind,
   return spec;
 }
 
-/// A closed-loop cell (exp::WorkloadSpec::Pattern::kClosedLoop, DESIGN.md
-/// §5c) with single-path shortest-plane routing — the shape the RPC and
-/// trace benches share. Every trial runs on the network
+/// A cell of one of the driver patterns (closed loop, open loop, Hadoop,
+/// incast; exp::WorkloadSpec, DESIGN.md §5c) with single-path
+/// shortest-plane routing — the shape the RPC, trace, Hadoop, open-loop
+/// and incast benches share. Every trial runs on the network
 /// util::job_seed(seed, 0) draws: the instance each of these benches'
 /// trial 0 built back when trials drew their own topology.
-inline exp::ExperimentSpec closed_loop_spec(std::string name,
-                                            topo::TopoKind kind,
-                                            topo::NetworkType type, int hosts,
-                                            int planes, std::uint64_t seed) {
+inline exp::ExperimentSpec driver_spec(std::string name,
+                                       exp::WorkloadSpec::Pattern pattern,
+                                       topo::TopoKind kind,
+                                       topo::NetworkType type, int hosts,
+                                       int planes, std::uint64_t seed) {
   exp::ExperimentSpec spec;
   spec.name = std::move(name);
   spec.topo = make_spec(kind, type, hosts, planes, util::job_seed(seed, 0));
   spec.policy.policy = core::RoutingPolicy::kShortestPlane;
-  spec.workload.pattern = exp::WorkloadSpec::Pattern::kClosedLoop;
+  spec.workload.pattern = pattern;
   spec.seed = seed;
   return spec;
 }
@@ -125,16 +128,8 @@ inline LpRun lp_throughput(const topo::ParallelNetwork& net,
   return {result.total_throughput, result.alpha};
 }
 
-/// The physical saturation throughput of the serial low-bandwidth network
-/// with the same host count: the normalization denominator used by every
-/// LP figure (serial low-bw == 1.0, N planes saturate at N).
-inline double serial_low_capacity_bps(const topo::ParallelNetwork& net) {
-  return static_cast<double>(net.num_hosts()) * net.spec().base_rate_bps;
-}
-
 // Summary statistics now live in the experiment layer; the bench names
 // stay for the figure code.
-using exp::Summary;
 using exp::summarize;
 
 /// Prints a CDF as x/y rows, downsampled for readability.
@@ -166,7 +161,6 @@ inline void print_header(const std::string& what, const Flags& flags,
 /// (src/fsim, max-min rates, 100x+ faster). Selected with --engine.
 using EngineKind = exp::EngineKind;
 using exp::to_string;
-using exp::to_fsim_config;
 
 inline EngineKind parse_engine_or(const Flags& flags, EngineKind def) {
   const auto value = flags.get("engine", exp::to_string(def));
@@ -242,7 +236,8 @@ class WallClock {
 class Experiment {
  public:
   Experiment(const Flags& flags, std::string name)
-      : report_(std::move(name)),
+      : program_(flags.program()),
+        report_(std::move(name)),
         runner_(flags.get_int("threads", 0)),
         json_path_(flags.get("json", "")),
         trace_path_(flags.get("trace", "")),
@@ -273,9 +268,6 @@ class Experiment {
     return trials_override_ > 0 ? trials_override_ : def;
   }
 
-  [[nodiscard]] const exp::Runner& runner() const { return runner_; }
-  [[nodiscard]] exp::Report& report() { return report_; }
-
   /// Queues one cell (run later by run()). Returns its index within the
   /// pending batch. With no fn the spec's engine must be kPacket or kFsim.
   std::size_t add(exp::ExperimentSpec spec, exp::TrialFn fn = {}) {
@@ -286,20 +278,22 @@ class Experiment {
   /// Runs every cell queued since the last run() through one exp::Runner
   /// pass (all trials of all cells fan out together), appends the results
   /// to the report, and returns them index-aligned with the add() calls.
+  /// A cell the Runner rejects before running (an invalid spec, a knob it
+  /// cannot honour) exits 2 with the Runner's message.
   std::vector<exp::CellResult> run() {
     const WallClock clock;
-    auto results = runner_.run(cells_);
+    std::vector<exp::CellResult> results;
+    try {
+      results = runner_.run(cells_);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s: %s\n", program_.c_str(), e.what());
+      std::exit(2);
+    }
     report_.record_runtime(clock.seconds(), runner_.threads(),
                            runner_.sim_threads());
     cells_.clear();
     for (const auto& cell : results) report_.add(cell);
     return results;
-  }
-
-  /// Single-cell convenience: queue, run, return.
-  exp::CellResult run_one(exp::ExperimentSpec spec, exp::TrialFn fn = {}) {
-    add(std::move(spec), std::move(fn));
-    return std::move(run().front());
   }
 
   /// Bench epilogue: writes the --json report (runtime block included
@@ -347,6 +341,7 @@ class Experiment {
   }
 
  private:
+  std::string program_;
   exp::Report report_;
   exp::Runner runner_;
   std::string json_path_;

@@ -39,15 +39,13 @@ void HealthMonitor::react(const sim::FaultEvent& event) {
       // route caches invalidate affected entries so new flows avoid (or
       // resume using) the cable. In-flight flows still depend on the
       // transport's path-suspect repath.
-      if (config_.propagate_cable_events) {
-        for (PathSelector* selector : selectors_) {
-          selector->set_link_failed(event.plane, event.link,
-                                    event.kind == sim::FaultKind::kCableFail);
-        }
-        PNET_TRACE_INSTANT(trace_, "cache_invalidate", events_.now(),
-                           (static_cast<std::int64_t>(event.plane) << 32) |
-                               static_cast<std::uint32_t>(event.link.v));
+      for (PathSelector* selector : selectors_) {
+        selector->set_link_failed(event.plane, event.link,
+                                  event.kind == sim::FaultKind::kCableFail);
       }
+      PNET_TRACE_INSTANT(trace_, "cache_invalidate", events_.now(),
+                         (static_cast<std::int64_t>(event.plane) << 32) |
+                             static_cast<std::uint32_t>(event.link.v));
       break;
     default:
       // Degrade/restore keep the cable in service (possibly lossy/slow);

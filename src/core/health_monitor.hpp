@@ -13,8 +13,9 @@
 //     abandons MPTCP subflows on it, and revives abandoned subflows when
 //     the plane recovers.
 // Plane-scoped events reach the selectors as plane up/down; cable-scoped
-// fail/recover events (when propagate_cable_events is on) reach the
-// selectors' route caches so new flows are computed around dead cables. A
+// fail/recover events reach the selectors' route caches (a model of
+// switch-driven topology dissemination) so new flows are computed around
+// dead cables. A
 // mid-fabric cable failure stays invisible to host link status (the host's
 // own uplink is up), so in-flight flows must still save themselves via the
 // transport-level path-suspect repath. Every detection is logged for
@@ -34,13 +35,6 @@ namespace pnet::core {
 struct HealthMonitorConfig {
   /// Fault-to-host link-status propagation delay; 0 = instantaneous oracle.
   SimTime detect_delay = units::kMillisecond;
-  /// Forward detected cable fail/recover events into the selectors' route
-  /// caches (set_link_failed), so NEW flows route around a dead mid-fabric
-  /// cable once the control plane has learned of it. Models switch-driven
-  /// topology dissemination rather than host link status; flows already in
-  /// flight still rely on the transport's path-suspect repath. Off = the
-  /// pre-route-cache behavior where cable events only reach the log.
-  bool propagate_cable_events = true;
 };
 
 class HealthMonitor : public sim::EventSource {

@@ -1,8 +1,10 @@
 #include "exp/engine.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "control/controller.hpp"
@@ -10,6 +12,7 @@
 #include "core/harness.hpp"
 #include "util/parallel.hpp"
 #include "workload/apps.hpp"
+#include "workload/open_loop.hpp"
 #include "workload/patterns.hpp"
 #include "workload/traces.hpp"
 
@@ -27,8 +30,8 @@ std::vector<workload::HostPair> pattern_pairs(
       return workload::all_to_all_pairs(net.num_hosts());
     case WorkloadSpec::Pattern::kRackAllToAll:
       return workload::rack_all_to_all_pairs(net);
-    case WorkloadSpec::Pattern::kClosedLoop:
-      break;  // no host-pair draw: PacketEngine runs a ClosedLoopApp
+    default:
+      break;  // a driver pattern: PacketEngine runs its driver
   }
   throw std::invalid_argument(std::string("exp: workload pattern ") +
                               util::to_name(workload.pattern) +
@@ -52,17 +55,108 @@ SimTime jittered(SimTime base, SimTime jitter, Rng& rng) {
                     rng.next_below(static_cast<std::uint64_t>(jitter)));
 }
 
-/// Folds the controller's decision counters into the trial metrics.
-/// Written only for trials that actually ran a Controller, so
-/// controller-off reports keep their seed bytes.
-void fold_controller(const control::Controller* controller, TrialResult& r) {
-  if (controller == nullptr) return;
-  r.metrics["ctl/ticks"] += static_cast<double>(controller->ticks());
-  r.metrics["ctl/repins"] += static_cast<double>(controller->repins());
-  r.metrics["ctl/plane_events"] +=
-      static_cast<double>(controller->plane_events());
-  r.metrics["ctl/churn_skips"] +=
-      static_cast<double>(controller->churn_skips());
+/// The driver of a non-host-pair pattern, built on the harness: `start`
+/// launches it at t = 0, and `read` fills the trial's results once the
+/// harness is finalized.
+struct Driver {
+  std::function<void()> start;
+  std::function<void(TrialResult&)> read;
+};
+
+Driver make_driver(const ExperimentSpec& spec, std::uint64_t trial_seed,
+                   core::SimHarness& harness) {
+  using P = WorkloadSpec::Pattern;
+  const WorkloadSpec& wl = spec.workload;
+  const int hosts = harness.net().num_hosts();
+  const std::uint64_t seed = mix64(trial_seed);
+  const auto random_peer = [hosts](HostId src, Rng& rng) {
+    return workload::random_destination(hosts, src, rng);
+  };
+  switch (wl.pattern) {
+    case P::kClosedLoop: {
+      auto app = std::make_shared<workload::ClosedLoopApp>(
+          harness.starter(), harness.all_hosts(),
+          workload::ClosedLoopApp::Config{
+              .concurrent_per_host = wl.concurrent,
+              .response_bytes = wl.response_bytes,
+              .rounds_per_worker = wl.rounds,
+              .seed = seed},
+          random_peer, request_sizes(wl));
+      return {[app] { app->start(0); },
+              [app, &harness, &wl, hosts](TrialResult& r) {
+                r.flows_started = static_cast<std::uint64_t>(hosts) *
+                                  static_cast<std::uint64_t>(wl.concurrent) *
+                                  static_cast<std::uint64_t>(wl.rounds);
+                r.fct_us = app->completion_times_us();
+                r.flows_finished = r.fct_us.size();
+                r.metrics["drops"] =
+                    static_cast<double>(harness.network().total_drops());
+                r.metrics["timeouts"] =
+                    static_cast<double>(harness.logger().total_timeouts());
+              }};
+    }
+    case P::kOpenLoop: {
+      auto app = std::make_shared<workload::OpenLoopApp>(
+          harness.events(), harness.starter(), harness.all_hosts(),
+          spec.topo.base_rate_bps, static_cast<double>(wl.flow_bytes),
+          workload::OpenLoopApp::Config{
+              .load = wl.load, .max_flows = wl.rounds, .seed = seed},
+          random_peer, request_sizes(wl));
+      return {[app] { app->start(0); },
+              [app](TrialResult& r) {
+                r.flows_started =
+                    static_cast<std::uint64_t>(app->flows_started());
+                r.fct_us = app->completion_times_us();
+                r.flows_finished = r.fct_us.size();
+              }};
+    }
+    case P::kHadoop: {
+      if (wl.mappers + wl.reducers > hosts) {
+        throw std::invalid_argument("exp: hadoop workers exceed the hosts");
+      }
+      auto job = std::make_shared<workload::HadoopJob>(
+          harness.starter(), harness.all_hosts(),
+          workload::HadoopJob::Config{.num_mappers = wl.mappers,
+                                      .num_reducers = wl.reducers,
+                                      .total_bytes = wl.job_bytes,
+                                      .block_bytes = wl.flow_bytes,
+                                      .concurrent_blocks = wl.concurrent,
+                                      .seed = seed});
+      return {[job] { job->start(0); },
+              [job](TrialResult& r) {
+                for (int stage = 0; stage < 3; ++stage) {
+                  r.samples["stage" + std::to_string(stage + 1) + "_s"] =
+                      job->stage_worker_times_s(stage);
+                }
+                // The job counts as one flow, finished only if it did.
+                r.flows_started = 1;
+                r.flows_finished = job->finished() ? 1 : 0;
+              }};
+    }
+    case P::kIncast:
+      // The receiver is the trial's first draw; the senders are the first
+      // fan_in other hosts. The logger keeps FCTs in completion order.
+      return {[&harness, &wl, hosts, seed] {
+                const int dst = Rng(seed).next_int(0, hosts);
+                for (int i = 0, senders = 0; i < hosts && senders < wl.fan_in;
+                     ++i) {
+                  if (i == dst) continue;
+                  ++senders;
+                  harness.starter()(HostId{i}, HostId{dst}, wl.flow_bytes,
+                                    0, {});
+                }
+              },
+              [&harness, senders = std::min(wl.fan_in, hosts - 1)](
+                  TrialResult& r) {
+                r.flows_started = static_cast<std::uint64_t>(senders);
+                r.fct_us = harness.logger().fct_us();
+                r.flows_finished = r.fct_us.size();
+                r.metrics["timeouts"] =
+                    static_cast<double>(harness.logger().total_timeouts());
+              }};
+    default:
+      throw std::invalid_argument("exp: a host-pair pattern has no driver");
+  }
 }
 
 }  // namespace
@@ -74,6 +168,16 @@ void throw_if_cancelled(const util::CancelToken& cancel) {
                          "trial wall-clock budget expired");
   }
   throw TrialCancelled(TrialErrorKind::kCancelled, "run cancelled");
+}
+
+void fold_controller(const control::Controller* controller, TrialResult& r) {
+  if (controller == nullptr) return;
+  r.metrics["ctl/ticks"] += static_cast<double>(controller->ticks());
+  r.metrics["ctl/repins"] += static_cast<double>(controller->repins());
+  r.metrics["ctl/plane_events"] +=
+      static_cast<double>(controller->plane_events());
+  r.metrics["ctl/churn_skips"] +=
+      static_cast<double>(controller->churn_skips());
 }
 
 CellResult Engine::run(const ExperimentSpec& spec, const EngineContext& ctx) {
@@ -135,23 +239,10 @@ TrialResult PacketEngine::run_trial(const TrialContext& ctx) {
       harness.run();
     }
   };
-  std::optional<workload::ClosedLoopApp> app;
-  if (wl.pattern == WorkloadSpec::Pattern::kClosedLoop) {
-    const int hosts = harness.net().num_hosts();
-    app.emplace(harness.starter(), harness.all_hosts(),
-                workload::ClosedLoopApp::Config{
-                    .concurrent_per_host = wl.concurrent,
-                    .response_bytes = wl.response_bytes,
-                    .rounds_per_worker = wl.rounds,
-                    .seed = mix64(ctx.seed)},
-                [hosts](HostId src, Rng& rng) {
-                  return workload::random_destination(hosts, src, rng);
-                },
-                request_sizes(wl));
-    r.flows_started = static_cast<std::uint64_t>(hosts) *
-                      static_cast<std::uint64_t>(wl.concurrent) *
-                      static_cast<std::uint64_t>(wl.rounds);
-    app->start(0);
+  Driver driver;  // the driver patterns: one workload from t = 0, run once
+  if (!wl.host_pairs()) {
+    driver = make_driver(spec, ctx.seed, harness);
+    driver.start();
     run();
   } else {
     Rng rng(ctx.seed);
@@ -188,13 +279,7 @@ TrialResult PacketEngine::run_trial(const TrialContext& ctx) {
   harness.finalize(harness.events().now());
   throw_if_cancelled(ctx.cancel);
   if (ctx.audit) audit.check();  // raises InvariantViolation on breaches
-  if (app.has_value()) {
-    r.fct_us = app->completion_times_us();
-    r.flows_finished = r.fct_us.size();
-    r.metrics["drops"] = static_cast<double>(harness.network().total_drops());
-    r.metrics["timeouts"] =
-        static_cast<double>(harness.logger().total_timeouts());
-  }
+  if (driver.read) driver.read(r);
   r.delivered_bytes =
       static_cast<double>(harness.factory().total_delivered_bytes());
   r.sim_seconds = units::to_seconds(harness.events().now());
@@ -252,20 +337,25 @@ TrialResult FluidEngine::run_trial(const TrialContext& ctx) {
     return hooks;
   };
 
-  if (wl.round_gap > 0 || wl.rounds == 1) {
-    // One simulator for the whole trial (overlapping rounds share it and
-    // its allocator state) — the only shape where a single sample grid /
-    // trace covers the trial, so telemetry attaches here.
-    auto telemetry = make_telemetry(ctx.telemetry);
-    if (ctx.audit && telemetry != nullptr) {
-      audit.set_counter(telemetry->registry.counter("audit_violations"));
-    }
+  if (std::string problem = fluid_telemetry_problem(wl, ctx.telemetry);
+      !problem.empty()) {
+    throw std::invalid_argument(std::move(problem));
+  }
+  auto telemetry = make_telemetry(ctx.telemetry);
+  if (ctx.audit && telemetry != nullptr) {
+    audit.set_counter(telemetry->registry.counter("audit_violations"));
+  }
+  // One simulator for the whole trial when rounds overlap (they share it
+  // and its allocator state), else a fresh one per back-to-back round, the
+  // packet engine's drained-queue equivalent.
+  const int rounds_per_sim = wl.round_gap > 0 ? wl.rounds : 1;
+  for (int round = 0; round < wl.rounds && !ctx.cancel.cancelled();) {
     fsim::FluidSimulator fluid(net, config, ctx.route_cache);
     fluid.set_telemetry(telemetry.get());
     if (cancel != nullptr) fluid.set_cancel(cancel);
     if (ctx.audit) fluid.set_audit(&audit);
     const ControlHooks hooks = attach_control(fluid);
-    for (int round = 0; round < wl.rounds; ++round) {
+    for (const int last = round + rounds_per_sim; round < last; ++round) {
       const SimTime base = round * wl.round_gap;
       for (const auto& [src, dst] : pattern_pairs(wl, net, rng)) {
         ++r.flows_started;
@@ -280,34 +370,23 @@ TrialResult FluidEngine::run_trial(const TrialContext& ctx) {
     }
     finish(fluid);
     fold_controller(hooks.controller.get(), r);
-    fold_telemetry(telemetry, r);
-  } else {
-    // Back-to-back rounds: a fresh simulator per round, as the packet
-    // engine's drained-queue equivalent. Simulated clocks restart per
-    // round, so no cross-round telemetry is collected.
-    for (int round = 0; round < wl.rounds; ++round) {
-      if (ctx.cancel.cancelled()) break;
-      fsim::FluidSimulator fluid(net, config, ctx.route_cache);
-      if (cancel != nullptr) fluid.set_cancel(cancel);
-      if (ctx.audit) fluid.set_audit(&audit);
-      const ControlHooks hooks = attach_control(fluid);
-      for (const auto& [src, dst] : pattern_pairs(wl, net, rng)) {
-        ++r.flows_started;
-        fluid.add_flow({src, dst, wl.flow_bytes,
-                        jittered(0, wl.start_jitter, rng)});
-      }
-      if (spec.deadline > 0) {
-        fluid.run_until(spec.deadline);
-      } else {
-        fluid.run();
-      }
-      finish(fluid);
-      fold_controller(hooks.controller.get(), r);
-    }
   }
+  fold_telemetry(telemetry, r);
   throw_if_cancelled(ctx.cancel);
   if (ctx.audit) audit.check();  // raises InvariantViolation on breaches
   return r;
+}
+
+std::string fluid_telemetry_problem(const WorkloadSpec& workload,
+                                    const telemetry::Config& telemetry) {
+  // Each back-to-back round restarts the simulated clock: no sample grid
+  // or trace can span them.
+  if (!telemetry.enabled() || workload.round_gap > 0 ||
+      workload.rounds == 1) {
+    return "";
+  }
+  return "the fluid engine records no telemetry (--sample-every, --trace) "
+         "across back-to-back rounds; use rounds = 1 or a round_gap";
 }
 
 std::unique_ptr<Engine> make_engine(EngineKind kind, TrialFn fn) {

@@ -94,14 +94,17 @@ class Engine {
 };
 
 /// core::SimHarness over the packet simulator (src/sim). Runs every
-/// workload pattern, the closed loop included.
+/// workload pattern: the host-pair patterns round by round, and each
+/// driver pattern (closed loop, open loop, Hadoop, incast) as one driver
+/// started at t = 0 and run once.
 class PacketEngine final : public Engine {
  public:
   [[nodiscard]] TrialResult run_trial(const TrialContext& ctx) override;
 };
 
 /// fsim::FluidSimulator — flow-level max-min rates, 100x+ faster.
-/// Host-pair patterns only: it throws std::invalid_argument on kClosedLoop.
+/// Host-pair patterns only: it throws std::invalid_argument on a driver
+/// pattern, and on telemetry fluid_telemetry_problem rejects.
 class FluidEngine final : public Engine {
  public:
   [[nodiscard]] TrialResult run_trial(const TrialContext& ctx) override;
@@ -138,6 +141,16 @@ void throw_if_cancelled(const util::CancelToken& cancel);
 /// when instrumentation is disabled (the zero-overhead path).
 [[nodiscard]] std::shared_ptr<telemetry::Telemetry> make_telemetry(
     const telemetry::Config& config);
+
+/// Empty if FluidEngine can record `telemetry` for `workload`, else why
+/// not (the Runner checks it before any trial runs).
+[[nodiscard]] std::string fluid_telemetry_problem(
+    const WorkloadSpec& workload, const telemetry::Config& telemetry);
+
+/// Adds the controller's decision counters to metrics["ctl/<name>"].
+/// Null-safe: controller-off trials write none and keep their bytes.
+void fold_controller(const control::Controller* controller,
+                     TrialResult& result);
 
 /// Folds a trial's telemetry into its TrialResult: sampler series become
 /// samples["tm/<name>"] (plus the shared time axis samples["tm/t_us"]),

@@ -58,7 +58,11 @@ std::vector<CellResult> Runner::run_trials(
   std::vector<Job> jobs;
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const auto& cell = cells[c];
-    const std::string problem = cell.spec.validate();
+    std::string problem = cell.spec.validate();
+    if (problem.empty() && !cell.fn &&
+        cell.spec.engine == EngineKind::kFsim) {
+      problem = fluid_telemetry_problem(cell.spec.workload, telemetry_);
+    }
     if (!problem.empty()) {
       throw std::invalid_argument("exp::Runner: cell '" + cell.spec.name +
                                   "': " + problem);

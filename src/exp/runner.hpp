@@ -98,8 +98,10 @@ class Runner {
     return controller_;
   }
 
-  /// Runs every trial of every cell. Throws std::invalid_argument if any
-  /// spec fails validation or a custom-engine cell lacks a function.
+  /// Runs every trial of every cell. Throws std::invalid_argument, before
+  /// any trial runs, if any spec fails validation, a custom-engine cell
+  /// lacks a function, or a fluid cell asks for telemetry it cannot record
+  /// (exp::fluid_telemetry_problem).
   /// Per-trial failures do NOT throw: they are isolated into the owning
   /// cell's CellResult::errors (in trial order), healthy trials keep
   /// merging deterministically, and the caller decides whether a partial

@@ -1,5 +1,7 @@
 #include "exp/spec.hpp"
 
+#include <utility>
+
 namespace pnet::exp {
 
 namespace {
@@ -14,6 +16,9 @@ constexpr util::EnumName<WorkloadSpec::Pattern> kPatternNames[] = {
     {WorkloadSpec::Pattern::kAllToAll, "all_to_all"},
     {WorkloadSpec::Pattern::kRackAllToAll, "rack_all_to_all"},
     {WorkloadSpec::Pattern::kClosedLoop, "closed_loop"},
+    {WorkloadSpec::Pattern::kOpenLoop, "open_loop"},
+    {WorkloadSpec::Pattern::kHadoop, "hadoop"},
+    {WorkloadSpec::Pattern::kIncast, "incast"},
 };
 
 /// The writer over the field list: emits each field whose condition holds.
@@ -55,6 +60,72 @@ struct FieldWriter {
   void put(Gbps<T> r) { w.value(r.value / units::kGbps); }
 };
 
+/// validate()'s workload rules: the message of the first one broken. A
+/// field the pattern does not read must keep its default (the canonical
+/// JSON drops it and the trial would ignore it).
+std::string validate_workload(const ExperimentSpec& spec) {
+  using P = WorkloadSpec::Pattern;
+  const WorkloadSpec& w = spec.workload;
+  const bool pairs = w.host_pairs();
+  const bool closed = w.pattern == P::kClosedLoop;
+  const bool hadoop = w.pattern == P::kHadoop;
+  const bool open = w.pattern == P::kOpenLoop;
+  const bool incast = w.pattern == P::kIncast;
+  const std::string pattern = util::to_name(w.pattern);
+  // Poisson gaps are SimTime picoseconds: a mean gap of at most one
+  // simulated second keeps every draw far from overflow.
+  const double flows_per_s = w.load * spec.topo.hosts *
+                             spec.topo.base_rate_bps /
+                             (8.0 * static_cast<double>(w.flow_bytes));
+  const std::pair<bool, std::string> rules[] = {
+      {!closed && (w.response_bytes > 0 || w.trace.has_value() ||
+                   w.trace_cap_bytes > 0),
+       "spec.workload: response_bytes, trace and trace_cap_bytes apply to "
+       "pattern closed_loop only"},
+      {!closed && !hadoop && w.concurrent != 1,
+       "spec.workload.concurrent applies to patterns closed_loop and hadoop "
+       "only"},
+      {!incast && w.fan_in != 0,
+       "spec.workload.fan_in applies to pattern incast only"},
+      {!hadoop && (w.mappers != 0 || w.reducers != 0 || w.job_bytes > 0),
+       "spec.workload: mappers, reducers and job_bytes apply to pattern "
+       "hadoop only"},
+      {!open && w.load != 0.0,
+       "spec.workload.load applies to pattern open_loop only"},
+      // Back-to-back rounds each run to completion; a deadline cannot be
+      // applied meaningfully across them.
+      {pairs && w.round_gap == 0 && w.rounds > 1 && spec.deadline > 0,
+       "spec.deadline requires workload.round_gap > 0 when rounds > 1"},
+      // The drivers run one workload from t = 0 on the packet engine.
+      {!pairs && spec.engine != EngineKind::kPacket,
+       "spec.workload.pattern " + pattern + " needs engine=packet"},
+      {!pairs && (w.start_jitter != WorkloadSpec{}.start_jitter ||
+                  w.round_gap > 0),
+       "spec.workload: start_jitter and round_gap do not apply to " +
+           pattern},
+      {(hadoop || incast) && w.rounds != 1,
+       "spec.workload.rounds does not apply to " + pattern},
+      {(closed || hadoop) && w.concurrent < 1,
+       "spec.workload.concurrent must be >= 1"},
+      // job_bytes >= mappers x reducers: every shuffle bucket carries a byte.
+      {hadoop && (w.mappers < 1 || w.reducers < 1 ||
+                  std::int64_t{w.mappers} + w.reducers > spec.topo.hosts ||
+                  w.job_bytes < static_cast<std::uint64_t>(w.mappers) *
+                                    static_cast<std::uint64_t>(w.reducers)),
+       "spec.workload: mappers and reducers must be >= 1 and fit in "
+       "topo.hosts together, and job_bytes >= mappers x reducers"},
+      {open && !(w.load > 0.0 && w.load <= 100.0 && flows_per_s >= 1.0),
+       "spec.workload.load must be in (0, 100] and offer at least one flow "
+       "per simulated second"},
+      {incast && (w.fan_in < 1 || w.fan_in >= spec.topo.hosts),
+       "spec.workload.fan_in must be in [1, topo.hosts)"},
+  };
+  for (const auto& [broken, message] : rules) {
+    if (broken) return message;
+  }
+  return "";
+}
+
 }  // namespace
 
 util::EnumNames<EngineKind> name_table(EngineKind) { return kEngineNames; }
@@ -78,27 +149,7 @@ std::string ExperimentSpec::validate() const {
   if (workload.start_jitter < 0) return "spec.workload.start_jitter must "
                                         "be >= 0";
   if (workload.round_gap < 0) return "spec.workload.round_gap must be >= 0";
-  if (workload.pattern == WorkloadSpec::Pattern::kClosedLoop) {
-    if (engine != EngineKind::kPacket) {
-      return "spec.workload.pattern closed_loop needs engine=packet";
-    }
-    if (workload.concurrent < 1) return "spec.workload.concurrent must be >= 1";
-    if (workload.round_gap > 0) {
-      return "spec.workload.round_gap does not apply to closed_loop";
-    }
-  } else {
-    if (workload.concurrent != 1 || workload.response_bytes > 0 ||
-        workload.trace.has_value() || workload.trace_cap_bytes > 0) {
-      return "spec.workload: concurrent, response_bytes, trace and "
-             "trace_cap_bytes apply to pattern closed_loop only";
-    }
-    if (workload.round_gap == 0 && workload.rounds > 1 && deadline > 0) {
-      // Back-to-back rounds each run to completion; a deadline cannot be
-      // applied meaningfully across them.
-      return "spec.deadline requires workload.round_gap > 0 when "
-             "rounds > 1";
-    }
-  }
+  if (std::string err = validate_workload(*this); !err.empty()) return err;
   if (topo.host_latency < 0 || topo.fabric_latency < 0) {
     return "spec.topo latencies must be >= 0";
   }

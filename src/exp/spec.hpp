@@ -43,34 +43,48 @@ enum class EngineKind : std::uint8_t { kPacket, kFsim, kCustom };
 
 /// Synthetic workload of the built-in engines. The host-pair patterns run
 /// `rounds` pattern instances of fixed-size flows, each flow jittered
-/// uniformly in [round start, round start + start_jitter). kClosedLoop
-/// (packet engine only) is the RPC/trace driver of §5.2.1 and §5.3: every
-/// host runs `concurrent` workers from t = 0, and each worker issues
-/// `rounds` back-to-back requests to random destinations, each request
-/// optionally answered by a `response_bytes` reply.
+/// uniformly in [round start, round start + start_jitter). The driver
+/// patterns (packet engine only) run one workload driver from t = 0:
+///   kClosedLoop — the RPC/trace driver of §5.2.1 and §5.3: every host runs
+///     `concurrent` workers, and each worker issues `rounds` back-to-back
+///     requests to random destinations, each request optionally answered
+///     by a `response_bytes` reply;
+///   kOpenLoop — Poisson arrivals of `rounds` flows of `flow_bytes` between
+///     random hosts at `load` times the hosts' serial edge bandwidth;
+///   kHadoop — the Hadoop sort of §5.2.2: `mappers` read `job_bytes` in
+///     `flow_bytes` blocks, shuffle it to `reducers`, which write it back
+///     in blocks, each worker keeping `concurrent` blocks in flight;
+///   kIncast — `fan_in` senders push `flow_bytes` each to one receiver, all
+///     starting at t = 0.
 struct WorkloadSpec {
   enum class Pattern : std::uint8_t {
     kPermutation,    // each host sends to exactly one other host
     kAllToAll,       // every ordered host pair
     kRackAllToAll,   // one representative host per rack pair
     kClosedLoop,     // workload::ClosedLoopApp on every host
+    kOpenLoop,       // workload::OpenLoopApp over every host
+    kHadoop,         // workload::HadoopJob over every host
+    kIncast,         // fan_in senders to one receiver
   };
 
   Pattern pattern = Pattern::kPermutation;
-  /// Flow size; for kClosedLoop the request size unless `trace` is set.
+  /// Flow size; for kClosedLoop the request size unless `trace` is set,
+  /// for kHadoop the block size.
   std::uint64_t flow_bytes = 1'000'000;
-  /// Pattern rounds; for kClosedLoop the requests per worker.
+  /// Pattern rounds; for kClosedLoop the requests per worker, for
+  /// kOpenLoop the flows injected. kHadoop and kIncast leave it at 1.
   int rounds = 1;
-  /// Host-pair patterns only (closed-loop workers all start at t = 0).
+  /// Host-pair patterns only (the drivers all start at t = 0).
   SimTime start_jitter = 10 * units::kMicrosecond;
   /// Host-pair patterns only. 0: rounds run back-to-back (each drains
   /// before the next starts). >0: round r's flows are all scheduled at
   /// r * round_gap + jitter.
   SimTime round_gap = 0;
 
-  // kClosedLoop only.
-  /// Workers per host.
+  /// kClosedLoop: workers per host; kHadoop: blocks each worker keeps in
+  /// flight.
   int concurrent = 1;
+  // kClosedLoop only.
   /// 0: one-way requests; otherwise each request is an RPC whose reply of
   /// this size must land before the worker's next request.
   std::uint64_t response_bytes = 0;
@@ -79,6 +93,24 @@ struct WorkloadSpec {
   std::optional<workload::Trace> trace;
   /// Truncates trace draws at this size (0 = uncapped).
   std::uint64_t trace_cap_bytes = 0;
+
+  /// kIncast only: senders, the first `fan_in` hosts other than the
+  /// receiver (a trial-seeded draw), in index order.
+  int fan_in = 0;
+  // kHadoop only.
+  int mappers = 0;
+  int reducers = 0;
+  /// Bytes the job sorts.
+  std::uint64_t job_bytes = 0;
+  /// kOpenLoop only: offered load as a fraction of every host's
+  /// `topo.base_rate_bps`, the serial edge, so one x-axis stresses every
+  /// network type alike.
+  double load = 0.0;
+
+  /// The first three patterns: flows between drawn host pairs, in rounds.
+  [[nodiscard]] bool host_pairs() const {
+    return pattern <= Pattern::kRackAllToAll;
+  }
 };
 
 [[nodiscard]] util::EnumNames<WorkloadSpec::Pattern> name_table(
@@ -181,17 +213,25 @@ void visit(V& v, T& p) {
 /// Each pattern writes exactly the fields it reads.
 template <class V, FieldsOf<WorkloadSpec> T>
 void visit(V& v, T& w) {
-  const bool closed = w.pattern == WorkloadSpec::Pattern::kClosedLoop;
+  using P = WorkloadSpec::Pattern;
+  const bool pairs = w.host_pairs();
+  const bool closed = w.pattern == P::kClosedLoop;
+  const bool hadoop = w.pattern == P::kHadoop;
   const bool traced = w.trace.has_value();
   v("pattern", w.pattern);
   v("flow_bytes", w.flow_bytes, !traced);
-  v("rounds", w.rounds);
-  v("concurrent", w.concurrent, closed);
+  v("rounds", w.rounds, !hadoop && w.pattern != P::kIncast);
+  v("concurrent", w.concurrent, closed || hadoop);
   v("response_bytes", w.response_bytes, closed);
   v("trace", w.trace, closed && traced);
   v("trace_cap_bytes", w.trace_cap_bytes, closed && traced);
-  v("start_jitter_us", us(w.start_jitter), !closed);
-  v("round_gap_us", us(w.round_gap), !closed && w.round_gap > 0);
+  v("start_jitter_us", us(w.start_jitter), pairs);
+  v("round_gap_us", us(w.round_gap), pairs && w.round_gap > 0);
+  v("fan_in", w.fan_in, w.pattern == P::kIncast);
+  v("mappers", w.mappers, hadoop);
+  v("reducers", w.reducers, hadoop);
+  v("job_bytes", w.job_bytes, hadoop);
+  v("load", w.load, w.pattern == P::kOpenLoop);
 }
 
 template <class V, FieldsOf<sim::SimConfig> T>

@@ -184,15 +184,26 @@ std::string Service::over_cap(const exp::ExperimentSpec& spec) const {
            std::to_string(options_.max_trials);
   }
   // Flows per host: `rounds` for a host-pair pattern, `concurrent` workers
-  // times `rounds` requests each for a closed loop.
-  const bool closed =
-      spec.workload.pattern == exp::WorkloadSpec::Pattern::kClosedLoop;
-  const std::int64_t flows = std::int64_t{spec.workload.rounds} *
-                             (closed ? spec.workload.concurrent : 1);
+  // times `rounds` requests each for a closed loop, an open loop's
+  // `rounds` flows spread over the hosts, a Hadoop worker's blocks and
+  // shuffle buckets, and one for an incast sender.
+  using P = exp::WorkloadSpec::Pattern;
+  const exp::WorkloadSpec& w = spec.workload;
+  const auto blocks = [&w](int workers) {
+    const std::uint64_t share =
+        w.job_bytes / static_cast<std::uint64_t>(workers);
+    return static_cast<std::int64_t>((share + w.flow_bytes - 1) /
+                                     w.flow_bytes);
+  };
+  std::int64_t flows = w.rounds;
+  if (w.pattern == P::kClosedLoop) flows *= w.concurrent;
+  if (w.pattern == P::kOpenLoop) flows = (flows - 1) / spec.topo.hosts + 1;
+  if (w.pattern == P::kHadoop) {
+    flows = blocks(w.mappers) + w.reducers + blocks(w.reducers);
+  }
   if (flows > options_.max_rounds) {
-    return (closed ? "workload.concurrent x workload.rounds "
-                   : "workload.rounds ") +
-           std::to_string(flows) + " exceeds this server's cap of " +
+    return "workload of " + std::to_string(flows) +
+           " flows per host exceeds this server's cap of " +
            std::to_string(options_.max_rounds);
   }
   return "";

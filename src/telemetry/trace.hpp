@@ -9,10 +9,9 @@
 // Perfetto) or to a compact length-prefixed binary blob for offline
 // tooling.
 //
-// Cost when off: sites record through the PNET_TRACE_* macros, which are
-//   * compiled out entirely (zero code) with -DPNET_TELEMETRY_DISABLE_TRACE;
-//   * a null-pointer test when no trace is wired (the default), so the
-//     disabled path stays within the bench_micro_sim overhead budget.
+// Cost when off: sites record through the PNET_TRACE_* macros, which are a
+// null-pointer test when no trace is wired (the default), so the disabled
+// path stays within the bench_micro_sim overhead budget.
 // Timestamps are SimTime picoseconds; JSON emits microseconds (the
 // trace_event unit) with exact decimal conversion — no double formatting —
 // so exports are byte-deterministic.
@@ -96,13 +95,7 @@ class Trace {
 void append_chrome_process_name(std::string& out, int pid,
                                 std::string_view name, bool& first);
 
-// Recording macros: null-safe, and compiled to nothing with
-// -DPNET_TELEMETRY_DISABLE_TRACE (the zero-cost switch for builds that
-// must not carry tracing at all).
-#if defined(PNET_TELEMETRY_DISABLE_TRACE)
-#define PNET_TRACE_INSTANT(trace, ...) ((void)0)
-#define PNET_TRACE_COMPLETE(trace, ...) ((void)0)
-#else
+// Recording macros: null-safe, one pointer test when no trace is wired.
 #define PNET_TRACE_INSTANT(trace, ...)                                \
   do {                                                                \
     ::pnet::telemetry::Trace* pnet_trace_tmp_ = (trace);              \
@@ -117,6 +110,5 @@ void append_chrome_process_name(std::string& out, int pid,
       pnet_trace_tmp_->complete(__VA_ARGS__);                         \
     }                                                                 \
   } while (0)
-#endif
 
 }  // namespace pnet::telemetry

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <string_view>
+#include <type_traits>
 
 #include "util/version.hpp"
 
@@ -95,19 +98,36 @@ std::string Flags::get(const std::string& key, const std::string& def) const {
   return it == values_.end() ? def : it->second;
 }
 
+template <class T>
+T Flags::get_number(const std::string& key, T def) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return def;
+  const std::string& text = it->second;
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error == std::errc{} && stop == end &&
+      (std::is_integral_v<T> || std::isfinite(static_cast<double>(value)))) {
+    return value;
+  }
+  std::fprintf(stderr, "%s: --%s=%s is not %s\n", program_.c_str(),
+               key.c_str(), text.c_str(),
+               error == std::errc::result_out_of_range ? "in range"
+               : std::is_integral_v<T>                 ? "an integer"
+                                                       : "a finite number");
+  std::exit(2);
+}
+
 int Flags::get_int(const std::string& key, int def) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? def : std::stoi(it->second);
+  return get_number(key, def);
 }
 
 std::int64_t Flags::get_i64(const std::string& key, std::int64_t def) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? def : std::stoll(it->second);
+  return get_number(key, def);
 }
 
 double Flags::get_double(const std::string& key, double def) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? def : std::stod(it->second);
+  return get_number(key, def);
 }
 
 bool Flags::get_bool(const std::string& key, bool def) const {

@@ -27,6 +27,9 @@ class Flags {
 
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& def) const;
+  /// Numeric getters: the whole value must parse (a finite number for
+  /// get_double), or the process exits 2 naming the flag — "--hosts=16abc"
+  /// never runs as 16.
   [[nodiscard]] int get_int(const std::string& key, int def) const;
   [[nodiscard]] std::int64_t get_i64(const std::string& key,
                                      std::int64_t def) const;
@@ -66,6 +69,9 @@ class Flags {
   [[nodiscard]] const std::string& program() const { return program_; }
 
  private:
+  template <class T>
+  [[nodiscard]] T get_number(const std::string& key, T def) const;
+
   /// Names each of `unknown` and then `hint` on stderr and exits 2;
   /// returns if `unknown` is empty.
   void reject(const std::vector<std::string>& unknown,

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -140,6 +142,127 @@ TEST(ExperimentSpec, ClosedLoopFieldsAreCheckedPerPattern) {
   EXPECT_EQ(spec.validate(), "");
 }
 
+ExperimentSpec hadoop_spec(const std::string& name) {
+  auto spec = small_packet_spec(name);
+  spec.workload.pattern = WorkloadSpec::Pattern::kHadoop;
+  spec.workload.flow_bytes = 100'000;  // blocks
+  spec.workload.concurrent = 2;
+  spec.workload.mappers = 3;
+  spec.workload.reducers = 3;
+  spec.workload.job_bytes = 900'000;
+  return spec;
+}
+
+ExperimentSpec open_loop_spec(const std::string& name) {
+  auto spec = small_packet_spec(name);
+  spec.workload.pattern = WorkloadSpec::Pattern::kOpenLoop;
+  spec.workload.flow_bytes = 20'000;
+  spec.workload.rounds = 60;
+  spec.workload.load = 0.5;
+  spec.deadline = 100 * units::kMillisecond;
+  return spec;
+}
+
+ExperimentSpec incast_spec(const std::string& name) {
+  auto spec = small_packet_spec(name);
+  spec.workload.pattern = WorkloadSpec::Pattern::kIncast;
+  spec.workload.flow_bytes = 50'000;
+  spec.workload.fan_in = 5;
+  spec.deadline = 100 * units::kMillisecond;
+  return spec;
+}
+
+TEST(ExperimentSpec, DriverFieldsAreCheckedPerPattern) {
+  using Edit = std::function<void(ExperimentSpec&)>;
+  const auto rejects = [](ExperimentSpec spec, const Edit& edit,
+                          const std::string& message) {
+    edit(spec);
+    const std::string problem = spec.validate();
+    EXPECT_NE(problem.find(message), std::string::npos)
+        << spec.name << ": '" << problem << "' lacks '" << message << "'";
+  };
+  const ExperimentSpec drivers[] = {hadoop_spec("hadoop"),
+                                    open_loop_spec("open"),
+                                    incast_spec("incast")};
+  for (const ExperimentSpec& spec : drivers) {
+    EXPECT_EQ(spec.validate(), "") << spec.name;
+    // No fluid driver, and no host-pair timing.
+    rejects(spec, [](ExperimentSpec& s) { s.engine = EngineKind::kFsim; },
+            "needs engine=packet");
+    rejects(spec,
+            [](ExperimentSpec& s) { s.workload.round_gap = 1'000'000; },
+            "do not apply");
+    rejects(spec, [](ExperimentSpec& s) { s.workload.start_jitter = 0; },
+            "do not apply");
+  }
+
+  // A new field on any other pattern would be ignored by the trial.
+  const ExperimentSpec others[] = {small_packet_spec("pair"),
+                                   closed_loop_spec("rpc")};
+  for (const ExperimentSpec& spec : others) {
+    rejects(spec, [](ExperimentSpec& s) { s.workload.fan_in = 2; },
+            "incast only");
+    rejects(spec, [](ExperimentSpec& s) { s.workload.load = 0.5; },
+            "open_loop only");
+    rejects(spec, [](ExperimentSpec& s) { s.workload.mappers = 1; },
+            "hadoop only");
+    rejects(spec, [](ExperimentSpec& s) { s.workload.reducers = 1; },
+            "hadoop only");
+    rejects(spec, [](ExperimentSpec& s) { s.workload.job_bytes = 1; },
+            "hadoop only");
+  }
+  rejects(hadoop_spec("h"), [](ExperimentSpec& s) { s.workload.fan_in = 2; },
+          "incast only");
+  rejects(incast_spec("i"), [](ExperimentSpec& s) { s.workload.load = 1.0; },
+          "open_loop only");
+  rejects(open_loop_spec("o"),
+          [](ExperimentSpec& s) { s.workload.mappers = 2; }, "hadoop only");
+  rejects(incast_spec("i"),
+          [](ExperimentSpec& s) { s.workload.concurrent = 2; },
+          "closed_loop and hadoop only");
+  rejects(hadoop_spec("h"),
+          [](ExperimentSpec& s) { s.workload.response_bytes = 10; },
+          "closed_loop only");
+  for (const ExperimentSpec& spec : {hadoop_spec("h"), incast_spec("i")}) {
+    rejects(spec, [](ExperimentSpec& s) { s.workload.rounds = 2; },
+            "rounds does not apply");
+  }
+
+  // Out-of-range values.
+  const std::vector<std::pair<Edit, const char*>> hadoop_bad = {
+      {[](ExperimentSpec& s) { s.workload.mappers = 0; }, "mappers"},
+      {[](ExperimentSpec& s) { s.workload.reducers = -1; }, "mappers"},
+      {[](ExperimentSpec& s) { s.workload.mappers = 6; }, "fit in"},
+      {[](ExperimentSpec& s) { s.workload.job_bytes = 8; }, "job_bytes"},
+      {[](ExperimentSpec& s) { s.workload.concurrent = 0; }, "concurrent"},
+  };
+  for (const auto& [edit, message] : hadoop_bad) {
+    rejects(hadoop_spec("h"), edit, message);
+  }
+  const std::vector<std::pair<Edit, const char*>> open_bad = {
+      {[](ExperimentSpec& s) { s.workload.load = 0.0; }, "load"},
+      {[](ExperimentSpec& s) { s.workload.load = -0.5; }, "load"},
+      {[](ExperimentSpec& s) { s.workload.load = 100.5; }, "load"},
+      {[](ExperimentSpec& s) { s.workload.load = std::nan(""); }, "load"},
+      // 8 hosts x 1e-9 x 100 Gb/s offer one 20 kB flow every 200 s.
+      {[](ExperimentSpec& s) { s.workload.load = 1e-9; }, "per simulated"},
+  };
+  for (const auto& [edit, message] : open_bad) {
+    rejects(open_loop_spec("o"), edit, message);
+  }
+  rejects(incast_spec("i"), [](ExperimentSpec& s) { s.workload.fan_in = 0; },
+          "fan_in");
+  rejects(incast_spec("i"), [](ExperimentSpec& s) { s.workload.fan_in = 8; },
+          "fan_in");
+
+  // The deadline rule of back-to-back rounds is the host-pair patterns':
+  // an open loop's rounds are its flows.
+  auto open = open_loop_spec("o");
+  open.workload.rounds = 400;
+  open.deadline = 5 * units::kSecond;
+  EXPECT_EQ(open.validate(), "");
+}
+
 // Golden canonical JSON: growing WorkloadSpec must not move the bytes —
 // and so the hashes behind checkpoint keys, pnet-serve cache keys and
 // committed report spec blocks — of specs that predate a field.
@@ -206,6 +329,92 @@ TEST(ExperimentSpec, ClosedLoopFieldsSerializeOnlyForClosedLoop) {
   }
 }
 
+// The driver benches' cell shapes at their default flags: bench_fig12,
+// bench_ablation_load and bench_ablation_dctcp. Each pattern writes only
+// the fields it reads.
+TEST(ExperimentSpec, DriverCanonicalJsonIsPinned) {
+  const auto bench_cell = [](const char* name, WorkloadSpec::Pattern pattern,
+                             int hosts) {
+    ExperimentSpec spec;
+    spec.name = name;
+    spec.topo.topo = topo::TopoKind::kJellyfish;
+    spec.topo.type = topo::NetworkType::kParallelHomogeneous;
+    spec.topo.hosts = hosts;
+    spec.topo.seed = util::job_seed(1, 0);
+    spec.policy.policy = core::RoutingPolicy::kShortestPlane;
+    spec.workload.pattern = pattern;
+    return spec;
+  };
+  const std::string topo =
+      R"("topo":{"kind":"jellyfish","type":"parallel-homogeneous",)";
+  const std::string seed = std::to_string(util::job_seed(1, 0));
+
+  ExperimentSpec hadoop = bench_cell("hadoop", WorkloadSpec::Pattern::kHadoop,
+                                     100);
+  hadoop.sim.queue_buffer_bytes = 400 * 1500;
+  hadoop.workload.flow_bytes = 32'000'000;
+  hadoop.workload.concurrent = 4;
+  hadoop.workload.mappers = 16;
+  hadoop.workload.reducers = 16;
+  hadoop.workload.job_bytes = 2'000'000'000;
+  EXPECT_EQ(hadoop.canonical_json(),
+            R"({"name":"hadoop","engine":"packet","seed":1,"trials":1,)" +
+                topo + R"("hosts":100,"parallelism":4,"base_rate_gbps":100,)"
+                R"("seed":)" + seed + "},"
+                R"("policy":{"policy":"shortest-plane","k":8,)"
+                R"("ecmp_path_cap":64,"multipath_cutoff_bytes":100000000},)"
+                R"("workload":{"pattern":"hadoop","flow_bytes":32000000,)"
+                R"("concurrent":4,"mappers":16,"reducers":16,)"
+                R"("job_bytes":2000000000},)"
+                R"("sim":{"queue_buffer_bytes":600000,)"
+                R"("ecn_threshold_bytes":0,"priority_acks":false,)"
+                R"("trim_to_header":false,"dctcp":false}})");
+
+  ExperimentSpec open =
+      bench_cell("open", WorkloadSpec::Pattern::kOpenLoop, 48);
+  open.policy.policy = core::RoutingPolicy::kRoundRobin;
+  open.sim.queue_buffer_bytes = 400 * 1500;
+  open.workload.flow_bytes = 100'000;
+  open.workload.rounds = 400;
+  open.workload.load = 0.7;
+  open.deadline = 5 * units::kSecond;
+  EXPECT_EQ(open.canonical_json(),
+            R"({"name":"open","engine":"packet","seed":1,"trials":1,)"
+            R"("deadline_us":5000000,)" +
+                topo + R"("hosts":48,"parallelism":4,"base_rate_gbps":100,)"
+                R"("seed":)" + seed + "},"
+                R"("policy":{"policy":"round-robin","k":8,)"
+                R"("ecmp_path_cap":64,"multipath_cutoff_bytes":100000000},)"
+                R"("workload":{"pattern":"open_loop","flow_bytes":100000,)"
+                R"("rounds":400,"load":0.7},)"
+                R"("sim":{"queue_buffer_bytes":600000,)"
+                R"("ecn_threshold_bytes":0,"priority_acks":false,)"
+                R"("trim_to_header":false,"dctcp":false}})");
+
+  ExperimentSpec incast =
+      bench_cell("incast", WorkloadSpec::Pattern::kIncast, 64);
+  incast.policy.policy = core::RoutingPolicy::kRoundRobin;
+  incast.sim.queue_buffer_bytes = 100 * 1500;
+  incast.sim.ecn_threshold_bytes = 20 * 1500;
+  incast.sim.tcp.dctcp = true;
+  incast.workload.flow_bytes = 200'000;
+  incast.workload.fan_in = 32;
+  incast.deadline = 2 * units::kSecond;
+  incast.trials = 5;
+  EXPECT_EQ(incast.canonical_json(),
+            R"({"name":"incast","engine":"packet","seed":1,"trials":5,)"
+            R"("deadline_us":2000000,)" +
+                topo + R"("hosts":64,"parallelism":4,"base_rate_gbps":100,)"
+                R"("seed":)" + seed + "},"
+                R"("policy":{"policy":"round-robin","k":8,)"
+                R"("ecmp_path_cap":64,"multipath_cutoff_bytes":100000000},)"
+                R"("workload":{"pattern":"incast","flow_bytes":200000,)"
+                R"("fan_in":32},)"
+                R"("sim":{"queue_buffer_bytes":150000,)"
+                R"("ecn_threshold_bytes":30000,"priority_acks":false,)"
+                R"("trim_to_header":false,"dctcp":true}})");
+}
+
 // Hash coverage: every field of every spec struct must reach the canonical
 // JSON. The mutations below are written per struct member, independently
 // of the field list in exp/spec.hpp; the list must carry each one into
@@ -217,11 +426,11 @@ TEST(ExperimentSpec, ClosedLoopFieldsSerializeOnlyForClosedLoop) {
 #if defined(__x86_64__) && defined(__GLIBCXX__)
 static_assert(sizeof(topo::NetworkSpec) == 64);
 static_assert(sizeof(core::PolicyConfig) == 48);
-static_assert(sizeof(WorkloadSpec) == 72);
+static_assert(sizeof(WorkloadSpec) == 104);
 static_assert(sizeof(sim::SimConfig) == 96);
 static_assert(sizeof(sim::TcpParams) == 72);
 static_assert(sizeof(control::ControllerConfig) == 40);
-static_assert(sizeof(ExperimentSpec) == 384);
+static_assert(sizeof(ExperimentSpec) == 416);
 #endif
 
 /// Counts the leaf fields the list names, nested structs included.
@@ -250,6 +459,7 @@ std::vector<Mutation> every_field_mutation() {
   traced.workload.trace = workload::Trace::kDataMining;
   ExperimentSpec ctl = small_packet_spec("ctl");
   ctl.controller.mode = control::ControllerMode::kCentralized;
+  const ExperimentSpec hadoop = hadoop_spec("hadoop");
   return {
       {"name", pair, [](ExperimentSpec& s) { s.name = "renamed"; }},
       {"engine", pair, [](ExperimentSpec& s) { s.engine = EngineKind::kFsim; }},
@@ -312,6 +522,16 @@ std::vector<Mutation> every_field_mutation() {
        [](ExperimentSpec& s) { s.workload.trace = workload::Trace::kCache; }},
       {"workload.trace_cap_bytes", traced,
        [](ExperimentSpec& s) { s.workload.trace_cap_bytes = 8'000'000; }},
+      {"workload.fan_in", incast_spec("incast"),
+       [](ExperimentSpec& s) { s.workload.fan_in = 3; }},
+      {"workload.mappers", hadoop,
+       [](ExperimentSpec& s) { s.workload.mappers = 2; }},
+      {"workload.reducers", hadoop,
+       [](ExperimentSpec& s) { s.workload.reducers = 4; }},
+      {"workload.job_bytes", hadoop,
+       [](ExperimentSpec& s) { s.workload.job_bytes = 1'000'000; }},
+      {"workload.load", open_loop_spec("open"),
+       [](ExperimentSpec& s) { s.workload.load = 0.25; }},
       // sim::SimConfig and its TcpParams
       {"sim.queue_buffer_bytes", pair,
        [](ExperimentSpec& s) { s.sim.queue_buffer_bytes = 30'000; }},
@@ -662,6 +882,124 @@ TEST(Engine, BackToBackRoundsKeepSamplingAndControlling) {
   EXPECT_GT(t_us.back(), end_us - cadence_us);
   EXPECT_GE(static_cast<double>(t_us.size()), end_us / sample_us - 3);
   EXPECT_GE(two.metrics.at("ctl/ticks"), end_us / cadence_us - 1);
+}
+
+// The driver patterns run with every runner knob: telemetry, the
+// centralized controller and shard threads all act on them, and their
+// reports stay byte-identical at any --sim-threads value.
+TEST(Runner, DriverPatternsHonourTelemetryControllerAndSimThreads) {
+  std::vector<Cell> cells;
+  for (ExperimentSpec spec : {hadoop_spec("hadoop"), open_loop_spec("open"),
+                              incast_spec("incast")}) {
+    spec.topo.parallelism = 4;
+    spec.trials = 1;
+    spec.controller.mode = control::ControllerMode::kCentralized;
+    spec.controller.cadence = 200 * units::kMicrosecond;
+    cells.push_back({spec, {}});
+  }
+  const auto report = [&cells](int sim_threads) {
+    Runner runner(3);
+    runner.set_telemetry({.sample_every = 50 * units::kMicrosecond});
+    runner.set_sim_threads(sim_threads);
+    Report report("drivers");
+    for (CellResult& cell : runner.run(cells)) {
+      EXPECT_EQ(cell.unfinished_flows(), 0u) << cell.spec.name;
+      const TrialResult& trial = cell.trials.at(0);
+      EXPECT_FALSE(trial.samples.at("tm/t_us").empty()) << cell.spec.name;
+      EXPECT_GT(trial.metrics.at("tm/flows_started"), 0.0) << cell.spec.name;
+      EXPECT_GT(trial.metrics.at("ctl/ticks"), 0.0) << cell.spec.name;
+      report.add(std::move(cell));
+    }
+    return report.to_json(/*with_runtime=*/false);
+  };
+  const std::string inline_shards = report(1);
+  EXPECT_EQ(inline_shards, report(4));
+  EXPECT_NE(inline_shards.find("stage3_s"), std::string::npos);
+  EXPECT_NE(inline_shards.find("timeouts"), std::string::npos);
+}
+
+TEST(Engine, DriverTrialsCountTheirFlows) {
+  const auto hadoop = PacketEngine().run(hadoop_spec("hadoop"), {});
+  for (const TrialResult& trial : hadoop.trials) {
+    EXPECT_EQ(trial.flows_started, 1u);  // the job
+    EXPECT_EQ(trial.flows_finished, 1u);
+    EXPECT_TRUE(trial.fct_us.empty());
+    for (const char* stage : {"stage1_s", "stage2_s", "stage3_s"}) {
+      EXPECT_EQ(trial.samples.at(stage).size(), 3u) << stage;  // workers
+    }
+    // Read, shuffle and write each move the whole job.
+    EXPECT_DOUBLE_EQ(trial.delivered_bytes, 3 * 900'000.0);
+  }
+  for (const TrialResult& trial :
+       PacketEngine().run(open_loop_spec("open"), {}).trials) {
+    EXPECT_EQ(trial.flows_started, 60u);
+    EXPECT_EQ(trial.flows_finished, 60u);
+    EXPECT_DOUBLE_EQ(trial.delivered_bytes, 60 * 20'000.0);
+  }
+  for (const TrialResult& trial :
+       PacketEngine().run(incast_spec("incast"), {}).trials) {
+    EXPECT_EQ(trial.flows_started, 5u);
+    EXPECT_EQ(trial.fct_us.size(), 5u);
+    EXPECT_EQ(trial.metrics.count("timeouts"), 1u);
+    EXPECT_DOUBLE_EQ(trial.delivered_bytes, 5 * 50'000.0);
+  }
+}
+
+// Checkpoint keys are spec hashes: two runs on one journal that differ
+// only in a driver's workload field must not share results.
+TEST(Runner, CheckpointKeysCoverDriverWorkloadFields) {
+  const std::string journal =
+      std::string(::testing::TempDir()) + "exp_test_driver_journal";
+  std::remove(journal.c_str());
+  Runner runner(2);
+  runner.set_checkpoint(journal);
+  auto few = open_loop_spec("open");
+  few.trials = 1;
+  few.workload.rounds = 20;
+  auto many = few;
+  many.workload.rounds = 40;
+  auto narrow = incast_spec("incast");
+  narrow.trials = 1;
+  auto wide = narrow;
+  wide.workload.fan_in = 7;
+  const auto first = runner.run({{few, {}}, {narrow, {}}});
+  const auto second = runner.run({{many, {}}, {wide, {}}});
+  EXPECT_EQ(first[0].trials.at(0).flows_started, 20u);
+  EXPECT_EQ(second[0].trials.at(0).flows_started, 40u);
+  EXPECT_EQ(first[1].trials.at(0).flows_started, 5u);
+  EXPECT_EQ(second[1].trials.at(0).flows_started, 7u);
+  std::remove(journal.c_str());
+}
+
+// The fluid engine restarts its clock per back-to-back round, so no
+// sample grid spans them: the Runner rejects the knob before any trial
+// runs instead of writing a report without the telemetry it asked for.
+TEST(Runner, RejectsFluidTelemetryAcrossBackToBackRounds) {
+  auto spec = small_packet_spec("fluid-rounds");
+  spec.engine = EngineKind::kFsim;
+  spec.workload.rounds = 3;
+  Runner runner(1);
+  runner.set_telemetry({.sample_every = 10 * units::kMicrosecond});
+  try {
+    (void)runner.run_cell({spec, {}});
+    ADD_FAILURE() << "telemetry across back-to-back rounds was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'fluid-rounds'"),
+              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("back-to-back"), std::string::npos);
+  }
+  EngineContext ctx;
+  ctx.telemetry.trace = true;
+  EXPECT_THROW((void)FluidEngine().run(spec, ctx), std::invalid_argument);
+
+  // One round, or overlapping rounds, share one simulator and record it.
+  spec.workload.rounds = 1;
+  EXPECT_FALSE(
+      runner.run_cell({spec, {}}).trials.at(0).samples.at("tm/t_us").empty());
+  spec.workload.rounds = 2;
+  spec.workload.round_gap = units::kMillisecond;
+  EXPECT_FALSE(
+      runner.run_cell({spec, {}}).trials.at(0).samples.at("tm/t_us").empty());
 }
 
 // ------------------------------------------------- unfinished accounting

@@ -277,10 +277,11 @@ TEST(RequestDecoder, RequiresName) {
 // ------------------------------------------- the wire round-trip property
 
 /// A random spec over every field of the list: every pattern (the closed
-/// loop with and without a trace), every engine a client may name, every
-/// controller mode, non-default transport and latency fields, non-integral
-/// rates, integers over the range their codec accepts and times over the
-/// whole range the decoder accepts, small ones included.
+/// loop with and without a trace) with the fields it writes, every engine
+/// a client may name, every controller mode, non-default transport and
+/// latency fields, non-integral rates, integers over the range their codec
+/// accepts and times over the whole range the decoder accepts, small ones
+/// included.
 exp::ExperimentSpec random_spec(std::mt19937_64& rng) {
   const auto pick = [&](std::uint64_t n) { return rng() % n; };
   const auto coin = [&] { return (rng() & 1) != 0; };
@@ -335,21 +336,32 @@ exp::ExperimentSpec random_spec(std::mt19937_64& rng) {
     s.policy.allowed_planes.push_back(any_int());
   }
 
+  using Pattern = exp::WorkloadSpec::Pattern;
   exp::WorkloadSpec& w = s.workload;
-  w.pattern = static_cast<exp::WorkloadSpec::Pattern>(pick(4));
+  w.pattern = static_cast<Pattern>(pick(7));
   w.flow_bytes = any_u64();
   w.rounds = any_int();
-  if (w.pattern == exp::WorkloadSpec::Pattern::kClosedLoop) {
+  if (w.host_pairs()) {
+    w.start_jitter = any_time();
+    w.round_gap = coin() ? any_time() : 0;
+  }
+  if (w.pattern == Pattern::kClosedLoop || w.pattern == Pattern::kHadoop) {
     w.concurrent = any_int();
+  }
+  if (w.pattern == Pattern::kClosedLoop) {
     w.response_bytes = coin() ? any_u64() : 0;
     if (coin()) {
       w.trace = static_cast<workload::Trace>(pick(5));
       w.trace_cap_bytes = coin() ? any_u64() : 0;
     }
-  } else {
-    w.start_jitter = any_time();
-    w.round_gap = coin() ? any_time() : 0;
   }
+  if (w.pattern == Pattern::kOpenLoop) w.load = any_double();
+  if (w.pattern == Pattern::kHadoop) {
+    w.mappers = any_int();
+    w.reducers = any_int();
+    w.job_bytes = any_u64();
+  }
+  if (w.pattern == Pattern::kIncast) w.fan_in = any_int();
 
   s.sim.queue_buffer_bytes = any_u64();
   s.sim.ecn_threshold_bytes = any_u64();
@@ -856,6 +868,39 @@ TEST(Service, ServesClosedLoopSpecsAsTheRunnerRunsThem) {
   EXPECT_EQ(service.handle_line(echoed_spec(body)), body);
   EXPECT_EQ(stat_of(service, {"cache", "hits"}), hits + 1);
   EXPECT_EQ(counter_of(service, "engine_runs"), 1u);
+}
+
+TEST(Service, ServesHadoopSpecsAsTheRunnerRunsThem) {
+  exp::ExperimentSpec spec;
+  spec.name = "hadoop";
+  spec.topo.type = topo::NetworkType::kParallelHomogeneous;
+  spec.topo.hosts = 16;
+  spec.topo.parallelism = 2;
+  spec.policy.policy = core::RoutingPolicy::kShortestPlane;
+  spec.workload.pattern = exp::WorkloadSpec::Pattern::kHadoop;
+  spec.workload.flow_bytes = 100'000;
+  spec.workload.concurrent = 2;
+  spec.workload.mappers = 4;
+  spec.workload.reducers = 4;
+  spec.workload.job_bytes = 1'600'000;
+  ASSERT_EQ(spec.validate(), "");
+
+  ServiceOptions options;  // the real engines
+  options.workers = 1;
+  Service service(options);
+  const std::string body = service.handle_line(spec.canonical_json());
+  const exp::CellResult cell = exp::Runner(1).run_cell({spec, {}});
+  EXPECT_EQ(body, make_ok_body(spec.hash(), spec.canonical_json(), cell));
+  EXPECT_EQ(cell.unfinished_flows(), 0u);
+  EXPECT_NE(body.find(R"("flows_finished":1,)"), std::string::npos) << body;
+
+  // A worker's blocks and shuffle buckets are its flows: 4 read blocks,
+  // 4 buckets and 4 write blocks, over a cap of 8.
+  ServiceOptions capped = stub_options();
+  capped.max_rounds = 8;
+  const std::string over = Service(capped).handle_line(spec.canonical_json());
+  EXPECT_NE(over.find(R"("kind":"invalid_spec")"), std::string::npos);
+  EXPECT_NE(over.find("12 flows per host"), std::string::npos) << over;
 }
 
 TEST(Service, ServesControllerSpecs) {

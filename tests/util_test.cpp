@@ -254,6 +254,26 @@ TEST(FlagsUsageDeathTest, DuplicateFlagAbortsNamingTheFlag) {
               testing::ExitedWithCode(2), "duplicate flag --verbose");
 }
 
+TEST(FlagsUsageDeathTest, NumbersMustParseWhole) {
+  // std::stoi would run "16abc" as 16 and throw on "abc"; the getters
+  // name the flag and exit 2 instead.
+  const auto flags =
+      make_flags({"prog", "--hosts=16abc", "--seed=abc", "--big=3000000000",
+                  "--rate=nan", "--gap=1e3"});
+  EXPECT_EXIT((void)flags.get_int("hosts", 0), testing::ExitedWithCode(2),
+              "--hosts=16abc is not an integer");
+  EXPECT_EXIT((void)flags.get_i64("seed", 0), testing::ExitedWithCode(2),
+              "--seed=abc is not an integer");
+  EXPECT_EXIT((void)flags.get_int("big", 0), testing::ExitedWithCode(2),
+              "--big=3000000000 is not in range");
+  EXPECT_EQ(flags.get_i64("big", 0), 3'000'000'000);
+  EXPECT_EXIT((void)flags.get_double("rate", 0.0), testing::ExitedWithCode(2),
+              "--rate=nan is not a finite number");
+  EXPECT_DOUBLE_EQ(flags.get_double("gap", 0.0), 1000.0);
+  EXPECT_EXIT((void)flags.get_int("gap", 0), testing::ExitedWithCode(2),
+              "--gap=1e3 is not an integer");
+}
+
 TEST(Flags, PaperScaleFlag) {
   EXPECT_TRUE(make_flags({"prog", "--scale=paper"}).paper_scale());
   EXPECT_FALSE(make_flags({"prog"}).paper_scale());
