@@ -6,18 +6,19 @@
 // P-Nets. Mid-run, plane 0 (the only plane, for serial) dies and comes
 // back; later a handful of cables run at a packet loss rate for a while.
 // End hosts detect the plane outage after a link-status propagation delay
-// and repath live flows onto surviving planes — so the P-Nets dip by
-// roughly 1/N and close the gap within the detection delay, while the
-// serial network collapses to zero for the whole outage. A detection-delay
-// sweep at the end shows time-to-recover tracking the delay.
+// (--controller-detect-delay) and repath live flows onto surviving planes
+// — so the P-Nets dip by roughly 1/N and close the gap within the
+// detection delay, while the serial network collapses to zero for the
+// whole outage. A detection-delay sweep at the end shows time-to-recover
+// tracking the delay.
 //
-// Seven custom-engine cells (3 timeline networks + 4 sweep delays), fanned
-// out by exp::Runner. The goodput timeline comes from the harness's
-// telemetry::Sampler ("goodput_bps" series, exported in the report's
-// telemetry block); the recovery report becomes cell metrics. The
-// bulk flows intentionally outlive the horizon (the timeline measures the
-// fabric, not flow arrivals), so the cells report no started/finished
-// flow counts.
+// Seven host-local packet specs (3 timeline networks + 4 sweep delays)
+// with the flap and the lossy cables in ExperimentSpec::faults. The
+// goodput timeline is the sampler's "goodput_bps" series (2 ms grid by
+// default), exported in the report's telemetry block; the engine turns the
+// episode into cell metrics. The bulk flows intentionally outlive the
+// deadline (the timeline measures the fabric, not flow arrivals), so every
+// flow is reported unfinished.
 //
 // With --inject-trial-faults the bench doubles as the resilience layer's
 // end-to-end exercise: three extra cells host a trial that throws once
@@ -27,138 +28,17 @@
 // entries next to the healthy timeline cells.
 //
 // Usage: bench_fault_recovery [--hosts=16] [--seed=1] [--fail-rate=0.05]
-//                             [--flap-period=20] [--detect-delay=1]
-//                             [--inject-trial-faults]
+//                             [--flap-period=20] [--inject-trial-faults]
 // Run with --help for flag semantics.
 #include <atomic>
 #include <chrono>
 #include <memory>
 
-#include "analysis/recovery.hpp"
 #include "common.hpp"
-#include "control/link_state_bus.hpp"
-#include "core/health_monitor.hpp"
-#include "sim/faults.hpp"
 
 using namespace pnet;
 
 namespace {
-
-struct Scenario {
-  int hosts = 16;
-  bool paper_scale = false;
-  double fail_rate = 0.05;
-  SimTime flap_down = 20 * units::kMillisecond;
-  SimTime detect_delay = units::kMillisecond;
-
-  SimTime horizon = 100 * units::kMillisecond;
-  SimTime bucket = 2 * units::kMillisecond;
-  SimTime flap_at = 40 * units::kMillisecond;
-  SimTime lossy_at = 70 * units::kMillisecond;
-  SimTime lossy_duration = 15 * units::kMillisecond;
-  int lossy_cables = 3;
-};
-
-exp::TrialResult run_network(topo::NetworkType type, const Scenario& sc,
-                             SimTime detect_delay,
-                             const exp::TrialContext& ctx) {
-  auto spec = bench::make_spec(topo::TopoKind::kJellyfish, type, sc.hosts, 4,
-                               ctx.seed);
-  if (!sc.paper_scale) {
-    // Pin a small non-complete Jellyfish (5-regular on 8 switches). The
-    // default shape derivation clamps small runs to an 11-switch 10-regular
-    // graph — the complete graph, where every seed wires identically and
-    // heterogeneous planes degenerate to homogeneous ones.
-    spec.jf_switches = 8;
-    spec.jf_degree = 5;
-    spec.jf_hosts_per_switch = 2;
-  }
-  core::PolicyConfig policy;
-  policy.policy = core::RoutingPolicy::kRoundRobin;
-
-  // This bench's figure IS a telemetry series: the sampler always runs,
-  // on the --sample-every grid when given, else on the scenario's bucket
-  // width (the grid the old GoodputProbe used).
-  telemetry::Config tcfg = ctx.telemetry;
-  if (tcfg.sample_every <= 0) tcfg.sample_every = sc.bucket;
-  const auto tel = std::make_shared<telemetry::Telemetry>(tcfg);
-
-  core::SimHarness h({.spec = spec,
-                      .policy = policy,
-                      .telemetry = tel.get(),
-                      .sample_route_cache = true,
-                      .sim_threads = ctx.sim_threads});
-
-  core::HealthMonitor monitor(h.events(), {.detect_delay = detect_delay});
-  monitor.add_selector(h.selector());
-  monitor.set_factory(h.factory());
-  monitor.set_trace(&tel->trace);
-  h.selector().enable_repath(h.factory());
-  sim::FaultInjector injector(h.events(), h.network());
-  // Fabric events fan out through the LinkStateBus (DESIGN.md §5j), the
-  // one observer API shared with route caches and the adaptive controller.
-  control::LinkStateBus bus;
-  bus.subscribe_health_monitor(monitor);
-  bus.attach(injector);
-
-  sim::FaultPlan plan;
-  plan.flap_plane(sc.flap_at, sc.flap_down, 0);
-  plan.merge(sim::FaultPlan::random_degraded_links(
-      h.net(), sc.lossy_cables, sc.lossy_at, sc.lossy_duration, sc.fail_rate,
-      1.0, mix64(ctx.seed + 17)));
-  injector.arm(plan);
-
-  // Long bulk flows (one per permutation pair) that outlive the horizon,
-  // so the timeline measures the fabric, not flow arrivals/departures.
-  Rng rng(mix64(ctx.seed + 7));
-  for (const auto& [src, dst] :
-       workload::permutation_pairs(h.net().num_hosts(), rng)) {
-    h.starter()(src, dst, 100 * units::kGB, 0, {});
-  }
-  h.run_until(sc.horizon);
-
-  exp::TrialResult r;
-  // The goodput timeline comes straight off the harness sampler (the
-  // "goodput_bps" rate series over delivered bytes); repackage its grid as
-  // GoodputProbe samples for the episode analysis.
-  const std::vector<double>* goodput = tel->sampler.find("goodput_bps");
-  std::vector<analysis::GoodputProbe::Sample> samples;
-  if (goodput != nullptr) {
-    for (std::size_t i = 0; i < tel->sampler.times().size(); ++i) {
-      samples.push_back({tel->sampler.times()[i], (*goodput)[i]});
-    }
-  }
-  const auto episodes =
-      analysis::plane_episodes(injector.applied(), monitor.detections());
-  // Judge the episode against steady-state buckets only: the slow-start
-  // ramp right after t=0 would otherwise drag the baseline down and make
-  // any dip look "recovered" immediately.
-  std::vector<analysis::GoodputProbe::Sample> steady;
-  for (const auto& s : samples) {
-    if (s.t_end > sc.flap_at / 2) steady.push_back(s);
-  }
-  const auto flap = analysis::analyze_episode(steady, episodes.front(),
-                                              /*recovered_fraction=*/0.8);
-  r.metrics["baseline_gbps"] = flap.baseline_goodput_bps / units::kGbps;
-  r.metrics["dip_gbps"] = flap.dip_goodput_bps / units::kGbps;
-  r.metrics["detect_ms"] = units::to_milliseconds(flap.time_to_detect);
-  r.metrics["recover_ms"] = units::to_milliseconds(flap.time_to_recover);
-  r.metrics["packets_lost"] = static_cast<double>(flap.packets_lost);
-  int repaths = 0;
-  int timeouts = 0;
-  for (const auto* src : h.factory().incomplete_tcp_flows()) {
-    repaths += src->repaths();
-    timeouts += src->timeouts();
-  }
-  r.metrics["repaths"] = static_cast<double>(repaths);
-  r.metrics["timeouts"] = static_cast<double>(timeouts);
-  r.delivered_bytes =
-      static_cast<double>(h.factory().total_delivered_bytes());
-  r.sim_seconds = units::to_seconds(h.events().now());
-  r.events = h.dispatched();  // control queue + all shards
-  exp::fold_telemetry(tel, r);
-  return r;
-}
 
 /// The --inject-trial-faults cells: one flaky trial healed by --retries,
 /// one deterministic failure, one hang caught by --trial-timeout. Error
@@ -224,32 +104,41 @@ int main(int argc, char** argv) {
       flags,
       "bench_fault_recovery: goodput dip-and-recover under dynamic faults\n"
       "\n"
-      "  --hosts=N         hosts in every network (default 16; 64 with\n"
-      "                    --scale=paper)\n"
+      "  --hosts=N         hosts in every network (default 16, all the\n"
+      "                    pinned 8-switch Jellyfish holds; 64 on the\n"
+      "                    derived shape with --scale=paper)\n"
       "  --seed=N          seed for the Jellyfish wiring, the permutation\n"
       "                    workload, and the lossy-cable draw (default 1)\n"
       "  --fail-rate=F     packet loss probability per degraded cable\n"
       "                    during the lossy episode, 0..1 (default 0.05)\n"
       "  --flap-period=MS  how long plane 0 stays down in the mid-run flap,\n"
       "                    milliseconds (default 20)\n"
-      "  --detect-delay=MS link-status propagation delay before hosts react\n"
-      "                    to a plane transition; 0 = instantaneous oracle\n"
-      "                    (default 1). The sweep at the end varies this.\n"
       "  --inject-trial-faults  add three fault-injection cells (a flaky\n"
       "                    trial healed by --retries, a permanent throw,\n"
       "                    and a hang caught by --trial-timeout) so the\n"
-      "                    JSON report exercises the errors block\n");
-
-  Scenario sc;
-  sc.paper_scale = flags.paper_scale();
-  sc.hosts = flags.get_int("hosts", sc.paper_scale ? 64 : 16);
-  sc.fail_rate = flags.get_double("fail-rate", 0.05);
-  sc.flap_down = static_cast<SimTime>(
-      flags.get_double("flap-period", 20.0) * units::kMillisecond);
-  sc.detect_delay = static_cast<SimTime>(
-      flags.get_double("detect-delay", 1.0) * units::kMillisecond);
+      "                    JSON report exercises the errors block\n"
+      "\n"
+      "--controller-detect-delay is the link-status propagation delay of the\n"
+      "timeline cells (0 = instantaneous oracle); the sweep pins its own.\n"
+      "--controller itself exits 2 (every cell is host-local).\n");
+  bench::reject_controller_flag(flags);
+  const bool paper_scale = flags.paper_scale();
+  const int hosts = flags.get_int("hosts", paper_scale ? 64 : 16);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.get_i64("seed", 1));
+  control::ControllerConfig host_local = bench::parse_controller(flags);
+  host_local.mode = control::ControllerMode::kHostLocal;
+  exp::FaultSpec faults;
+  faults.outage = exp::FaultSpec::Outage{
+      .plane = 0,
+      .at = 40 * units::kMillisecond,
+      .down_for = static_cast<SimTime>(flags.get_double("flap-period", 20.0) *
+                                       units::kMillisecond)};
+  faults.lossy = exp::FaultSpec::LossyCables{
+      .cables = 3,
+      .at = 70 * units::kMillisecond,
+      .duration = 15 * units::kMillisecond,
+      .loss = flags.get_double("fail-rate", 0.05)};
 
   const topo::NetworkType types[] = {
       topo::NetworkType::kSerialLow,
@@ -259,40 +148,51 @@ int main(int argc, char** argv) {
   const char* names[] = {"serial-low", "par-hom", "par-het"};
   const double sweep_delays_ms[] = {0.0, 1.0, 5.0, 20.0};
 
-  bench::Experiment experiment(flags, "fault_recovery");
-  for (std::size_t i = 0; i < std::size(types); ++i) {
+  bench::Experiment experiment(flags, "fault_recovery",
+                               /*sample_every_ms=*/2.0);
+  const auto add_cell = [&](std::string name, topo::NetworkType type,
+                            SimTime detect_delay) {
     exp::ExperimentSpec spec;
-    spec.name = std::string("timeline/") + names[i];
-    spec.engine = exp::EngineKind::kCustom;
+    spec.name = std::move(name);
+    spec.topo = paper_scale
+                    ? bench::make_spec(topo::TopoKind::kJellyfish, type,
+                                       hosts, 4, util::job_seed(seed, 0))
+                    : bench::pinned_jellyfish(type, hosts, seed);
+    spec.policy.policy = core::RoutingPolicy::kRoundRobin;
+    // Long bulk flows (one per permutation pair) that outlive the deadline,
+    // so the timeline measures the fabric, not flow arrivals/departures.
+    spec.workload.flow_bytes = 100 * units::kGB;
+    spec.workload.start_jitter = 0;
     spec.seed = seed;
-    const auto type = types[i];
-    experiment.add(std::move(spec), [=](const exp::TrialContext& ctx) {
-      return run_network(type, sc, sc.detect_delay, ctx);
-    });
+    spec.trials = experiment.trials(1);
+    spec.deadline = 100 * units::kMillisecond;
+    spec.controller = host_local;
+    spec.controller.detect_delay = detect_delay;
+    spec.faults = faults;
+    experiment.add(std::move(spec));
+  };
+  for (std::size_t i = 0; i < std::size(types); ++i) {
+    add_cell(std::string("timeline/") + names[i], types[i],
+             host_local.detect_delay);
   }
   for (const double delay_ms : sweep_delays_ms) {
-    exp::ExperimentSpec spec;
-    spec.name = "sweep/detect=" + format_double(delay_ms, 1) + "ms";
-    spec.engine = exp::EngineKind::kCustom;
-    spec.seed = seed;
-    experiment.add(std::move(spec), [=](const exp::TrialContext& ctx) {
-      return run_network(
-          topo::NetworkType::kParallelHomogeneous, sc,
-          static_cast<SimTime>(delay_ms * units::kMillisecond), ctx);
-    });
+    add_cell("sweep/detect=" + format_double(delay_ms, 1) + "ms",
+             topo::NetworkType::kParallelHomogeneous,
+             static_cast<SimTime>(delay_ms * units::kMillisecond));
   }
   const bool inject = flags.get_bool("inject-trial-faults", false);
   if (inject) add_injected_fault_cells(experiment, seed);
   const auto results = experiment.run();
 
+  const exp::FaultSpec::Outage& flap = *faults.outage;
+  const exp::FaultSpec::LossyCables& lossy = *faults.lossy;
   std::printf("plane 0 down %.0f-%.0f ms; %d cables at %.0f%% loss "
               "%.0f-%.0f ms; detect delay %.1f ms\n\n",
-              units::to_milliseconds(sc.flap_at),
-              units::to_milliseconds(sc.flap_at + sc.flap_down),
-              sc.lossy_cables, sc.fail_rate * 100.0,
-              units::to_milliseconds(sc.lossy_at),
-              units::to_milliseconds(sc.lossy_at + sc.lossy_duration),
-              units::to_milliseconds(sc.detect_delay));
+              units::to_milliseconds(flap.at),
+              units::to_milliseconds(flap.at + flap.down_for), lossy.cables,
+              lossy.loss * 100.0, units::to_milliseconds(lossy.at),
+              units::to_milliseconds(lossy.at + lossy.duration),
+              units::to_milliseconds(host_local.detect_delay));
 
   TextTable timeline("Goodput timeline (Gb/s per bucket)",
                      {"t (ms)", "serial-low", "par-hom", "par-het"});

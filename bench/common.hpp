@@ -71,6 +71,21 @@ inline exp::ExperimentSpec driver_spec(std::string name,
   return spec;
 }
 
+/// A small non-complete Jellyfish on trial 0's network: 5-regular on 8
+/// switches with 2 hosts each, so at most 16 hosts. The default shape
+/// derivation clamps small runs to an 11-switch 10-regular graph, the
+/// complete graph, where every seed wires identically and heterogeneous
+/// planes degenerate to homogeneous ones.
+inline topo::NetworkSpec pinned_jellyfish(topo::NetworkType type, int hosts,
+                                          std::uint64_t seed) {
+  topo::NetworkSpec spec = make_spec(topo::TopoKind::kJellyfish, type, hosts,
+                                     4, util::job_seed(seed, 0));
+  spec.jf_switches = 8;
+  spec.jf_degree = 5;
+  spec.jf_hosts_per_switch = 2;
+  return spec;
+}
+
 /// Routing schemes for the LP experiments of section 5.1.1.
 enum class LpScheme {
   /// Host hashes each flow onto one plane; inside the plane the flow may
@@ -201,6 +216,17 @@ inline control::ControllerConfig parse_controller(const Flags& flags) {
   return config;
 }
 
+/// For benches whose cells each pin their own controller mode, the point
+/// of their ablations: --controller would merge into the cells left at
+/// off, so it exits 2 naming the flag. --controller-cadence and
+/// --controller-detect-delay still act.
+inline void reject_controller_flag(const Flags& flags) {
+  if (!flags.has("controller")) return;
+  std::fprintf(stderr, "%s: --controller does not apply: every cell pins "
+               "its own control-plane mode\n", flags.program().c_str());
+  std::exit(2);
+}
+
 /// Wall-clock stopwatch for engine speedup comparisons.
 class WallClock {
  public:
@@ -226,6 +252,9 @@ class WallClock {
 /// finish() writes the structured JSON report (and the --trace export),
 /// reports trial errors, and enforces --require-complete.
 ///
+/// A bench whose figures are sampler series passes its default sample
+/// grid, `sample_every_ms`; --sample-every overrides it.
+///
 /// Typical shape:
 ///   Experiment experiment(flags, "fig9");
 ///   experiment.add(spec);                      // built-in engine cell
@@ -235,7 +264,8 @@ class WallClock {
 ///   return experiment.finish();
 class Experiment {
  public:
-  Experiment(const Flags& flags, std::string name)
+  Experiment(const Flags& flags, std::string name,
+             double sample_every_ms = 0.0)
       : program_(flags.program()),
         report_(std::move(name)),
         runner_(flags.get_int("threads", 0)),
@@ -246,7 +276,8 @@ class Experiment {
         trials_override_(flags.get_int("trials", 0)) {
     telemetry::Config cfg;
     cfg.sample_every = static_cast<SimTime>(
-        flags.get_double("sample-every", 0.0) * units::kMillisecond);
+        flags.get_double("sample-every", sample_every_ms) *
+        units::kMillisecond);
     cfg.trace = !trace_path_.empty();
     runner_.set_telemetry(cfg);
     runner_.set_trial_timeout(flags.get_double("trial-timeout", 0.0));

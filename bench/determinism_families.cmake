@@ -6,7 +6,8 @@
 # "<threads>/<sim-threads>/<route cache on|off>"; a sim-threads of "-"
 # leaves that flag at its default.
 set(determinism_families fig9_packet fig9_fsim fig9_ctl_packet fig9_ctl_fsim
-    fig11_packet fault_recovery fig12_hadoop load_open_loop dctcp_incast)
+    fig11_packet fault_recovery fig12_hadoop load_open_loop dctcp_incast
+    ablation_failover ablation_controller)
 
 set(fig9_args bench_fig9 --hosts=16 --planes=2 --maxsize=1000000 --trials=2
     --json-timing=0)
@@ -35,6 +36,12 @@ set(determinism_load_open_loop bench_ablation_load --hosts=16 --flows=100
     --trials=2 --json-timing=0 --require-complete)
 set(determinism_dctcp_incast bench_ablation_dctcp --hosts=16 --trials=2
     --json-timing=0 --require-complete)
+# Plane outages (ExperimentSpec::faults) under each controller mode: the
+# failover cells' unaware half strands flows by design, so neither family
+# runs under --require-complete.
+set(determinism_ablation_failover bench_ablation_failover --json-timing=0)
+set(determinism_ablation_controller bench_ablation_controller
+    --json-timing=0)
 
 # Every sim-threads value (default, 2, 4) meets both runner thread counts
 # and both route-cache settings.
@@ -47,3 +54,7 @@ set(determinism_rows_fault_recovery 2/-/on 2/2/on 2/4/on)
 set(determinism_rows_fig12_hadoop ${determinism_rows_fig9_packet})
 set(determinism_rows_load_open_loop ${determinism_rows_fig9_packet})
 set(determinism_rows_dctcp_incast ${determinism_rows_fig9_packet})
+set(determinism_rows_ablation_failover ${determinism_rows_fig9_packet})
+# ~17 s of CPU per run: three rows cover both thread counts, every
+# sim-threads value and both route-cache settings.
+set(determinism_rows_ablation_controller 1/-/on 4/2/off 4/4/on)

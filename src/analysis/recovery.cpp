@@ -68,9 +68,9 @@ std::vector<FaultEpisode> plane_episodes(
   return episodes;
 }
 
-RecoveryReport analyze_episode(const std::vector<GoodputProbe::Sample>& samples,
-                               const FaultEpisode& episode,
-                               double recovered_fraction) {
+RecoveryReport analyze_episode(
+    const std::vector<telemetry::Sampler::Sample>& samples,
+    const FaultEpisode& episode, double recovered_fraction) {
   RecoveryReport report;
   report.packets_lost = episode.packets_lost;
   if (episode.detected_at >= 0) {
@@ -89,17 +89,17 @@ RecoveryReport analyze_episode(const std::vector<GoodputProbe::Sample>& samples,
   bool dip_seen = false;
   for (const auto& sample : samples) {
     if (sample.t_end <= episode.fail_at) {
-      baseline_sum += sample.goodput_bps;
+      baseline_sum += sample.value;
       ++baseline_count;
     } else if (sample.t_end <= outage_end) {
-      if (!dip_seen || sample.goodput_bps < report.dip_goodput_bps) {
-        report.dip_goodput_bps = sample.goodput_bps;
+      if (!dip_seen || sample.value < report.dip_goodput_bps) {
+        report.dip_goodput_bps = sample.value;
         dip_seen = true;
       }
     } else if (!dip_seen) {
       // Outage shorter than one bucket: the first bucket straddling it is
       // the best dip estimate available at this resolution.
-      report.dip_goodput_bps = sample.goodput_bps;
+      report.dip_goodput_bps = sample.value;
       dip_seen = true;
     }
   }
@@ -111,7 +111,7 @@ RecoveryReport analyze_episode(const std::vector<GoodputProbe::Sample>& samples,
   const double bar = recovered_fraction * report.baseline_goodput_bps;
   for (const auto& sample : samples) {
     if (sample.t_end <= episode.fail_at) continue;
-    if (sample.goodput_bps >= bar) {
+    if (sample.value >= bar) {
       report.time_to_recover = sample.t_end - episode.fail_at;
       break;
     }

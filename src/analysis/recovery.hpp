@@ -17,20 +17,19 @@
 #include <vector>
 
 #include "sim/faults.hpp"
+#include "telemetry/sampler.hpp"
 
 namespace pnet::analysis {
 
 /// Samples a cumulative delivered-bytes counter on a fixed grid and turns
-/// the deltas into a goodput-vs-time series. Point it at
-/// sim::FlowFactory::total_delivered_bytes (or any monotone counter).
+/// the deltas into a goodput-vs-time series, in the sampler's bucket type:
+/// `value` is the goodput in bits/s over (t_end - bucket_width, t_end].
+/// Point it at sim::FlowFactory::total_delivered_bytes (or any monotone
+/// counter). The harness's telemetry::Sampler records the same series
+/// ("goodput_bps"); this probe stays as the reference the tests compare it
+/// against.
 class GoodputProbe : public sim::EventSource {
  public:
-  struct Sample {
-    /// Bucket end time; the bucket covers [t_end - width, t_end).
-    SimTime t_end = 0;
-    double goodput_bps = 0.0;
-  };
-
   GoodputProbe(sim::EventQueue& events,
                std::function<std::uint64_t()> delivered_bytes,
                SimTime bucket_width, SimTime until)
@@ -42,7 +41,8 @@ class GoodputProbe : public sim::EventSource {
 
   void do_next_event() override;
 
-  [[nodiscard]] const std::vector<Sample>& samples() const {
+  [[nodiscard]] const std::vector<telemetry::Sampler::Sample>& samples()
+      const {
     return samples_;
   }
   [[nodiscard]] SimTime bucket_width() const { return bucket_width_; }
@@ -53,7 +53,7 @@ class GoodputProbe : public sim::EventSource {
   SimTime bucket_width_;
   SimTime until_;
   std::uint64_t last_bytes_ = 0;
-  std::vector<Sample> samples_;
+  std::vector<telemetry::Sampler::Sample> samples_;
 };
 
 /// One fault episode on the fabric timeline, in injection time.
@@ -91,8 +91,10 @@ struct RecoveryReport {
   std::uint64_t packets_lost = 0;
 };
 
-RecoveryReport analyze_episode(const std::vector<GoodputProbe::Sample>& samples,
-                               const FaultEpisode& episode,
-                               double recovered_fraction = 0.9);
+/// `samples` is a goodput series in bits/s, as telemetry::Sampler::read
+/// hands out the "goodput_bps" buckets.
+RecoveryReport analyze_episode(
+    const std::vector<telemetry::Sampler::Sample>& samples,
+    const FaultEpisode& episode, double recovered_fraction = 0.9);
 
 }  // namespace pnet::analysis

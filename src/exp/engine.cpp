@@ -3,13 +3,18 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "analysis/recovery.hpp"
 #include "control/controller.hpp"
 #include "control/dataplanes.hpp"
+#include "control/link_state_bus.hpp"
 #include "core/harness.hpp"
+#include "core/health_monitor.hpp"
+#include "sim/faults.hpp"
 #include "util/parallel.hpp"
 #include "workload/apps.hpp"
 #include "workload/open_loop.hpp"
@@ -159,6 +164,94 @@ Driver make_driver(const ExperimentSpec& spec, std::uint64_t trial_seed,
   }
 }
 
+/// max/min of the bytes each plane carried: 1 is an even fabric; 0 when a
+/// plane carried none.
+double plane_imbalance(const std::vector<double>& plane_bytes) {
+  const auto [lo, hi] =
+      std::minmax_element(plane_bytes.begin(), plane_bytes.end());
+  return *lo > 0.0 ? *hi / *lo : 0.0;
+}
+
+/// The spec's faults on the packet engine: one FaultPlan on an injector
+/// that publishes to a LinkStateBus. Unless the controller is off, the
+/// hosts' HealthMonitor subscribes first and reacts after
+/// `controller.detect_delay`; a centralized Controller observes the same
+/// bus after it.
+struct PacketFaults {
+  PacketFaults(const ExperimentSpec& spec, std::uint64_t trial_seed,
+               core::SimHarness& harness, telemetry::Telemetry* telemetry)
+      : injector(harness.events(), harness.network()),
+        monitor(harness.events(),
+                {.detect_delay = spec.controller.detect_delay}) {
+    if (spec.controller.active()) {
+      monitor.add_selector(harness.selector());
+      monitor.set_factory(harness.factory());
+      if (telemetry != nullptr) monitor.set_trace(&telemetry->trace);
+      bus.subscribe_health_monitor(monitor);
+    }
+    bus.attach(injector);
+    sim::FaultPlan plan;
+    if (const auto& outage = spec.faults.outage; outage.has_value()) {
+      if (outage->down_for > 0) {
+        plan.flap_plane(outage->at, outage->down_for, outage->plane);
+      } else {
+        plan.fail_plane(outage->at, outage->plane);
+      }
+    }
+    if (const auto& lossy = spec.faults.lossy; lossy.has_value()) {
+      plan.merge(sim::FaultPlan::random_degraded_links(
+          harness.net(), lossy->cables, lossy->at, lossy->duration,
+          lossy->loss, 1.0, mix64(trial_seed + 17)));
+    }
+    injector.arm(plan);
+  }
+
+  /// The fault counts, read after finalize so stranded flows' RTOs count,
+  /// and the outage episode: time to detect, packets lost and, when the
+  /// sampler runs, the goodput dip and time to recover to 0.8 of the
+  /// baseline.
+  void read(const ExperimentSpec& spec, core::SimHarness& harness,
+            const telemetry::Telemetry* telemetry, TrialResult& r) const {
+    int repaths = 0;
+    for (const sim::FlowRecord& record : harness.logger().records()) {
+      repaths += record.repaths;
+    }
+    r.metrics["repaths"] = static_cast<double>(repaths);
+    r.metrics["timeouts"] =
+        static_cast<double>(harness.logger().total_timeouts());
+    if (!spec.faults.outage.has_value()) return;
+    const auto episodes =
+        analysis::plane_episodes(injector.applied(), monitor.detections());
+    if (episodes.empty()) return;  // the deadline came first
+    const analysis::FaultEpisode& episode = episodes.front();
+    // Steady-state buckets only: the slow-start ramp after t = 0 would
+    // drag the baseline down and make any dip look recovered at once.
+    std::vector<telemetry::Sampler::Sample> steady;
+    if (telemetry != nullptr) {
+      const telemetry::Sampler& sampler = telemetry->sampler;
+      sampler.read("goodput_bps", episode.fail_at / 2, sampler.times().size(),
+                   [&steady](const telemetry::Sampler::Sample& s) {
+                     steady.push_back(s);
+                   });
+    }
+    const analysis::RecoveryReport report =
+        analysis::analyze_episode(steady, episode, 0.8);
+    const auto ms_or_never = [](SimTime t) {
+      return t < 0 ? -1.0 : units::to_milliseconds(t);
+    };
+    r.metrics["detect_ms"] = ms_or_never(report.time_to_detect);
+    r.metrics["packets_lost"] = static_cast<double>(report.packets_lost);
+    if (steady.empty()) return;
+    r.metrics["baseline_gbps"] = report.baseline_goodput_bps / units::kGbps;
+    r.metrics["dip_gbps"] = report.dip_goodput_bps / units::kGbps;
+    r.metrics["recover_ms"] = ms_or_never(report.time_to_recover);
+  }
+
+  sim::FaultInjector injector;
+  core::HealthMonitor monitor;
+  control::LinkStateBus bus;
+};
+
 }  // namespace
 
 void throw_if_cancelled(const util::CancelToken& cancel) {
@@ -224,10 +317,15 @@ TrialResult PacketEngine::run_trial(const TrialContext& ctx) {
   if (spec.controller.active()) {
     harness.selector().enable_repath(harness.factory());
   }
+  std::optional<PacketFaults> faults;
+  if (spec.faults.any()) {
+    faults.emplace(spec, ctx.seed, harness, telemetry.get());
+  }
   if (spec.controller.centralized()) {
     dataplane = std::make_unique<control::PacketDataplane>(harness);
     controller =
         std::make_unique<control::Controller>(spec.controller, *dataplane);
+    if (faults.has_value()) controller->observe(faults->bus);
     control_driver = std::make_unique<control::ControlDriver>(
         harness, *controller, spec.controller.cadence);
     control_driver->start(harness.events().now());
@@ -280,6 +378,15 @@ TrialResult PacketEngine::run_trial(const TrialContext& ctx) {
   throw_if_cancelled(ctx.cancel);
   if (ctx.audit) audit.check();  // raises InvariantViolation on breaches
   if (driver.read) driver.read(r);
+  if (faults.has_value()) faults->read(spec, harness, telemetry.get(), r);
+  if (spec.controller.active()) {
+    std::vector<double> plane_bytes;
+    for (int p = 0; p < harness.net().num_planes(); ++p) {
+      plane_bytes.push_back(
+          static_cast<double>(harness.network().plane_forwarded_bytes(p)));
+    }
+    r.metrics["plane_imbalance"] = plane_imbalance(plane_bytes);
+  }
   r.delivered_bytes =
       static_cast<double>(harness.factory().total_delivered_bytes());
   r.sim_seconds = units::to_seconds(harness.events().now());
@@ -308,28 +415,51 @@ TrialResult FluidEngine::run_trial(const TrialContext& ctx) {
   const util::CancelToken* cancel =
       ctx.cancel.is_armed() ? &ctx.cancel : nullptr;
 
-  auto finish = [&r](fsim::FluidSimulator& fluid) {
+  // Controller-active cells: the bytes each plane carried, summed over
+  // every simulator of the trial.
+  std::vector<double> plane_bytes(
+      spec.controller.active() ? static_cast<std::size_t>(net.num_planes())
+                               : 0);
+  auto finish = [&r, &plane_bytes](fsim::FluidSimulator& fluid) {
     for (double fct : fluid.fct_us()) r.fct_us.push_back(fct);
     r.flows_finished += fluid.results().size();
     r.delivered_bytes += fluid.delivered_bytes();
     r.sim_seconds += units::to_seconds(fluid.now());
     r.events += fluid.events();
+    for (std::size_t p = 0; p < plane_bytes.size(); ++p) {
+      plane_bytes[p] += fluid.plane_delivered_bytes(static_cast<int>(p));
+    }
   };
 
   // Control plane (DESIGN.md §5j): the fluid engine calls Controller::tick
   // from inside its event loop via set_control, so control decisions are
-  // ordinary simulation events here too. The hooks must outlive run();
-  // callers keep the returned pair alive alongside the simulator.
+  // ordinary simulation events here too. The spec's plane outage zeroes
+  // the plane's capacity; only a centralized Controller learns of it, off
+  // a LinkStateBus on the simulator (there is no transport to repath).
+  // The hooks must outlive run(); callers keep them alive alongside the
+  // simulator.
   struct ControlHooks {
+    std::unique_ptr<control::LinkStateBus> bus;
     std::unique_ptr<control::FluidDataplane> dataplane;
     std::unique_ptr<control::Controller> controller;
   };
   auto attach_control = [&spec](fsim::FluidSimulator& fluid) {
     ControlHooks hooks;
+    const std::optional<FaultSpec::Outage>& outage = spec.faults.outage;
+    if (outage.has_value()) {
+      fluid.fail_plane(outage->at, outage->at + outage->down_for,
+                       outage->plane);
+    }
+    if (spec.controller.active()) fluid.enable_plane_accounting();
     if (!spec.controller.centralized()) return hooks;
     hooks.dataplane = std::make_unique<control::FluidDataplane>(fluid);
     hooks.controller = std::make_unique<control::Controller>(
         spec.controller, *hooks.dataplane);
+    if (outage.has_value()) {
+      hooks.bus = std::make_unique<control::LinkStateBus>();
+      hooks.bus->attach(fluid);
+      hooks.controller->observe(*hooks.bus);
+    }
     control::Controller* ctl = hooks.controller.get();
     ctl->start(fluid.now());
     fluid.set_control(spec.controller.cadence,
@@ -370,6 +500,9 @@ TrialResult FluidEngine::run_trial(const TrialContext& ctx) {
     }
     finish(fluid);
     fold_controller(hooks.controller.get(), r);
+  }
+  if (!plane_bytes.empty()) {
+    r.metrics["plane_imbalance"] = plane_imbalance(plane_bytes);
   }
   fold_telemetry(telemetry, r);
   throw_if_cancelled(ctx.cancel);

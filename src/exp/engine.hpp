@@ -34,7 +34,8 @@ namespace pnet::exp {
 /// computation is done once and reused across trials and worker threads
 /// (entries are pure functions of (net, query) — results stay bit-identical
 /// to private caching; see routing::RouteCache). Custom trial functions
-/// that mutate link fault state must build a private cache instead.
+/// that invalidate route-cache entries (cable failures) must build a
+/// private cache instead.
 struct TrialContext {
   const ExperimentSpec& spec;
   int trial;

@@ -89,9 +89,10 @@ std::vector<CellResult> Runner::run_trials(
   // One route cache per cell, shared by all its trials (and worker
   // threads): trials of a cell build identical topologies, so path
   // computation runs once per distinct query. Safe because the built-in
-  // trial bodies never mutate link fault state, and cached content is a
-  // pure function of (net, query) — results stay bit-identical for any
-  // --threads value.
+  // trial bodies never invalidate a route-cache entry (a spec's faults are
+  // plane outages and degraded cables: ExperimentSpec::faults), and cached
+  // content is a pure function of (net, query) — results stay
+  // bit-identical for any --threads value.
   std::vector<std::shared_ptr<routing::RouteCache>> caches;
   caches.reserve(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {

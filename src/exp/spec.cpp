@@ -1,5 +1,6 @@
 #include "exp/spec.hpp"
 
+#include <limits>
 #include <utility>
 
 namespace pnet::exp {
@@ -126,6 +127,44 @@ std::string validate_workload(const ExperimentSpec& spec) {
   return "";
 }
 
+/// validate()'s fault rules: the message of the first one broken.
+std::string validate_faults(const ExperimentSpec& spec) {
+  const std::optional<FaultSpec::Outage>& outage = spec.faults.outage;
+  const std::optional<FaultSpec::LossyCables>& lossy = spec.faults.lossy;
+  // Each episode ends at `at` plus its length, which must stay a SimTime.
+  const auto ends_in_range = [](SimTime at, SimTime length) {
+    return at >= 0 && length >= 0 &&
+           length <= std::numeric_limits<SimTime>::max() - at;
+  };
+  const std::pair<bool, const char*> rules[] = {
+      {outage && (outage->plane < 0 ||
+                  outage->plane >= topo::num_planes(spec.topo)),
+       "spec.faults.outage.plane must be in [0, planes of topo)"},
+      {outage && !ends_in_range(outage->at, outage->down_for),
+       "spec.faults.outage: at and for must be >= 0 and end in range"},
+      // TCP backoff is capped, so flows stranded on a plane that never
+      // recovers retry forever and an unbounded run never drains.
+      {outage && outage->down_for == 0 && spec.deadline == 0,
+       "spec.faults.outage with for = 0 (never recovers) needs a deadline"},
+      {lossy && (lossy->cables < 0 ||
+                 !ends_in_range(lossy->at, lossy->duration)),
+       "spec.faults.lossy: cables, at and for must be >= 0 and end in "
+       "range"},
+      {lossy && !(lossy->loss >= 0.0 && lossy->loss <= 1.0),
+       "spec.faults.lossy.loss must be in [0, 1]"},
+      {lossy && spec.engine != EngineKind::kPacket,
+       "spec.faults.lossy needs engine=packet (the fluid model has no loss)"},
+      // Each back-to-back fluid round restarts the clock.
+      {spec.faults.any() && spec.engine == EngineKind::kFsim &&
+           spec.workload.rounds > 1 && spec.workload.round_gap == 0,
+       "spec.faults on the fluid engine need rounds = 1 or a round_gap"},
+  };
+  for (const auto& [broken, message] : rules) {
+    if (broken) return message;
+  }
+  return "";
+}
+
 }  // namespace
 
 util::EnumNames<EngineKind> name_table(EngineKind) { return kEngineNames; }
@@ -143,6 +182,15 @@ std::string ExperimentSpec::validate() const {
   if (topo.hosts < 2) return "spec.topo.hosts must be >= 2 (got " +
                              std::to_string(topo.hosts) + ")";
   if (topo.parallelism < 1) return "spec.topo.parallelism must be >= 1";
+  // A pinned shape builds its own host count: at least topo.hosts, so the
+  // host bounds below hold on the network actually built.
+  if (topo.topo == topo::TopoKind::kJellyfish && topo.jf_switches > 0 &&
+      std::int64_t{topo.jf_switches} * topo.jf_hosts_per_switch <
+          topo.hosts) {
+    return "spec.topo: the pinned Jellyfish (jf_switches x "
+           "jf_hosts_per_switch) holds fewer than topo.hosts = " +
+           std::to_string(topo.hosts) + " hosts";
+  }
   if (topo.base_rate_bps <= 0) return "spec.topo.base_rate_bps must be > 0";
   if (workload.rounds < 1) return "spec.workload.rounds must be >= 1";
   if (workload.flow_bytes == 0) return "spec.workload.flow_bytes must be > 0";
@@ -186,7 +234,7 @@ std::string ExperimentSpec::validate() const {
   if (const std::string err = controller.validate(); !err.empty()) {
     return "spec.controller: " + err;
   }
-  return "";
+  return validate_faults(*this);
 }
 
 void ExperimentSpec::to_json(JsonWriter& w) const {

@@ -116,6 +116,38 @@ struct WorkloadSpec {
 [[nodiscard]] util::EnumNames<WorkloadSpec::Pattern> name_table(
     WorkloadSpec::Pattern);
 
+/// Fabric faults the built-in engines inject into every trial. The
+/// controller block decides how hosts react: kOff hosts never learn of a
+/// fault, kHostLocal hosts learn after `controller.detect_delay`
+/// (core::HealthMonitor) and repath, kCentralized adds the Controller.
+/// Neither kind invalidates a route-cache entry (plane state is a
+/// selection-time mask; a degraded cable stays in service), so a cell with
+/// faults still shares its route cache.
+struct FaultSpec {
+  /// Plane `plane` goes down at `at` and comes back `down_for` later; 0
+  /// keeps it down.
+  struct Outage {
+    int plane = 0;
+    SimTime at = 0;
+    SimTime down_for = 0;
+  };
+  /// Packet engine only: `cables` fabric cables, a trial-seeded draw, drop
+  /// each packet with probability `loss` from `at` for `duration`.
+  struct LossyCables {
+    int cables = 0;
+    SimTime at = 0;
+    SimTime duration = 0;
+    double loss = 0.0;
+  };
+
+  std::optional<Outage> outage;
+  std::optional<LossyCables> lossy;
+
+  [[nodiscard]] bool any() const {
+    return outage.has_value() || lossy.has_value();
+  }
+};
+
 struct ExperimentSpec {
   /// Cell label: names the row/series in tables and the JSON report.
   std::string name;
@@ -137,6 +169,8 @@ struct ExperimentSpec {
   /// kHostLocal enables transport-driven repath; kCentralized adds the
   /// global control::Controller loop in both built-in engines.
   control::ControllerConfig controller;
+  /// None by default, which serializes nothing and wires nothing.
+  FaultSpec faults;
 
   /// Empty string if the spec is runnable; otherwise a description of the
   /// first problem found.
@@ -272,9 +306,30 @@ void visit(V& v, T& c) {
   v("window", c.window);
 }
 
-/// The controller block appears only with a control plane on, and the
-/// engine blocks only for the built-in engines (a custom trial function
-/// owns its own inputs).
+template <class V, FieldsOf<FaultSpec::Outage> T>
+void visit(V& v, T& o) {
+  v("plane", o.plane);
+  v("at_us", us(o.at));
+  v("for_us", us(o.down_for));
+}
+
+template <class V, FieldsOf<FaultSpec::LossyCables> T>
+void visit(V& v, T& l) {
+  v("cables", l.cables);
+  v("at_us", us(l.at));
+  v("for_us", us(l.duration));
+  v("loss", l.loss);
+}
+
+template <class V, FieldsOf<FaultSpec> T>
+void visit(V& v, T& f) {
+  v("outage", f.outage, f.outage.has_value());
+  v("lossy", f.lossy, f.lossy.has_value());
+}
+
+/// The controller and fault blocks appear only when set, and the engine
+/// blocks only for the built-in engines (a custom trial function owns its
+/// own inputs).
 template <class V, FieldsOf<ExperimentSpec> T>
 void visit(V& v, T& s) {
   const bool built_in = s.engine != EngineKind::kCustom;
@@ -284,6 +339,7 @@ void visit(V& v, T& s) {
   v("trials", s.trials);
   v("deadline_us", us(s.deadline), s.deadline > 0);
   v("controller", s.controller, s.controller.active());
+  v("faults", s.faults, s.faults.any());
   v("topo", s.topo, built_in);
   v("policy", s.policy, built_in);
   v("workload", s.workload, built_in);

@@ -81,6 +81,21 @@ std::string make_ok_body(std::uint64_t spec_hash,
     w.field(key, cell.metric(key).mean);
   }
   w.end_object();
+  // Named sample sets (a Hadoop cell's stage times), every trial's values
+  // merged in trial order; written only when the cell has any.
+  std::map<std::string, bool> sample_keys;
+  for (const auto& trial : cell.trials) {
+    for (const auto& [key, values] : trial.samples) sample_keys[key] = true;
+  }
+  if (!sample_keys.empty()) {
+    w.key("samples").begin_object();
+    for (const auto& [key, unused] : sample_keys) {
+      w.key(key).begin_array();
+      for (const double value : cell.merged_samples(key)) w.value(value);
+      w.end_array();
+    }
+    w.end_object();
+  }
   w.end_object();
   // The canonical spec is already JSON — splice it in verbatim so the
   // response echoes exactly the bytes that were hashed.

@@ -71,13 +71,6 @@ void Sampler::downsample() {
   interval_ *= 2;
 }
 
-const std::vector<double>* Sampler::find(std::string_view name) const {
-  for (const Series& series : series_) {
-    if (series.name == name) return &series.values;
-  }
-  return nullptr;
-}
-
 std::size_t Sampler::read(std::string_view name, SimTime after,
                           std::size_t max_points,
                           const SampleVisitor& visit) const {

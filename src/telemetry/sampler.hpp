@@ -38,12 +38,12 @@
 //   * Bucket end times are strictly increasing; interval() only ever grows.
 //
 // Reading: consumers on the simulation thread (e.g. the control plane)
-// should use read() — bounded iteration over the most recent samples of
-// one series, filtered to buckets that end after a watermark. Direct
-// buffer access via times()/values()/find() is deprecated for periodic
-// consumers: those accessors expose the whole (possibly re-merged) history
-// and invite O(run-length) rescans; they remain supported only for
-// end-of-run serialization (report folding), which wants the full buffer.
+// and end-of-run analyses of one named series use read() — bounded
+// iteration over the most recent samples of one series, filtered to
+// buckets that end after a watermark. Direct buffer access via
+// times()/values() exposes the whole (possibly re-merged) history and
+// invites O(run-length) rescans; it serves end-of-run serialization
+// (report folding), which wants every series in full.
 #pragma once
 
 #include <cstdint>
@@ -116,12 +116,6 @@ class Sampler {
   [[nodiscard]] const std::vector<double>& values(std::size_t i) const {
     return series_[i].values;
   }
-  /// The series named `name`, or nullptr.
-  ///
-  /// Deprecated for periodic consumers (control loops): use read() — it is
-  /// bounded and watermark-aware. find()/values()/times() stay available
-  /// for end-of-run serialization only.
-  [[nodiscard]] const std::vector<double>* find(std::string_view name) const;
 
   /// One bucket handed to a read() visitor. `t_end` is the bucket end on
   /// the shared grid; the bucket covers (t_end - interval(), t_end].

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -170,6 +171,97 @@ ExperimentSpec incast_spec(const std::string& name) {
   spec.workload.fan_in = 5;
   spec.deadline = 100 * units::kMillisecond;
   return spec;
+}
+
+/// Both kinds of fault on a two-plane cell of long flows: plane 1 down
+/// from 100 us for 300 us, two cables at 1% loss from 200 us for 500 us.
+ExperimentSpec fault_spec(const std::string& name) {
+  auto spec = small_packet_spec(name);
+  spec.trials = 1;
+  spec.workload.flow_bytes = 10'000'000;
+  spec.deadline = 50 * units::kMillisecond;
+  spec.faults.outage = FaultSpec::Outage{.plane = 1,
+                                         .at = 100 * units::kMicrosecond,
+                                         .down_for = 300 * units::kMicrosecond};
+  spec.faults.lossy =
+      FaultSpec::LossyCables{.cables = 2,
+                             .at = 200 * units::kMicrosecond,
+                             .duration = 500 * units::kMicrosecond,
+                             .loss = 0.01};
+  return spec;
+}
+
+TEST(ExperimentSpec, FaultFieldsAreBounded) {
+  using Edit = std::function<void(ExperimentSpec&)>;
+  EXPECT_EQ(fault_spec("ok").validate(), "");
+  const std::pair<Edit, const char*> broken[] = {
+      {[](ExperimentSpec& s) { s.faults.outage->plane = 2; },
+       "outage.plane must be in [0, planes"},
+      {[](ExperimentSpec& s) { s.faults.outage->plane = -1; },
+       "outage.plane must be in [0, planes"},
+      // A serial network has one plane, whatever its parallelism.
+      {[](ExperimentSpec& s) {
+         s.topo.type = topo::NetworkType::kSerialHigh;
+       },
+       "outage.plane must be in [0, planes"},
+      {[](ExperimentSpec& s) { s.faults.outage->at = -1; },
+       "outage: at and for must be >= 0"},
+      {[](ExperimentSpec& s) {
+         s.faults.outage->at = std::numeric_limits<SimTime>::max();
+       },
+       "end in range"},
+      {[](ExperimentSpec& s) {
+         s.faults.outage->down_for = 0;
+         s.deadline = 0;
+       },
+       "never recovers) needs a deadline"},
+      {[](ExperimentSpec& s) { s.faults.lossy->cables = -1; },
+       "lossy: cables, at and for must be >= 0"},
+      {[](ExperimentSpec& s) { s.faults.lossy->duration = -1; },
+       "lossy: cables, at and for must be >= 0"},
+      {[](ExperimentSpec& s) { s.faults.lossy->loss = 1.5; },
+       "loss must be in [0, 1]"},
+      {[](ExperimentSpec& s) { s.faults.lossy->loss = -0.1; },
+       "loss must be in [0, 1]"},
+      {[](ExperimentSpec& s) { s.engine = EngineKind::kFsim; },
+       "lossy needs engine=packet"},
+      {[](ExperimentSpec& s) {
+         s.engine = EngineKind::kFsim;
+         s.faults.lossy.reset();
+         s.workload.rounds = 2;
+         s.deadline = 0;
+       },
+       "fluid engine need rounds = 1 or a round_gap"},
+      // The pinned shape builds 8 x 1 hosts, fewer than the 16 asked for.
+      {[](ExperimentSpec& s) {
+         s.topo.topo = topo::TopoKind::kJellyfish;
+         s.topo.hosts = 16;
+         s.topo.jf_switches = 8;
+         s.topo.jf_degree = 5;
+         s.topo.jf_hosts_per_switch = 1;
+       },
+       "holds fewer than topo.hosts = 16 hosts"},
+  };
+  for (const auto& [edit, message] : broken) {
+    ExperimentSpec spec = fault_spec("bad");
+    edit(spec);
+    EXPECT_NE(spec.validate().find(message), std::string::npos)
+        << "'" << spec.validate() << "' lacks '" << message << "'";
+  }
+  // Overlapping fluid rounds share one simulator, and one clock.
+  ExperimentSpec fluid = fault_spec("fluid");
+  fluid.engine = EngineKind::kFsim;
+  fluid.faults.lossy.reset();
+  fluid.workload.rounds = 2;
+  fluid.workload.round_gap = units::kMillisecond;
+  EXPECT_EQ(fluid.validate(), "");
+  // A pinned shape may hold more hosts than asked for; it builds them all.
+  ExperimentSpec pinned = fault_spec("pinned");
+  pinned.topo.topo = topo::TopoKind::kJellyfish;
+  pinned.topo.jf_switches = 8;
+  pinned.topo.jf_degree = 5;
+  pinned.topo.jf_hosts_per_switch = 2;
+  EXPECT_EQ(pinned.validate(), "");
 }
 
 TEST(ExperimentSpec, DriverFieldsAreCheckedPerPattern) {
@@ -415,6 +507,109 @@ TEST(ExperimentSpec, DriverCanonicalJsonIsPinned) {
                 R"("trim_to_header":false,"dctcp":true}})");
 }
 
+// The fault benches' cell shapes at their default flags:
+// bench_ablation_controller's flap, bench_fault_recovery's timeline and
+// bench_ablation_failover's outage that never recovers.
+TEST(ExperimentSpec, FaultCanonicalJsonIsPinned) {
+  const std::string host_local =
+      R"("controller":{"mode":"host-local","cadence_us":1000,)"
+      R"("detect_delay_us":1000,"imbalance_threshold":1.25,)"
+      R"("max_repins_per_tick":8,"window":4},)";
+  const std::string pinned =
+      R"("hosts":16,"parallelism":4,"base_rate_gbps":100,"seed":)" +
+      std::to_string(util::job_seed(1, 0)) +
+      R"(,"jf_switches":8,"jf_degree":5,"jf_hosts_per_switch":2},)"
+      R"("policy":{"policy":"round-robin","k":8,"ecmp_path_cap":64,)"
+      R"("multipath_cutoff_bytes":100000000},)"
+      R"("workload":{"pattern":"permutation","flow_bytes":100000000000,)"
+      R"("rounds":1,"start_jitter_us":0},)";
+  const std::string sim =
+      R"("sim":{"queue_buffer_bytes":150000,"ecn_threshold_bytes":0,)"
+      R"("priority_acks":false,"trim_to_header":false,"dctcp":false}})";
+  const auto bulk_cell = [](const char* name, topo::NetworkType type,
+                            SimTime deadline) {
+    ExperimentSpec spec;
+    spec.name = name;
+    spec.topo.topo = topo::TopoKind::kJellyfish;
+    spec.topo.type = type;
+    spec.topo.hosts = 16;
+    spec.topo.seed = util::job_seed(1, 0);
+    spec.topo.jf_switches = 8;
+    spec.topo.jf_degree = 5;
+    spec.topo.jf_hosts_per_switch = 2;
+    spec.workload.flow_bytes = 100 * units::kGB;
+    spec.workload.start_jitter = 0;
+    spec.deadline = deadline;
+    spec.controller.mode = control::ControllerMode::kHostLocal;
+    return spec;
+  };
+
+  ExperimentSpec flap =
+      bulk_cell("flap/packet/host-local",
+                topo::NetworkType::kParallelHomogeneous,
+                60 * units::kMillisecond);
+  flap.faults.outage =
+      FaultSpec::Outage{.plane = 0,
+                        .at = 20 * units::kMillisecond,
+                        .down_for = 15 * units::kMillisecond};
+  EXPECT_EQ(flap.canonical_json(),
+            R"({"name":"flap/packet/host-local","engine":"packet",)"
+            R"("seed":1,"trials":1,"deadline_us":60000,)" +
+                host_local +
+                R"("faults":{"outage":{"plane":0,"at_us":20000,)"
+                R"("for_us":15000}},)"
+                R"("topo":{"kind":"jellyfish",)"
+                R"("type":"parallel-homogeneous",)" +
+                pinned + sim);
+
+  ExperimentSpec timeline =
+      bulk_cell("timeline/serial-low", topo::NetworkType::kSerialLow,
+                100 * units::kMillisecond);
+  timeline.faults.outage =
+      FaultSpec::Outage{.plane = 0,
+                        .at = 40 * units::kMillisecond,
+                        .down_for = 20 * units::kMillisecond};
+  timeline.faults.lossy =
+      FaultSpec::LossyCables{.cables = 3,
+                             .at = 70 * units::kMillisecond,
+                             .duration = 15 * units::kMillisecond,
+                             .loss = 0.05};
+  EXPECT_EQ(timeline.canonical_json(),
+            R"({"name":"timeline/serial-low","engine":"packet",)"
+            R"("seed":1,"trials":1,"deadline_us":100000,)" +
+                host_local +
+                R"("faults":{"outage":{"plane":0,"at_us":40000,)"
+                R"("for_us":20000},"lossy":{"cables":3,"at_us":70000,)"
+                R"("for_us":15000,"loss":0.05}},)"
+                R"("topo":{"kind":"jellyfish","type":"serial-low-bw",)" +
+                pinned + sim);
+
+  ExperimentSpec unaware;
+  unaware.name = "failure-unaware";
+  unaware.topo.topo = topo::TopoKind::kJellyfish;
+  unaware.topo.type = topo::NetworkType::kParallelHomogeneous;
+  unaware.topo.hosts = 64;
+  unaware.topo.seed = util::job_seed(1, 0);
+  unaware.workload.pattern = WorkloadSpec::Pattern::kClosedLoop;
+  unaware.workload.flow_bytes = 100'000;
+  unaware.workload.concurrent = 2;
+  unaware.workload.rounds = 20;
+  unaware.deadline = 5 * units::kSecond;
+  unaware.faults.outage = FaultSpec::Outage{.plane = 2};
+  EXPECT_EQ(unaware.canonical_json(),
+            R"({"name":"failure-unaware","engine":"packet","seed":1,)"
+            R"("trials":1,"deadline_us":5000000,)"
+            R"("faults":{"outage":{"plane":2,"at_us":0,"for_us":0}},)"
+            R"("topo":{"kind":"jellyfish","type":"parallel-homogeneous",)"
+            R"("hosts":64,"parallelism":4,"base_rate_gbps":100,"seed":)" +
+                std::to_string(util::job_seed(1, 0)) +
+                R"(},"policy":{"policy":"round-robin","k":8,)"
+                R"("ecmp_path_cap":64,"multipath_cutoff_bytes":100000000},)"
+                R"("workload":{"pattern":"closed_loop","flow_bytes":100000,)"
+                R"("rounds":20,"concurrent":2,"response_bytes":0},)" +
+                sim);
+}
+
 // Hash coverage: every field of every spec struct must reach the canonical
 // JSON. The mutations below are written per struct member, independently
 // of the field list in exp/spec.hpp; the list must carry each one into
@@ -430,16 +625,26 @@ static_assert(sizeof(WorkloadSpec) == 104);
 static_assert(sizeof(sim::SimConfig) == 96);
 static_assert(sizeof(sim::TcpParams) == 72);
 static_assert(sizeof(control::ControllerConfig) == 40);
-static_assert(sizeof(ExperimentSpec) == 416);
+static_assert(sizeof(FaultSpec::Outage) == 24);
+static_assert(sizeof(FaultSpec::LossyCables) == 32);
+static_assert(sizeof(FaultSpec) == 72);
+static_assert(sizeof(ExperimentSpec) == 488);
 #endif
 
-/// Counts the leaf fields the list names, nested structs included.
+/// Counts the leaf fields the list names, nested structs included, and
+/// the fields of an optional nested struct as if it were set.
 struct LeafCounter {
   int leaves = 0;
   template <class M>
   void operator()(std::string_view, M&& member, bool = true) {
+    using T = std::remove_cvref_t<M>;
     if constexpr (requires { pnet::exp::visit(*this, member); }) {
       pnet::exp::visit(*this, member);
+    } else if constexpr (requires(typename T::value_type inner) {
+                           pnet::exp::visit(*this, inner);
+                         }) {
+      typename T::value_type inner{};
+      pnet::exp::visit(*this, inner);
     } else {
       ++leaves;
     }
@@ -460,6 +665,7 @@ std::vector<Mutation> every_field_mutation() {
   ExperimentSpec ctl = small_packet_spec("ctl");
   ctl.controller.mode = control::ControllerMode::kCentralized;
   const ExperimentSpec hadoop = hadoop_spec("hadoop");
+  const ExperimentSpec faulty = fault_spec("faulty");
   return {
       {"name", pair, [](ExperimentSpec& s) { s.name = "renamed"; }},
       {"engine", pair, [](ExperimentSpec& s) { s.engine = EngineKind::kFsim; }},
@@ -581,6 +787,21 @@ std::vector<Mutation> every_field_mutation() {
        [](ExperimentSpec& s) { s.controller.max_repins_per_tick = 0; }},
       {"controller.window", ctl,
        [](ExperimentSpec& s) { s.controller.window = 9; }},
+      // FaultSpec
+      {"faults.outage.plane", faulty,
+       [](ExperimentSpec& s) { s.faults.outage->plane = 0; }},
+      {"faults.outage.at", faulty,
+       [](ExperimentSpec& s) { s.faults.outage->at = 0; }},
+      {"faults.outage.down_for", faulty,
+       [](ExperimentSpec& s) { s.faults.outage->down_for = 0; }},
+      {"faults.lossy.cables", faulty,
+       [](ExperimentSpec& s) { s.faults.lossy->cables = 0; }},
+      {"faults.lossy.at", faulty,
+       [](ExperimentSpec& s) { s.faults.lossy->at = 0; }},
+      {"faults.lossy.duration", faulty,
+       [](ExperimentSpec& s) { s.faults.lossy->duration = 0; }},
+      {"faults.lossy.loss", faulty,
+       [](ExperimentSpec& s) { s.faults.lossy->loss = 1.0; }},
   };
 }
 
@@ -943,6 +1164,93 @@ TEST(Engine, DriverTrialsCountTheirFlows) {
     EXPECT_EQ(trial.metrics.count("timeouts"), 1u);
     EXPECT_DOUBLE_EQ(trial.delivered_bytes, 5 * 50'000.0);
   }
+}
+
+// A plane outage (plus lossy cables on the packet engine) in each
+// controller mode, on both engines: off hosts never learn of it,
+// host-local hosts repath, and centralized adds the controller, which acts
+// on the failure and on the recovery. The report is byte-identical at any
+// sim_threads value and with the route cache off: no fault invalidates a
+// cached route.
+TEST(Runner, FaultCellsReactPerControllerMode) {
+  using control::ControllerMode;
+  std::vector<Cell> cells;
+  for (const EngineKind engine : {EngineKind::kPacket, EngineKind::kFsim}) {
+    for (const ControllerMode mode :
+         {ControllerMode::kOff, ControllerMode::kHostLocal,
+          ControllerMode::kCentralized}) {
+      ExperimentSpec spec = fault_spec(std::string(to_string(engine)) + "/" +
+                                       control::to_string(mode));
+      spec.engine = engine;
+      if (engine == EngineKind::kFsim) spec.faults.lossy.reset();
+      spec.controller.mode = mode;
+      spec.controller.cadence = 100 * units::kMicrosecond;
+      spec.controller.detect_delay = 50 * units::kMicrosecond;
+      cells.push_back({spec, {}});
+    }
+  }
+  const auto run = [&cells](int sim_threads) {
+    Runner runner(3);
+    runner.set_telemetry({.sample_every = 50 * units::kMicrosecond});
+    runner.set_sim_threads(sim_threads);
+    return runner.run(cells);
+  };
+  const auto json = [](std::vector<CellResult> results) {
+    Report report("faults");
+    for (CellResult& cell : results) report.add(std::move(cell));
+    return report.to_json(/*with_runtime=*/false);
+  };
+  const std::vector<CellResult> results = run(1);
+  for (const CellResult& cell : results) {
+    const std::string& name = cell.spec.name;
+    const TrialResult& trial = cell.trials.at(0);
+    const ControllerMode mode = cell.spec.controller.mode;
+    EXPECT_EQ(cell.unfinished_flows(), 0u) << name;
+    EXPECT_EQ(trial.metrics.count("plane_imbalance"),
+              mode == ControllerMode::kOff ? 0u : 1u)
+        << name;
+    if (mode == ControllerMode::kCentralized) {
+      EXPECT_EQ(trial.metrics.at("ctl/plane_events"), 2.0) << name;
+    }
+    if (cell.spec.engine == EngineKind::kFsim) {
+      EXPECT_EQ(trial.metrics.count("repaths"), 0u) << name;
+      continue;
+    }
+    if (mode == ControllerMode::kOff) {
+      EXPECT_EQ(trial.metrics.at("repaths"), 0.0) << name;
+      EXPECT_GT(trial.metrics.at("timeouts"), 0.0) << name;
+      EXPECT_EQ(trial.metrics.at("detect_ms"), -1.0) << name;
+    } else {
+      EXPECT_GT(trial.metrics.at("repaths"), 0.0) << name;
+      EXPECT_DOUBLE_EQ(trial.metrics.at("detect_ms"), 0.05) << name;
+    }
+    EXPECT_GT(trial.metrics.at("baseline_gbps"), 0.0) << name;
+    EXPECT_EQ(trial.metrics.count("recover_ms"), 1u) << name;
+  }
+  const std::string inline_shards = json(results);
+  EXPECT_EQ(inline_shards, json(run(4)));
+  ASSERT_EQ(setenv("PNET_ROUTE_CACHE", "off", 1), 0);
+  const std::string uncached = json(run(1));
+  unsetenv("PNET_ROUTE_CACHE");
+  EXPECT_EQ(inline_shards, uncached);
+}
+
+// bench_ablation_failover's unaware shape: requests hashed onto a plane
+// that never recovers retry until the deadline, and those RTOs count;
+// host-local hosts learn of the outage and finish every request.
+TEST(Engine, StrandedFlowsCountTheirTimeouts) {
+  ExperimentSpec spec = closed_loop_spec("unaware");
+  spec.trials = 1;
+  spec.deadline = 100 * units::kMillisecond;
+  spec.faults.outage = FaultSpec::Outage{.plane = 1};
+  const TrialResult unaware = PacketEngine().run(spec, {}).trials.at(0);
+  EXPECT_LT(unaware.flows_finished, unaware.flows_started);
+  EXPECT_GT(unaware.metrics.at("timeouts"), 0.0);
+  EXPECT_EQ(unaware.metrics.at("repaths"), 0.0);
+
+  spec.controller.mode = control::ControllerMode::kHostLocal;
+  const TrialResult aware = PacketEngine().run(spec, {}).trials.at(0);
+  EXPECT_EQ(aware.flows_finished, aware.flows_started);
 }
 
 // Checkpoint keys are spec hashes: two runs on one journal that differ

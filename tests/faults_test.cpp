@@ -383,7 +383,7 @@ TEST(RecoveryStats, PlaneEpisodesPairFailAndRecover) {
 }
 
 TEST(RecoveryStats, AnalyzeEpisodeFindsDipAndRecoveryTime) {
-  std::vector<analysis::GoodputProbe::Sample> samples;
+  std::vector<telemetry::Sampler::Sample> samples;
   const SimTime ms = units::kMillisecond;
   samples.push_back({1 * ms, 100e9});
   samples.push_back({2 * ms, 10e9});   // outage
@@ -416,8 +416,7 @@ TEST(RecoveryStats, GoodputProbeIntegratesDeliveredBytes) {
   ASSERT_FALSE(probe.samples().empty());
   double integrated_bits = 0.0;
   for (const auto& s : probe.samples()) {
-    integrated_bits +=
-        s.goodput_bps * units::to_seconds(probe.bucket_width());
+    integrated_bits += s.value * units::to_seconds(probe.bucket_width());
   }
   EXPECT_NEAR(integrated_bits / 8.0,
               static_cast<double>(h.factory().total_delivered_bytes()),

@@ -363,6 +363,17 @@ exp::ExperimentSpec random_spec(std::mt19937_64& rng) {
   }
   if (w.pattern == Pattern::kIncast) w.fan_in = any_int();
 
+  if (coin()) {
+    s.faults.outage = exp::FaultSpec::Outage{
+        .plane = any_int(), .at = any_time(), .down_for = any_time()};
+  }
+  if (coin()) {
+    s.faults.lossy = exp::FaultSpec::LossyCables{.cables = any_int(),
+                                                 .at = any_time(),
+                                                 .duration = any_time(),
+                                                 .loss = any_double()};
+  }
+
   s.sim.queue_buffer_bytes = any_u64();
   s.sim.ecn_threshold_bytes = any_u64();
   s.sim.priority_acks = coin();
@@ -893,6 +904,21 @@ TEST(Service, ServesHadoopSpecsAsTheRunnerRunsThem) {
   EXPECT_EQ(body, make_ok_body(spec.hash(), spec.canonical_json(), cell));
   EXPECT_EQ(cell.unfinished_flows(), 0u);
   EXPECT_NE(body.find(R"("flows_finished":1,)"), std::string::npos) << body;
+  // The reply carries the stage times Fig 12 reads, as the Runner has
+  // them: one per worker.
+  std::string stages = R"("samples":{)";
+  const char* separator = "";
+  for (const char* stage : {"stage1_s", "stage2_s", "stage3_s"}) {
+    const std::vector<double> values = cell.merged_samples(stage);
+    ASSERT_EQ(values.size(), 4u) << stage;
+    exp::JsonWriter w;
+    w.begin_array();
+    for (const double v : values) w.value(v);
+    w.end_array();
+    stages += separator + std::string("\"") + stage + "\":" + w.str();
+    separator = ",";
+  }
+  EXPECT_NE(body.find(stages + "}"), std::string::npos) << body;
 
   // A worker's blocks and shuffle buckets are its flows: 4 read blocks,
   // 4 buckets and 4 write blocks, over a cap of 8.
@@ -901,6 +927,44 @@ TEST(Service, ServesHadoopSpecsAsTheRunnerRunsThem) {
   const std::string over = Service(capped).handle_line(spec.canonical_json());
   EXPECT_NE(over.find(R"("kind":"invalid_spec")"), std::string::npos);
   EXPECT_NE(over.find("12 flows per host"), std::string::npos) << over;
+}
+
+// A fault spec decodes through the field list and runs in the service
+// exactly as the Runner runs it.
+TEST(Service, ServesFaultSpecsAsTheRunnerRunsThem) {
+  const std::string line =
+      R"({"name":"flap","deadline_us":20000,)"
+      R"("controller":{"mode":"centralized","cadence_us":100},)"
+      R"("faults":{"outage":{"plane":1,"at_us":100,"for_us":300},)"
+      R"("lossy":{"cables":2,"at_us":200,"for_us":500,"loss":0.01}},)"
+      R"("topo":{"kind":"fat-tree","type":"parallel-homogeneous",)"
+      R"("hosts":8,"parallelism":2},)"
+      R"("workload":{"flow_bytes":2000000}})";
+  const exp::ExperimentSpec spec = decode_ok(line).spec;
+  ASSERT_EQ(spec.validate(), "");
+  ASSERT_TRUE(spec.faults.outage.has_value());
+  EXPECT_EQ(spec.faults.outage->down_for, 300 * units::kMicrosecond);
+  ASSERT_TRUE(spec.faults.lossy.has_value());
+  EXPECT_EQ(spec.faults.lossy->loss, 0.01);
+
+  ServiceOptions options;  // the real engines
+  options.workers = 1;
+  Service service(options);
+  const std::string body = service.handle_line(line);
+  const exp::CellResult cell = exp::Runner(1).run_cell({spec, {}});
+  EXPECT_EQ(body, make_ok_body(spec.hash(), spec.canonical_json(), cell));
+  for (const char* metric : {"ctl/plane_events", "repaths", "timeouts",
+                             "plane_imbalance", "packets_lost"}) {
+    EXPECT_NE(body.find(std::string("\"") + metric + "\":"),
+              std::string::npos)
+        << metric << ": " << body;
+  }
+  // Lossy cables need the packet engine.
+  const std::string fluid = service.handle_line(
+      R"({"name":"f","engine":"fsim",)"
+      R"("faults":{"lossy":{"cables":1,"at_us":0,"for_us":1,"loss":0.5}}})");
+  EXPECT_NE(fluid.find(R"("kind":"invalid_spec")"), std::string::npos);
+  EXPECT_NE(fluid.find("needs engine=packet"), std::string::npos) << fluid;
 }
 
 TEST(Service, ServesControllerSpecs) {

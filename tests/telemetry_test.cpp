@@ -132,8 +132,7 @@ TEST(Sampler, GaugeAndRateCaptureOnTheGrid) {
   // 1000 bytes * 8 / 1e-3 s = 8 Mbit/s, then zero.
   EXPECT_DOUBLE_EQ(sampler.values(1)[0], 8e6);
   EXPECT_DOUBLE_EQ(sampler.values(1)[1], 0.0);
-  EXPECT_EQ(sampler.find("rate_bps"), &sampler.values(1));
-  EXPECT_EQ(sampler.find("nope"), nullptr);
+  EXPECT_EQ(sampler.name(1), "rate_bps");
 }
 
 TEST(Sampler, DownsamplingBoundsMemoryAndPreservesStructure) {
@@ -389,23 +388,26 @@ TEST(TelemetryHarness, SamplerMatchesGoodputProbeThroughAFault) {
   probe.start(0);
   scenario(with_probe);
 
-  const auto* goodput = tel.sampler.find("goodput_bps");
-  ASSERT_NE(goodput, nullptr);
-  ASSERT_EQ(tel.sampler.times().size(), probe.samples().size());
-  ASSERT_GE(goodput->size(), 2u);
-  for (std::size_t i = 0; i < goodput->size(); ++i) {
-    EXPECT_EQ(tel.sampler.times()[i], probe.samples()[i].t_end) << i;
-    const double expected = probe.samples()[i].goodput_bps;
-    EXPECT_NEAR((*goodput)[i], expected,
+  std::vector<telemetry::Sampler::Sample> goodput;
+  tel.sampler.read("goodput_bps", 0, tel.sampler.times().size(),
+                   [&goodput](const telemetry::Sampler::Sample& s) {
+                     goodput.push_back(s);
+                   });
+  ASSERT_EQ(goodput.size(), probe.samples().size());
+  ASSERT_GE(goodput.size(), 2u);
+  for (std::size_t i = 0; i < goodput.size(); ++i) {
+    EXPECT_EQ(goodput[i].t_end, probe.samples()[i].t_end) << i;
+    const double expected = probe.samples()[i].value;
+    EXPECT_NEAR(goodput[i].value, expected,
                 1e-9 * std::max(1.0, std::abs(expected)))
         << i;
   }
   // The curve really dipped: plane 1 died with no failover wired.
   double lo = 1e300;
   double hi = 0.0;
-  for (double v : *goodput) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+  for (const telemetry::Sampler::Sample& s : goodput) {
+    lo = std::min(lo, s.value);
+    hi = std::max(hi, s.value);
   }
   EXPECT_LT(lo, hi * 0.9);
 }
@@ -442,10 +444,11 @@ TEST(TelemetryHarness, CountersGaugesAndTraceCoverTheRun) {
   for (std::size_t i = 0; i < tel.sampler.num_series(); ++i) {
     EXPECT_EQ(tel.sampler.values(i).size(), n) << tel.sampler.name(i);
   }
-  EXPECT_NE(tel.sampler.find("queue_bytes"), nullptr);
-  EXPECT_NE(tel.sampler.find("active_flows"), nullptr);
-  EXPECT_NE(tel.sampler.find("plane0_util_bps"), nullptr);
-  EXPECT_NE(tel.sampler.find("plane1_util_bps"), nullptr);
+  for (const char* series :
+       {"queue_bytes", "active_flows", "plane0_util_bps", "plane1_util_bps"}) {
+    EXPECT_EQ(tel.sampler.read(series, 0, 1, [](const auto&) {}), 1u)
+        << series;
+  }
 }
 
 // ------------------------------------------------- run_until + finalize
