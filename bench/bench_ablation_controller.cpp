@@ -18,8 +18,10 @@
 //          second wave 5 ms later (two permutation rounds, round_gap 5 ms).
 //          Host-local placement stays uniform hash; the centralized
 //          controller biases the second wave toward the planes the first
-//          wave left cool and repins the hottest plane's laggards,
-//          shrinking the plane-load imbalance and the makespan.
+//          wave left cool and repins the hottest plane's laggards. On the
+//          fluid engine that shrinks the plane-load imbalance; on the
+//          packet engine it leaves a higher imbalance than host-local in
+//          most seeds, an open finding (ROADMAP item 10).
 //
 // Every cell records the controller's decision counters (ctl/* metrics)
 // and the per-plane byte imbalance (plane_imbalance), so the committed
@@ -133,7 +135,8 @@ int main(int argc, char** argv) {
       "plane's flows after its detection delay — on the fluid engine (no\n"
       "transport repath) that is the difference between frozen flows and\n"
       "continued delivery. Under the traffic shift it biases second-wave\n"
-      "placement toward cool planes and repins laggards, shrinking the\n"
-      "per-plane byte imbalance at equal delivered bytes.\n");
+      "placement toward cool planes and repins laggards: on the fluid\n"
+      "engine that shrinks the per-plane byte imbalance at equal delivered\n"
+      "bytes; on the packet engine it does not (an open finding).\n");
   return experiment.finish();
 }

@@ -194,16 +194,37 @@ int main(int argc, char** argv) {
               units::to_milliseconds(lossy.at + lossy.duration),
               units::to_milliseconds(host_local.detect_delay));
 
+  // A cell whose every trial failed (one cut by --trial-timeout, say) has
+  // no series and no metrics: its columns print "-". The timeline shows
+  // each cell's first surviving trial.
+  const auto series = [&](std::size_t i, const char* key) {
+    const auto& trials = results[i].trials;
+    if (trials.empty()) return std::vector<double>{};
+    const auto it = trials.front().samples.find(key);
+    return it == trials.front().samples.end() ? std::vector<double>{}
+                                              : it->second;
+  };
+  const auto mean = [&](std::size_t i, const char* key) {
+    return results[i].trials.empty()
+               ? std::string("-")
+               : format_double(results[i].metric(key).mean, 1);
+  };
+
   TextTable timeline("Goodput timeline (Gb/s per bucket)",
                      {"t (ms)", "serial-low", "par-hom", "par-het"});
-  const auto t_us = results[0].merged_samples("tm/t_us");
+  std::vector<double> t_us;
+  std::vector<std::vector<double>> goodput;
+  for (std::size_t i = 0; i < std::size(types); ++i) {
+    if (t_us.empty()) t_us = series(i, "tm/t_us");
+    goodput.push_back(series(i, "tm/goodput_bps"));
+  }
   for (std::size_t b = 1; b < t_us.size(); b += 2) {
-    std::vector<double> row;
-    for (std::size_t i = 0; i < std::size(types); ++i) {
-      row.push_back(results[i].merged_samples("tm/goodput_bps")[b] /
-                    units::kGbps);
+    std::vector<std::string> row{format_double(t_us[b] / 1000.0, 0)};
+    for (const auto& cell : goodput) {
+      row.push_back(b < cell.size() ? format_double(cell[b] / units::kGbps, 1)
+                                    : "-");
     }
-    timeline.add_row(format_double(t_us[b] / 1000.0, 0), row, 1);
+    timeline.add_row(std::move(row));
   }
   timeline.print();
 
@@ -211,24 +232,17 @@ int main(int argc, char** argv) {
                    {"network", "baseline Gb/s", "dip Gb/s", "detect (ms)",
                     "recover (ms)", "pkts lost", "repaths"});
   for (std::size_t i = 0; i < std::size(types); ++i) {
-    const auto& cell = results[i];
-    report.add_row(names[i],
-                   {cell.metric("baseline_gbps").mean,
-                    cell.metric("dip_gbps").mean,
-                    cell.metric("detect_ms").mean,
-                    cell.metric("recover_ms").mean,
-                    cell.metric("packets_lost").mean,
-                    cell.metric("repaths").mean},
-                   1);
+    report.add_row({names[i], mean(i, "baseline_gbps"), mean(i, "dip_gbps"),
+                    mean(i, "detect_ms"), mean(i, "recover_ms"),
+                    mean(i, "packets_lost"), mean(i, "repaths")});
   }
   report.print();
 
   TextTable sweep("Detection-delay sweep (par-hom, same flap)",
                   {"detect delay (ms)", "recover (ms)"});
   for (std::size_t i = 0; i < std::size(sweep_delays_ms); ++i) {
-    sweep.add_row(format_double(sweep_delays_ms[i], 1),
-                  {results[std::size(types) + i].metric("recover_ms").mean},
-                  1);
+    sweep.add_row({format_double(sweep_delays_ms[i], 1),
+                   mean(std::size(types) + i, "recover_ms")});
   }
   sweep.print();
 

@@ -24,7 +24,7 @@ SimHarness::SimHarness(const Options& options)
       2 * network_.total_links() + static_cast<std::size_t>(net_.num_hosts());
   events_.reserve(link_bound + 64);
   shards_.reserve_events(link_bound + 256);
-  if (telemetry_ != nullptr) wire_telemetry(options.sample_route_cache);
+  if (telemetry_ != nullptr) wire_telemetry();
   if (options.cancel != nullptr) {
     events_.set_cancel(options.cancel);
     shards_.set_cancel(options.cancel);
@@ -43,7 +43,7 @@ SimHarness::SimHarness(const Options& options)
   }
 }
 
-void SimHarness::wire_telemetry(bool sample_route_cache) {
+void SimHarness::wire_telemetry() {
   using telemetry::Sampler;
   network_.set_trace(&telemetry_->trace);
   factory_.set_telemetry(telemetry_);
@@ -74,17 +74,6 @@ void SimHarness::wire_telemetry(bool sample_route_cache) {
           return static_cast<double>(network_.plane_forwarded_bytes(p));
         },
         8.0);
-  }
-  if (sample_route_cache) {
-    sampler.add_series("route_cache_hit_rate", Sampler::Kind::kGauge,
-                       [this] {
-                         const auto stats = selector_.route_cache().stats();
-                         const auto total = stats.hits + stats.misses;
-                         return total == 0
-                                    ? 0.0
-                                    : static_cast<double>(stats.hits) /
-                                          static_cast<double>(total);
-                       });
   }
   driver_ = std::make_unique<sim::TelemetryDriver>(events_, shards_, sampler);
   driver_->start(events_.now());

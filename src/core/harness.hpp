@@ -35,11 +35,6 @@ class SimHarness {
     /// (network faults, flow lifecycle, queue depths, per-plane rates).
     /// Must outlive the harness; null disables instrumentation entirely.
     telemetry::Telemetry* telemetry = nullptr;
-    /// Also sample the route-cache hit rate. Off by default: with a cache
-    /// shared across parallel trials the hit sequence depends on thread
-    /// interleaving, which would break sampler determinism — only enable
-    /// this with a private (per-harness) cache.
-    bool sample_route_cache = false;
     /// Cooperative-cancellation token polled by the event loop; run()/
     /// run_until() return early once it fires. Must outlive the harness.
     const util::CancelToken* cancel = nullptr;
@@ -133,7 +128,7 @@ class SimHarness {
   }
 
  private:
-  void wire_telemetry(bool sample_route_cache);
+  void wire_telemetry();
 
   topo::ParallelNetwork net_;
   /// The control queue: faults, health probes, telemetry, controller

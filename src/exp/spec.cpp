@@ -150,6 +150,11 @@ std::string validate_faults(const ExperimentSpec& spec) {
                  !ends_in_range(lossy->at, lossy->duration)),
        "spec.faults.lossy: cables, at and for must be >= 0 and end in "
        "range"},
+      // Only an outage may last forever (its for = 0); a lossy episode of
+      // length 0 would degrade and restore at one instant, doing nothing.
+      {lossy && lossy->duration == 0,
+       "spec.faults.lossy.for must be > 0 (only an outage's for = 0 means "
+       "forever)"},
       {lossy && !(lossy->loss >= 0.0 && lossy->loss <= 1.0),
        "spec.faults.lossy.loss must be in [0, 1]"},
       {lossy && spec.engine != EngineKind::kPacket,

@@ -219,6 +219,10 @@ TEST(ExperimentSpec, FaultFieldsAreBounded) {
        "lossy: cables, at and for must be >= 0"},
       {[](ExperimentSpec& s) { s.faults.lossy->duration = -1; },
        "lossy: cables, at and for must be >= 0"},
+      // for = 0 keeps an outage down, but would make a lossy episode a
+      // no-op, so it is rejected rather than given either meaning.
+      {[](ExperimentSpec& s) { s.faults.lossy->duration = 0; },
+       "lossy.for must be > 0"},
       {[](ExperimentSpec& s) { s.faults.lossy->loss = 1.5; },
        "loss must be in [0, 1]"},
       {[](ExperimentSpec& s) { s.faults.lossy->loss = -0.1; },
@@ -799,7 +803,9 @@ std::vector<Mutation> every_field_mutation() {
       {"faults.lossy.at", faulty,
        [](ExperimentSpec& s) { s.faults.lossy->at = 0; }},
       {"faults.lossy.duration", faulty,
-       [](ExperimentSpec& s) { s.faults.lossy->duration = 0; }},
+       [](ExperimentSpec& s) {
+         s.faults.lossy->duration = units::kMillisecond;
+       }},
       {"faults.lossy.loss", faulty,
        [](ExperimentSpec& s) { s.faults.lossy->loss = 1.0; }},
   };
