@@ -155,7 +155,7 @@ void BM_RouteCacheColdKsp(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteCacheColdKsp);
 
-// A warm RouteCache lookup: shard lock + hash probe + epoch check.
+// A warm RouteCache lookup: shard lock + hash probe.
 void BM_RouteCacheWarmKsp(benchmark::State& state) {
   const auto& net = jellyfish4();
   routing::RouteCache cache(/*enabled=*/true);

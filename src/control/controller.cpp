@@ -66,10 +66,7 @@ void Controller::on_fabric_event(const sim::FaultEvent& event) {
   pending_.push_back(PendingEvent{event.at + config_.detect_delay, event});
 }
 
-void Controller::start(SimTime at) {
-  sampler_.start(at);
-  last_invalidations_ = dp_.route_invalidations();
-}
+void Controller::start(SimTime at) { sampler_.start(at); }
 
 double Controller::plane_load(int plane) const {
   const auto p = static_cast<std::size_t>(plane);
@@ -96,9 +93,9 @@ void Controller::tick(SimTime now) {
   ++ticks_;
 
   // 1. Confirmed fabric events: act on everything whose detection delay
-  //    has elapsed. Any plane transition or cable churn this tick holds
-  //    rebalancing below — load samples spanning a topology change would
-  //    chase a state that no longer exists.
+  //    has elapsed. Any plane transition or cable degrade/restore this
+  //    tick holds rebalancing below — load samples spanning a fabric
+  //    change would chase a state that no longer exists.
   bool churn = false;
   while (!pending_.empty() && pending_.front().due <= now) {
     const sim::FaultEvent event = pending_.front().event;
@@ -116,7 +113,8 @@ void Controller::tick(SimTime now) {
         churn = true;
         break;
       }
-      default:
+      case sim::FaultKind::kCableDegrade:
+      case sim::FaultKind::kCableRestore:
         churn = true;  // cable-level churn: observe, hold rebalancing
         break;
     }
@@ -131,15 +129,7 @@ void Controller::tick(SimTime now) {
     load[static_cast<std::size_t>(p)] = plane_load(p);
   }
 
-  // 3. Churn guard: a moving route cache means flows are already being
-  //    re-routed under us — skip rebalancing this tick.
-  const std::uint64_t invalidations = dp_.route_invalidations();
-  if (invalidations != last_invalidations_) {
-    last_invalidations_ = invalidations;
-    churn = true;
-  }
-
-  // 4. Inverse-load placement bias: dead planes weigh 0, light planes
+  // 3. Inverse-load placement bias: dead planes weigh 0, light planes
   //    attract new flows. Applied every tick (idempotent, deterministic).
   std::vector<double> weights(static_cast<std::size_t>(planes), 0.0);
   for (int p = 0; p < planes; ++p) {
@@ -153,7 +143,7 @@ void Controller::tick(SimTime now) {
     return;
   }
 
-  // 5. Rebalance live flows when the load ratio crosses the threshold:
+  // 4. Rebalance live flows when the load ratio crosses the threshold:
   //    hottest usable plane donates up to the per-tick budget to the
   //    coolest one. Lowest plane index wins ties, keeping the decision a
   //    pure function of sampled state.

@@ -2,10 +2,10 @@
 // MPTCP-aware SDN, arXiv 1511.09295).
 //
 // A Controller runs on a fixed control-loop cadence inside either engine,
-// observes per-plane utilization / queue depth / route-cache invalidations
-// through a private telemetry::Sampler (the pull-based read() API is its
-// input path), learns confirmed plane state from the LinkStateBus after a
-// detection delay, and actuates through a Dataplane: masking dead planes,
+// observes per-plane utilization and queue depth through a private
+// telemetry::Sampler (the pull-based read() API is its input path), learns
+// confirmed plane state from the LinkStateBus after a detection delay,
+// and actuates through a Dataplane: masking dead planes,
 // biasing new-flow placement with inverse-load weights, and re-pinning live
 // flows from the hottest usable plane to the coolest one when the load
 // ratio crosses a threshold.
@@ -83,8 +83,6 @@ class Dataplane {
   [[nodiscard]] virtual double plane_bytes(int plane) const = 0;
   /// Bytes currently queued on `plane` (0 for models without queues).
   [[nodiscard]] virtual double plane_queue_bytes(int plane) const = 0;
-  /// Route-cache invalidations so far — the churn-guard input.
-  [[nodiscard]] virtual std::uint64_t route_invalidations() const = 0;
 
   /// Confirmed (post-detection-delay) plane transition: mask the plane out
   /// of new-flow routing and evacuate (or revive) live flows.
@@ -145,7 +143,6 @@ class Controller {
   std::vector<std::size_t> queue_series_;
   std::deque<PendingEvent> pending_;
   std::vector<bool> plane_down_;
-  std::uint64_t last_invalidations_ = 0;
   /// Rebalance cooldown: no further repin bursts until the sampling window
   /// has refilled with post-move load (prevents oscillation).
   SimTime rebalance_hold_until_ = 0;

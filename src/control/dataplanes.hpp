@@ -38,9 +38,6 @@ class PacketDataplane : public Dataplane {
   [[nodiscard]] double plane_queue_bytes(int plane) const override {
     return static_cast<double>(harness_.network().plane_queued_bytes(plane));
   }
-  [[nodiscard]] std::uint64_t route_invalidations() const override {
-    return harness_.selector().route_cache().stats().invalidations;
-  }
   void on_plane_detected(int plane, bool down) override;
   void set_plane_weights(const std::vector<double>& weights) override;
   int repin(int from_plane, int to_plane, int max_flows) override;
@@ -67,9 +64,6 @@ class FluidDataplane : public Dataplane {
   }
   [[nodiscard]] double plane_queue_bytes(int /*plane*/) const override {
     return 0.0;  // the fluid model has no queues
-  }
-  [[nodiscard]] std::uint64_t route_invalidations() const override {
-    return fluid_.route_cache().stats().invalidations;
   }
   void on_plane_detected(int plane, bool down) override;
   void set_plane_weights(const std::vector<double>& weights) override;

@@ -14,21 +14,6 @@ void LinkStateBus::subscribe_health_monitor(core::HealthMonitor& monitor) {
   });
 }
 
-void LinkStateBus::subscribe_route_cache(routing::RouteCache& cache) {
-  subscribe([&cache](const sim::FaultEvent& event) {
-    switch (event.kind) {
-      case sim::FaultKind::kCableFail:
-        cache.set_link_state(event.plane, event.link, true);
-        break;
-      case sim::FaultKind::kCableRecover:
-        cache.set_link_state(event.plane, event.link, false);
-        break;
-      default:
-        break;  // plane health / degradation never invalidate routes
-    }
-  });
-}
-
 void LinkStateBus::attach(sim::FaultInjector& injector) {
   injector.add_listener(
       [this](const sim::FaultEvent& event) { publish(event); });

@@ -1,13 +1,10 @@
 // One observer interface for fabric link-state events.
 //
-// Before this bus existed the same sim::FaultEvent stream reached three
-// consumers through three bespoke hookups: core::HealthMonitor listened on
-// the FaultInjector directly, routing::RouteCache invalidation was wired by
-// whichever bench remembered to do it, and nothing at all could observe the
-// fluid simulator's fabric. The bus is the single subscription point:
-// sources publish (a packet-sim FaultInjector, a fluid simulator's fabric
-// schedule, or a test calling publish() by hand) and every observer sees
-// every event, in subscription order, on the simulation thread.
+// The bus is the single subscription point for sim::FaultEvents: sources
+// publish (a packet-sim FaultInjector, a fluid simulator's fabric schedule,
+// or a test calling publish() by hand), and every observer —
+// core::HealthMonitor, control::Controller, any test probe — sees every
+// event, in subscription order, on the simulation thread.
 //
 // Determinism: the bus adds no state of its own beyond counters — delivery
 // is synchronous and ordered, so a run's behavior is a pure function of the
@@ -20,7 +17,6 @@
 #include <vector>
 
 #include "fsim/fluid.hpp"
-#include "routing/route_cache.hpp"
 #include "sim/faults.hpp"
 
 namespace pnet::core {
@@ -40,12 +36,6 @@ class LinkStateBus {
   /// HealthMonitor convenience: forwards every event to
   /// HealthMonitor::on_fault (the detection-delay intake).
   void subscribe_health_monitor(core::HealthMonitor& monitor);
-
-  /// RouteCache convenience: cable fail/recover events invalidate cached
-  /// entries crossing the link (RouteCache::set_link_state). Plane-scoped
-  /// and degrade events are ignored — plane health is a selection-time
-  /// filter, and degraded cables still carry traffic.
-  void subscribe_route_cache(routing::RouteCache& cache);
 
   /// Wires the packet-sim fault injector as a source: every applied fault
   /// is re-published here.

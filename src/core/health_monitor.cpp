@@ -32,24 +32,10 @@ void HealthMonitor::react(const sim::FaultEvent& event) {
       }
       if (factory_ != nullptr) factory_->on_plane_recovered(event.plane);
       break;
-    case sim::FaultKind::kCableFail:
-    case sim::FaultKind::kCableRecover:
-      // Not visible in host link status (the host's own uplink stays up),
-      // but once the control plane disseminates the change the selectors'
-      // route caches invalidate affected entries so new flows avoid (or
-      // resume using) the cable. In-flight flows still depend on the
-      // transport's path-suspect repath.
-      for (PathSelector* selector : selectors_) {
-        selector->set_link_failed(event.plane, event.link,
-                                  event.kind == sim::FaultKind::kCableFail);
-      }
-      PNET_TRACE_INSTANT(trace_, "cache_invalidate", events_.now(),
-                         (static_cast<std::int64_t>(event.plane) << 32) |
-                             static_cast<std::uint32_t>(event.link.v));
-      break;
-    default:
-      // Degrade/restore keep the cable in service (possibly lossy/slow);
-      // routing around it is the transport's call, not the cache's.
+    case sim::FaultKind::kCableDegrade:
+    case sim::FaultKind::kCableRestore:
+      // The cable stays in service (possibly lossy or slow); routing
+      // around it is the transport's call.
       break;
   }
 }

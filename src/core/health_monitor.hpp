@@ -12,14 +12,11 @@
 //   * the FlowFactory repaths live single-path flows off a failed plane,
 //     abandons MPTCP subflows on it, and revives abandoned subflows when
 //     the plane recovers.
-// Plane-scoped events reach the selectors as plane up/down; cable-scoped
-// fail/recover events reach the selectors' route caches (a model of
-// switch-driven topology dissemination) so new flows are computed around
-// dead cables. A
-// mid-fabric cable failure stays invisible to host link status (the host's
-// own uplink is up), so in-flight flows must still save themselves via the
-// transport-level path-suspect repath. Every detection is logged for
-// analysis::RecoveryStats' time-to-detect accounting.
+// A degraded cable (a dead one is a degraded cable at loss 1) stays
+// invisible to host link status (the host's own uplink is up), so flows
+// crossing it must save themselves via the transport-level path-suspect
+// repath. Every detection is logged for the time-to-detect accounting of
+// analysis::plane_episodes and analysis::analyze_episode.
 #pragma once
 
 #include <deque>
@@ -52,9 +49,9 @@ class HealthMonitor : public sim::EventSource {
   /// Registers the factory whose live flows react to plane transitions.
   void set_factory(sim::FlowFactory& factory) { factory_ = &factory; }
 
-  /// Records host-side detections ("detect" instants, arg = plane) and
-  /// route-cache invalidations ("cache_invalidate" instants) into `trace`.
-  /// Null detaches (the default zero-cost path); must outlive the monitor.
+  /// Records host-side detections ("detect" instants, arg = plane) into
+  /// `trace`. Null detaches (the default zero-cost path); must outlive the
+  /// monitor.
   void set_trace(telemetry::Trace* trace) { trace_ = trace; }
 
   /// Raw fabric-event intake; schedules the delayed host-side reaction.

@@ -30,7 +30,6 @@ PathSelector::PathSelector(const topo::ParallelNetwork& net,
     : net_(net), config_(std::move(config)), cache_(std::move(cache)),
       plane_failed_(static_cast<std::size_t>(net.num_planes()), false) {
   if (cache_ == nullptr) cache_ = std::make_shared<routing::RouteCache>();
-  cache_->bind(net_);
 }
 
 void PathSelector::set_plane_failed(int plane, bool failed) {
@@ -38,10 +37,6 @@ void PathSelector::set_plane_failed(int plane, bool failed) {
   // sets stay intact (bit-identical to the cache-less baseline) and plane
   // flaps cost nothing to recover from.
   plane_failed_[static_cast<std::size_t>(plane)] = failed;
-}
-
-void PathSelector::set_link_failed(int plane, LinkId link, bool failed) {
-  cache_->set_link_state(plane, link, failed);
 }
 
 bool PathSelector::plane_usable(int plane) const {
@@ -65,50 +60,14 @@ void PathSelector::set_plane_weights(std::vector<double> weights) {
   plane_weights_ = std::move(weights);
 }
 
-std::size_t PathSelector::plane_pick(const std::vector<int>& usable,
-                                     std::uint64_t key) const {
-  const int n = static_cast<int>(usable.size());
-  if (plane_weights_.empty()) {
-    return static_cast<std::size_t>(routing::ecmp_pick(key, n));
-  }
-  auto weight_of = [&](int plane) {
-    const auto i = static_cast<std::size_t>(plane);
-    return (i < plane_weights_.size() && plane_weights_[i] > 0.0)
-               ? plane_weights_[i]
-               : 0.0;
-  };
-  double total = 0.0;
-  for (int plane : usable) total += weight_of(plane);
-  if (total <= 0.0) {  // all-zero bias: uniform fallback, never "no plane"
-    return static_cast<std::size_t>(routing::ecmp_pick(key, n));
-  }
-  // 53-bit hash fraction in [0, 1) scaled onto the cumulative weights —
-  // deterministic in (key, weights), no RNG state.
-  const double u =
-      static_cast<double>(mix64(key) >> 11) * 0x1.0p-53 * total;
-  double cum = 0.0;
-  std::size_t last_positive = 0;
-  for (std::size_t j = 0; j < usable.size(); ++j) {
-    const double w = weight_of(usable[j]);
-    if (w <= 0.0) continue;
-    cum += w;
-    last_positive = j;
-    if (u < cum) return j;
-  }
-  return last_positive;  // floating-point round-off at the top end
-}
-
 routing::RouteSnapshot PathSelector::ksp_paths(HostId src, HostId dst) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(
-                                 static_cast<std::uint32_t>(src.v))
-                             << 32) |
-                            static_cast<std::uint32_t>(dst.v);
   // Keep k candidates per plane (not just k overall) with per-pair
   // randomized tie-breaks, so plane failures can be filtered out at
   // selection time and fat-tree ties do not collapse onto one corner.
   return cache_->lookup(
       net_, routing::RouteQuery::ksp(src, dst, config_.k,
-                                     mix64(key ^ 0xD1CE),
+                                     mix64(routing::pair_key(src, dst) ^
+                                           0xD1CE),
                                      config_.k * net_.num_planes()));
 }
 
@@ -188,7 +147,8 @@ std::vector<routing::Path> PathSelector::select(HostId src, HostId dst,
       // Hash onto a plane, then onto one equal-cost path within it — what a
       // standard ECMP dataplane does with the host applying the same idea
       // across planes.
-      const int plane = usable[plane_pick(usable, mix64(flow_key) ^ 0x9E37)];
+      const int plane = usable[routing::weighted_pick(
+          usable, plane_weights_, mix64(flow_key) ^ 0x9E37)];
       const routing::RouteSnapshot in_plane = ecmp_paths(src, dst, plane);
       if (in_plane->empty()) return {};
       const int pick = routing::ecmp_pick(
@@ -210,7 +170,7 @@ std::vector<routing::Path> PathSelector::select(HostId src, HostId dst,
       const std::size_t slot =
           plane_weights_.empty()
               ? static_cast<std::size_t>(seq % usable.size())
-              : plane_pick(usable, mix64(seq));
+              : routing::weighted_pick(usable, plane_weights_, mix64(seq));
       const int plane = usable[slot];
       const routing::RouteSnapshot in_plane = ecmp_paths(src, dst, plane);
       if (in_plane->empty()) return {};
@@ -243,15 +203,9 @@ std::vector<routing::Path> PathSelector::repin(HostId src, HostId dst,
   }
   const routing::RouteSnapshot in_plane = ecmp_paths(src, dst, target_plane);
   if (in_plane->empty()) return {};
-  // Keyed by the repath sequence so successive repins of the same pair
-  // spread over the plane's equal-cost set instead of colliding.
-  const std::uint64_t key =
-      mix64((static_cast<std::uint64_t>(static_cast<std::uint32_t>(src.v))
-             << 32) ^
-            static_cast<std::uint32_t>(dst.v) ^
-            (0x4EB1 + (repath_counter_++ << 17)));
-  const int pick =
-      routing::ecmp_pick(key, static_cast<int>(in_plane->size()));
+  const int pick = routing::ecmp_pick(
+      routing::repin_key(src, dst, repath_counter_++),
+      static_cast<int>(in_plane->size()));
   return {in_plane->view(static_cast<std::size_t>(pick)).materialize()};
 }
 
@@ -265,13 +219,9 @@ void PathSelector::enable_repath(sim::FlowFactory& factory) {
         // must not stick for unrelated future flows.
         const bool was_failed = plane_failed_[p];
         plane_failed_[p] = true;
-        auto paths =
-            select(src, dst, bytes,
-                   mix64((static_cast<std::uint64_t>(
-                              static_cast<std::uint32_t>(src.v))
-                          << 32) ^
-                         static_cast<std::uint32_t>(dst.v) ^
-                         (0xFA17 + (repath_counter_++ << 17))));
+        auto paths = select(src, dst, bytes,
+                            mix64(routing::pair_key(src, dst) ^
+                                  (0xFA17 + (repath_counter_++ << 17))));
         plane_failed_[p] = was_failed;
         return paths;
       });
@@ -282,10 +232,7 @@ workload::FlowStarter PathSelector::make_starter(sim::FlowFactory& factory) {
                           SimTime start,
                           sim::FlowFactory::FlowCallback on_complete) {
     const std::uint64_t flow_key =
-        mix64((static_cast<std::uint64_t>(
-                   static_cast<std::uint32_t>(src.v))
-               << 32) ^
-              static_cast<std::uint32_t>(dst.v) ^
+        mix64(routing::pair_key(src, dst) ^
               (static_cast<std::uint64_t>(factory.flows_created()) << 17));
     auto paths = select(src, dst, bytes, flow_key);
     assert(!paths.empty() && "no path between hosts");

@@ -86,12 +86,6 @@ class PathSelector {
   /// flight are the transport's problem.
   void set_plane_failed(int plane, bool failed);
 
-  /// Reports a cable (link) failure or recovery to the route cache: cached
-  /// entries whose paths traverse the link are recomputed on next use, so
-  /// new flows route around the dead cable. `link` is the plane-local id of
-  /// either direction of the duplex pair; both directions are affected.
-  void set_link_failed(int plane, LinkId link, bool failed);
-
   /// Installs this selector as the factory's repath provider, so flows in
   /// flight stop being "the transport's problem": when a TcpSrc declares
   /// its path suspect (consecutive RTOs) or a detected plane failure forces
@@ -141,10 +135,6 @@ class PathSelector {
   std::vector<routing::Path> shortest_plane_pick(HostId src, HostId dst,
                                                  std::uint64_t flow_key);
   [[nodiscard]] std::vector<int> usable_planes() const;
-  /// Index into `usable` for hash `key`: uniform when no weights are set,
-  /// weight-proportional otherwise. Deterministic in (key, weights).
-  [[nodiscard]] std::size_t plane_pick(const std::vector<int>& usable,
-                                       std::uint64_t key) const;
 
   const topo::ParallelNetwork& net_;
   PolicyConfig config_;

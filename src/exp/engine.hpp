@@ -33,9 +33,7 @@ namespace pnet::exp {
 /// route store: every trial of a cell runs the same topology, so path
 /// computation is done once and reused across trials and worker threads
 /// (entries are pure functions of (net, query) — results stay bit-identical
-/// to private caching; see routing::RouteCache). Custom trial functions
-/// that invalidate route-cache entries (cable failures) must build a
-/// private cache instead.
+/// to private caching; see routing::RouteCache).
 struct TrialContext {
   const ExperimentSpec& spec;
   int trial;

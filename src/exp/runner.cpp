@@ -88,11 +88,9 @@ std::vector<CellResult> Runner::run_trials(
 
   // One route cache per cell, shared by all its trials (and worker
   // threads): trials of a cell build identical topologies, so path
-  // computation runs once per distinct query. Safe because the built-in
-  // trial bodies never invalidate a route-cache entry (a spec's faults are
-  // plane outages and degraded cables: ExperimentSpec::faults), and cached
-  // content is a pure function of (net, query) — results stay
-  // bit-identical for any --threads value.
+  // computation runs once per distinct query. A cache entry is a pure
+  // function of (net, query), so results stay bit-identical for any
+  // --threads value.
   std::vector<std::shared_ptr<routing::RouteCache>> caches;
   caches.reserve(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -239,8 +237,6 @@ std::vector<CellResult> Runner::run_trials(
     auto& runtime = results[c].runtime;
     runtime["route_cache_hits"] = static_cast<double>(stats.hits);
     runtime["route_cache_misses"] = static_cast<double>(stats.misses);
-    runtime["route_cache_invalidations"] =
-        static_cast<double>(stats.invalidations);
     runtime["route_cache_compute_ns"] =
         static_cast<double>(stats.compute_ns);
     runtime["route_cache_arena_bytes"] =

@@ -120,9 +120,9 @@ struct WorkloadSpec {
 /// controller block decides how hosts react: kOff hosts never learn of a
 /// fault, kHostLocal hosts learn after `controller.detect_delay`
 /// (core::HealthMonitor) and repath, kCentralized adds the Controller.
-/// Neither kind invalidates a route-cache entry (plane state is a
-/// selection-time mask; a degraded cable stays in service), so a cell with
-/// faults still shares its route cache.
+/// Neither kind changes a route (plane state is a selection-time mask; a
+/// degraded cable stays in service), so a cell with faults shares its
+/// route cache like any other.
 struct FaultSpec {
   /// Plane `plane` goes down at `at` and comes back `down_for` later; 0
   /// keeps it down.

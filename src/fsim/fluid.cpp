@@ -39,10 +39,7 @@ namespace {
 /// KSP tie-break jitter seed: per PAIR, not per flow, so the cache can
 /// memoize the candidate pool (matching core::PathSelector's convention).
 std::uint64_t ksp_seed(HostId src, HostId dst) {
-  const std::uint64_t pair_key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src.v)) << 32) |
-      static_cast<std::uint32_t>(dst.v);
-  return mix64(pair_key ^ 0xABCD);
+  return mix64(routing::pair_key(src, dst) ^ 0xABCD);
 }
 
 }  // namespace
@@ -94,7 +91,6 @@ FluidSimulator::FluidSimulator(const topo::ParallelNetwork& net,
       plane_phys_down_(static_cast<std::size_t>(net.num_planes()), false),
       plane_masked_(static_cast<std::size_t>(net.num_planes()), false) {
   if (cache_ == nullptr) cache_ = std::make_shared<routing::RouteCache>();
-  cache_->bind(net_);
 }
 
 bool FluidSimulator::routing_bias_active() const {
@@ -103,38 +99,6 @@ bool FluidSimulator::routing_bias_active() const {
     if (masked) return true;
   }
   return false;
-}
-
-std::size_t FluidSimulator::plane_pick_idx(const std::vector<int>& usable,
-                                           std::uint64_t key) const {
-  const int n = static_cast<int>(usable.size());
-  if (plane_weights_.empty()) {
-    return static_cast<std::size_t>(routing::ecmp_pick(key, n));
-  }
-  auto weight_of = [&](int plane) {
-    const auto i = static_cast<std::size_t>(plane);
-    return (i < plane_weights_.size() && plane_weights_[i] > 0.0)
-               ? plane_weights_[i]
-               : 0.0;
-  };
-  double total = 0.0;
-  for (int plane : usable) total += weight_of(plane);
-  if (total <= 0.0) {
-    return static_cast<std::size_t>(routing::ecmp_pick(key, n));
-  }
-  // Same weighted-hash construction as core::PathSelector::plane_pick, so
-  // both engines bias identically under the same controller weights.
-  const double u = static_cast<double>(mix64(key) >> 11) * 0x1.0p-53 * total;
-  double cum = 0.0;
-  std::size_t last_positive = 0;
-  for (std::size_t j = 0; j < usable.size(); ++j) {
-    const double w = weight_of(usable[j]);
-    if (w <= 0.0) continue;
-    cum += w;
-    last_positive = j;
-    if (u < cum) return j;
-  }
-  return last_positive;
 }
 
 void FluidSimulator::set_plane_usable(int plane, bool usable) {
@@ -202,15 +166,9 @@ int FluidSimulator::repin_flows(int from_plane, int to_plane, int max_flows) {
         net_, routing::RouteQuery::ecmp_plane(src, dst, to_plane,
                                               config_.ecmp_path_cap));
     if (snapshot->empty()) continue;
-    // Same repin-sequence hash recipe as core::PathSelector::repin, so
-    // successive repins of one pair spread over the target's path set.
-    const std::uint64_t key =
-        mix64((static_cast<std::uint64_t>(static_cast<std::uint32_t>(src.v))
-               << 32) ^
-              static_cast<std::uint32_t>(dst.v) ^
-              (0x4EB1 + (repin_seq_++ << 17)));
     const int pick =
-        routing::ecmp_pick(key, static_cast<int>(snapshot->size()));
+        routing::ecmp_pick(routing::repin_key(src, dst, repin_seq_++),
+                           static_cast<int>(snapshot->size()));
     const routing::PathView path =
         snapshot->view(static_cast<std::size_t>(pick));
     alloc_.remove(active.sub_ids[0]);
@@ -255,7 +213,8 @@ void FluidSimulator::route(Pending& pending, std::uint64_t flow_key) {
         }
         plane = usable.empty()
                     ? routing::ecmp_pick(plane_key, net_.num_planes())
-                    : usable[plane_pick_idx(usable, plane_key)];
+                    : usable[routing::weighted_pick(usable, plane_weights_,
+                                                    plane_key)];
       }
       pending.snapshot = cache_->lookup(
           net_, routing::RouteQuery::ecmp_plane(src, dst, plane,

@@ -292,9 +292,6 @@ class FluidSimulator {
   void apply_fabric_events();  // every scheduled event with at <= now()
   /// True once any mask/weight actuator has engaged (bias path in route()).
   [[nodiscard]] bool routing_bias_active() const;
-  /// Weighted (or uniform) pick of an index into `usable` for hash `key`.
-  [[nodiscard]] std::size_t plane_pick_idx(const std::vector<int>& usable,
-                                           std::uint64_t key) const;
 
   const topo::ParallelNetwork& net_;
   FsimConfig config_;

@@ -12,7 +12,7 @@ namespace pnet::routing {
 std::vector<Path> ksp_across_planes(const topo::ParallelNetwork& net,
                                     HostId src, HostId dst, int k,
                                     std::uint64_t tiebreak_seed,
-                                    int total_cap, const PlaneBans* bans) {
+                                    int total_cap) {
   if (total_cap <= 0) total_cap = k;
   // (hops, rank within plane, plane, path): sorting by this tuple yields
   // globally shortest first with round-robin across planes at equal length.
@@ -28,8 +28,7 @@ std::vector<Path> ksp_across_planes(const topo::ParallelNetwork& net,
     }
     auto paths = k_shortest_paths(g, net.host_node(p, src),
                                   net.host_node(p, dst), k,
-                                  tiebreak_seed != 0 ? &jitter : nullptr,
-                                  detail::plane_bans(bans, p));
+                                  tiebreak_seed != 0 ? &jitter : nullptr);
     for (std::size_t rank = 0; rank < paths.size(); ++rank) {
       paths[rank].plane = p;
       order.emplace_back(paths[rank].hops(), static_cast<int>(rank), p);
@@ -53,14 +52,12 @@ std::vector<Path> ksp_across_planes(const topo::ParallelNetwork& net,
 }
 
 std::vector<Path> shortest_per_plane(const topo::ParallelNetwork& net,
-                                     HostId src, HostId dst,
-                                     const PlaneBans* bans) {
+                                     HostId src, HostId dst) {
   std::vector<Path> out;
   for (int p = 0; p < net.num_planes(); ++p) {
     const topo::Graph& g = net.plane(p).graph;
     auto path = shortest_path(g, net.host_node(p, src),
-                              net.host_node(p, dst),
-                              detail::plane_bans(bans, p));
+                              net.host_node(p, dst));
     if (path) {
       path->plane = p;
       out.push_back(std::move(*path));
@@ -74,11 +71,10 @@ std::vector<Path> shortest_per_plane(const topo::ParallelNetwork& net,
 
 std::vector<Path> ecmp_paths_in_plane(const topo::ParallelNetwork& net,
                                       int plane, HostId src, HostId dst,
-                                      int cap, const PlaneBans* bans) {
+                                      int cap) {
   const topo::Graph& g = net.plane(plane).graph;
   auto paths = enumerate_shortest_paths(g, net.host_node(plane, src),
-                                        net.host_node(plane, dst), cap,
-                                        detail::plane_bans(bans, plane));
+                                        net.host_node(plane, dst), cap);
   for (auto& p : paths) p.plane = plane;
   return paths;
 }

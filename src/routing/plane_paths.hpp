@@ -14,20 +14,6 @@
 
 namespace pnet::routing {
 
-/// Per-plane banned-link masks (outer index: plane; inner index: LinkId::v
-/// within that plane). nullptr / empty inner vectors mean "no bans". Used by
-/// the route cache to recompute entries around failed links.
-using PlaneBans = std::vector<std::vector<bool>>;
-
-namespace detail {
-/// Plane p's mask, or nullptr when absent/empty.
-inline const std::vector<bool>* plane_bans(const PlaneBans* bans, int p) {
-  if (bans == nullptr) return nullptr;
-  const auto& mask = (*bans)[static_cast<std::size_t>(p)];
-  return mask.empty() ? nullptr : &mask;
-}
-}  // namespace detail
-
 /// K globally-shortest loopless paths between two hosts across all planes.
 /// At equal hop count, planes are interleaved round-robin (rank within the
 /// plane first, then plane index) so homogeneous P-Nets spread evenly.
@@ -40,19 +26,16 @@ inline const std::vector<bool>* plane_bans(const PlaneBans* bans, int p) {
 std::vector<Path> ksp_across_planes(const topo::ParallelNetwork& net,
                                     HostId src, HostId dst, int k,
                                     std::uint64_t tiebreak_seed = 0,
-                                    int total_cap = 0,
-                                    const PlaneBans* bans = nullptr);
+                                    int total_cap = 0);
 
 /// One shortest path per plane, sorted globally by hop count (shortest-plane
 /// first). Used by the "low-latency" single-path interface of section 3.4.
 std::vector<Path> shortest_per_plane(const topo::ParallelNetwork& net,
-                                     HostId src, HostId dst,
-                                     const PlaneBans* bans = nullptr);
+                                     HostId src, HostId dst);
 
 /// Equal-cost shortest paths within one plane (plane field filled in).
 std::vector<Path> ecmp_paths_in_plane(const topo::ParallelNetwork& net,
                                       int plane, HostId src, HostId dst,
-                                      int cap = 256,
-                                      const PlaneBans* bans = nullptr);
+                                      int cap = 256);
 
 }  // namespace pnet::routing

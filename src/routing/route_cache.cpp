@@ -1,10 +1,11 @@
 #include "routing/route_cache.hpp"
 
-#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 
+#include "routing/ecmp.hpp"
+#include "routing/plane_paths.hpp"
 #include "util/rng.hpp"
 
 namespace pnet::routing {
@@ -23,9 +24,7 @@ std::uint64_t now_ns() {
 std::size_t RouteCache::QueryHash::operator()(const RouteQuery& q) const {
   std::uint64_t h = mix64(static_cast<std::uint64_t>(q.kind) ^
                           0xC0FFEE123456789ULL);
-  h = mix64(h ^ (static_cast<std::uint64_t>(
-                     static_cast<std::uint32_t>(q.src.v))
-                 << 32 | static_cast<std::uint32_t>(q.dst.v)));
+  h = mix64(h ^ pair_key(q.src, q.dst));
   h = mix64(h ^ (static_cast<std::uint64_t>(
                      static_cast<std::uint32_t>(q.plane))
                  << 32 | static_cast<std::uint32_t>(q.k)));
@@ -43,183 +42,52 @@ bool RouteCache::enabled_by_env() {
 
 RouteCache::RouteCache(bool enabled) : enabled_(enabled) {}
 
-void RouteCache::bind(const topo::ParallelNetwork& net) {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  if (bound_.load(std::memory_order_relaxed)) {
-    // All nets sharing one cache must share one layout (identical
-    // topologies, e.g. trials of an experiment cell).
-    assert(plane_offsets_.size() ==
-           static_cast<std::size_t>(net.num_planes()) + 1);
-    assert(total_links_ == plane_offsets_.back());
-    return;
-  }
-  plane_offsets_.resize(static_cast<std::size_t>(net.num_planes()) + 1, 0);
-  for (int p = 0; p < net.num_planes(); ++p) {
-    plane_offsets_[static_cast<std::size_t>(p) + 1] =
-        plane_offsets_[static_cast<std::size_t>(p)] +
-        static_cast<std::size_t>(net.plane(p).graph.num_links());
-  }
-  total_links_ = plane_offsets_.back();
-  link_epochs_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(total_links_);
-  link_down_ = std::make_unique<std::atomic<bool>[]>(total_links_);
-  for (std::size_t i = 0; i < total_links_; ++i) {
-    link_epochs_[i].store(0, std::memory_order_relaxed);
-    link_down_[i].store(false, std::memory_order_relaxed);
-  }
-  // Release: publishes plane_offsets_/link arrays to lock-free readers.
-  bound_.store(true, std::memory_order_release);
-}
-
-void RouteCache::set_link_state(int plane, LinkId link, bool down) {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  assert(bound_.load(std::memory_order_relaxed) &&
-         "bind() the cache before reporting link events");
-  // Duplex cables are constructed as adjacent directed twins (id, id^1);
-  // a cable fault takes out both directions, and banning both keeps the
-  // reversed-BFS trick in ECMP enumeration valid.
-  const LinkId twin{link.v ^ 1};
-  const std::uint64_t next =
-      global_epoch_.load(std::memory_order_relaxed) + 1;
-  bool changed = false;
-  for (const LinkId id : {link, twin}) {
-    const std::size_t g = global_link(plane, id);
-    if (link_down_[g].load(std::memory_order_relaxed) == down) continue;
-    link_down_[g].store(down, std::memory_order_relaxed);
-    // Stamp the link BEFORE publishing the epoch: a validator racing with
-    // us either sees the old global epoch (and keeps its old verdict) or
-    // the new link epoch (and conservatively invalidates). Never the
-    // reverse.
-    link_epochs_[g].store(next, std::memory_order_release);
-    down_count_.fetch_add(down ? 1 : std::size_t(-1),
-                          std::memory_order_relaxed);
-    changed = true;
-  }
-  if (changed) global_epoch_.store(next, std::memory_order_release);
-}
-
-void RouteCache::snapshot_bans(
-    const topo::ParallelNetwork& net, const RouteQuery& q, PlaneBans& bans,
-    bool& any, std::vector<std::pair<std::int32_t, LinkId>>& avoided) {
-  any = false;
-  if (down_count_.load(std::memory_order_acquire) == 0) return;
-  bans.assign(static_cast<std::size_t>(net.num_planes()), {});
-  const int only_plane = q.kind == RouteKind::kEcmpPlane ? q.plane : -1;
-  for (int p = 0; p < net.num_planes(); ++p) {
-    if (only_plane >= 0 && p != only_plane) continue;
-    const std::size_t begin = plane_offsets_[static_cast<std::size_t>(p)];
-    const std::size_t end = plane_offsets_[static_cast<std::size_t>(p) + 1];
-    for (std::size_t g = begin; g < end; ++g) {
-      if (!link_down_[g].load(std::memory_order_acquire)) continue;
-      auto& mask = bans[static_cast<std::size_t>(p)];
-      if (mask.empty()) mask.resize(end - begin, false);
-      const LinkId local{static_cast<std::int32_t>(g - begin)};
-      mask[static_cast<std::size_t>(local.v)] = true;
-      avoided.emplace_back(p, local);
-      any = true;
-    }
-  }
-}
-
-std::vector<Path> RouteCache::compute(const topo::ParallelNetwork& net,
-                                      const RouteQuery& q,
-                                      const PlaneBans* bans) {
-  switch (q.kind) {
-    case RouteKind::kKsp:
-      return ksp_across_planes(net, q.src, q.dst, q.k, q.tiebreak_seed,
-                               q.total_cap, bans);
-    case RouteKind::kShortestPerPlane:
-      return shortest_per_plane(net, q.src, q.dst, bans);
-    case RouteKind::kEcmpPlane:
-      return ecmp_paths_in_plane(net, q.plane, q.src, q.dst, q.k, bans);
-  }
-  return {};
-}
-
-std::shared_ptr<RouteEntry> RouteCache::build_entry(
+std::shared_ptr<RouteEntry> RouteCache::compute(
     const topo::ParallelNetwork& net, const RouteQuery& q,
     RouteTable& table) {
-  auto entry = std::make_shared<RouteEntry>();
-  PlaneBans bans;
-  bool any_bans = false;
-  // Read the epoch BEFORE computing: events landing mid-compute then look
-  // newer than the entry and trigger a recompute, never a silent miss.
-  entry->epoch_ = global_epoch_.load(std::memory_order_acquire);
-  snapshot_bans(net, q, bans, any_bans, entry->avoided_);
-
+  misses_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t t0 = now_ns();
-  std::vector<Path> paths = compute(net, q, any_bans ? &bans : nullptr);
+  std::vector<Path> paths;
+  switch (q.kind) {
+    case RouteKind::kKsp:
+      paths = ksp_across_planes(net, q.src, q.dst, q.k, q.tiebreak_seed,
+                                q.total_cap);
+      break;
+    case RouteKind::kShortestPerPlane:
+      paths = shortest_per_plane(net, q.src, q.dst);
+      break;
+    case RouteKind::kEcmpPlane:
+      paths = ecmp_paths_in_plane(net, q.plane, q.src, q.dst, q.k);
+      break;
+  }
   compute_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
 
+  auto entry = std::make_shared<RouteEntry>();
   entry->table_ = &table;
   entry->refs_.reserve(paths.size());
   for (const Path& path : paths) entry->refs_.push_back(table.intern(path));
-  entry->checked_epoch_.store(entry->epoch_, std::memory_order_relaxed);
   return entry;
-}
-
-bool RouteCache::entry_current(const RouteEntry& entry,
-                               std::uint64_t now) const {
-  if (entry.epoch_ == now) return true;
-  if (entry.checked_epoch_.load(std::memory_order_acquire) == now) {
-    return true;
-  }
-  // Lazy scan: stale iff a traversed link changed after compute, or a link
-  // we routed around is back up.
-  for (const PathRef& ref : entry.refs_) {
-    const PathView view = entry.table_->view(ref);
-    for (const LinkId id : view.links()) {
-      const std::size_t g = global_link(view.plane(), id);
-      if (link_epochs_[g].load(std::memory_order_acquire) > entry.epoch_) {
-        return false;
-      }
-    }
-  }
-  for (const auto& [plane, link] : entry.avoided_) {
-    if (!link_down_[global_link(plane, link)].load(
-            std::memory_order_acquire)) {
-      return false;
-    }
-  }
-  entry.checked_epoch_.store(now, std::memory_order_release);
-  return true;
-}
-
-bool RouteCache::current(const RouteEntry& entry) const {
-  return entry_current(entry, global_epoch_.load(std::memory_order_acquire));
 }
 
 RouteSnapshot RouteCache::lookup(const topo::ParallelNetwork& net,
                                  const RouteQuery& q) {
-  if (!bound_.load(std::memory_order_acquire)) bind(net);
-
   if (!enabled_) {
     // Pass-through: fresh compute per call, self-contained snapshot.
     auto table = std::make_unique<RouteTable>();
-    auto entry = build_entry(net, q, *table);
+    auto entry = compute(net, q, *table);
     entry->owned_table_ = std::move(table);
-    misses_.fetch_add(1, std::memory_order_relaxed);
     return entry;
   }
 
   Shard& shard = shards_[QueryHash{}(q) % kShards];
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(q);
+  const auto it = shard.entries.find(q);
   if (it != shard.entries.end()) {
-    if (entry_current(*it->second,
-                      global_epoch_.load(std::memory_order_acquire))) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    // Fall through to recompute; the old snapshot stays valid for holders.
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return it->second;
   }
-
-  auto entry = build_entry(net, q, shard.table);
-  RouteSnapshot snap = std::move(entry);
-  shard.entries[q] = snap;
+  RouteSnapshot snap = compute(net, q, shard.table);
+  shard.entries.emplace(q, snap);
   return snap;
 }
 
@@ -227,7 +95,6 @@ RouteCacheStats RouteCache::stats() const {
   RouteCacheStats out;
   out.hits = hits_.load(std::memory_order_relaxed);
   out.misses = misses_.load(std::memory_order_relaxed);
-  out.invalidations = invalidations_.load(std::memory_order_relaxed);
   out.compute_ns = compute_ns_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);

@@ -1,49 +1,34 @@
-// Shared route cache with epoch-based incremental invalidation.
+// Shared route cache: a memo of (network, query).
 //
 // Route computation (Yen's KSP across planes, ECMP enumeration, per-plane
-// shortest paths) dominates setup time for large experiments, and every
-// consumer used to keep its own private per-pair cache (core::PathSelector)
-// or recompute per flow (fsim). RouteCache centralizes that: entries are
-// keyed by the full policy-relevant query (src, dst, scheme, k, caps,
-// tie-break seed), path link sequences are interned into per-shard
-// RouteTable arenas, and consumers receive RouteSnapshots — shared_ptrs to
-// immutable entries exposing PathViews, so the hot path never copies a
-// vector<Path>.
+// shortest paths) dominates setup time for large experiments. RouteCache
+// computes each distinct query once: entries are keyed by the full
+// policy-relevant query (src, dst, scheme, k, caps, tie-break seed), path
+// link sequences are interned into per-shard RouteTable arenas, and
+// consumers receive RouteSnapshots — shared_ptrs to immutable entries
+// exposing PathViews, so the hot path never copies a vector<Path>.
 //
-// Invalidation contract (the fault path):
-//   * set_link_state(plane, link, down) records the new state for BOTH
-//     directions of the duplex cable (graph construction pairs them as
-//     id and id^1), stamps the touched links with a fresh global epoch, and
-//     publishes the epoch.
-//   * A lookup revalidates its entry lazily: if the global epoch moved, the
-//     entry is stale iff (a) one of its paths traverses a link whose epoch
-//     is newer than the entry's compute epoch — a traversed link failed —
-//     or (b) a link the compute avoided (down at compute time, in a plane
-//     the query can use) is now up — a relevant link recovered. Only such
-//     entries are recomputed; everything else revalidates in O(1) via a
-//     cached checked-epoch.
-//   * Entries are recomputed with the current down set as banned links, so
-//     post-fault paths route around dead cables.
-//   Plane-level failures are deliberately NOT cache events: consumers
-//   filter by plane at selection time (core::PathSelector::plane_usable),
-//   which keeps plane flaps cheap and keeps cached content identical to the
-//   cache-less baseline.
+// An entry is a pure function of the network's structure and the query.
+// No fault changes a computed route: plane outages are selection-time
+// filters (core::PathSelector::plane_usable) and a degraded cable stays in
+// service, so an entry, once computed, is never recomputed. Every network
+// passed to one cache must have the same structure (e.g. the identical
+// topologies of an experiment cell's trials).
 //
-// Concurrency: lookups for the same key serialize on the key's shard mutex
-// (compute happens under it, so one thread computes while others for the
-// same shard wait — distinct shards proceed in parallel). A returned
-// snapshot may be read lock-free after the lookup returns: RouteTable
-// arenas are chunked slabs that never move and entries are immutable.
-// Determinism: an entry's content is a pure function of the network
-// structure, the query, and the current down set — never of thread timing —
-// so a cache shared across worker threads yields bit-identical results to
-// private caches.
+// Concurrency: a lookup probes its key's shard under the shard mutex and,
+// on a miss, computes under it, so one thread computes while others for
+// the same shard wait — distinct shards proceed in parallel, and each
+// distinct query counts exactly one miss however many threads ask for it.
+// A returned snapshot may be read lock-free after the lookup returns:
+// RouteTable arenas are chunked slabs that never move and entries are
+// immutable. Since an entry never depends on thread timing, a cache shared
+// across worker threads yields bit-identical results to private caches.
 //
 // PNET_ROUTE_CACHE=off (or "0"/"false") switches every cache constructed
 // with default enablement into pass-through mode: each lookup computes
-// fresh (still applying the down set) and returns a self-contained
-// snapshot. Results are byte-identical to cached mode; only the counters
-// differ. This is the escape hatch for A/B-ing suspected cache bugs.
+// fresh and returns a self-contained snapshot. Results are byte-identical
+// to cached mode; only the counters differ. This is the escape hatch for
+// A/B-ing suspected cache bugs.
 #pragma once
 
 #include <array>
@@ -54,7 +39,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "routing/plane_paths.hpp"
 #include "routing/route_table.hpp"
 #include "topo/parallel.hpp"
 
@@ -132,15 +116,6 @@ class RouteEntry {
   const RouteTable* table_ = nullptr;
   std::unique_ptr<RouteTable> owned_table_;  // pass-through mode only
   std::vector<PathRef> refs_;
-  /// Global epoch when this entry was computed.
-  std::uint64_t epoch_ = 0;
-  /// Last global epoch at which a lazy scan proved the entry still valid
-  /// (O(1) fast path for repeat lookups between fault events).
-  mutable std::atomic<std::uint64_t> checked_epoch_{0};
-  /// (plane, link) pairs that were down — and therefore banned — at compute
-  /// time, restricted to planes this query can use. If any comes back up,
-  /// the entry is stale (a better path may exist).
-  std::vector<std::pair<std::int32_t, LinkId>> avoided_;
 };
 
 using RouteSnapshot = std::shared_ptr<const RouteEntry>;
@@ -148,8 +123,6 @@ using RouteSnapshot = std::shared_ptr<const RouteEntry>;
 struct RouteCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  /// Stale entries recomputed after fault/recovery events.
-  std::uint64_t invalidations = 0;
   /// Wall time spent inside path computation (all threads summed).
   std::uint64_t compute_ns = 0;
   std::size_t arena_bytes = 0;
@@ -171,27 +144,10 @@ class RouteCache {
 
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Binds the cache to a network layout (per-plane link counts). Called
-  /// automatically by lookup(); call it explicitly before the first
-  /// set_link_state(). Every net passed to this cache must share one
-  /// layout (e.g. identical topologies across trials of an experiment
-  /// cell).
-  void bind(const topo::ParallelNetwork& net);
-
-  /// The paths for `q`, computed on miss / staleness and served from the
-  /// shard otherwise. The snapshot is immutable and safe to read after the
-  /// call without further synchronization.
+  /// The paths for `q` on `net`, computed on the first lookup of `q` and
+  /// served from the shard afterwards. The snapshot is immutable and safe
+  /// to read after the call without further synchronization.
   RouteSnapshot lookup(const topo::ParallelNetwork& net, const RouteQuery& q);
-
-  /// Records a link (duplex cable) failure or recovery. Bans/unbans both
-  /// directions of the pair and bumps their epochs; affected entries are
-  /// recomputed lazily on their next lookup. Requires bind().
-  void set_link_state(int plane, LinkId link, bool down);
-
-  /// True while a cable fault-state change could not possibly have
-  /// invalidated `snap` (O(1) in the common no-new-faults case). Consumers
-  /// holding a snapshot across events re-lookup when this turns false.
-  [[nodiscard]] bool current(const RouteEntry& entry) const;
 
   [[nodiscard]] RouteCacheStats stats() const;
 
@@ -207,44 +163,16 @@ class RouteCache {
     std::unordered_map<RouteQuery, RouteSnapshot, QueryHash> entries;
   };
 
-  [[nodiscard]] std::size_t global_link(int plane, LinkId link) const {
-    return plane_offsets_[static_cast<std::size_t>(plane)] +
-           static_cast<std::size_t>(link.v);
-  }
-  /// Copies the current down set into per-plane ban masks + the avoided
-  /// list for `q` (empty/null when nothing is down). Caller holds no locks.
-  void snapshot_bans(const topo::ParallelNetwork& net, const RouteQuery& q,
-                     PlaneBans& bans, bool& any,
-                     std::vector<std::pair<std::int32_t, LinkId>>& avoided);
-  std::vector<Path> compute(const topo::ParallelNetwork& net,
-                            const RouteQuery& q, const PlaneBans* bans);
-  std::shared_ptr<RouteEntry> build_entry(const topo::ParallelNetwork& net,
-                                          const RouteQuery& q,
-                                          RouteTable& table);
-  [[nodiscard]] bool entry_current(const RouteEntry& entry,
-                                   std::uint64_t now) const;
+  /// Computes `q` (counting the miss) and interns its paths into `table`.
+  std::shared_ptr<RouteEntry> compute(const topo::ParallelNetwork& net,
+                                      const RouteQuery& q, RouteTable& table);
 
   const bool enabled_;
-
-  /// Layout + fault state. plane_offsets_/link state arrays are written
-  /// once under state_mu_ at bind() and read lock-free afterwards.
-  mutable std::mutex state_mu_;
-  std::atomic<bool> bound_{false};
-  std::vector<std::size_t> plane_offsets_;
-  std::size_t total_links_ = 0;
-  /// Per-link epoch of the last state change; > entry epoch means the link
-  /// changed after the entry was computed.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> link_epochs_;
-  std::unique_ptr<std::atomic<bool>[]> link_down_;
-  std::atomic<std::uint64_t> global_epoch_{0};
-  std::atomic<std::size_t> down_count_{0};
-
   std::array<Shard, kShards> shards_;
 
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> invalidations_{0};
-  mutable std::atomic<std::uint64_t> compute_ns_{0};
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> compute_ns_{0};
 };
 
 }  // namespace pnet::routing

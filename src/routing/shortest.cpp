@@ -42,8 +42,7 @@ std::size_t idx(LinkId l) { return static_cast<std::size_t>(l.v); }
 
 }  // namespace
 
-std::vector<int> bfs_hops(const topo::Graph& g, NodeId src,
-                          const std::vector<bool>* banned_links) {
+std::vector<int> bfs_hops(const topo::Graph& g, NodeId src) {
   std::vector<int> dist(static_cast<std::size_t>(g.num_nodes()),
                         kUnreachable);
   dist[static_cast<std::size_t>(src.v)] = 0;
@@ -54,10 +53,6 @@ std::vector<int> bfs_hops(const topo::Graph& g, NodeId src,
     frontier.pop();
     if (!can_transit(g, u, src)) continue;
     for (LinkId id : g.out_links(u)) {
-      if (banned_links != nullptr &&
-          (*banned_links)[static_cast<std::size_t>(id.v)]) {
-        continue;
-      }
       const NodeId v = g.link(id).dst;
       if (dist[static_cast<std::size_t>(v.v)] == kUnreachable) {
         dist[static_cast<std::size_t>(v.v)] =
@@ -70,8 +65,7 @@ std::vector<int> bfs_hops(const topo::Graph& g, NodeId src,
 }
 
 std::optional<Path> shortest_path(const topo::Graph& g, NodeId src,
-                                  NodeId dst,
-                                  const std::vector<bool>* banned_links) {
+                                  NodeId dst) {
   if (src == dst) return Path{};
   // A node's parent is the first link that labels it, in FIFO order, so
   // the search can stop as soon as dst is labelled. Only src and switches
@@ -85,7 +79,6 @@ std::optional<Path> shortest_path(const topo::Graph& g, NodeId src,
   fifo.push_back(src);
   for (std::size_t head = 0; head < fifo.size(); ++head) {
     for (LinkId id : g.out_links(fifo[head])) {
-      if (banned_links != nullptr && (*banned_links)[idx(id)]) continue;
       const NodeId v = g.link(id).dst;
       if (labelled[idx(v)] != 0) continue;
       labelled[idx(v)] = 1;

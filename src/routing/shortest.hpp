@@ -18,18 +18,13 @@ namespace pnet::routing {
 inline constexpr int kUnreachable = std::numeric_limits<int>::max();
 
 /// Hop distance from `src` to every node (kUnreachable if none).
-/// `banned_links` (optional, indexed by LinkId::v) excludes failed links:
-/// the route-cache recompute path for fault-driven invalidation.
-std::vector<int> bfs_hops(const topo::Graph& g, NodeId src,
-                          const std::vector<bool>* banned_links = nullptr);
+std::vector<int> bfs_hops(const topo::Graph& g, NodeId src);
 
 /// One shortest (fewest-hop) path, deterministic tie-break by link id: a
 /// node's parent is the first link that reaches it in BFS order. The search
 /// stops as soon as `dst` is reached.
 std::optional<Path> shortest_path(const topo::Graph& g, NodeId src,
-                                  NodeId dst,
-                                  const std::vector<bool>* banned_links =
-                                      nullptr);
+                                  NodeId dst);
 
 /// Per-link weights for weighted searches; indexed by LinkId::v.
 using LinkWeights = std::vector<double>;

@@ -30,13 +30,12 @@ LinkWeights jittered_unit_weights(const topo::Graph& g, std::uint64_t seed) {
 
 std::vector<Path> k_shortest_paths(const topo::Graph& g, NodeId src,
                                    NodeId dst, int k,
-                                   const LinkWeights* tiebreak_weights,
-                                   const std::vector<bool>* base_banned) {
+                                   const LinkWeights* tiebreak_weights) {
   std::vector<Path> result;
   if (k <= 0 || src == dst) return result;
 
   // One workspace and one reverse tree to dst serve every search below.
-  PathSearch search(g, tiebreak_weights, base_banned);
+  PathSearch search(g, tiebreak_weights, nullptr);
   search.build_tree(dst);
   auto first = search.find(src, dst);
   if (!first) return result;
@@ -52,7 +51,7 @@ std::vector<Path> k_shortest_paths(const topo::Graph& g, NodeId src,
     NodeId spur_node = src;
     for (std::size_t i = 0; i < prev.links.size(); ++i) {
       // Ban links that would recreate any already-found path sharing this
-      // root; the caller's fault mask stays underneath.
+      // root.
       search.clear_bans();
       for (const Path& p : result) {
         if (p.links.size() > i &&

@@ -6,8 +6,8 @@
 // are reproducible across runs.
 //
 // Every search of one call (the first path and each spur) runs through one
-// PathSearch workspace, pruned by one reverse shortest-path tree to dst built
-// under the caller's fault mask. The pruning skips only nodes that cost
+// PathSearch workspace, pruned by one reverse shortest-path tree to dst. The
+// pruning skips only nodes that cost
 // strictly more than the optimum, so the paths are exactly those of a full
 // Dijkstra per spur (shortest.hpp gives the argument; routing_test checks it
 // against that reference).
@@ -31,15 +31,9 @@ namespace pnet::routing {
 /// concentrates every flow's K paths on the same corner of an equal-cost-
 /// rich fabric (e.g. the first two aggregation switches of a fat tree),
 /// wasting most of the fabric.
-///
-/// `banned_links` (optional, indexed by LinkId::v) excludes failed links
-/// from every search — the base mask a route cache applies when recomputing
-/// after faults. Spur-node bans are layered on top of it.
 std::vector<Path> k_shortest_paths(const topo::Graph& g, NodeId src,
                                    NodeId dst, int k,
                                    const LinkWeights* tiebreak_weights =
-                                       nullptr,
-                                   const std::vector<bool>* banned_links =
                                        nullptr);
 
 /// Jittered unit weights for randomized tie-breaking (1 + U[0, 1e-6)).

@@ -8,8 +8,6 @@ namespace pnet::sim {
 
 std::string to_string(FaultKind kind) {
   switch (kind) {
-    case FaultKind::kCableFail: return "cable-fail";
-    case FaultKind::kCableRecover: return "cable-recover";
     case FaultKind::kPlaneFail: return "plane-fail";
     case FaultKind::kPlaneRecover: return "plane-recover";
     case FaultKind::kCableDegrade: return "cable-degrade";
@@ -48,20 +46,6 @@ FaultPlan& FaultPlan::flap_plane(SimTime at, SimTime down_for, int plane) {
   return recover_plane(at + down_for, plane);
 }
 
-FaultPlan& FaultPlan::fail_cable(SimTime at, int plane, LinkId link) {
-  return add({at, FaultKind::kCableFail, plane, link, 0.0, 1.0});
-}
-
-FaultPlan& FaultPlan::recover_cable(SimTime at, int plane, LinkId link) {
-  return add({at, FaultKind::kCableRecover, plane, link, 0.0, 1.0});
-}
-
-FaultPlan& FaultPlan::flap_cable(SimTime at, SimTime down_for, int plane,
-                                 LinkId link) {
-  fail_cable(at, plane, link);
-  return recover_cable(at + down_for, plane, link);
-}
-
 FaultPlan& FaultPlan::degrade_cable(SimTime at, SimTime until, int plane,
                                     LinkId link, double loss_rate,
                                     double rate_scale) {
@@ -94,25 +78,6 @@ std::vector<std::pair<int, LinkId>> fabric_cables(
 }
 
 }  // namespace
-
-FaultPlan FaultPlan::random_link_flaps(const topo::ParallelNetwork& net,
-                                       int count, SimTime start, SimTime span,
-                                       SimTime period, SimTime down_for,
-                                       std::uint64_t seed) {
-  Rng rng(seed);
-  auto cables = fabric_cables(net);
-  rng.shuffle(cables);
-  if (static_cast<int>(cables.size()) > count) {
-    cables.resize(static_cast<std::size_t>(count));
-  }
-  FaultPlan plan;
-  for (const auto& [plane, link] : cables) {
-    for (SimTime t = 0; t < span; t += period) {
-      plan.flap_cable(start + t, down_for, plane, link);
-    }
-  }
-  return plan;
-}
 
 FaultPlan FaultPlan::random_degraded_links(const topo::ParallelNetwork& net,
                                            int count, SimTime start,
@@ -159,12 +124,6 @@ void FaultInjector::do_next_event() {
 
 void FaultInjector::apply(const FaultEvent& event) {
   switch (event.kind) {
-    case FaultKind::kCableFail:
-      network_.set_cable_failed(event.plane, event.link, true);
-      break;
-    case FaultKind::kCableRecover:
-      network_.set_cable_failed(event.plane, event.link, false);
-      break;
     case FaultKind::kPlaneFail:
       network_.set_plane_failed(event.plane, true);
       break;

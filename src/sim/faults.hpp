@@ -1,5 +1,5 @@
-// Dynamic fault injection: timed cable/plane failures, flaps, and degraded
-// links driven through the event queue while traffic is running.
+// Dynamic fault injection: timed plane failures and flaps, and degraded
+// cables, driven through the event queue while traffic is running.
 //
 // The paper's §3.4 resilience story ("hosts detect dataplane failures via
 // link status and avoid the broken dataplane") is a *dynamic* claim — it is
@@ -22,11 +22,10 @@
 namespace pnet::sim {
 
 enum class FaultKind : std::uint8_t {
-  kCableFail,
-  kCableRecover,
   kPlaneFail,
   kPlaneRecover,
-  /// Degraded cable: loss_rate / rate_scale take effect.
+  /// Degraded cable: loss_rate / rate_scale take effect. A dead cable is
+  /// a degraded cable at loss 1.
   kCableDegrade,
   /// Degradation cleared (loss 0, full service rate).
   kCableRestore,
@@ -36,7 +35,7 @@ enum class FaultKind : std::uint8_t {
 
 struct FaultEvent {
   SimTime at = 0;
-  FaultKind kind = FaultKind::kCableFail;
+  FaultKind kind = FaultKind::kPlaneFail;
   int plane = 0;
   /// Either direction of the duplex pair, for the cable-scoped kinds;
   /// ignored for plane-scoped kinds.
@@ -56,24 +55,14 @@ class FaultPlan {
   /// A flap: the plane dies at `at` and comes back `down_for` later.
   FaultPlan& flap_plane(SimTime at, SimTime down_for, int plane);
 
-  FaultPlan& fail_cable(SimTime at, int plane, LinkId link);
-  FaultPlan& recover_cable(SimTime at, int plane, LinkId link);
-  FaultPlan& flap_cable(SimTime at, SimTime down_for, int plane,
-                        LinkId link);
   /// A degraded-link episode: random loss and/or reduced service rate from
   /// `at` until `until`.
   FaultPlan& degrade_cable(SimTime at, SimTime until, int plane, LinkId link,
                            double loss_rate, double rate_scale = 1.0);
 
-  /// Seeded generator: `count` random switch-to-switch cables (drawn
-  /// independently per plane, host uplinks excluded) flap periodically —
-  /// down at start + k*period for `down_for` — while k*period < span.
-  static FaultPlan random_link_flaps(const topo::ParallelNetwork& net,
-                                    int count, SimTime start, SimTime span,
-                                    SimTime period, SimTime down_for,
-                                    std::uint64_t seed);
-  /// Seeded generator: `count` random fabric cables run degraded (loss +
-  /// rate scale) from start until start + duration.
+  /// Seeded generator: `count` random switch-to-switch cables (host
+  /// uplinks excluded) run degraded (loss + rate scale) from start until
+  /// start + duration.
   static FaultPlan random_degraded_links(const topo::ParallelNetwork& net,
                                         int count, SimTime start,
                                         SimTime duration, double loss_rate,
@@ -120,7 +109,7 @@ class FaultInjector : public EventSource {
 
   /// What actually hit the fabric so far, with the network-wide drop
   /// counter sampled at that instant (episode loss attribution for
-  /// analysis::RecoveryStats).
+  /// analysis::plane_episodes).
   struct AppliedEvent {
     FaultEvent event;
     std::uint64_t total_drops_at_apply = 0;

@@ -61,7 +61,6 @@ SimNetwork::SimNetwork(EventQueue& events, const topo::ParallelNetwork& net,
         stages.push_back(std::make_unique<Pipe>(shard.events, link.latency));
       }
     }
-    cable_failed_.emplace_back(static_cast<std::size_t>(g.num_links()), 0);
   }
   plane_failed_.assign(static_cast<std::size_t>(net.num_planes()), 0);
 }
@@ -176,40 +175,12 @@ std::uint64_t SimNetwork::plane_queued_bytes(int plane) const {
   return total;
 }
 
-void SimNetwork::apply_link_state(int plane, LinkId link) {
-  const auto p = static_cast<std::size_t>(plane);
-  const bool down = cable_failed_[p][static_cast<std::size_t>(link.v)] != 0 ||
-                    plane_failed_[p] != 0;
-  queue(plane, link).set_failed(down);
-}
-
-void SimNetwork::set_cable_failed(int plane, LinkId link, bool failed) {
-  const LinkId rev = net_.plane(plane).graph.reverse(link);
-  auto& flags = cable_failed_[static_cast<std::size_t>(plane)];
-  if ((flags[static_cast<std::size_t>(link.v)] != 0) == failed) return;
-  flags[static_cast<std::size_t>(link.v)] = failed ? 1 : 0;
-  flags[static_cast<std::size_t>(rev.v)] = failed ? 1 : 0;
-  if (failed) ++cable_fail_transitions_;
-  apply_link_state(plane, link);
-  apply_link_state(plane, rev);
-  PNET_TRACE_INSTANT(trace_, failed ? "cable_fail" : "cable_recover",
-                     events_.now(),
-                     (static_cast<std::int64_t>(plane) << 32) |
-                         static_cast<std::uint32_t>(link.v));
-}
-
-bool SimNetwork::cable_failed(int plane, LinkId link) const {
-  return cable_failed_[static_cast<std::size_t>(plane)]
-                      [static_cast<std::size_t>(link.v)] != 0;
-}
-
 void SimNetwork::set_plane_failed(int plane, bool failed) {
   const auto p = static_cast<std::size_t>(plane);
   if ((plane_failed_[p] != 0) == failed) return;
   plane_failed_[p] = failed ? 1 : 0;
   if (failed) ++plane_fail_transitions_;
-  const int links = net_.plane(plane).graph.num_links();
-  for (int l = 0; l < links; ++l) apply_link_state(plane, LinkId{l});
+  for (auto& queue : queues_[p]) queue->set_failed(failed);
   PNET_TRACE_INSTANT(trace_, failed ? "plane_fail" : "plane_recover",
                      events_.now(), plane);
 }

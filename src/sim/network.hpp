@@ -100,9 +100,10 @@ class SimNetwork {
     return queue_stats_;
   }
 
-  /// Wires fault-transition trace events (cable/plane fail, recover,
-  /// degrade) into `trace`; nullptr detaches. All fault entry points funnel
-  /// through this network, so this one hook covers every fabric fault.
+  /// Wires fault-transition trace events (plane fail/recover, cable
+  /// degrade/restore) into `trace`; nullptr detaches. All fault entry
+  /// points funnel through this network, so this one hook covers every
+  /// fabric fault.
   void set_trace(telemetry::Trace* trace) { trace_ = trace; }
 
   /// Attaches an invariant auditor to every queue (per-enqueue occupancy
@@ -111,37 +112,28 @@ class SimNetwork {
   /// End-of-trial conservation sweep: audit_check on every queue.
   void audit_check(util::Audit& audit) const;
 
-  /// Fails (or repairs) a full-duplex cable: both directed links drop all
-  /// arriving packets. `link` may be either direction of the pair.
-  /// Idempotent — repeating the same state is a no-op — and independent of
-  /// the plane overlay: recovering a plane does not resurrect a cable that
-  /// was failed individually, and vice versa, so a FaultInjector can flap
-  /// cables and planes concurrently without state corruption.
-  void set_cable_failed(int plane, LinkId link, bool failed);
-  [[nodiscard]] bool cable_failed(int plane, LinkId link) const;
   /// Fails (or repairs) every link of one dataplane — the whole-plane
-  /// outage the paper's §3.4 link-status detection reacts to. Idempotent,
-  /// layered over per-cable state like set_cable_failed.
+  /// outage the paper's §3.4 link-status detection reacts to. Idempotent:
+  /// repeating the same state is a no-op. A plane outage leaves cable
+  /// degradation alone, so a cable degraded at loss 1 (a dead cable)
+  /// stays dead across a plane flap.
   void set_plane_failed(int plane, bool failed);
   [[nodiscard]] bool plane_failed(int plane) const {
     return plane_failed_[static_cast<std::size_t>(plane)] != 0;
   }
   /// Fail->up transitions actually applied (flap-safety diagnostics; a
-  /// redundant set_*_failed(true) does not bump these).
-  [[nodiscard]] int cable_fail_transitions() const {
-    return cable_fail_transitions_;
-  }
+  /// redundant set_plane_failed(true) does not bump it).
   [[nodiscard]] int plane_fail_transitions() const {
     return plane_fail_transitions_;
   }
 
   /// Degrades both directions of a cable: random drop probability and/or a
-  /// reduced service rate. `loss_rate=0, rate_scale=1` restores it.
+  /// reduced service rate. `loss_rate=0, rate_scale=1` restores it;
+  /// `loss_rate=1` models a dead cable.
   void set_cable_degraded(int plane, LinkId link, double loss_rate,
                           double rate_scale = 1.0);
 
  private:
-  void apply_link_state(int plane, LinkId link);
   /// Appends link `link`'s queue and propagation stage to route_scratch_.
   void push_hop(int plane, LinkId link);
   /// The shard that owns `node`'s side of plane `plane`.
@@ -163,12 +155,7 @@ class SimNetwork {
   RouteArena routes_;
   /// Reused chain-building scratch for make_route.
   std::vector<PacketSink*> route_scratch_;
-  /// Failure overlays: a queue is failed iff its cable flag or its plane
-  /// flag is set. Cable flags are kept per directed link (both directions
-  /// of a duplex pair always move together).
-  std::vector<std::vector<char>> cable_failed_;  // [plane][link]
   std::vector<char> plane_failed_;
-  int cable_fail_transitions_ = 0;
   int plane_fail_transitions_ = 0;
   telemetry::Trace* trace_ = nullptr;
 };

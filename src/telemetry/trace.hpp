@@ -3,8 +3,8 @@
 //
 // A Trace is an append-only in-memory event buffer with an interned name
 // table: recording an event is a hash lookup plus a vector push, cheap
-// enough for flow-level events (starts, finishes, repaths, cable faults,
-// cache invalidations) but not meant for per-packet use. Export to the
+// enough for flow-level events (starts, finishes, repaths, fabric faults)
+// but not meant for per-packet use. Export to the
 // Chrome trace_event JSON array format (load in chrome://tracing or
 // Perfetto) or to a compact length-prefixed binary blob for offline
 // tooling.

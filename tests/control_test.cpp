@@ -224,9 +224,6 @@ class FakeDataplane : public control::Dataplane {
     return bytes_[static_cast<std::size_t>(plane)];
   }
   [[nodiscard]] double plane_queue_bytes(int) const override { return 0.0; }
-  [[nodiscard]] std::uint64_t route_invalidations() const override {
-    return invalidations_;
-  }
   void on_plane_detected(int plane, bool down) override {
     detected_.emplace_back(plane, down);
   }
@@ -239,7 +236,6 @@ class FakeDataplane : public control::Dataplane {
   }
 
   std::vector<double> bytes_;
-  std::uint64_t invalidations_ = 0;
   int moved_per_call_ = 2;
   std::vector<std::pair<int, bool>> detected_;
   std::vector<double> weights_;
@@ -323,15 +319,26 @@ TEST(Controller, RebalancesHotToColdThenHoldsTheCooldown) {
 TEST(Controller, ChurnGuardSkipsRebalanceWhileRoutesMove) {
   FakeDataplane dp(2);
   control::Controller ctl(centralized_config(), dp);
+  control::LinkStateBus bus;
+  ctl.observe(bus);
   ctl.start(0);
 
   for (int t = 1; t <= 3; ++t) {
-    dp.bytes_[0] += 100e6;      // hot plane 0 every tick
-    ++dp.invalidations_;        // ...but the route cache is churning
+    // A cable degrades or restores every tick (each due at the tick after
+    // the 1 ms detection delay)...
+    sim::FaultEvent event;
+    event.at = (t - 1) * units::kMillisecond;
+    event.kind = t % 2 == 1 ? sim::FaultKind::kCableDegrade
+                            : sim::FaultKind::kCableRestore;
+    event.link = LinkId{0};
+    event.loss_rate = t % 2 == 1 ? 0.5 : 0.0;
+    bus.publish(event);
+    dp.bytes_[0] += 100e6;  // ...while plane 0 runs hot
     ctl.tick(t * units::kMillisecond);
   }
   EXPECT_TRUE(dp.repin_calls_.empty());
   EXPECT_EQ(ctl.churn_skips(), 3u);
+  EXPECT_EQ(ctl.plane_events(), 0u);  // cable churn never masks a plane
 
   // Churn stops; the very next tick rebalances.
   dp.bytes_[0] += 100e6;

@@ -247,45 +247,6 @@ TEST(PathSelectorTest, PlaneFailureAfterPairCachedIsRespected) {
   }
 }
 
-TEST(PathSelectorTest, LinkFailureInvalidatesCachedPaths) {
-  // A cable failure reported after the pair is cached must recompute the
-  // affected entries: new selections avoid the dead link (both directions).
-  const auto net = make_net(topo::NetworkType::kParallelHomogeneous, 2);
-  PolicyConfig config;
-  config.policy = RoutingPolicy::kEcmp;
-  PathSelector selector(net, config);
-
-  // Warm the cache and find a fabric link used by some flow on plane 0.
-  LinkId victim{-1};
-  for (std::uint64_t key = 0; key < 32 && !victim.valid(); ++key) {
-    const auto paths = selector.select(HostId{0}, HostId{15}, 1000, key);
-    ASSERT_EQ(paths.size(), 1u);
-    if (paths.front().plane == 0) victim = paths.front().links[1];
-  }
-  ASSERT_TRUE(victim.valid());
-
-  selector.set_link_failed(0, victim, true);
-  for (std::uint64_t key = 0; key < 256; ++key) {
-    const auto paths = selector.select(HostId{0}, HostId{15}, 1000, key);
-    ASSERT_EQ(paths.size(), 1u);
-    for (LinkId id : paths.front().links) {
-      if (paths.front().plane != 0) break;
-      EXPECT_NE(id.v, victim.v);
-      EXPECT_NE(id.v, victim.v ^ 1);
-    }
-  }
-  EXPECT_GE(selector.route_cache().stats().invalidations, 1u);
-
-  // Recovery: the link becomes selectable again.
-  selector.set_link_failed(0, victim, false);
-  bool victim_used = false;
-  for (std::uint64_t key = 0; key < 256; ++key) {
-    const auto paths = selector.select(HostId{0}, HostId{15}, 1000, key);
-    for (LinkId id : paths.front().links) victim_used |= id == victim;
-  }
-  EXPECT_TRUE(victim_used);
-}
-
 TEST(PathSelectorTest, SharedCacheGivesIdenticalSelections) {
   // Two selectors sharing one cache must select exactly what two private-
   // cache selectors do — the cache is invisible to results.

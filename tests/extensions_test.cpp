@@ -155,9 +155,10 @@ TEST(Failures, UnawareSelectorSuffersTimeoutsAwareDoesNot) {
 
 TEST(Failures, CableFailureOnlyAffectsThatCable) {
   auto h = make_parallel_harness(core::RoutingPolicy::kShortestPlane);
-  // Fail one fabric cable in plane 0; the fat tree routes around nothing
-  // (source routing), but flows not using that cable are untouched.
-  h.network().set_cable_failed(0, LinkId{40}, true);
+  // Fail one fabric cable in plane 0 (a cable degraded at loss 1); the fat
+  // tree routes around nothing (source routing), but flows not using that
+  // cable are untouched.
+  h.network().set_cable_degraded(0, LinkId{40}, 1.0);
   h.starter()(HostId{0}, HostId{1}, 15000, 0, {});  // same rack, unaffected
   h.run();
   EXPECT_EQ(h.logger().records().size(), 1u);

@@ -96,36 +96,23 @@ TEST(DegradedLinks, RestoreClearsLossAndRate) {
 
 // ------------------------------------------------- cable/plane overlay
 
-TEST(FailureOverlay, CableFailureIsSymmetricAndIdempotent) {
+TEST(FailureOverlay, PlaneRecoveryDoesNotResurrectFailedCable) {
+  // A failed cable is a cable degraded at loss 1; a plane flap leaves it
+  // dead in both directions while the rest of the plane comes back.
   auto h = make_harness(core::RoutingPolicy::kShortestPlane);
   const LinkId link{40};
   const LinkId rev = h.net().plane(0).graph.reverse(link);
-  h.network().set_cable_failed(0, link, true);
-  EXPECT_TRUE(h.network().cable_failed(0, link));
-  EXPECT_TRUE(h.network().cable_failed(0, rev));
-  EXPECT_EQ(h.network().cable_fail_transitions(), 1);
-
-  h.network().set_cable_failed(0, rev, true);  // duplicate, via the twin
-  EXPECT_EQ(h.network().cable_fail_transitions(), 1);
-
-  h.network().set_cable_failed(0, rev, false);
-  EXPECT_FALSE(h.network().cable_failed(0, link));
-  h.network().set_cable_failed(0, link, false);  // duplicate recover
-  EXPECT_EQ(h.network().cable_fail_transitions(), 1);
-}
-
-TEST(FailureOverlay, PlaneRecoveryDoesNotResurrectFailedCable) {
-  auto h = make_harness(core::RoutingPolicy::kShortestPlane);
-  const LinkId link{40};
-  h.network().set_cable_failed(0, link, true);
+  h.network().set_cable_degraded(0, link, 1.0);
   h.network().set_plane_failed(0, true);
-  h.network().set_plane_failed(0, false);
-  EXPECT_TRUE(h.network().cable_failed(0, link));
   EXPECT_TRUE(h.network().queue(0, link).failed());
-  // Other links of the plane did come back.
+  h.network().set_plane_failed(0, false);
   EXPECT_FALSE(h.network().queue(0, LinkId{0}).failed());
-  h.network().set_cable_failed(0, link, false);
-  EXPECT_FALSE(h.network().queue(0, link).failed());
+  for (const LinkId id : {link, rev}) {
+    EXPECT_FALSE(h.network().queue(0, id).failed());
+    EXPECT_DOUBLE_EQ(h.network().queue(0, id).loss_rate(), 1.0);
+  }
+  h.network().set_cable_degraded(0, link, 0.0);
+  EXPECT_DOUBLE_EQ(h.network().queue(0, rev).loss_rate(), 0.0);
 }
 
 TEST(FailureOverlay, RepeatedPlaneFlapsCountTransitions) {
@@ -162,9 +149,10 @@ TEST(FaultInjector, AppliesPlanAtScheduledTimes) {
 TEST(FaultInjector, SeededPlansReplayIdentically) {
   auto plan_events = [](std::uint64_t seed) {
     auto h = make_harness(core::RoutingPolicy::kRoundRobin);
-    auto plan = sim::FaultPlan::random_link_flaps(
-        h.net(), 4, units::kMillisecond, 10 * units::kMillisecond,
-        4 * units::kMillisecond, units::kMillisecond, seed);
+    auto plan = sim::FaultPlan::random_degraded_links(
+        h.net(), 4, units::kMillisecond, 10 * units::kMillisecond, 1.0, 1.0,
+        seed);
+    plan.flap_plane(2 * units::kMillisecond, units::kMillisecond, 1);
     return plan.events();
   };
   const auto a = plan_events(7);
@@ -172,10 +160,19 @@ TEST(FaultInjector, SeededPlansReplayIdentically) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].at, b[i].at);
+    EXPECT_EQ(a[i].kind, b[i].kind);
     EXPECT_EQ(a[i].plane, b[i].plane);
     EXPECT_EQ(a[i].link.v, b[i].link.v);
   }
-  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a.size(), 10u);  // 4 degrade/restore pairs + one plane flap
+  // Another seed draws other cables.
+  const auto c = plan_events(8);
+  ASSERT_EQ(c.size(), a.size());
+  bool differs = false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    differs |= a[i].plane != c[i].plane || a[i].link.v != c[i].link.v;
+  }
+  EXPECT_TRUE(differs);
 }
 
 // Two end-to-end runs of the same seeded fault schedule against the same
@@ -192,9 +189,10 @@ TEST(FaultInjector, EndToEndRunsAreDeterministic) {
     control::LinkStateBus bus;
     bus.subscribe_health_monitor(monitor);
     bus.attach(injector);
-    auto plan = sim::FaultPlan::random_link_flaps(
-        h.net(), 3, 100 * units::kMicrosecond, 5 * units::kMillisecond,
-        2 * units::kMillisecond, 500 * units::kMicrosecond, 99);
+    // Dead cables (loss 1) and lossy ones, plus a plane flap.
+    auto plan = sim::FaultPlan::random_degraded_links(
+        h.net(), 3, 100 * units::kMicrosecond, 2 * units::kMillisecond, 1.0,
+        1.0, 99);
     plan.merge(sim::FaultPlan::random_degraded_links(
         h.net(), 3, 200 * units::kMicrosecond, 5 * units::kMillisecond, 0.05,
         1.0, 77));
@@ -213,6 +211,7 @@ TEST(FaultInjector, EndToEndRunsAreDeterministic) {
   const auto second = run();
   EXPECT_EQ(first.first, second.first);
   EXPECT_EQ(first.second, second.second);
+  EXPECT_GT(first.second, 0u);  // the faults did drop packets
   EXPECT_GT(first.second, 0u);  // the faults actually bit
 }
 
@@ -361,7 +360,8 @@ TEST(RecoveryStats, PlaneEpisodesPairFailAndRecover) {
   std::vector<sim::FaultInjector::AppliedEvent> applied;
   applied.push_back({{units::kMillisecond, FaultKind::kPlaneFail, 1}, 100});
   applied.push_back(
-      {{2 * units::kMillisecond, FaultKind::kCableFail, 0, LinkId{4}}, 120});
+      {{2 * units::kMillisecond, FaultKind::kCableDegrade, 0, LinkId{4}, 1.0},
+       120});
   applied.push_back(
       {{3 * units::kMillisecond, FaultKind::kPlaneRecover, 1}, 150});
   applied.push_back({{5 * units::kMillisecond, FaultKind::kPlaneFail, 0}, 160});

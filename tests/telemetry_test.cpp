@@ -294,7 +294,7 @@ class MiniJson {
 
 telemetry::Trace sample_trace() {
   telemetry::Trace trace;
-  trace.instant("cable_fail", 1'000'000);
+  trace.instant("plane_fail", 1'000'000);
   trace.instant("repath", 2'500'000, /*arg=*/7);
   trace.complete("flow", 0, 5'000'000, /*arg=*/1);
   trace.complete("flow", 500, 1'000'000'000'000);  // > 1 s, exercises carry
