@@ -9,7 +9,7 @@
 // recording the network (and k) it ran on:
 //   * route_cache — cold vs warm RouteCache lookups over --pairs KSP
 //     queries (k=8) on the 256-host, 4-plane Jellyfish of the
-//     microbenchmarks, with the hit counts, arena footprint and a digest
+//     microbenchmarks, with the hit counts, arena and heap bytes and a digest
 //     over every path the cold lookups compute;
 //   * shortest_per_plane — the same lookups and counts for the same pairs
 //     as shortest-per-plane (BFS) queries;
@@ -190,10 +190,11 @@ void write_spread(exp::JsonWriter& w, const std::string& name,
   w.field(name + "_max", *hi);
 }
 
-/// Folds every path of `entry` (plane, length, link ids) into `h`.
-std::uint64_t fold_paths(std::uint64_t h, const routing::RouteEntry& entry) {
-  for (std::size_t i = 0; i < entry.size(); ++i) {
-    const routing::PathView view = entry.view(i);
+/// Folds every path of `routes` (plane, length, link ids) into `h`.
+std::uint64_t fold_paths(std::uint64_t h,
+                         const routing::RouteSnapshot& routes) {
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    const routing::PathView view = routes.view(i);
     h = mix64(h ^ static_cast<std::uint64_t>(view.plane()));
     h = mix64(h ^ static_cast<std::uint64_t>(view.hops()));
     for (const LinkId id : view.links()) {
@@ -263,7 +264,7 @@ bool write_lookups(exp::JsonWriter& w, const topo::ParallelNetwork& net,
     compute_ns.push_back(static_cast<double>(stats.compute_ns));
 
     std::uint64_t h = 0x9E3779B97F4A7C15ULL;
-    for (const auto& snapshot : snapshots) h = fold_paths(h, *snapshot);
+    for (const auto& snapshot : snapshots) h = fold_paths(h, snapshot);
     if (r > 0 && h != digest) {
       std::fprintf(stderr, "path digest differs between repeats\n");
       return false;
@@ -284,6 +285,7 @@ bool write_lookups(exp::JsonWriter& w, const topo::ParallelNetwork& net,
   w.field("entries", stats.entries);
   w.field("paths", stats.paths);
   w.field("arena_bytes", stats.arena_bytes);
+  w.field("heap_bytes", stats.heap_bytes);
   write_spread(w, "compute_ns", compute_ns);
   w.field("path_digest", std::string(digest_hex));
   return true;
@@ -386,6 +388,7 @@ int run_json_report(const Flags& flags) {
     w.field("hit_rate", static_cast<double>(stats.hits) /
                             static_cast<double>(stats.hits + stats.misses));
     w.field("arena_bytes", stats.arena_bytes);
+    w.field("heap_bytes", stats.heap_bytes);
     w.end_object();
   }
 

@@ -96,11 +96,10 @@ std::vector<routing::Path> PathSelector::shortest_plane_pick(
   const routing::RouteSnapshot spp = spp_paths(src, dst);
   int best_hops = -1;
   std::vector<routing::PathView> pool;
-  std::vector<routing::RouteSnapshot> pinned;  // keeps pool views alive
   routing::PathView fallback;
   bool have_fallback = false;
-  for (std::size_t i = 0; i < spp->size(); ++i) {
-    const routing::PathView candidate = spp->view(i);
+  for (std::size_t i = 0; i < spp.size(); ++i) {
+    const routing::PathView candidate = spp.view(i);
     if (!plane_usable(candidate.plane())) continue;
     if (!have_fallback) {
       fallback = candidate;
@@ -108,12 +107,11 @@ std::vector<routing::Path> PathSelector::shortest_plane_pick(
     }
     if (best_hops < 0) best_hops = candidate.hops();
     if (candidate.hops() != best_hops) break;  // sorted by hops
-    routing::RouteSnapshot in_plane =
+    const routing::RouteSnapshot in_plane =
         ecmp_paths(src, dst, candidate.plane());
-    for (std::size_t j = 0; j < in_plane->size(); ++j) {
-      pool.push_back(in_plane->view(j));
+    for (std::size_t j = 0; j < in_plane.size(); ++j) {
+      pool.push_back(in_plane.view(j));
     }
-    pinned.push_back(std::move(in_plane));
   }
   if (pool.empty()) {
     return have_fallback ? std::vector<routing::Path>{fallback.materialize()}
@@ -134,8 +132,8 @@ std::vector<routing::Path> PathSelector::select(HostId src, HostId dst,
   auto usable_ksp = [&] {
     const routing::RouteSnapshot ksp = ksp_paths(src, dst);
     std::vector<routing::Path> out;
-    for (std::size_t i = 0; i < ksp->size(); ++i) {
-      const routing::PathView path = ksp->view(i);
+    for (std::size_t i = 0; i < ksp.size(); ++i) {
+      const routing::PathView path = ksp.view(i);
       if (plane_usable(path.plane())) out.push_back(path.materialize());
       if (static_cast<int>(out.size()) == config_.k) break;
     }
@@ -150,10 +148,10 @@ std::vector<routing::Path> PathSelector::select(HostId src, HostId dst,
       const int plane = usable[routing::weighted_pick(
           usable, plane_weights_, mix64(flow_key) ^ 0x9E37)];
       const routing::RouteSnapshot in_plane = ecmp_paths(src, dst, plane);
-      if (in_plane->empty()) return {};
+      if (in_plane.empty()) return {};
       const int pick = routing::ecmp_pick(
-          flow_key, static_cast<int>(in_plane->size()));
-      return {in_plane->view(static_cast<std::size_t>(pick)).materialize()};
+          flow_key, static_cast<int>(in_plane.size()));
+      return {in_plane.view(static_cast<std::size_t>(pick)).materialize()};
     }
     case RoutingPolicy::kRoundRobin: {
       // Cycle usable planes per source host (hash-offset start); within
@@ -173,10 +171,10 @@ std::vector<routing::Path> PathSelector::select(HostId src, HostId dst,
               : routing::weighted_pick(usable, plane_weights_, mix64(seq));
       const int plane = usable[slot];
       const routing::RouteSnapshot in_plane = ecmp_paths(src, dst, plane);
-      if (in_plane->empty()) return {};
+      if (in_plane.empty()) return {};
       const int pick = routing::ecmp_pick(
-          flow_key, static_cast<int>(in_plane->size()));
-      return {in_plane->view(static_cast<std::size_t>(pick)).materialize()};
+          flow_key, static_cast<int>(in_plane.size()));
+      return {in_plane.view(static_cast<std::size_t>(pick)).materialize()};
     }
     case RoutingPolicy::kShortestPlane:
       return shortest_plane_pick(src, dst, flow_key);
@@ -202,11 +200,11 @@ std::vector<routing::Path> PathSelector::repin(HostId src, HostId dst,
     return {};
   }
   const routing::RouteSnapshot in_plane = ecmp_paths(src, dst, target_plane);
-  if (in_plane->empty()) return {};
+  if (in_plane.empty()) return {};
   const int pick = routing::ecmp_pick(
       routing::repin_key(src, dst, repath_counter_++),
-      static_cast<int>(in_plane->size()));
-  return {in_plane->view(static_cast<std::size_t>(pick)).materialize()};
+      static_cast<int>(in_plane.size()));
+  return {in_plane.view(static_cast<std::size_t>(pick)).materialize()};
 }
 
 void PathSelector::enable_repath(sim::FlowFactory& factory) {

@@ -123,10 +123,6 @@ class PathSelector {
 
   /// The (possibly shared) route cache — counters feed experiment reports.
   [[nodiscard]] routing::RouteCache& route_cache() { return *cache_; }
-  [[nodiscard]] const std::shared_ptr<routing::RouteCache>&
-  route_cache_ptr() const {
-    return cache_;
-  }
 
  private:
   routing::RouteSnapshot ksp_paths(HostId src, HostId dst);

@@ -29,11 +29,13 @@ namespace pnet::exp {
 
 /// What a trial body sees: the cell's spec, the trial index within the
 /// cell, and the deterministic per-trial seed every random choice of the
-/// trial must derive from. `route_cache` is the cell's shared compiled
-/// route store: every trial of a cell runs the same topology, so path
-/// computation is done once and reused across trials and worker threads
-/// (entries are pure functions of (net, query) — results stay bit-identical
-/// to private caching; see routing::RouteCache).
+/// trial must derive from. `route_cache` is the cell's handle on the
+/// compiled route store of `spec.topo`'s network, and serves that network
+/// and no other: the Runner shares one store among every cell, trial and
+/// worker thread on the same topology, so path computation is done once
+/// per run (entries are pure functions of (net, query) — results stay
+/// bit-identical to private caching; see routing::RouteCache). A custom
+/// trial that builds another network must route without it.
 struct TrialContext {
   const ExperimentSpec& spec;
   int trial;

@@ -77,36 +77,35 @@ std::vector<CellResult> Runner::run_trials(
     }
   }
 
-  // Resolve each cell's engine once; run_trial is required to be
-  // thread-safe across distinct contexts, so one instance serves every
-  // worker thread.
-  std::vector<std::unique_ptr<Engine>> engines;
-  engines.reserve(cells.size());
-  for (const auto& cell : cells) {
-    engines.push_back(make_engine(cell.spec.engine, cell.fn));
-  }
-
-  // One route cache per cell, shared by all its trials (and worker
-  // threads): trials of a cell build identical topologies, so path
-  // computation runs once per distinct query. A cache entry is a pure
-  // function of (net, query), so results stay bit-identical for any
-  // --threads value.
-  std::vector<std::shared_ptr<routing::RouteCache>> caches;
-  caches.reserve(cells.size());
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    caches.push_back(std::make_shared<routing::RouteCache>());
-  }
-
-  // Checkpoint–resume: load the journal (if any) and key each cell by its
-  // spec hash. Lookups happen inside the worker lambda; records append as
-  // trials finish, so a kill at any point loses at most in-flight work.
+  // What every trial of a cell shares.
+  //  * The engine, resolved once: run_trial is required to be thread-safe
+  //    across distinct contexts, so one instance serves every worker.
+  //  * A route cache handle over the store of the cell's topology. One
+  //    store per distinct topology serves every cell on it, all their
+  //    trials and worker threads, for the whole call: an entry is a pure
+  //    function of (net, query), so results stay bit-identical for any
+  //    --threads value, and path computation runs once per distinct query.
+  //    The handle counts the cell's own lookups and what its misses added.
+  //  * Checkpoint–resume: the cell's spec hash keys its journal records.
+  //    Lookups happen inside the worker lambda; records append as trials
+  //    finish, so a kill at any point loses at most in-flight work.
+  struct CellState {
+    std::unique_ptr<Engine> engine;
+    std::shared_ptr<routing::RouteCache> routes;
+    std::uint64_t spec_hash = 0;
+  };
   std::unique_ptr<Checkpoint> checkpoint;
-  std::vector<std::uint64_t> spec_hashes(cells.size(), 0);
   if (!checkpoint_.empty()) {
     checkpoint = std::make_unique<Checkpoint>(checkpoint_);
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      spec_hashes[c] = cells[c].spec.hash();
-    }
+  }
+  routing::RoutePool route_pool;
+  std::vector<CellState> states;
+  states.reserve(cells.size());
+  for (const auto& cell : cells) {
+    states.push_back(
+        {make_engine(cell.spec.engine, cell.fn),
+         route_pool.handle(canonical_json(cell.spec.topo)),
+         checkpoint != nullptr ? cell.spec.hash() : 0});
   }
 
   // Watchdog deadlines, fixed at run() entry. The run deadline cancels
@@ -130,9 +129,10 @@ std::vector<CellResult> Runner::run_trials(
 
   auto outcomes = util::parallel_map(
       jobs,
-      [this, &cells, &engines, &caches, &checkpoint, &spec_hashes,
-       run_deadline_armed, run_deadline_at](const Job& job) {
+      [this, &cells, &states, &checkpoint, run_deadline_armed,
+       run_deadline_at](const Job& job) {
         const Cell& cell = cells[job.cell];
+        const CellState& state = states[job.cell];
         const std::uint64_t seed = util::job_seed(
             cell.spec.seed, static_cast<std::uint64_t>(job.trial));
         Outcome out;
@@ -142,7 +142,7 @@ std::vector<CellResult> Runner::run_trials(
 
         if (checkpoint != nullptr) {
           const TrialResult* done =
-              checkpoint->find(spec_hashes[job.cell], job.trial);
+              checkpoint->find(state.spec_hash, job.trial);
           if (done != nullptr) {
             out.result = *done;  // resumed: skip the work entirely
             return out;
@@ -174,12 +174,11 @@ std::vector<CellResult> Runner::run_trials(
                                  util::CancelToken::Reason::kCancelled);
             }
           }
-          const TrialContext ctx{cell.spec, job.trial, seed,
-                                 caches[job.cell], telemetry_, token,
-                                 audit_, sim_threads_};
+          const TrialContext ctx{cell.spec, job.trial, seed, state.routes,
+                                 telemetry_, token, audit_, sim_threads_};
           try {
             const double wall_start = now_seconds();
-            out.result = engines[job.cell]->run_trial(ctx);
+            out.result = state.engine->run_trial(ctx);
             out.result.wall_s = now_seconds() - wall_start;
             if (attempt > 0) {
               // Runtime block only: which attempt finally succeeded.
@@ -187,8 +186,7 @@ std::vector<CellResult> Runner::run_trials(
             }
             out.failed = false;
             if (checkpoint != nullptr) {
-              checkpoint->record(spec_hashes[job.cell], job.trial,
-                                 out.result);
+              checkpoint->record(state.spec_hash, job.trial, out.result);
             }
             return out;
           } catch (const TrialCancelled& e) {
@@ -232,7 +230,7 @@ std::vector<CellResult> Runner::run_trials(
     }
   }
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    const routing::RouteCacheStats stats = caches[c]->stats();
+    const routing::RouteCacheStats stats = states[c].routes->stats();
     if (stats.hits + stats.misses == 0) continue;  // cell never routed
     auto& runtime = results[c].runtime;
     runtime["route_cache_hits"] = static_cast<double>(stats.hits);
@@ -241,6 +239,7 @@ std::vector<CellResult> Runner::run_trials(
         static_cast<double>(stats.compute_ns);
     runtime["route_cache_arena_bytes"] =
         static_cast<double>(stats.arena_bytes);
+    runtime["route_cache_heap_bytes"] = static_cast<double>(stats.heap_bytes);
     runtime["route_cache_entries"] = static_cast<double>(stats.entries);
     runtime["route_cache_paths"] = static_cast<double>(stats.paths);
   }

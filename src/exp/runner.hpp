@@ -115,7 +115,7 @@ class Runner {
 
  private:
   /// run() without the final heap trim: everything the trials used (route
-  /// caches, engines, outcomes) is destroyed when it returns.
+  /// stores, engines, outcomes) is destroyed when it returns.
   [[nodiscard]] std::vector<CellResult> run_trials(
       const std::vector<Cell>& queued) const;
 

@@ -165,12 +165,12 @@ int FluidSimulator::repin_flows(int from_plane, int to_plane, int max_flows) {
     const routing::RouteSnapshot snapshot = cache_->lookup(
         net_, routing::RouteQuery::ecmp_plane(src, dst, to_plane,
                                               config_.ecmp_path_cap));
-    if (snapshot->empty()) continue;
+    if (snapshot.empty()) continue;
     const int pick =
         routing::ecmp_pick(routing::repin_key(src, dst, repin_seq_++),
-                           static_cast<int>(snapshot->size()));
+                           static_cast<int>(snapshot.size()));
     const routing::PathView path =
-        snapshot->view(static_cast<std::size_t>(pick));
+        snapshot.view(static_cast<std::size_t>(pick));
     alloc_.remove(active.sub_ids[0]);
     active.sub_ids[0] = alloc_.add(index_.to_global(path));
     active.planes[0] = to_plane;

@@ -24,6 +24,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -266,19 +267,19 @@ class FluidSimulator {
     bool needs_route = false;
     /// Cached routing: the interned candidate set plus the per-flow picks
     /// into it (no Path copies). Used when `snapshot` is set.
-    routing::RouteSnapshot snapshot;
+    std::optional<routing::RouteSnapshot> snapshot;
     std::vector<std::uint32_t> picks;
     /// Explicit-path API (cross-validation runs): owned copies.
     std::vector<routing::Path> paths;
 
     [[nodiscard]] bool routed() const {
-      return snapshot != nullptr ? !picks.empty() : !paths.empty();
+      return snapshot.has_value() ? !picks.empty() : !paths.empty();
     }
     [[nodiscard]] std::size_t num_paths() const {
-      return snapshot != nullptr ? picks.size() : paths.size();
+      return snapshot.has_value() ? picks.size() : paths.size();
     }
     [[nodiscard]] routing::PathView path(std::size_t i) const {
-      return snapshot != nullptr
+      return snapshot.has_value()
                  ? snapshot->view(picks[i])
                  : routing::PathView(paths[i]);
     }

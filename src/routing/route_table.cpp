@@ -1,8 +1,6 @@
 #include "routing/route_table.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <memory>
 
 #include "util/rng.hpp"
 
@@ -23,51 +21,41 @@ std::uint64_t content_hash(int plane, std::span<const LinkId> links) {
 
 }  // namespace
 
-RouteTable::RouteTable() {
-  // Reserve the chunk-pointer directory up front so growing the table never
-  // relocates it: concurrent readers index chunks_ without a lock (see the
-  // RouteCache synchronization contract), which is only safe because
-  // push_back below this capacity writes a fresh slot instead of
-  // reallocating. 4096 slabs = 2^28 links, far beyond any experiment.
-  chunks_.reserve(4096);
+void TagIndex::insert(std::uint32_t tag, std::uint32_t id) {
+  if ((size_ + 1) * 4 > slots_.size() * 3) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.tag == 0) continue;
+      std::size_t i = slot.tag & mask;
+      while (slots_[i].tag != 0) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = tag & mask;
+  while (slots_[i].tag != 0) i = (i + 1) & mask;
+  slots_[i] = {id, tag};
+  ++size_;
 }
 
 PathRef RouteTable::intern(int plane, std::span<const LinkId> links) {
-  assert(links.size() < kChunkLinks && "path longer than an arena slab");
-  const std::uint64_t hash = content_hash(plane, links);
-  auto& bucket = dedup_[hash];
-  for (const PathRef& ref : bucket) {
-    if (ref.plane != plane || ref.len != links.size()) continue;
-    // An empty path owns no slot (and may precede the first slab).
-    if (links.empty() ||
-        std::equal(links.begin(), links.end(), data(ref.offset))) {
-      return ref;
-    }
-  }
+  const std::uint32_t tag = TagIndex::tag_of(content_hash(plane, links));
+  const auto same = [&](std::uint32_t id) {
+    const Record& path = *paths_.at(id);
+    // An empty path owns no slot (and may precede the first chunk).
+    return path.plane == plane && path.len == links.size() &&
+           (links.empty() || std::equal(links.begin(), links.end(),
+                                        links_.at(path.offset)));
+  };
+  if (const auto id = dedup_.find(tag, same)) return {*id};
 
-  // A path never straddles slabs: pad to the next slab when it won't fit.
-  const std::size_t room = chunks_.size() * kChunkLinks - next_offset_;
-  if (links.size() > room) next_offset_ = chunks_.size() * kChunkLinks;
-  if (next_offset_ + links.size() > chunks_.size() * kChunkLinks) {
-    // Raw storage: slots are constructed by the copy below, so pages no
-    // path reaches are never written.
-    chunks_.emplace_back(
-        static_cast<LinkId*>(::operator new(kChunkLinks * sizeof(LinkId))));
-  }
-
-  PathRef ref;
-  ref.plane = plane;
-  ref.offset = static_cast<std::uint32_t>(next_offset_);
-  ref.len = static_cast<std::uint32_t>(links.size());
-  if (!links.empty()) {
-    std::uninitialized_copy(links.begin(), links.end(),
-                            chunks_[next_offset_ / kChunkLinks].get() +
-                                next_offset_ % kChunkLinks);
-  }
-  next_offset_ += links.size();
+  const Record path{plane, links_.append(links),
+                    static_cast<std::uint32_t>(links.size())};
+  const PathRef ref{paths_.append(std::span<const Record>(&path, 1))};
   links_stored_ += links.size();
-  ++paths_;
-  bucket.push_back(ref);
+  dedup_.insert(tag, ref.id);
   return ref;
 }
 

@@ -1,38 +1,165 @@
-// Compiled path storage: one flat arena of link ids shared by every path.
+// Compiled path storage: one chunked arena of link ids shared by every path.
 //
 // Route computation (Yen, ECMP enumeration, per-plane shortest) produces
 // heap-heavy std::vector<Path> values; the hot paths of the simulators then
 // copy them around per flow. A RouteTable "compiles" those paths instead:
-// every link sequence lives in one chunked arena, a path is a 12-byte
-// PathRef {plane, offset, len}, identical paths are deduplicated on intern,
-// and consumers read through PathView — a non-owning span that supports the
-// same accessors as Path without copying.
+// every link sequence lives in one chunked arena, a path is a 4-byte
+// PathRef (its index in the table), identical paths are deduplicated on
+// intern, and consumers read through PathView — a non-owning span that
+// supports the same accessors as Path without copying.
 //
-// Storage is chunked (fixed-size slabs that never move) so published paths
-// stay readable while another thread interns new ones into the same table;
-// see route_cache.hpp for the synchronization contract. Slabs are raw
-// storage: intern() constructs the slots it fills, so a table touches only
-// the memory its paths use, not a whole 256 KiB slab.
+// Storage is ChunkedArrays (chunks that never move) so published paths stay
+// readable while another thread interns new ones into the same table; see
+// route_cache.hpp for the synchronization contract. A distinct path costs
+// its links, a 12-byte record {plane, offset, len} and one 8-byte slot of
+// a TagIndex, the open-addressed dedup index: no heap object of its own.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <optional>
 #include <span>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "routing/path.hpp"
 
 namespace pnet::routing {
 
-/// Handle to one interned path. Stable for the lifetime of its RouteTable;
-/// meaningless without it.
+/// Append-only storage for trivially copyable T, in chunks that never move:
+/// chunk c holds kFirst << c slots, so n items take about log2(n / kFirst)
+/// allocations. A run added by extend() or append() is contiguous (it never
+/// straddles two chunks; the skipped tail of a chunk stays untouched), so a
+/// reader may hold a span over it. The chunk directory is a fixed array, so
+/// at() may run on one thread while another appends, for any index whose
+/// run was published to the reader (e.g. through a mutex). Chunks are raw
+/// storage: only the slots a run fills are ever written.
+template <typename T, std::size_t kFirst>
+class ChunkedArray {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+  static_assert(std::has_single_bit(kFirst));
+
+ public:
+  ChunkedArray() = default;
+  ChunkedArray(const ChunkedArray&) = delete;
+  ChunkedArray& operator=(const ChunkedArray&) = delete;
+  ~ChunkedArray() {
+    for (T* chunk : chunks_) ::operator delete(chunk);
+  }
+
+  /// Reserves `n` contiguous slots and returns the index of the first; the
+  /// caller fills them through at(). n == 0 reserves nothing.
+  std::uint32_t extend(std::size_t n) {
+    if (n == 0) return static_cast<std::uint32_t>(size_);
+    int c = chunk_of(size_);
+    while (size_ + n > chunk_start(c + 1)) {  // skip to a chunk that fits
+      ++c;
+      size_ = chunk_start(c);
+    }
+    assert(c < kMaxChunks && chunk_start(c + 1) <= (std::size_t{1} << 32));
+    if (chunks_[static_cast<std::size_t>(c)] == nullptr) {
+      chunks_[static_cast<std::size_t>(c)] =
+          static_cast<T*>(::operator new(chunk_size(c) * sizeof(T)));
+      bytes_ += chunk_size(c) * sizeof(T);
+    }
+    const auto first = static_cast<std::uint32_t>(size_);
+    size_ += n;
+    return first;
+  }
+
+  /// Copies `items` into one contiguous run; returns its first index.
+  std::uint32_t append(std::span<const T> items) {
+    const std::uint32_t first = extend(items.size());
+    if (!items.empty()) {
+      std::uninitialized_copy(items.begin(), items.end(), at(first));
+    }
+    return first;
+  }
+
+  [[nodiscard]] T* at(std::uint32_t index) {
+    const int c = chunk_of(index);
+    return chunks_[static_cast<std::size_t>(c)] + (index - chunk_start(c));
+  }
+  [[nodiscard]] const T* at(std::uint32_t index) const {
+    const int c = chunk_of(index);
+    return chunks_[static_cast<std::size_t>(c)] + (index - chunk_start(c));
+  }
+
+  /// Bytes of the chunks allocated, touched or not.
+  [[nodiscard]] std::size_t bytes() const { return bytes_; }
+
+ private:
+  static constexpr int kMaxChunks = 32;
+
+  static constexpr std::size_t chunk_size(int c) { return kFirst << c; }
+  /// Index of chunk c's first slot.
+  static constexpr std::size_t chunk_start(int c) {
+    return kFirst * ((std::size_t{1} << c) - 1);
+  }
+  static int chunk_of(std::size_t index) {
+    return std::bit_width(index / kFirst + 1) - 1;
+  }
+
+  std::array<T*, kMaxChunks> chunks_{};
+  std::size_t size_ = 0;  // first free slot
+  std::size_t bytes_ = 0;
+};
+
+/// Open-addressed index of 32-bit ids by 32-bit hash tag: linear probing,
+/// power-of-two size, at most 3/4 full. It keeps no keys: find() offers the
+/// ids stored under a tag to a caller's predicate, which compares them
+/// against the caller's own records.
+class TagIndex {
+ public:
+  /// The tag of a 64-bit hash: its high half, with 0 (the empty-slot mark)
+  /// mapped to 1.
+  static std::uint32_t tag_of(std::uint64_t hash) {
+    const auto tag = static_cast<std::uint32_t>(hash >> 32);
+    return tag == 0 ? 1 : tag;
+  }
+
+  /// The first id stored under `tag` that `same` accepts, if any.
+  template <typename Same>
+  [[nodiscard]] std::optional<std::uint32_t> find(std::uint32_t tag,
+                                                  Same same) const {
+    if (slots_.empty()) return std::nullopt;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = tag & mask; slots_[i].tag != 0; i = (i + 1) & mask) {
+      if (slots_[i].tag == tag && same(slots_[i].id)) return slots_[i].id;
+    }
+    return std::nullopt;
+  }
+
+  /// Adds `id` under `tag`, doubling the slot array first when the index
+  /// would pass 3/4 full.
+  void insert(std::uint32_t tag, std::uint32_t id);
+
+  /// Ids inserted.
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// Heap bytes of the slot array.
+  [[nodiscard]] std::size_t bytes() const {
+    return slots_.capacity() * sizeof(Slot);
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t id = 0;
+    std::uint32_t tag = 0;  // 0 = empty
+  };
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
+/// Handle to one interned path: its index among the table's distinct
+/// paths. Stable for the lifetime of its RouteTable; meaningless without it.
 struct PathRef {
-  std::int32_t plane = 0;
-  std::uint32_t offset = 0;
-  std::uint32_t len = 0;
+  std::uint32_t id = 0;
 
   friend bool operator==(const PathRef&, const PathRef&) = default;
 };
@@ -84,8 +211,6 @@ class PathView {
 /// PathRefs and PathViews stay valid as long as the table lives.
 class RouteTable {
  public:
-  RouteTable();
-
   /// Interns (deduplicating by content) and returns the handle. Not thread
   /// safe; callers serialize interning per table (RouteCache does this with
   /// its shard mutex).
@@ -96,45 +221,39 @@ class RouteTable {
 
   /// Resolves a handle produced by this table. Safe to call concurrently
   /// with intern() provided the ref was published with proper
-  /// synchronization (interned slabs never move).
+  /// synchronization (arena chunks never move).
   [[nodiscard]] PathView view(const PathRef& ref) const {
-    if (ref.len == 0) return {static_cast<int>(ref.plane), {}};
-    return {static_cast<int>(ref.plane),
-            std::span<const LinkId>(data(ref.offset), ref.len)};
+    const Record& path = *paths_.at(ref.id);
+    if (path.len == 0) return {path.plane, {}};
+    return {path.plane,
+            std::span<const LinkId>(links_.at(path.offset), path.len)};
   }
 
   /// Distinct paths interned (post-dedup).
-  [[nodiscard]] std::size_t num_paths() const { return paths_; }
+  [[nodiscard]] std::size_t num_paths() const { return dedup_.size(); }
   /// Link ids actually stored (post-dedup, excluding chunk padding).
   [[nodiscard]] std::size_t links_stored() const { return links_stored_; }
-  /// Bytes of arena storage allocated (whole chunks), touched or not: a
-  /// slab's untouched tail is address space, not resident memory.
-  [[nodiscard]] std::size_t arena_bytes() const {
-    return chunks_.size() * kChunkLinks * sizeof(LinkId);
+  /// Bytes of link arena allocated (whole chunks), touched or not: a
+  /// chunk's untouched tail is address space, not resident memory.
+  [[nodiscard]] std::size_t arena_bytes() const { return links_.bytes(); }
+  /// Heap bytes the table holds: link arena, path records, dedup index.
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return links_.bytes() + paths_.bytes() + dedup_.bytes();
   }
 
  private:
-  /// 64K links (256 KiB) per slab; a path never spans two slabs.
-  static constexpr std::size_t kChunkLinks = std::size_t{1} << 16;
-
-  /// Frees a slab without running destructors (LinkId has none to run).
-  struct SlabDelete {
-    void operator()(LinkId* slab) const { ::operator delete(slab); }
+  /// Where a path's links live.
+  struct Record {
+    std::int32_t plane = 0;
+    std::uint32_t offset = 0;
+    std::uint32_t len = 0;
   };
-  using Slab = std::unique_ptr<LinkId, SlabDelete>;
-  static_assert(std::is_trivially_destructible_v<LinkId>);
 
-  [[nodiscard]] const LinkId* data(std::uint32_t offset) const {
-    return chunks_[offset / kChunkLinks].get() + offset % kChunkLinks;
-  }
-
-  /// Only slots below next_offset_ that a path was copied into are live.
-  std::vector<Slab> chunks_;
-  std::size_t next_offset_ = 0;  // first free arena slot
+  ChunkedArray<LinkId, 1024> links_;
+  ChunkedArray<Record, 256> paths_;
   std::size_t links_stored_ = 0;
-  std::size_t paths_ = 0;
-  /// Content hash -> refs with that hash (chained for collisions).
-  std::unordered_map<std::uint64_t, std::vector<PathRef>> dedup_;
+  /// Path ids by content hash.
+  TagIndex dedup_;
 };
 
 }  // namespace pnet::routing

@@ -112,6 +112,7 @@ std::string make_ok_body(std::uint64_t spec_hash,
 Service::Service(ServiceOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_bytes),
+      route_pool_(options_.route_cache_pool),
       queries_total_(registry_.counter("queries_total")),
       queries_ok_(registry_.counter("queries_ok")),
       engine_runs_(registry_.counter("engine_runs")),
@@ -402,23 +403,17 @@ exp::Engine* Service::engine_for(exp::EngineKind kind) {
 std::shared_ptr<routing::RouteCache> Service::warm_route_cache(
     const topo::NetworkSpec& topo) {
   // Keyed by the NetworkSpec block of the canonical JSON. Policy and
-  // workload are absent: RouteCache entries are keyed by the full
-  // RouteQuery already, so queries differing only there share one arena.
-  const std::uint64_t key = exp::fnv1a(exp::canonical_json(topo));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = route_caches_.begin(); it != route_caches_.end(); ++it) {
-    if (it->first == key) {
-      route_cache_reuse_.inc();
-      route_caches_.splice(route_caches_.begin(), route_caches_, it);
-      return route_caches_.front().second;
-    }
+  // workload are absent: store entries are keyed by the full RouteQuery
+  // already, so queries differing only there share one store. Each query
+  // reads it through a handle of its own.
+  const std::string key = exp::canonical_json(topo);
+  bool reused = false;
+  std::shared_ptr<routing::RouteCache> cache;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    cache = route_pool_.handle(key, &reused);
   }
-  auto cache = std::make_shared<routing::RouteCache>();
-  route_caches_.emplace_front(key, cache);
-  while (route_caches_.size() > options_.route_cache_pool &&
-         !route_caches_.empty()) {
-    route_caches_.pop_back();
-  }
+  if (reused) route_cache_reuse_.inc();
   return cache;
 }
 
@@ -465,7 +460,7 @@ std::string Service::stats_json() {
     depth = queue_.size();
     active = active_;
     is_draining = draining_;
-    warm_topos = route_caches_.size();
+    warm_topos = route_pool_.size();
   }
   exp::JsonWriter w;
   w.begin_object();

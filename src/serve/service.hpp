@@ -10,8 +10,8 @@
 //     -> in-flight dedup (identical concurrent specs
 //        coalesce onto ONE engine execution)            [join: shared body]
 //     -> bounded admission queue                        [reject: overloaded]
-//     -> persistent exp::Engine pool (N workers, warm
-//        shared routing::RouteCache arenas per topology)
+//     -> persistent exp::Engine pool (N workers, one warm
+//        shared routing::RouteStore per topology)
 //     -> deterministic response body -> cache insert
 //
 // Determinism makes the cache-and-dedup layer sound: a response body is a
@@ -77,7 +77,7 @@ struct ServiceOptions {
   int max_hosts = 1024;
   int max_trials = 64;
   int max_rounds = 256;
-  /// Warm routing::RouteCache arenas kept across queries, one per distinct
+  /// Warm routing::RouteStores kept across queries, one per distinct
   /// topology (LRU-evicted beyond this many topologies).
   std::size_t route_cache_pool = 8;
   /// Completed-query service times kept for the p50/p99 stats (ring
@@ -174,10 +174,8 @@ class Service {
   bool draining_ = false;
   bool stop_ = false;
 
-  /// Warm route arenas: topology-spec hash -> shared cache, LRU order
-  /// (front = most recent).
-  std::list<std::pair<std::uint64_t,
-                      std::shared_ptr<routing::RouteCache>>> route_caches_;
+  /// Warm route stores, one per topology (LRU-capped at route_cache_pool).
+  routing::RoutePool route_pool_;
 
   std::mutex latency_mutex_;
   std::vector<double> latency_ms_;  // ring buffer

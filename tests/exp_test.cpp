@@ -1332,6 +1332,93 @@ TEST(Runner, DeadlineSurfacesUnfinishedFlowsInReport) {
   EXPECT_NE(json.find("\"unfinished\":"), std::string::npos);
 }
 
+// ---------------------------------------------------- shared route stores
+
+// A route_cache_* counter the Runner put in a cell's runtime block.
+double route_stat(const CellResult& cell, const std::string& key) {
+  return cell.runtime.at("route_cache_" + key);
+}
+
+// Two fluid cells that differ only in flow size: they draw the same
+// permutations on one topology, so they ask the same route queries.
+std::vector<Cell> same_topology_cells() {
+  auto big = small_packet_spec("big");
+  big.engine = EngineKind::kFsim;
+  big.topo.hosts = 16;
+  auto small = big;
+  small.name = "small";
+  small.workload.flow_bytes = 20'000;
+  return {{big, {}}, {small, {}}};
+}
+
+TEST(Runner, CellsOnOneTopologyShareOneRouteStore) {
+  const std::vector<Cell> cells = same_topology_cells();
+  const CellResult solo = Runner(1).run_cell(cells[0]);
+  const double distinct = route_stat(solo, "misses");
+  ASSERT_GT(distinct, 0.0);
+  EXPECT_EQ(route_stat(solo, "entries"), distinct);
+
+  // One thread runs the first cell's trials before the second's, so the
+  // second finds every query it asks already computed.
+  const auto both = Runner(1).run(cells);
+  EXPECT_EQ(route_stat(both[0], "misses"), distinct);
+  EXPECT_EQ(route_stat(both[1], "misses"), 0.0);
+  EXPECT_EQ(route_stat(both[1], "hits"),
+            route_stat(solo, "hits") + distinct);
+  // Per-cell counters count what each cell's own misses added, so they
+  // sum to the store's totals: one entry per distinct query.
+  EXPECT_EQ(route_stat(both[0], "entries") + route_stat(both[1], "entries"),
+            distinct);
+  EXPECT_EQ(route_stat(both[1], "paths"), 0.0);
+  EXPECT_EQ(route_stat(both[1], "heap_bytes"), 0.0);
+  EXPECT_EQ(route_stat(both[0], "heap_bytes"),
+            route_stat(solo, "heap_bytes"));
+}
+
+TEST(Runner, CellsOnOtherTopologiesGetTheirOwnRouteStore) {
+  const std::vector<Cell> cells = same_topology_cells();
+  // Each change touches one NetworkSpec field; a fat tree ignores its
+  // seed, but the store key is the whole topology JSON all the same.
+  const std::vector<std::function<void(topo::NetworkSpec&)>> changes = {
+      [](topo::NetworkSpec& t) { t.seed += 1; },
+      [](topo::NetworkSpec& t) { t.hosts = 8; },
+      [](topo::NetworkSpec& t) { t.parallelism = 4; },
+  };
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    Cell other = cells[1];
+    changes[i](other.spec.topo);
+    const CellResult solo = Runner(1).run_cell(other);
+    const auto both = Runner(1).run({cells[0], other});
+    EXPECT_EQ(route_stat(both[1], "misses"), route_stat(solo, "misses"))
+        << "change " << i;
+    EXPECT_EQ(route_stat(both[1], "hits"), route_stat(solo, "hits"))
+        << "change " << i;
+    EXPECT_EQ(route_stat(both[1], "entries"), route_stat(solo, "entries"))
+        << "change " << i;
+  }
+}
+
+TEST(Runner, SharedRouteStoresLeaveReportsByteIdentical) {
+  std::vector<Cell> cells = same_topology_cells();
+  // A packet cell on the same topology shares the store with the fluid
+  // cells; one on another topology gets its own.
+  auto packet = small_packet_spec("packet");
+  packet.topo.hosts = 16;
+  auto elsewhere = small_packet_spec("elsewhere");
+  cells.push_back({packet, {}});
+  cells.push_back({elsewhere, {}});
+
+  const std::string shared = run_report_json(cells, 1);
+  EXPECT_EQ(shared, run_report_json(cells, 4));
+  Report alone("determinism");
+  for (const Cell& cell : cells) alone.add(Runner(1).run_cell(cell));
+  EXPECT_EQ(shared, alone.to_json(/*with_runtime=*/false));
+  ASSERT_EQ(setenv("PNET_ROUTE_CACHE", "off", 1), 0);
+  const std::string uncached = run_report_json(cells, 1);
+  unsetenv("PNET_ROUTE_CACHE");
+  EXPECT_EQ(shared, uncached);
+}
+
 TEST(Report, RuntimeBlockOnlyWithTiming) {
   auto spec = small_packet_spec("timing");
   spec.trials = 1;

@@ -401,20 +401,19 @@ TEST(RouteTable, EmptyPathInternsWithoutAllocating) {
   Path empty;
   empty.plane = 3;
   const PathRef ref = table.intern(empty);
-  EXPECT_EQ(ref.len, 0u);
   const PathView view = table.view(ref);
   EXPECT_TRUE(view.empty());
   EXPECT_EQ(view.plane(), 3);
   EXPECT_EQ(table.arena_bytes(), 0u);
-  // Re-interning dedups without reading a slab (there is none).
+  // Re-interning dedups without reading a chunk (there is none).
   EXPECT_EQ(table.intern(empty), ref);
   EXPECT_EQ(table.num_paths(), 1u);
   EXPECT_EQ(table.arena_bytes(), 0u);
 }
 
 TEST(RouteTable, ManyPathsSurviveSlabGrowth) {
-  // Enough distinct paths to cross several 64K-link slabs; earlier refs
-  // must stay resolvable (slabs never move).
+  // Enough distinct paths to fill several arena chunks; earlier refs must
+  // stay resolvable (chunks never move).
   RouteTable table;
   std::vector<PathRef> refs;
   Path p;

@@ -1014,5 +1014,24 @@ TEST(Service, WarmRouteCachesAreKeyedByTopologyAlone) {
   EXPECT_EQ(stat_of(service, {"warm_route_topologies"}), 2.0);
 }
 
+// The store key is the whole topology JSON: a change to any one field
+// builds a store of its own, never a shared one.
+TEST(Service, WarmRouteStoresNeverShareAcrossOneTopologyField) {
+  for (const char* other :
+       {R"({"name":"a","topo":{"hosts":16,"seed":3}})",
+        R"({"name":"a","topo":{"hosts":8,"seed":3,"parallelism":2}})",
+        R"({"name":"a","topo":{"hosts":8,"seed":3,"type":"serial-high-bw"}})"}) {
+    Service service(stub_options());
+    const auto ok = [&](const char* line) {
+      const std::string body = service.handle_line(line);
+      EXPECT_EQ(body.rfind(R"({"ok":true)", 0), 0u) << body;
+    };
+    ok(R"({"name":"a","topo":{"hosts":8,"seed":3}})");
+    ok(other);
+    EXPECT_EQ(counter_of(service, "route_cache_reuse"), 0u) << other;
+    EXPECT_EQ(stat_of(service, {"warm_route_topologies"}), 2.0) << other;
+  }
+}
+
 }  // namespace
 }  // namespace pnet::serve
